@@ -20,6 +20,7 @@ from .model import (
     dispersion,
     gaussian_potential,
     omega_gap,
+    thermal_kernel,
 )
 from .quasifree import (
     OperatorWord,
@@ -73,7 +74,7 @@ __all__ = [
     # model
     "ModelParams", "MomentumGrid", "BogoliubovCoefficients",
     "gaussian_potential", "dispersion", "bose_occupation",
-    "bogoliubov_spectrum", "bogoliubov_coefficients", "omega_gap",
+    "thermal_kernel", "bogoliubov_spectrum", "bogoliubov_coefficients", "omega_gap",
     # quasifree
     "QuasiFreeState", "OperatorWord", "two_point", "wick_expectation",
     "characteristic_function", "finite_volume_variance",

@@ -12,17 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import integrate
 
-from .model import (
-    ModelParams,
-    bogoliubov_spectrum,
-    bose_occupation,
-    dispersion,
-)
+from .model import ModelParams, bogoliubov_spectrum, dispersion
 
 __all__ = [
     "IntegralResult",
@@ -88,7 +83,7 @@ class PhaseTag:
         return self.REFERENCE[self.kind]
 
 
-def _radial_cutoff(params: ModelParams, q_norm: float, mu_shift: float) -> float:
+def _radial_cutoff(params: ModelParams, q_norm: float) -> float:
     """Radius beyond which the thermal factor is below ~1e-12."""
     # beta * (K - q)^2 / (2m) >= 30 gives e^{-30} ~ 1e-13 suppression.
     return q_norm + math.sqrt(60.0 * params.mass / params.beta) + 1.0
@@ -129,8 +124,8 @@ def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
 
     def angular(r: float) -> float:
         # int_{-1}^{1} du n(eps(|k+q|) - mu) with |k+q|^2 = r^2+q^2+2rqu
-        x_lo = beta * ((r - q_norm) ** 2 / (2.0 * m) - mu_shift)
-        x_hi = beta * ((r + q_norm) ** 2 / (2.0 * m) - mu_shift)
+        x_lo = beta * (dispersion(r - q_norm, params) - mu_shift)
+        x_hi = beta * (dispersion(r + q_norm, params) - mu_shift)
         jac = m / (beta * r * q_norm)
         lo = -math.expm1(-x_lo)  # 1 - e^{-x}, accurate near x = 0
         hi = -math.expm1(-x_hi)
@@ -141,19 +136,19 @@ def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
     def radial(r: float) -> float:
         if r == 0.0:
             return 0.0
-        eps_r = r * r / (2.0 * m)
+        eps_r = dispersion(r, params)
         occ_plus_one = 1.0 + 1.0 / math.expm1(beta * (eps_r - mu_shift))
         return r * r * occ_plus_one * angular(r)
 
-    k_max = _radial_cutoff(params, q_norm, mu_shift)
+    k_max = _radial_cutoff(params, q_norm)
     prefactor = 1.0 / (2.0 * rho) / (4.0 * math.pi**2)
     value, abserr = integrate.quad(
         radial, 0.0, k_max, points=[q_norm], epsrel=rtol, epsabs=0.0, limit=400
     )
     # Tail beyond k_max: both factors bounded by the exponential envelope.
-    x_tail = beta * ((k_max - q_norm) ** 2 / (2.0 * m) - mu_shift)
+    x_tail = beta * (dispersion(k_max - q_norm, params) - mu_shift)
     tail, _ = integrate.quad(
-        lambda r: 2.0 * r * r * math.exp(-beta * ((r - q_norm) ** 2 / (2.0 * m) - mu_shift)),
+        lambda r: 2.0 * r * r * math.exp(-beta * (dispersion(r - q_norm, params) - mu_shift)),
         k_max, k_max + 20.0,
     )
     tail_bound = prefactor * tail / max(1.0 - math.exp(-x_tail), 0.5)
@@ -177,10 +172,8 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
         raise ValueError("q must be nonzero")
     if not params.is_ground_state:
         raise ValueError("pair bubble implemented for the ground state only")
-    m = params.mass
-
     def depletion_and_anomalous(r: float):
-        eps = r * r / (2.0 * m)
+        eps = dispersion(r, params)
         g = params.c2v(r)
         energy = bogoliubov_spectrum(eps, g)
         n = 0.5 * ((eps + g) / energy - 1.0)
@@ -263,14 +256,13 @@ def delta_exponent(phase: PhaseTag, params: ModelParams,
         raise ValueError("delta classification is a finite-temperature statement")
     if phase.kind == "condensed" and params.condensate_density <= 0.0:
         raise ValueError("condensed phase requires condensate_density > 0")
-    beta, m = params.beta, params.mass
+    from .fluctuations import variance_rho_imperfect
+
     samples = []
     for box in box_sides:
         q_norm = 2.0 * math.pi / box
         if phase.kind == "condensed":
-            eps_q = q_norm**2 / (2.0 * m)
-            value = 0.5 / math.tanh(beta * eps_q / 2.0)
-            value += bose_bubble_integral(q_norm, params, rtol=rtol).value
+            value = variance_rho_imperfect(q_norm, params, rtol=rtol)
         else:
             value = bose_bubble_integral(
                 q_norm, params, mu_shift=phase.mu_shift,
@@ -310,7 +302,7 @@ def dynamical_rate_fit(model: str, params: ModelParams,
     """
     samples = []
     for q_norm in q_norms:
-        eps = q_norm**2 / (2.0 * params.mass)
+        eps = dispersion(q_norm, params)
         if model == "imperfect":
             samples.append((q_norm, eps))
         elif model == "wibg":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .model import (
     ModelParams,
     MomentumGrid,
     bogoliubov_spectrum,
+    dispersion,
     gaussian_potential,
     omega_gap,
 )
@@ -58,8 +59,9 @@ class CheckContext:
 
     @property
     def wibg(self) -> ModelParams:
+        # the superfluid model reads no total density; c^2 keeps rho0 <= rho
         return ModelParams(mass=self.mass, beta=math.inf,
-                           total_density=self.total_density,
+                           total_density=self.condensate_amplitude**2,
                            condensate_density=self.condensate_amplitude**2,
                            condensate_amplitude=self.condensate_amplitude,
                            potential=gaussian_potential(self.v0, self.kappa))
@@ -116,17 +118,13 @@ def _check_spectrum(ctx: CheckContext, tol: float) -> CheckResult:
     params = ctx.wibg
     grid = MomentumGrid(120.0, 0.3)
     q_min = float(grid.q_norms()[0])
-    eps_q = q_min**2 / (2.0 * params.mass)
+    eps_q = dispersion(q_min, params)
     ratio = bogoliubov_spectrum(eps_q, params.c2v(q_min)) * q_min / eps_q
     gap_rel = abs(ratio - omega_gap(params)) / omega_gap(params)
     passed = worst < tol and gap_rel < 1e-3
     return CheckResult("spectrum", passed,
                        ("eps", "c2v", "E_closed", "E_dense_gap", "rel_err"),
                        rows, {"worst_rel": worst, "omega_rel": gap_rel})
-
-
-def _richardson_tail(xs, ys):
-    return asymptotics.richardson(list(xs), list(ys))
 
 
 def _check_variance_oracle(ctx: CheckContext, tol: float) -> CheckResult:
@@ -178,7 +176,7 @@ def _check_variance_oracle(ctx: CheckContext, tol: float) -> CheckResult:
             grid = MomentumGrid(box, 4.0)
             st = quasifree.QuasiFreeState("wibg", wibg, grid)
             vals.append(quasifree.finite_volume_variance(st, kind, lat_q[box]))
-        extrapolated = _richardson_tail([b**-3 for b in boxes], vals)
+        extrapolated = asymptotics.richardson([b**-3 for b in boxes], vals)
         closed = closed_fn(q_phys, wibg)
         rel = abs(extrapolated - closed) / abs(closed)
         worst = max(worst, rel)
@@ -194,8 +192,7 @@ def _check_divergence(ctx: CheckContext, tol: float) -> CheckResult:
     params = ctx.imperfect_thermal
     qs = np.geomspace(0.005, 0.05, 10)
     coth_fit = asymptotics.fit_power_law(
-        [(q, 0.5 / math.tanh(params.beta * q * q / (4.0 * params.mass)))
-         for q in qs])
+        [(q, fluctuations.variance_A_imperfect(q, params)) for q in qs])
     bubble_fit = asymptotics.fit_power_law(
         [(q, asymptotics.bose_bubble_integral(q, params).value) for q in qs])
     err_coth = abs(coth_fit.exponent + 2.0)

@@ -31,9 +31,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from . import __version__
 from .checks import REGISTRY, CheckContext, CheckResult, run_check
-from .model import bogoliubov_spectrum, omega_gap
+from .model import bogoliubov_spectrum, dispersion, omega_gap
 
 OUTPUT_DIR_ENV = "BOSEFLUCT_OUT"
 
@@ -41,11 +43,7 @@ _CONTEXT_FIELDS = {f.name for f in dataclasses.fields(CheckContext)}
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool,)):
-        return str(value)
-    if isinstance(value, (int,)) and not isinstance(value, bool):
+    if isinstance(value, (str, int)):  # bool is an int
         return str(value)
     return format(float(value), ".17g")
 
@@ -68,16 +66,23 @@ def _resolve_out(arg_out: str | None) -> Path:
     return path
 
 
+def _checked_tolerance(name: str, value: str) -> float:
+    """Parse a tolerance; refuse an unregistered check or a value that is not > 0."""
+    if name not in REGISTRY:
+        raise KeyError(f"tolerance for unknown check {name!r}")
+    tol = float(value)
+    if not tol > 0.0:  # also refuses nan
+        raise ValueError(f"tolerance for {name!r} must be positive, got {value.strip()!r}")
+    return tol
+
+
 def _parse_tol_overrides(pairs: Sequence[str] | None) -> Dict[str, float]:
     overrides: Dict[str, float] = {}
     for pair in pairs or []:
         name, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"--tol expects name=value, got {pair!r}")
-        tol = float(value)
-        if tol <= 0.0:
-            raise ValueError(f"tolerance for {name!r} must be positive")
-        overrides[name] = tol
+        overrides[name] = _checked_tolerance(name, value)
     return overrides
 
 
@@ -108,9 +113,7 @@ def _load_config(path: Path):
     tols: Dict[str, float] = {}
     if parser.has_section("tolerances"):
         for name, value in parser.items("tolerances"):
-            if name not in REGISTRY:
-                raise KeyError(f"tolerance for unknown check {name!r}")
-            tols[name] = float(value)
+            tols[name] = _checked_tolerance(name, value)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     return ctx, raw, workers, out, tols, digest
 
@@ -119,9 +122,6 @@ def _run_command(args) -> int:
     try:
         ctx, names, cfg_workers, cfg_out, tols, digest = _load_config(Path(args.config))
         tols.update(_parse_tol_overrides(args.tol))
-        for name in tols:
-            if name not in REGISTRY:
-                raise KeyError(f"unknown check {name!r}")
     except (KeyError, ValueError, FileNotFoundError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -192,8 +192,6 @@ def _list_checks_command(args) -> int:
 
 
 def _spectrum_command(args) -> int:
-    from .checks import CheckContext
-
     if args.qmin <= 0.0 or args.qmax <= args.qmin or args.points < 2:
         print("spectrum: need 0 < qmin < qmax and points >= 2", file=sys.stderr)
         return 2
@@ -208,12 +206,10 @@ def _spectrum_command(args) -> int:
         print(f"spectrum: unknown model {args.model!r}", file=sys.stderr)
         return 2
 
-    import numpy as np
-
     qs = np.geomspace(args.qmin, args.qmax, args.points)
     rows = []
     for q in qs:
-        eps = q * q / (2.0 * params.mass)
+        eps = dispersion(q, params)
         if args.model == "wibg":
             energy = bogoliubov_spectrum(eps, params.c2v(q))
         else:

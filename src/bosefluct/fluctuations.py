@@ -18,7 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from .asymptotics import bose_bubble_integral, richardson, wibg_pair_bubble
-from .model import ModelParams, MomentumGrid, bogoliubov_spectrum, bose_occupation, omega_gap
+from .model import (
+    ModelParams,
+    MomentumGrid,
+    bogoliubov_spectrum,
+    bose_occupation,
+    dispersion,
+    thermal_kernel,
+)
 
 __all__ = [
     "FluctuationSpec",
@@ -94,14 +101,6 @@ class FluctuationSpec:
         return float(np.linalg.norm(self.q))
 
     @property
-    def f_0q(self) -> complex:
-        return self.f_q0.conjugate()
-
-    @property
-    def g_0q(self) -> complex:
-        return self.g_q0.conjugate()
-
-    @property
     def field_value(self) -> complex:
         """The combination ``f + i g`` the limiting field depends on."""
         return self.f_q0 + 1j * self.g_q0
@@ -132,56 +131,24 @@ def variance_rho_imperfect(q, params: ModelParams, rtol: float = 1e-7) -> float:
     ``(1/2) coth(beta eps_q / 2)`` plus the thermal bubble integral;
     exactly 1/2 in the ground state.
     """
-    q_norm = float(np.linalg.norm(q))
-    if q_norm == 0.0:
-        raise ValueError("q must be nonzero")
     if params.condensate_density <= 0.0:
         raise ValueError("density-fluctuation normalization needs condensate_density > 0")
-    if params.is_ground_state:
-        return 0.5
-    eps_q = q_norm**2 / (2.0 * params.mass)
-    coth = 0.5 / math.tanh(params.beta * eps_q / 2.0)
-    return coth + bose_bubble_integral(q_norm, params, rtol=rtol).value
+    return variance_general(FluctuationSpec("imperfect", q, f_q0=1.0), params, rtol)
 
 
 def variance_A_imperfect(q, params: ModelParams) -> float:
     """Order-parameter fluctuation variance ``(1/2) coth(beta eps_q / 2)``."""
-    q_norm = float(np.linalg.norm(q))
-    if q_norm == 0.0:
-        raise ValueError("q must be nonzero")
-    if params.is_ground_state:
-        return 0.5
-    eps_q = q_norm**2 / (2.0 * params.mass)
-    return 0.5 / math.tanh(params.beta * eps_q / 2.0)
-
-
-def _wibg_energies(q_norm: float, params: ModelParams):
-    if params.condensate_amplitude == 0.0:
-        raise ValueError("superfluid formulas need a nonzero condensate amplitude")
-    eps = q_norm**2 / (2.0 * params.mass)
-    g = params.c2v(q_norm)
-    return eps, g, bogoliubov_spectrum(eps, g)
-
-
-def _coth_E(q_norm: float, params: ModelParams) -> float:
-    _, _, energy = _wibg_energies(q_norm, params)
-    if params.is_ground_state:
-        return 1.0
-    return 1.0 / math.tanh(params.beta * energy / 2.0)
+    return variance_general(FluctuationSpec("imperfect", q, g_q0=1.0), params)
 
 
 def variance_rho0_wibg(q, params: ModelParams) -> float:
     """Bare condensate-density fluctuation variance ``(eps/2E) coth(beta E/2)``."""
-    q_norm = float(np.linalg.norm(q))
-    eps, _, energy = _wibg_energies(q_norm, params)
-    return eps / (2.0 * energy) * _coth_E(q_norm, params)
+    return variance_general(FluctuationSpec("wibg", q, f_q0=1.0), params)
 
 
 def variance_A_wibg(q, params: ModelParams) -> float:
     """Bare order-parameter fluctuation variance ``(E/2eps) coth(beta E/2)``."""
-    q_norm = float(np.linalg.norm(q))
-    eps, _, energy = _wibg_energies(q_norm, params)
-    return energy / (2.0 * eps) * _coth_E(q_norm, params)
+    return variance_general(FluctuationSpec("wibg", q, g_q0=1.0), params)
 
 
 def variance_general(spec: FluctuationSpec, params: ModelParams,
@@ -191,29 +158,28 @@ def variance_general(spec: FluctuationSpec, params: ModelParams,
     Mean-field gas: ``(1/2)|f + ig|^2 coth(beta eps_q/2) + |f|^2 I(q)``
     with the bubble integral ``I`` (zero in the ground state, recovering
     ``(1/2)|f + ig|^2``). Superfluid gas:
-    ``(eps + c^2 v)/(2E) |f + ig|^2 - (c^2 v / 2E) Re[(f + ig)^2]``
-    times ``coth(beta E/2)``. Both reduce to the four named variances at
+    ``(eps |f + ig|^2 + 2 c^2 v Im(f + ig)^2) / (2E)`` times
+    ``coth(beta E/2)``, the form of
+    ``((eps + c^2 v)|w|^2 - c^2 v Re w^2) / (2E)`` that does not cancel
+    at small q. Both give the four named variances at
     ``(f, g) = (1, 0)`` and ``(0, 1)`` and are multiplied by the squared
     renormalization factor ``|q|^(2 renorm_exponent)``.
     """
     w = spec.field_value
     q_norm = spec.q_norm
     scale = spec.renorm_factor**2
+    eps = dispersion(q_norm, params)
     if spec.model == "imperfect":
-        eps_q = q_norm**2 / (2.0 * params.mass)
-        if params.is_ground_state:
-            coth = 1.0
-            bubble = 0.0
-        else:
-            coth = 1.0 / math.tanh(params.beta * eps_q / 2.0)
-            bubble = 0.0
-            if spec.f_q0 != 0.0:
-                bubble = bose_bubble_integral(q_norm, params, rtol=rtol).value
-        return scale * (0.5 * abs(w) ** 2 * coth + abs(spec.f_q0) ** 2 * bubble)
-    eps, g, energy = _wibg_energies(q_norm, params)
-    coth = _coth_E(q_norm, params)
-    value = (eps + g) / (2.0 * energy) * abs(w) ** 2 - g / (2.0 * energy) * (w**2).real
-    return scale * coth * value
+        value = abs(w) ** 2 * thermal_kernel(eps, params.beta)
+        if spec.f_q0 != 0.0 and not params.is_ground_state:
+            value += abs(spec.f_q0) ** 2 * bose_bubble_integral(q_norm, params, rtol=rtol).value
+        return scale * value
+    if params.condensate_amplitude == 0.0:
+        raise ValueError("superfluid formulas need a nonzero condensate amplitude")
+    g = params.c2v(q_norm)
+    energy = bogoliubov_spectrum(eps, g)
+    value = (eps * abs(w) ** 2 + 2.0 * g * w.imag**2) / energy
+    return scale * thermal_kernel(energy, params.beta) * value
 
 
 def _check_compatible(spec1: FluctuationSpec, spec2: FluctuationSpec):
@@ -337,9 +303,7 @@ def structure_factor_lattice_free(q_lattice, params: ModelParams, grid: Momentum
         return 0.0
     if mu_shift >= 0.0:
         raise ValueError("free gas needs mu_shift < 0 (no zero-mode divergence)")
-    k = grid.modes
-    eps = np.sum(k**2, axis=1) / (2.0 * params.mass)
-    eps_shift = np.sum((k + q_lat * grid.spacing) ** 2, axis=1) / (2.0 * params.mass)
-    occ = bose_occupation(eps, params.beta, mu_shift)
-    occ_shift = bose_occupation(eps_shift, params.beta, mu_shift)
+    occ = bose_occupation(dispersion(grid.modes, params), params.beta, mu_shift)
+    occ_shift = bose_occupation(dispersion(grid.modes + q_lat * grid.spacing, params),
+                                params.beta, mu_shift)
     return float(np.sum(occ_shift * (occ + 1.0)) / (params.total_density * grid.volume))

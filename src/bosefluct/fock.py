@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, expm_multiply
 
 from .asymptotics import fit_power_law, richardson, PowerLawFit
-from .model import ModelParams, bogoliubov_spectrum, omega_gap
+from .model import ModelParams, dispersion, omega_gap
 
 __all__ = [
     "FockWorkspace",
@@ -46,18 +46,17 @@ Mode = Tuple[int, int, int]
 ZERO: Mode = (0, 0, 0)
 
 DIMENSION_CAP = 200_000
+LEAK_TOL = 1e-6  # top-level population that counts as truncation leakage
 
 
-def coherent_cutoff(amplitude: float, tail: float = 1e-8) -> int:
-    """Occupation cutoff keeping the coherent-state tail mass below ``tail``.
+def coherent_cutoff(amplitude: float) -> int:
+    """Occupation cutoff that holds a coherent state of amplitude ``z``.
 
     A Poisson distribution with mean ``z^2`` has essentially all its
     mass below ``z^2 + 8 z`` for the amplitudes used here.
     """
     mean = amplitude**2
-    n = int(math.ceil(mean + 8.0 * math.sqrt(max(mean, 1.0)) + 10.0))
-    # refine downward while the explicit tail stays small
-    return n
+    return int(math.ceil(mean + 8.0 * math.sqrt(max(mean, 1.0)) + 10.0))
 
 
 class FockWorkspace:
@@ -232,8 +231,7 @@ class FiniteState:
                         np.log(np.maximum(n, 1.0)))
                 w = np.exp(logw - logw.max())
             else:
-                eps = float(np.dot(ws.k_phys(m), ws.k_phys(m))) / (2.0 * params.mass)
-                w = np.exp(-beta * eps * n)
+                w = np.exp(-beta * dispersion(ws.k_phys(m), params) * n)
             probs = np.kron(probs, w / w.sum())
         return cls(ws, probabilities=probs)
 
@@ -267,10 +265,8 @@ class FiniteState:
 
 
 def _kinetic(ws: FockWorkspace, params: ModelParams) -> sp.csr_matrix:
-    k = np.array([ws.k_phys(m) for m in ws.modes])
-    eps = np.sum(k**2, axis=1) / (2.0 * params.mass)
-    diag = ws.occupations @ eps
-    return sp.diags(diag, format="csr")
+    eps = dispersion(np.array([ws.k_phys(m) for m in ws.modes]), params)
+    return sp.diags(ws.occupations @ eps, format="csr")
 
 
 def _wibg_pair_block(ws: FockWorkspace, params: ModelParams, q_lat) -> sp.csr_matrix:
@@ -278,7 +274,7 @@ def _wibg_pair_block(ws: FockWorkspace, params: ModelParams, q_lat) -> sp.csr_ma
     q = tuple(int(x) for x in q_lat)
     minus_q = tuple(-x for x in q)
     q_norm = float(np.linalg.norm(ws.k_phys(q)))
-    eps = q_norm**2 / (2.0 * params.mass)
+    eps = dispersion(q_norm, params)
     g = params.c2v(q_norm)
     n_ops = ws.number(q) + ws.number(minus_q)
     pair = ws.creator(q) @ ws.creator(minus_q)
@@ -297,7 +293,7 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
     if ZERO not in ws.modes:
         raise ValueError("workspace must contain the zero mode")
     n_tot = ws.total_number()
-    n_sq = sp.diags(np.asarray(n_tot.diagonal()) ** 2, format="csr")
+    n_sq = n_tot @ n_tot
     if model == "imperfect":
         mu = params.chemical_potential
         h = _kinetic(ws, params) - mu * n_tot + (params.coupling / (2.0 * ws.volume)) * n_sq
@@ -305,8 +301,7 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
     if model != "wibg":
         raise ValueError(f"unknown model tag {model!r}")
     c = params.condensate_amplitude
-    h = _kinetic(ws, params).astype(float).tolil()
-    h = h.tocsr()
+    h = _kinetic(ws, params)
     done = set()
     for m in ws.modes:
         if m == ZERO or m in done:
@@ -360,10 +355,7 @@ def order_param_fluct_matrix(ws: FockWorkspace, q_lat, g_q0: complex = 1.0,
     """
     q = tuple(int(x) for x in q_lat)
     minus_q = tuple(-x for x in q)
-    return _order_param(ws, q, minus_q, complex(g_q0), renorm)
-
-
-def _order_param(ws, q, minus_q, g, renorm):
+    g = complex(g_q0)
     b_dag = ws.creator(q) + ws.creator(minus_q)
     b = ws.annihilator(q) + ws.annihilator(minus_q)
     return (renorm * 0.5j * (g * b_dag - np.conj(g) * b)).tocsr()
@@ -409,8 +401,7 @@ def bch_defect(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> float:
     return float(np.linalg.norm(left - right))
 
 
-def appendix_bound(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState,
-                   t_samples: int = 5) -> float:
+def appendix_bound(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> float:
     """Defect bound ``sqrt((4/3) max_t || [[F2,F1], t F1 + F2] ||_omega)``.
 
     Both error terms of the Dyson-expansion estimate are controlled by
@@ -419,7 +410,7 @@ def appendix_bound(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState,
     """
     comm = (f2 @ f1 - f1 @ f2).tocsr()
     worst = 0.0
-    for t in np.linspace(0.0, 1.0, t_samples):
+    for t in np.linspace(0.0, 1.0, 5):
         inner = (t * f1 + f2).tocsr()
         double = comm @ inner - inner @ comm
         worst = max(worst, state.seminorm(double))
@@ -427,11 +418,11 @@ def appendix_bound(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState,
 
 
 def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
-                      state: FiniteState, leak_tol: float = 1e-6) -> np.ndarray:
+                      state: FiniteState) -> np.ndarray:
     """``omega(e^{i t F})`` on a grid of t values.
 
     Emits a warning when the evolved vector populates the top
-    occupation level beyond ``leak_tol`` (truncation leakage).
+    occupation level beyond ``LEAK_TOL`` (truncation leakage).
     """
     if state.vector is None:
         raise ValueError("clt_char_function needs a pure state")
@@ -444,8 +435,8 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
         evolved = expm_multiply(t * gen, state.vector) if t != 0.0 else state.vector
         values.append(complex(np.vdot(state.vector, evolved)))
         worst_leak = max(worst_leak, float(np.sum(np.abs(evolved[top_mask]) ** 2)))
-    if worst_leak > leak_tol:
-        warnings.warn(f"truncation leakage {worst_leak:.2e} exceeds {leak_tol:.0e}",
+    if worst_leak > LEAK_TOL:
+        warnings.warn(f"truncation leakage {worst_leak:.2e} exceeds {LEAK_TOL:.0e}",
                       RuntimeWarning)
     return np.array(values)
 
@@ -530,7 +521,7 @@ def u_density_commutator_check(params: ModelParams, n_modes: int = 4,
                            @ _torus_density_fluct(ws, n_modes, (-qj) % n_modes))
         rewrite = term if rewrite is None else rewrite + term
     n_tot = ws.total_number()
-    n_sq = sp.diags(np.asarray(n_tot.diagonal()) ** 2, format="csr")
+    n_sq = n_tot @ n_tot
     phi0 = sum(params.v(abs(_torus_rep(qj, n_modes)) * ws.spacing)
                for qj in range(n_modes)) / ws.volume
     rewrite = rewrite + (params.v(0.0) / (2.0 * ws.volume)) * n_sq - 0.5 * phi0 * n_tot
@@ -623,7 +614,7 @@ def truncation_rederivation_check(params: ModelParams, q_lat=(0, 0, 1),
 
     h = build_hamiltonian("wibg", ws, params)
     n_tot = ws.total_number()
-    n_sq = sp.diags(np.asarray(n_tot.diagonal()) ** 2, format="csr")
+    n_sq = n_tot @ n_tot
     target = (h - _kinetic(ws, params) - (params.v(0.0) / (2.0 * vol)) * n_sq
               + 0.5 * phi0p * c**2 * vol * ws.identity())
     step2 = _projected_norm(substituted - target, ws.identity())
@@ -674,13 +665,9 @@ def _wibg_remainder(ws: FockWorkspace, params: ModelParams, q: Mode,
                     renorm: float) -> sp.csr_matrix:
     """Exact non-oscillator part of ``i[H(c), rho0_q]``.
 
-    ``(i c^2 v(q) / (2 c sqrt(V))) [B*(a_0 - a*_0) + (a_0 - a*_0) B] * renorm``
-    plus the ``(v(0)/2V) N^2`` contribution
-    ``(i v(0) / 2V)(rho0-type anticommutator with N - shift)`` — both
-    computed here directly as ``i[H, rho0] - rho0(i eps_q)`` would give;
-    the function returns the closed-form first piece only, the
-    ``N^2 / V`` piece being separately exact (it commutes: rho0
-    conserves total particle number).
+    ``(i c^2 v(q) / (2 c sqrt(V))) [B*(a_0 - a*_0) + (a_0 - a*_0) B] * renorm``.
+    This is the whole remainder: the ``(v(0)/2V) N^2`` term of H
+    commutes with ``rho0_q``, which conserves the total particle number.
     """
     minus_q = tuple(-x for x in q)
     c = params.condensate_amplitude
@@ -733,7 +720,7 @@ def goldstone_closure_check(model: str, params: ModelParams,
         ws = FockWorkspace(box, [ZERO, q, minus_q],
                            {ZERO: n0, q: n_max_pair, minus_q: n_max_pair})
         h = build_hamiltonian(model, ws, params)
-        eps_q = q_phys**2 / (2.0 * params.mass)
+        eps_q = dispersion(q_phys, params)
         x_op = (ws.creator(q) + ws.creator(minus_q)
                 + ws.annihilator(q) + ws.annihilator(minus_q))
         proj = ws.below_truncation_projector(margin=2)
@@ -745,7 +732,7 @@ def goldstone_closure_check(model: str, params: ModelParams,
             rho_defect = dynamics_commutator(h, rho_op) - rho_eps
             identity_defect = max(identity_defect, _projected_norm(rho_defect, proj))
             # i[H, A] = i[T, A] + R = -(eps_q/2) X + R exactly
-            a_op = _order_param(ws, q, minus_q, 1.0, 1.0)
+            a_op = order_param_fluct_matrix(ws, q)
             a_kinetic = (-0.5 * eps_q) * x_op
             remainder = _imperfect_remainder(ws, params, q)
             a_defect = dynamics_commutator(h, a_op) - a_kinetic - remainder
@@ -762,7 +749,7 @@ def goldstone_closure_check(model: str, params: ModelParams,
             # i[H, A] = -((eps + 2 c^2 v)/2) r X - (v(0) r / 4V)(N X + X N)
             r_a = math.sqrt(q_phys)
             g = params.c2v(q_phys)
-            a_op = _order_param(ws, q, minus_q, 1.0, r_a)
+            a_op = order_param_fluct_matrix(ws, q, renorm=r_a)
             n_tot = ws.total_number()
             exact = (-(0.5 * (eps_q + 2.0 * g) * r_a) * x_op
                      - (params.v(0.0) * r_a / (4.0 * ws.volume))
@@ -788,15 +775,9 @@ def goldstone_closure_check(model: str, params: ModelParams,
 
 def _rho_eps_tilde(ws: FockWorkspace, params: ModelParams, q) -> sp.csr_matrix:
     """Smeared density fluctuation with ``f(k, k') = i (eps_k - eps_k')``."""
-    smear = {}
-    qa = np.asarray(q, dtype=int)
-    for k in ws.modes:
-        for shift in (qa, -qa):
-            k_to = tuple(int(x) for x in (np.asarray(k) + shift))
-            if k_to in set(ws.modes):
-                eps_to = float(np.dot(ws.k_phys(k_to), ws.k_phys(k_to))) / (2 * params.mass)
-                eps_from = float(np.dot(ws.k_phys(k), ws.k_phys(k))) / (2 * params.mass)
-                smear[(k_to, tuple(k))] = 1j * (eps_to - eps_from)
+    eps = {k: dispersion(ws.k_phys(k), params) for k in ws.modes}
+    # density_fluct_matrix looks up only the pairs (k +- q, k) it keeps
+    smear = {(k_to, k): 1j * (eps[k_to] - eps[k]) for k_to in ws.modes for k in ws.modes}
     return density_fluct_matrix(ws, params, q, smear=smear)
 
 

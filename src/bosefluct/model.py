@@ -1,9 +1,11 @@
 """Physical parameters, dispersion and Bogoliubov diagonalization data.
 
 Closed-form scalar layer shared by every other module: the free-particle
-dispersion, Bose occupation numbers, the Bogoliubov excitation spectrum
-with its transformation coefficients, and the collective gap constant
-``Omega = sqrt(4 m c^2 v(0))`` of the superfluid model.
+dispersion, Bose occupation numbers, the thermal two-point kernel
+``(1/2) coth(beta e / 2)``, the Bogoliubov excitation spectrum with its
+transformation coefficients, and the collective gap constant
+``Omega = sqrt(4 m c^2 v(0))`` of the superfluid model. The other
+modules take these formulas from here rather than writing them out.
 
 Units: hbar = 1 throughout. ``beta = math.inf`` is a first-class value
 and selects the ground state.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +26,7 @@ __all__ = [
     "gaussian_potential",
     "dispersion",
     "bose_occupation",
+    "thermal_kernel",
     "bogoliubov_spectrum",
     "bogoliubov_coefficients",
     "omega_gap",
@@ -114,14 +117,21 @@ class ModelParams:
 def dispersion(k, params: ModelParams) -> float:
     """Free-particle dispersion ``|k|^2 / (2 m)``.
 
-    ``k`` may be a scalar (interpreted as ``|k|``) or a 3-vector.
-    Even in ``k``; vanishes exactly at ``k = 0``.
+    ``k`` may be a scalar (interpreted as ``|k|``), a 3-vector, or an
+    array of 3-vectors along the last axis (returns an array). Even in
+    ``k``; vanishes exactly at ``k = 0``.
     """
+    # real scalars skip numpy: quadrature integrands call this per point
+    if isinstance(k, (float, int)):
+        k = float(k)
+        if not math.isfinite(k):
+            raise ValueError("non-finite momentum components")
+        return k * k / (2.0 * params.mass)
     arr = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite momentum components")
     if arr.ndim == 0:
-        k_sq = float(arr) ** 2
+        k_sq = float(arr) * float(arr)
     elif arr.ndim == 1:
         k_sq = float(arr @ arr)
     else:
@@ -145,6 +155,17 @@ def bose_occupation(eps, beta: float, mu_shift: float = 0.0):
         raise ValueError("bose_occupation requires eps > mu_shift at finite beta")
     out = 1.0 / np.expm1(x)
     return float(out) if eps_arr.ndim == 0 else out
+
+
+def thermal_kernel(energy: float, beta: float) -> float:
+    """Symmetric two-point weight ``(1/2) coth(beta e / 2)`` of a mode of energy ``e``.
+
+    Exactly 1/2 in the ground state (``beta = inf``); ``e`` must be
+    positive at finite beta.
+    """
+    if math.isinf(beta):
+        return 0.5
+    return 0.5 / math.tanh(beta * energy / 2.0)
 
 
 def bogoliubov_spectrum(eps_k, c2v_k):
@@ -278,10 +299,6 @@ class MomentumGrid:
 
     def q_norms(self) -> np.ndarray:
         return np.array([q[2] for q in self.q_sequence])
-
-    def contains(self, lattice_point: Sequence[int]) -> bool:
-        k = np.asarray(lattice_point, dtype=float) * self.spacing
-        return float(np.dot(k, k)) <= self.cutoff**2 * (1.0 + 1e-12)
 
     def __len__(self) -> int:
         return len(self.modes)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .model import (
     bogoliubov_spectrum,
     bose_occupation,
     dispersion,
+    thermal_kernel,
 )
 
 __all__ = [
@@ -133,10 +134,7 @@ class QuasiFreeState:
         m = tuple(int(x) for x in mode)
         if m == ZERO and self.model != "free":
             raise ValueError("kernel is defined only away from the zero mode")
-        e = self.mode_energy(m)
-        if self.params.is_ground_state:
-            return 0.5
-        return 0.5 / math.tanh(self.params.beta * (e - self.mu_shift) / 2.0)
+        return thermal_kernel(self.mode_energy(m) - self.mu_shift, self.params.beta)
 
     def occupation(self, mode: Sequence[int]) -> float:
         """Diagonal-basis occupation ``kernel - 1/2`` at ``k != 0``."""
@@ -298,29 +296,6 @@ def _product_terms(op1, op2):
     return [(c1 * c2, tuple(t1) + tuple(t2)) for c1, t1 in op1 for c2, t2 in op2]
 
 
-def density_fluct_terms(state: QuasiFreeState, q: Mode):
-    """Self-adjoint (cos-convention) density fluctuation at wavevector q.
-
-    Returns ``[(coef, tokens), ...]`` for
-    ``(1 / 2 sqrt(rho0 V)) sum_k (a*_{k+q} a_k + a*_{k-q} a_k)``
-    restricted to the grid.
-    """
-    rho0 = state.params.condensate_density
-    if state.model == "wibg":
-        rho0 = state.params.condensate_amplitude**2
-    if rho0 <= 0.0:
-        raise ValueError("density fluctuation normalization needs a condensate")
-    norm = 1.0 / (2.0 * math.sqrt(rho0 * state.volume))
-    qa = np.asarray(q, dtype=int)
-    terms = []
-    for n in state.grid.lattice_points:
-        for shift in (qa, -qa):
-            target = tuple(int(x) for x in (n + shift))
-            if state.grid.contains(target):
-                terms.append((norm, ((target, True), (tuple(int(x) for x in n), False))))
-    return terms
-
-
 def order_param_fluct_terms(q: Mode):
     """Self-adjoint order-parameter fluctuation ``(i/2)(a*_q + a*_{-q} - a_q - a_{-q})``."""
     return [
@@ -391,16 +366,15 @@ def _density_variance_lattice(state: QuasiFreeState, q: Mode) -> float:
 
     nonzero = np.any(lat != 0, axis=1)
     occ = np.zeros(len(modes))
-    eps = np.sum(modes[nonzero] ** 2, axis=1) / (2.0 * params.mass)
-    occ[nonzero] = bose_occupation(eps, params.beta, state.mu_shift)
+    occ[nonzero] = bose_occupation(dispersion(modes[nonzero], params), params.beta,
+                                   state.mu_shift)
     occ[~nonzero] = rho0 * grid.volume
 
     shifted = modes + qvec
     shifted_zero = np.all(np.abs(shifted) < 0.5 * grid.spacing, axis=1)
-    eps_shift = np.sum(shifted**2, axis=1) / (2.0 * params.mass)
     occ_shift = np.zeros(len(modes))
-    occ_shift[~shifted_zero] = bose_occupation(eps_shift[~shifted_zero], params.beta,
-                                               state.mu_shift)
+    occ_shift[~shifted_zero] = bose_occupation(dispersion(shifted[~shifted_zero], params),
+                                               params.beta, state.mu_shift)
     occ_shift[shifted_zero] = rho0 * grid.volume
 
     plus_one = occ + 1.0

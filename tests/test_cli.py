@@ -94,6 +94,19 @@ class TestRun:
                            extra="[tolerances]\ndivergence-exponents = 1e-12\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_bad_tolerance_value_is_config_error(self, tmp_path, capsys, route, value):
+        extra = f"[tolerances]\nequivalence = {value}\n" if route == "config" else ""
+        cfg = write_config(tmp_path / "sweep.ini", checks="equivalence", extra=extra)
+        out_dir = tmp_path / "o"
+        argv = ["run", str(cfg), "--out", str(out_dir)]
+        if route == "flag":
+            argv += ["--tol", f"equivalence={value}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not any(out_dir.glob("*.csv"))
+
     def test_bad_tol_syntax(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.ini")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o"),

@@ -21,7 +21,15 @@ from bosefluct.fluctuations import (
     variance_rho0_wibg,
     variance_rho_imperfect,
 )
-from bosefluct.model import ModelParams, MomentumGrid, gaussian_potential, omega_gap
+from bosefluct.checks import CheckContext
+from bosefluct.model import (
+    ModelParams,
+    MomentumGrid,
+    bogoliubov_coefficients,
+    dispersion,
+    gaussian_potential,
+    omega_gap,
+)
 
 
 def imperfect_params(beta=math.inf):
@@ -96,6 +104,17 @@ class TestVarianceGeneral:
         ]
         for spec, named, params in cases:
             assert variance_general(spec, params) == pytest.approx(named, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [1e-6, 1e-4, 1e-2])
+    def test_wibg_small_q_against_coefficients(self, q):
+        # plus_sq = eps/E and minus_sq = E/eps, computed without the
+        # (eps + c^2 v) - c^2 v difference that cancels at small q
+        params = CheckContext().wibg
+        co = bogoliubov_coefficients(dispersion(q, params), params.c2v(q))
+        rho0 = variance_general(FluctuationSpec("wibg", q, f_q0=1.0), params)
+        a_var = variance_general(FluctuationSpec("wibg", q, g_q0=1.0), params)
+        assert rho0 == pytest.approx(co.plus_sq / 2.0, rel=1e-12, abs=0.0)
+        assert a_var == pytest.approx(co.minus_sq / 2.0, rel=1e-12, abs=0.0)
 
     def test_gauge_direction_vanishes_imperfect(self):
         # (f, g) = (w, Jw) has field value w + i(-i w) ... = 2w only for g = -Jf;

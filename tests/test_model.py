@@ -1,10 +1,13 @@
 """Unit tests for the scalar model layer."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bosefluct
 from bosefluct.model import (
     ModelParams,
     MomentumGrid,
@@ -14,6 +17,7 @@ from bosefluct.model import (
     dispersion,
     gaussian_potential,
     omega_gap,
+    thermal_kernel,
 )
 
 
@@ -42,6 +46,49 @@ class TestDispersion:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             dispersion((np.nan, 0, 0), params())
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_scalar(self, k):
+        with pytest.raises(ValueError):
+            dispersion(k, params())
+
+    @pytest.mark.parametrize("k", [1e-6, 0.3, 1.7, 3, np.float64(2.9)])
+    def test_scalar_matches_vector(self, k):
+        p = params(mass=0.7)
+        value = dispersion(k, p)
+        assert type(value) is float
+        assert value == dispersion((0.0, 0.0, k), p)
+        assert value == dispersion(np.array(k), p)
+        assert value == dispersion(np.array([[k, 0.0, 0.0]]), p)[0]
+
+
+class TestThermalKernel:
+    def test_ground_state(self):
+        assert thermal_kernel(0.3, math.inf) == 0.5
+
+    def test_is_occupation_plus_half(self):
+        for energy, beta in ((0.2, 1.0), (1.5, 2.0), (3.0, 0.5)):
+            assert thermal_kernel(energy, beta) == pytest.approx(
+                bose_occupation(energy, beta) + 0.5, rel=1e-14)
+
+
+class TestSingleSource:
+    """Only the model module writes out ``|k|^2 / 2m`` and ``(1/2) coth(beta e / 2)``."""
+
+    INLINE = re.compile(r"/\s*\(\s*\d+(\.\d*)?\s*\*\s*(params\.mass|m)\s*\)|math\.tanh\(")
+
+    def test_no_inline_copies_outside_model(self):
+        package = Path(bosefluct.__file__).parent
+        found = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(package.glob("*.py")) if path.name != "model.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if self.INLINE.search(line)]
+        assert found == []
+
+    def test_pattern_catches_the_inline_forms(self):
+        for line in ("eps = q_norm**2 / (2.0 * params.mass)", "x = r * r /(2.0 * m)",
+                     "e = k2 / (2 * params.mass)", "c = 0.5 / math.tanh(b * e / 2.0)"):
+            assert self.INLINE.search(line), line
 
 
 class TestBoseOccupation:
