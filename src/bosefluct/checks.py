@@ -207,7 +207,7 @@ def _check_divergence(ctx: CheckContext, tol: float) -> CheckResult:
 
 def _check_delta(ctx: CheckContext, tol: float) -> CheckResult:
     """Volume-scaling exponent delta across the three phases."""
-    rows, passed = [], True
+    rows, passed, details = [], True, {}
     thermal = ctx.imperfect_thermal
     cases = [
         (asymptotics.PhaseTag("condensed"), thermal),
@@ -220,8 +220,10 @@ def _check_delta(ctx: CheckContext, tol: float) -> CheckResult:
         err = abs(fit.exponent - phase.reference_delta)
         passed = passed and err < tol
         rows.append((phase.kind, fit.exponent, phase.reference_delta, err))
+        details[f"delta_{phase.kind}"] = fit.exponent
+    details["worst_error"] = max(row[3] for row in rows)
     return CheckResult("delta-exponents", passed,
-                       ("phase", "fitted_delta", "target", "error"), rows)
+                       ("phase", "fitted_delta", "target", "error"), rows, details)
 
 
 def _bch_operators(params: ModelParams, box: float, n_pair: int = 10):
@@ -363,7 +365,11 @@ def _check_u_commutation(ctx: CheckContext, tol: float) -> CheckResult:
     rows = [("full_interaction_commutator", report.commutator_defect),
             ("quadratic_rewrite", report.rewrite_defect),
             ("truncated_interaction_commutator", report.wibg_commutator_norm)]
-    return CheckResult("u-commutation", passed, ("quantity", "norm"), rows)
+    return CheckResult("u-commutation", passed, ("quantity", "norm"), rows, {
+        "commutator_defect": report.commutator_defect,
+        "rewrite_defect": report.rewrite_defect,
+        "wibg_commutator_norm": report.wibg_commutator_norm,
+    })
 
 
 def _check_truncation(ctx: CheckContext, tol: float) -> CheckResult:
@@ -371,7 +377,8 @@ def _check_truncation(ctx: CheckContext, tol: float) -> CheckResult:
     passed = step1 < tol and step2 < tol
     rows = [("zero_mode_reordering_identity", step1),
             ("c_substitution_vs_hamiltonian", step2)]
-    return CheckResult("truncation-rederivation", passed, ("step", "defect"), rows)
+    return CheckResult("truncation-rederivation", passed, ("step", "defect"), rows,
+                       {"reordering_defect": step1, "substitution_defect": step2})
 
 
 def _check_equivalence(ctx: CheckContext, tol: float) -> CheckResult:
@@ -412,15 +419,17 @@ def _check_bubble_scaling(ctx: CheckContext, tol: float) -> CheckResult:
 def _check_lifetime(ctx: CheckContext, tol: float) -> CheckResult:
     """Dynamical energy-scale exponents: 2 (mean-field) vs 1 (superfluid)."""
     qs = np.geomspace(1e-3, 1e-2, 6)
-    rows, passed = [], True
+    rows, passed, details = [], True, {}
     for model, params in (("imperfect", ctx.imperfect_ground), ("wibg", ctx.wibg)):
         fit = asymptotics.dynamical_rate_fit(model, params, qs)
         target = asymptotics.lifetime_exponent(model)
         err = abs(fit.exponent - target)
         passed = passed and err < tol and round(fit.exponent) == target
         rows.append((model, fit.exponent, target, err))
+        details[f"exponent_{model}"] = fit.exponent
+    details["worst_error"] = max(row[3] for row in rows)
     return CheckResult("lifetime-exponents", passed,
-                       ("model", "fitted", "target", "error"), rows)
+                       ("model", "fitted", "target", "error"), rows, details)
 
 
 # ---------------------------------------------------------------------------

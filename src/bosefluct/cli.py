@@ -4,8 +4,10 @@ Subcommands
 -----------
 ``run <config>``
     Execute the checks selected in an INI-style config and write one
-    CSV table per check (plus a ``.meta`` sidecar). Exit 0 when every
-    check passes, 1 on a check failure, 2 on usage/config errors.
+    CSV table per check (plus a ``.meta`` sidecar). A check that raises
+    gets only a meta with its error text; the others still run. Exit 0
+    when every check passes, 1 on a check failure or error, 2 on
+    usage/config errors.
 ``list-checks``
     Print the registry: name, module, anchor.
 ``spectrum --model <tag> --qmin <x> --qmax <x> --points <n>``
@@ -29,7 +31,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -98,7 +100,10 @@ def _load_config(path: Path):
         for key, value in parser.items("scenario"):
             if key not in _CONTEXT_FIELDS:
                 raise ValueError(f"unknown scenario field {key!r}")
-            ctx_kwargs[key] = math.inf if value.strip() == "inf" else float(value)
+            number = float(value)
+            if not math.isfinite(number):  # every check reads a finite scenario
+                raise ValueError(f"scenario field {key!r} must be finite, got {value.strip()!r}")
+            ctx_kwargs[key] = number
     ctx = CheckContext(**ctx_kwargs)
 
     if not parser.has_section("run") or not parser.get("run", "checks", fallback="").strip():
@@ -133,46 +138,44 @@ def _run_command(args) -> int:
         return run_check(name, ctx, tols.get(name))
 
     started = time.perf_counter()
-    results: List[CheckResult] = []
-    wall: List[float] = []
+    failed = []
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         futures = [pool.submit(_timed, task, name) for name in names]
-        for future in futures:  # submission order => deterministic assembly
+        for name, future in zip(names, futures):  # submission order => deterministic assembly
+            spec = REGISTRY[name]
+            meta = {
+                "check": name,
+                "module": spec.module,
+                "anchor": spec.anchor,
+                "passed": False,
+                "config_hash": digest,
+                "version": __version__,
+            }
             try:
                 result, elapsed = future.result()
-            except Exception as exc:  # numerical failure inside a check
-                print(f"check failed with error: {exc}", file=sys.stderr)
-                return 1
-            results.append(result)
-            wall.append(elapsed)
-
-    failed = []
-    for name, result, elapsed in zip(names, results, wall):
-        spec = REGISTRY[name]
-        table = out_dir / f"{name}.csv"
-        _write_table(table, result.columns, result.rows)
-        meta = {
-            "check": name,
-            "module": spec.module,
-            "anchor": spec.anchor,
-            "passed": result.passed,
-            "config_hash": digest,
-            "version": __version__,
-            "wall_time_s": elapsed,
-        }
-        meta.update(result.details)
-        _write_meta(out_dir / f"{name}.csv.meta", meta)
-        status = "pass" if result.passed else "FAIL"
-        print(f"{name}: {status} ({elapsed:.2f}s)")
-        if not result.passed:
-            failed.append(name)
+            except Exception as exc:  # a raising check must not hide the others
+                error = f"{type(exc).__name__}: {exc}"
+                meta["error"] = error
+                _write_meta(out_dir / f"{name}.csv.meta", meta)
+                print(f"{name}: ERROR ({error})", file=sys.stderr)
+                failed.append(name)
+                continue
+            _write_table(out_dir / f"{name}.csv", result.columns, result.rows)
+            meta["passed"] = result.passed
+            meta["wall_time_s"] = elapsed
+            meta.update(result.details)
+            _write_meta(out_dir / f"{name}.csv.meta", meta)
+            status = "pass" if result.passed else "FAIL"
+            print(f"{name}: {status} ({elapsed:.2f}s)")
+            if not result.passed:
+                failed.append(name)
 
     total = time.perf_counter() - started
     if failed:
         print(f"failed checks: {', '.join(failed)} (total {total:.2f}s)",
               file=sys.stderr)
         return 1
-    print(f"all {len(results)} checks passed (total {total:.2f}s)")
+    print(f"all {len(names)} checks passed (total {total:.2f}s)")
     return 0
 
 

@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh, expm_multiply
 
 from .asymptotics import fit_power_law, richardson, PowerLawFit
@@ -47,6 +48,9 @@ ZERO: Mode = (0, 0, 0)
 
 DIMENSION_CAP = 200_000
 LEAK_TOL = 1e-6  # top-level population that counts as truncation leakage
+LANCZOS_TOL = 1e-12  # change of the characteristic function that stops the Krylov growth
+LANCZOS_BREAKDOWN = 1e-14  # residual norm of an exact invariant subspace
+LANCZOS_MAX_STEPS = 100
 
 
 def coherent_cutoff(amplitude: float) -> int:
@@ -254,7 +258,9 @@ class FiniteState:
             raise ValueError("the +-q cutoffs must match")
         pair_ws = FockWorkspace(ws.box_side, [q, minus_q], n_pair)
         h_pair = _wibg_pair_block(pair_ws, params, q)
-        _, vecs = eigsh(h_pair.tocsc(), k=1, which="SA")
+        # a fixed start vector keeps ARPACK, and so the tables, reproducible
+        start = np.full(pair_ws.dimension, pair_ws.dimension**-0.5)
+        _, vecs = eigsh(h_pair.tocsc(), k=1, which="SA", v0=start)
         ground = vecs[:, 0]
         ground = ground * np.sign(ground[np.argmax(np.abs(ground))])
         zero_col = cls._coherent_column(ws.n_max[ZERO] + 1, amplitude)
@@ -421,24 +427,58 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
                       state: FiniteState) -> np.ndarray:
     """``omega(e^{i t F})`` on a grid of t values.
 
-    Emits a warning when the evolved vector populates the top
-    occupation level beyond ``LEAK_TOL`` (truncation leakage).
+    One Lanczos run on the Hermitian ``F`` from the state vector, with
+    full reorthogonalization, gives ``<v|e^{itF}|v> = sum_j |U_0j|^2
+    e^{i t lambda_j}`` from the eigenpairs of the tridiagonal matrix for
+    every t at once (Gauss quadrature of the spectral measure). The
+    Krylov space grows until the values on the whole grid change by less
+    than ``LANCZOS_TOL`` between two steps, or until an invariant
+    subspace is reached; past ``LANCZOS_MAX_STEPS`` steps it raises
+    ``RuntimeError``.
+
+    Emits a warning when the evolved vector, rebuilt from the Krylov
+    basis, populates the top occupation level beyond ``LEAK_TOL``
+    (truncation leakage).
     """
     if state.vector is None:
         raise ValueError("clt_char_function needs a pure state")
     ws = state.workspace
     top_mask = np.any(ws.occupations == (np.array(ws._dims) - 1), axis=1)
-    gen = (1j * f_op).tocsc()
-    values = []
-    worst_leak = 0.0
-    for t in t_grid:
-        evolved = expm_multiply(t * gen, state.vector) if t != 0.0 else state.vector
-        values.append(complex(np.vdot(state.vector, evolved)))
-        worst_leak = max(worst_leak, float(np.sum(np.abs(evolved[top_mask]) ** 2)))
+    op = f_op.tocsr()
+    times = np.asarray(t_grid, dtype=float)
+    norm = np.linalg.norm(state.vector)  # FiniteState keeps it within 1e-9 of 1
+    basis = [np.asarray(state.vector, dtype=complex) / norm]
+    alphas: List[float] = []
+    betas: List[float] = []
+    previous = None
+    while True:
+        q = basis[-1]
+        w = op @ q
+        alphas.append(float(np.vdot(q, w).real))
+        for prior in basis:  # full reorthogonalization, three-term part included
+            w -= np.vdot(prior, w) * prior
+        beta = float(np.linalg.norm(w))
+        lam, vecs = eigh_tridiagonal(np.array(alphas), np.array(betas))
+        # Krylov coefficients of e^{itF} v: c_j(t) = sum_k U_jk U_0k e^{i t lam_k}
+        coeffs = vecs @ (vecs[0][:, None] * np.exp(1j * np.outer(lam, times)))
+        values = coeffs[0]
+        if beta < LANCZOS_BREAKDOWN or (
+                previous is not None
+                and np.max(np.abs(values - previous), initial=0.0) < LANCZOS_TOL):
+            break
+        if len(basis) == LANCZOS_MAX_STEPS:
+            raise RuntimeError(f"Lanczos characteristic function not converged "
+                               f"after {LANCZOS_MAX_STEPS} steps")
+        previous = values
+        betas.append(beta)
+        basis.append(w / beta)
+    top_rows = np.column_stack([v[top_mask] for v in basis])
+    top_weights = norm**2 * np.sum(np.abs(top_rows @ coeffs) ** 2, axis=0)
+    worst_leak = float(np.max(top_weights, initial=0.0))
     if worst_leak > LEAK_TOL:
         warnings.warn(f"truncation leakage {worst_leak:.2e} exceeds {LEAK_TOL:.0e}",
                       RuntimeWarning)
-    return np.array(values)
+    return norm**2 * values
 
 
 # -- interaction commutation on a momentum torus ---------------------------

@@ -14,3 +14,17 @@ def test_wibg_params_follow_the_amplitude():
                                   "u-commutation", "truncation-rederivation"])
 def test_wibg_checks_pass_at_larger_amplitude(name):
     assert run_check(name, CheckContext(condensate_amplitude=2.0)).passed
+
+
+def test_goldstone_wibg_rows_are_bit_identical():
+    assert run_check("goldstone-wibg").rows == run_check("goldstone-wibg").rows
+
+
+@pytest.mark.parametrize("name,keys", [
+    ("delta-exponents", {"delta_condensed", "delta_critical", "delta_normal", "worst_error"}),
+    ("u-commutation", {"commutator_defect", "rewrite_defect", "wibg_commutator_norm"}),
+    ("truncation-rederivation", {"reordering_defect", "substitution_defect"}),
+    ("lifetime-exponents", {"exponent_imperfect", "exponent_wibg", "worst_error"}),
+])
+def test_details_record_the_judged_values(name, keys):
+    assert set(run_check(name).details) == keys

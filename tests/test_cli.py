@@ -1,6 +1,6 @@
 """Unit tests for the command-line interface."""
 
-import os
+import dataclasses
 
 import pytest
 
@@ -106,6 +106,35 @@ class TestRun:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error")
         assert not any(out_dir.glob("*.csv"))
+
+    @pytest.mark.parametrize("field,value", [("beta_thermal", "inf"), ("mass", "nan"),
+                                             ("coupling", "-inf")])
+    def test_non_finite_scenario_is_config_error(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(f"[scenario]\n{field} = {value}\n"
+                       "[run]\nchecks = equivalence bubble-scaling\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_raising_check_keeps_the_others(self, tmp_path, capsys, monkeypatch):
+        def raising(ctx, tol):
+            return 1.0 / 0.0
+
+        monkeypatch.setitem(REGISTRY, "equivalence",
+                            dataclasses.replace(REGISTRY["equivalence"], runner=raising))
+        cfg = write_config(tmp_path / "sweep.ini", checks="equivalence virial-imperfect")
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert "equivalence: ERROR (ZeroDivisionError: float division by zero)" in captured.err
+        assert "virial-imperfect: pass" in captured.out
+        assert (out_dir / "virial-imperfect.csv").exists()
+        assert not (out_dir / "equivalence.csv").exists()
+        meta = (out_dir / "equivalence.csv.meta").read_text().splitlines()
+        assert "passed: False" in meta
+        assert "error: ZeroDivisionError: float division by zero" in meta
 
     def test_bad_tol_syntax(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.ini")

@@ -1,11 +1,15 @@
 """Unit tests for the finite Fock-space workspace and matrix checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
+from bosefluct import fock
+from bosefluct.checks import _clt_operator
 from bosefluct.fock import (
     FiniteState,
     FockWorkspace,
@@ -128,6 +132,12 @@ class TestFiniteState:
         b_op = co.cosh_a * ws.annihilator(Q) - co.sinh_a * ws.creator(MQ)
         assert state.seminorm(b_op) < 1e-6
 
+    def test_b_vacuum_reproducible(self):
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ], {ZERO: 8, Q: 10, MQ: 10})
+        first = FiniteState.coherent_b_vacuum(ws, wibg_params(), Q, 1.0)
+        second = FiniteState.coherent_b_vacuum(ws, wibg_params(), Q, 1.0)
+        assert np.array_equal(first.vector, second.vector)
+
 
 class TestHamiltonians:
     def test_imperfect_diagonal(self):
@@ -232,6 +242,79 @@ class TestBchAndClt:
         state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
         with pytest.warns(RuntimeWarning):
             clt_char_function(f_op, [3.0], state)
+
+
+def reference_char_function(f_op, t_grid, state):
+    """One ``expm_multiply`` per t: the route the Lanczos quadrature replaces."""
+    gen = (1j * f_op).tocsc()
+    return np.array([np.vdot(state.vector, expm_multiply(t * gen, state.vector))
+                     for t in t_grid])
+
+
+class TestLanczosCharFunction:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_expm_on_reduced_clt_workspace(self, seed):
+        rho0, box = 4.0, 3.0
+        params = imperfect_params(total_density=rho0, condensate_density=rho0)
+        amp = math.sqrt(rho0 * box**3)
+        ws = FockWorkspace(box, [ZERO, Q, MQ],
+                           {ZERO: coherent_cutoff(amp), Q: 6, MQ: 6})
+        state = FiniteState.coherent_vacuum(ws, amp)
+        rng = np.random.default_rng(seed)
+        f, g = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
+        f_op = _clt_operator(ws, params, f, g)
+        t_grid = np.linspace(0.0, 1.5 / math.sqrt(0.5 * abs(f + 1j * g) ** 2), 7)[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
+            values = clt_char_function(f_op, t_grid, state)
+        assert np.max(np.abs(values - reference_char_function(f_op, t_grid, state))) < 1e-12
+
+    def test_matches_expm_on_random_hermitian(self):
+        ws = FockWorkspace(2.0, [ZERO, Q], 20)
+        rng = np.random.default_rng(5)
+        a = sp.random(ws.dimension, ws.dimension, density=0.02, random_state=rng,
+                      format="csr", dtype=float)
+        a = a + 1j * sp.random(ws.dimension, ws.dimension, density=0.02,
+                               random_state=rng, format="csr")
+        f_op = (a + a.conjugate().T).tocsr()
+        vec = rng.normal(size=ws.dimension) + 1j * rng.normal(size=ws.dimension)
+        state = FiniteState(ws, vector=vec)
+        t_grid = np.linspace(0.0, 1.0, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the random F leaks
+            values = clt_char_function(f_op, t_grid, state)
+        assert np.max(np.abs(values - reference_char_function(f_op, t_grid, state))) < 1e-12
+
+    def test_two_level_breakdown_is_exact(self, monkeypatch):
+        # F = a + a* on levels {0, 1}: the Krylov space closes at step 2
+        monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 2)
+        ws = build_workspace([Q], 1)
+        f_op = ws.creator(Q) + ws.annihilator(Q)
+        state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
+        t_grid = np.linspace(0.0, 3.0, 7)
+        with pytest.warns(RuntimeWarning):  # the top level is level 1
+            values = clt_char_function(f_op, t_grid, state)
+        assert np.max(np.abs(values - np.cos(t_grid))) < 1e-15
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 3)
+        ws = build_workspace([Q], 50)
+        f_op = (ws.creator(Q) + ws.annihilator(Q)) / math.sqrt(2.0)
+        state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
+        with pytest.raises(RuntimeError):
+            clt_char_function(f_op, [2.0], state)
+
+    def test_leak_only_at_largest_time_warns(self):
+        ws = FockWorkspace(2.0, [ZERO, Q], 8)
+        f_op = (ws.creator(Q) + ws.annihilator(Q)
+                + 0.3 * (ws.creator(ZERO) + ws.annihilator(ZERO)))
+        state = FiniteState.coherent_vacuum(ws, 0.0)
+        t_grid = [0.25, 0.5, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clt_char_function(f_op, t_grid[:-1], state)
+        with pytest.warns(RuntimeWarning, match="truncation leakage"):
+            clt_char_function(f_op, t_grid, state)
 
 
 class TestInteractionStructure:
