@@ -60,10 +60,10 @@ from .fock import (
     FockWorkspace,
     bch_defect,
     build_hamiltonian,
-    build_workspace,
     clt_char_function,
     dynamics_commutator,
     goldstone_closure_check,
+    pair_block,
     truncation_rederivation_check,
     u_density_commutator_check,
 )
@@ -87,7 +87,7 @@ __all__ = [
     "PhaseTag", "PowerLawFit", "bose_bubble_integral", "wibg_pair_bubble",
     "fit_power_law", "delta_exponent", "lifetime_exponent", "richardson",
     # fock
-    "FockWorkspace", "FiniteState", "build_workspace", "build_hamiltonian",
+    "FockWorkspace", "FiniteState", "pair_block", "build_hamiltonian",
     "bch_defect", "clt_char_function", "dynamics_commutator",
     "goldstone_closure_check", "truncation_rederivation_check",
     "u_density_commutator_check",

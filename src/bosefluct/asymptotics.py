@@ -196,16 +196,11 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
 
     # Depletion decays like (c^2 v / 2 eps)^2; the gaussian tail of v
     # makes everything beyond a few widths negligible.
-    kappa_scale = 1.0
-    try:
-        # crude width probe of the potential tail
-        for r in (2.0, 4.0, 8.0, 16.0):
-            if abs(params.v(r)) < 1e-14 * abs(params.v(0.0)):
-                kappa_scale = r
-                break
-        else:
-            kappa_scale = 32.0
-    except ValueError:
+    # crude width probe of the potential tail
+    for kappa_scale in (2.0, 4.0, 8.0, 16.0):
+        if abs(params.v(kappa_scale)) < 1e-14 * abs(params.v(0.0)):
+            break
+    else:
         kappa_scale = 32.0
     k_max = q_norm + 2.0 * kappa_scale
     prefactor = 1.0 / (4.0 * math.pi**2)

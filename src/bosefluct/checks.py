@@ -25,7 +25,8 @@ from .model import (
     omega_gap,
 )
 
-__all__ = ["CheckContext", "CheckResult", "CheckDef", "REGISTRY", "run_check"]
+__all__ = ["CheckContext", "CheckResult", "CheckDef", "REGISTRY", "checked_tolerance",
+           "run_check"]
 
 
 @dataclass(frozen=True)
@@ -102,14 +103,10 @@ def _check_spectrum(ctx: CheckContext, tol: float) -> CheckResult:
     rng = np.random.default_rng(7)
     rows, worst = [], 0.0
     ws = fock.FockWorkspace(2.0 * math.pi, [(0, 0, 1), (0, 0, -1)], 20)
-    n_ops = (ws.number((0, 0, 1)) + ws.number((0, 0, -1))).toarray()
-    pair = (ws.creator((0, 0, 1)) @ ws.creator((0, 0, -1))).toarray()
-    pair = pair + pair.conj().T
     for _ in range(50):
         eps = rng.uniform(0.3, 3.0)
         g = rng.uniform(0.0, 1.5)
-        h = (eps + g) * n_ops + g * pair
-        vals = np.linalg.eigvalsh(h)
+        vals = np.linalg.eigvalsh(fock.pair_block(ws, (0, 0, 1), eps, g).toarray())
         gap = float(vals[1] - vals[0])
         closed = bogoliubov_spectrum(eps, g)
         rel = abs(gap - closed) / closed
@@ -487,14 +484,20 @@ REGISTRY: Dict[str, CheckDef] = {
 }
 
 
+def checked_tolerance(name: str, tolerance: float | None = None) -> float:
+    """The tolerance check ``name`` is judged against: ``tolerance``, or the
+    registered default when it is None. Refuses an unregistered name
+    (``KeyError``) and a value that is not > 0, nan included (``ValueError``)."""
+    if name not in REGISTRY:
+        raise KeyError(f"unknown check {name!r}")
+    tol = REGISTRY[name].default_tolerance if tolerance is None else float(tolerance)
+    if not tol > 0.0:
+        raise ValueError(f"tolerance for {name!r} must be positive, got {tol!r}")
+    return tol
+
+
 def run_check(name: str, ctx: CheckContext | None = None,
               tolerance: float | None = None) -> CheckResult:
     """Execute one registered check by name."""
-    if name not in REGISTRY:
-        raise KeyError(f"unknown check {name!r}")
-    spec = REGISTRY[name]
-    ctx = ctx or CheckContext()
-    tol = spec.default_tolerance if tolerance is None else float(tolerance)
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    return spec.runner(ctx, tol)
+    tol = checked_tolerance(name, tolerance)
+    return REGISTRY[name].runner(ctx or CheckContext(), tol)

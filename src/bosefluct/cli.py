@@ -36,7 +36,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from . import __version__
-from .checks import REGISTRY, CheckContext, CheckResult, run_check
+from .checks import REGISTRY, CheckContext, CheckResult, checked_tolerance, run_check
 from .model import bogoliubov_spectrum, dispersion, omega_gap
 
 OUTPUT_DIR_ENV = "BOSEFLUCT_OUT"
@@ -68,23 +68,13 @@ def _resolve_out(arg_out: str | None) -> Path:
     return path
 
 
-def _checked_tolerance(name: str, value: str) -> float:
-    """Parse a tolerance; refuse an unregistered check or a value that is not > 0."""
-    if name not in REGISTRY:
-        raise KeyError(f"tolerance for unknown check {name!r}")
-    tol = float(value)
-    if not tol > 0.0:  # also refuses nan
-        raise ValueError(f"tolerance for {name!r} must be positive, got {value.strip()!r}")
-    return tol
-
-
 def _parse_tol_overrides(pairs: Sequence[str] | None) -> Dict[str, float]:
     overrides: Dict[str, float] = {}
     for pair in pairs or []:
         name, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"--tol expects name=value, got {pair!r}")
-        overrides[name] = _checked_tolerance(name, value)
+        overrides[name] = checked_tolerance(name, float(value))
     return overrides
 
 
@@ -118,7 +108,7 @@ def _load_config(path: Path):
     tols: Dict[str, float] = {}
     if parser.has_section("tolerances"):
         for name, value in parser.items("tolerances"):
-            tols[name] = _checked_tolerance(name, value)
+            tols[name] = checked_tolerance(name, float(value))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     return ctx, raw, workers, out, tols, digest
 
@@ -127,19 +117,21 @@ def _run_command(args) -> int:
     try:
         ctx, names, cfg_workers, cfg_out, tols, digest = _load_config(Path(args.config))
         tols.update(_parse_tol_overrides(args.tol))
+        workers = cfg_workers if args.workers is None else args.workers
+        if min(workers, cfg_workers) < 1:  # a bad config value is refused even when overridden
+            raise ValueError("worker count ([run] workers, --workers) must be at least 1")
     except (KeyError, ValueError, FileNotFoundError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     out_dir = _resolve_out(args.out or cfg_out)
-    workers = args.workers or cfg_workers
 
     def task(name: str) -> CheckResult:
         return run_check(name, ctx, tols.get(name))
 
     started = time.perf_counter()
     failed = []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_timed, task, name) for name in names]
         for name, future in zip(names, futures):  # submission order => deterministic assembly
             spec = REGISTRY[name]

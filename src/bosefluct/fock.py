@@ -31,7 +31,7 @@ from .model import ModelParams, dispersion, omega_gap
 __all__ = [
     "FockWorkspace",
     "FiniteState",
-    "build_workspace",
+    "pair_block",
     "build_hamiltonian",
     "u_density_commutator_check",
     "bch_defect",
@@ -51,6 +51,12 @@ LEAK_TOL = 1e-6  # top-level population that counts as truncation leakage
 LANCZOS_TOL = 1e-12  # change of the characteristic function that stops the Krylov growth
 LANCZOS_BREAKDOWN = 1e-14  # residual norm of an exact invariant subspace
 LANCZOS_MAX_STEPS = 100
+
+
+def _plus_minus(q_lat) -> Tuple[Mode, Mode]:
+    """The lattice triple ``q`` and its mirror ``-q``."""
+    q = tuple(int(x) for x in q_lat)
+    return q, tuple(-x for x in q)
 
 
 def coherent_cutoff(amplitude: float) -> int:
@@ -74,11 +80,11 @@ class FockWorkspace:
         Mode labels; momentum is ``(2 pi / L) * label`` unless a torus
         override maps labels to representatives first.
     n_max : int or mapping mode -> int
-        Per-mode occupation cutoff.
+        Per-mode occupation cutoff. The product of the local dimensions
+        may not exceed ``DIMENSION_CAP``.
     """
 
-    def __init__(self, box_side: float, modes: Sequence[Sequence[int]],
-                 n_max, dimension_cap: int = DIMENSION_CAP):
+    def __init__(self, box_side: float, modes: Sequence[Sequence[int]], n_max):
         self.box_side = float(box_side)
         self.spacing = 2.0 * math.pi / self.box_side
         self.modes: List[Mode] = [tuple(int(x) for x in m) for m in modes]
@@ -90,8 +96,8 @@ class FockWorkspace:
             self.n_max = {m: int(n_max) for m in self.modes}
         dims = [self.n_max[m] + 1 for m in self.modes]
         self.dimension = int(np.prod(dims))
-        if self.dimension > dimension_cap:
-            raise ValueError(f"dimension {self.dimension} exceeds cap {dimension_cap}")
+        if self.dimension > DIMENSION_CAP:
+            raise ValueError(f"dimension {self.dimension} exceeds cap {DIMENSION_CAP}")
         self._dims = dims
         self._ladder_cache: Dict[Mode, sp.csr_matrix] = {}
         # occupation table: occupations[i, j] = occupation of mode j in basis state i
@@ -144,20 +150,9 @@ class FockWorkspace:
     def transfer_operator(self, terms: Iterable[Tuple[complex, Sequence[int], Sequence[int]]]
                           ) -> sp.csr_matrix:
         """``sum coef * a*_{k_to} a_{k_from}`` over ``(coef, k_to, k_from)``."""
-        total = None
-        for coef, k_to, k_from in terms:
-            op = self.creator(k_to) @ self.annihilator(k_from)
-            op = coef * op
-            total = op if total is None else total + op
-        if total is None:
-            return sp.csr_matrix((self.dimension, self.dimension))
-        return total.tocsr()
-
-
-def build_workspace(modes, n_max, box_side: float = 1.0,
-                    dimension_cap: int = DIMENSION_CAP) -> FockWorkspace:
-    """Convenience constructor mirroring FockWorkspace."""
-    return FockWorkspace(box_side, modes, n_max, dimension_cap)
+        return sum((coef * (self.creator(k_to) @ self.annihilator(k_from))
+                    for coef, k_to, k_from in terms),
+                   sp.csr_matrix((self.dimension, self.dimension))).tocsr()
 
 
 @dataclass
@@ -249,15 +244,15 @@ class FiniteState:
         annihilated by the b-operators. Requires the workspace modes to
         be ordered ``[0, q, -q]``.
         """
-        q = tuple(int(x) for x in q_lat)
-        minus_q = tuple(-x for x in q)
+        q, minus_q = _plus_minus(q_lat)
         if ws.modes != [ZERO, q, minus_q]:
             raise ValueError("workspace modes must be ordered [0, q, -q]")
         n_pair = ws.n_max[q]
         if ws.n_max[minus_q] != n_pair:
             raise ValueError("the +-q cutoffs must match")
         pair_ws = FockWorkspace(ws.box_side, [q, minus_q], n_pair)
-        h_pair = _wibg_pair_block(pair_ws, params, q)
+        q_norm = float(np.linalg.norm(pair_ws.k_phys(q)))
+        h_pair = pair_block(pair_ws, q, dispersion(q_norm, params), params.c2v(q_norm))
         # a fixed start vector keeps ARPACK, and so the tables, reproducible
         start = np.full(pair_ws.dimension, pair_ws.dimension**-0.5)
         _, vecs = eigsh(h_pair.tocsc(), k=1, which="SA", v0=start)
@@ -275,13 +270,13 @@ def _kinetic(ws: FockWorkspace, params: ModelParams) -> sp.csr_matrix:
     return sp.diags(ws.occupations @ eps, format="csr")
 
 
-def _wibg_pair_block(ws: FockWorkspace, params: ModelParams, q_lat) -> sp.csr_matrix:
-    """Quadratic +-q block: dressing + pairing, no zero mode."""
-    q = tuple(int(x) for x in q_lat)
-    minus_q = tuple(-x for x in q)
-    q_norm = float(np.linalg.norm(ws.k_phys(q)))
-    eps = dispersion(q_norm, params)
-    g = params.c2v(q_norm)
+def pair_block(ws: FockWorkspace, q_lat, eps: float, g: float) -> sp.csr_matrix:
+    """Quadratic +-q block ``(eps + g)(n_q + n_{-q}) + g (a*_q a*_{-q} + h.c.)``.
+
+    Kinetic energy ``eps``, dressing and pairing ``g``; its gap is the
+    collective energy ``sqrt(eps (eps + 2 g))``.
+    """
+    q, minus_q = _plus_minus(q_lat)
     n_ops = ws.number(q) + ws.number(minus_q)
     pair = ws.creator(q) @ ws.creator(minus_q)
     return ((eps + g) * n_ops + g * (pair + pair.conjugate().T)).tocsr()
@@ -291,10 +286,9 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
     """Assemble the model Hamiltonian on the workspace.
 
     ``imperfect``: ``T - mu N + (lambda / 2V) N^2`` with ``mu = lambda rho``.
-    ``wibg``: kinetic term, ``c^2``-pairing and ``c^2 v``-dressing over
-    all nonzero mode pairs present, plus ``(v(0)/2V) N^2``; the number
-    term is omitted (chemical potential absorbed), which leaves the
-    quadratic block gap exactly at the collective spectrum.
+    ``wibg``: one :func:`pair_block` per nonzero ``+-k`` mode pair plus
+    ``(v(0)/2V) N^2``; the number term is omitted (chemical potential
+    absorbed), which leaves each block's gap exactly at the collective spectrum.
     """
     if ZERO not in ws.modes:
         raise ValueError("workspace must contain the zero mode")
@@ -306,23 +300,15 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
         return h.tocsr()
     if model != "wibg":
         raise ValueError(f"unknown model tag {model!r}")
-    c = params.condensate_amplitude
-    h = _kinetic(ws, params)
-    done = set()
+    blocks = []
     for m in ws.modes:
-        if m == ZERO or m in done:
-            continue
-        minus = tuple(-x for x in m)
-        if minus not in ws.modes:
+        q, minus_q = _plus_minus(m)
+        if minus_q not in ws.modes:
             raise ValueError("wibg pairing needs +-k mode pairs")
-        k_norm = float(np.linalg.norm(ws.k_phys(m)))
-        g = c**2 * params.v(k_norm)
-        pair = ws.creator(m) @ ws.creator(minus)
-        h = h + g * (pair + pair.conjugate().T) + g * (ws.number(m) + ws.number(minus))
-        done.add(m)
-        done.add(minus)
-    h = h + (params.v(0.0) / (2.0 * ws.volume)) * n_sq
-    return h.tocsr()
+        if q > minus_q:  # one block per pair; the zero mode is its own mirror
+            k_norm = float(np.linalg.norm(ws.k_phys(q)))
+            blocks.append(pair_block(ws, q, dispersion(k_norm, params), params.c2v(k_norm)))
+    return (sum(blocks) + (params.v(0.0) / (2.0 * ws.volume)) * n_sq).tocsr()
 
 
 # -- fluctuation operators on a workspace ---------------------------------
@@ -341,15 +327,23 @@ def density_fluct_matrix(ws: FockWorkspace, params: ModelParams, q_lat,
         raise ValueError("needs condensate_density > 0")
     norm = 1.0 / (2.0 * math.sqrt(rho0 * ws.volume))
     q = np.asarray(q_lat, dtype=int)
+    modes = set(ws.modes)
     terms = []
     for k in ws.modes:
         for shift in (q, -q):
             k_to = tuple(int(x) for x in (np.asarray(k) + shift))
-            if k_to in set(ws.modes):
+            if k_to in modes:
                 coef = 1.0 if smear is None else smear.get((k_to, k), 0.0)
                 if coef != 0.0:
                     terms.append((norm * coef, k_to, k))
     return ws.transfer_operator(terms)
+
+
+def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``B* = a*_q + a*_{-q}`` and ``B = a_q + a_{-q}``."""
+    q, minus_q = _plus_minus(q_lat)
+    return (ws.creator(q) + ws.creator(minus_q),
+            ws.annihilator(q) + ws.annihilator(minus_q))
 
 
 def order_param_fluct_matrix(ws: FockWorkspace, q_lat, g_q0: complex = 1.0,
@@ -359,11 +353,8 @@ def order_param_fluct_matrix(ws: FockWorkspace, q_lat, g_q0: complex = 1.0,
     ``B* = a*_q + a*_{-q}``; ``renorm`` multiplies the whole operator
     (e.g. ``|q|^{1/2}`` for the superfluid pair).
     """
-    q = tuple(int(x) for x in q_lat)
-    minus_q = tuple(-x for x in q)
     g = complex(g_q0)
-    b_dag = ws.creator(q) + ws.creator(minus_q)
-    b = ws.annihilator(q) + ws.annihilator(minus_q)
+    b_dag, b = _ladder_sums(ws, q_lat)
     return (renorm * 0.5j * (g * b_dag - np.conj(g) * b)).tocsr()
 
 
@@ -375,12 +366,11 @@ def condensate_fluct_matrix(ws: FockWorkspace, params: ModelParams, q_lat,
     c = params.condensate_amplitude
     if c == 0.0:
         raise ValueError("needs a condensate amplitude")
-    q = tuple(int(x) for x in q_lat)
-    minus_q = tuple(-x for x in q)
     norm = renorm / (2.0 * c * math.sqrt(ws.volume))
     f = complex(f_q0)
-    up = (ws.creator(q) + ws.creator(minus_q)) @ ws.annihilator(ZERO)
-    down = ws.creator(ZERO) @ (ws.annihilator(q) + ws.annihilator(minus_q))
+    b_dag, b = _ladder_sums(ws, q_lat)
+    up = b_dag @ ws.annihilator(ZERO)
+    down = ws.creator(ZERO) @ b
     return (norm * (f * up + np.conj(f) * down)).tocsr()
 
 
@@ -502,21 +492,14 @@ def _torus_interaction(ws: FockWorkspace, n: int, v) -> sp.csr_matrix:
     exact on the finite set and the density-commutation identity holds
     as a matrix identity.
     """
-    total = None
     pref = 1.0 / (2.0 * ws.volume)
-    for qj in range(n):
-        vq = v(abs(_torus_rep(qj, n)) * ws.spacing)
-        if vq == 0.0:
-            continue
-        for kj in range(n):
-            for kpj in range(n):
-                op = (ws.creator((0, 0, (kj + qj) % n))
-                      @ ws.creator((0, 0, (kpj - qj) % n))
-                      @ ws.annihilator((0, 0, kpj))
-                      @ ws.annihilator((0, 0, kj)))
-                op = (pref * vq) * op
-                total = op if total is None else total + op
-    return total.tocsr()
+    v_q = [v(abs(_torus_rep(qj, n)) * ws.spacing) for qj in range(n)]
+    return sum((pref * v_q[qj]) * (ws.creator((0, 0, (kj + qj) % n))
+                                   @ ws.creator((0, 0, (kpj - qj) % n))
+                                   @ ws.annihilator((0, 0, kpj))
+                                   @ ws.annihilator((0, 0, kj)))
+               for qj in range(n) if v_q[qj] != 0.0
+               for kj in range(n) for kpj in range(n)).tocsr()
 
 
 def _torus_density_fluct(ws: FockWorkspace, n: int, qj: int) -> sp.csr_matrix:
@@ -554,16 +537,13 @@ def u_density_commutator_check(params: ModelParams, n_modes: int = 4,
     comm = u_full @ f_q - f_q @ u_full
     commutator_defect = _projected_norm(comm, proj)
 
-    rewrite = None
-    for qj in range(1, n_modes):
-        vq = params.v(abs(_torus_rep(qj, n_modes)) * ws.spacing)
-        term = 0.5 * vq * (_torus_density_fluct(ws, n_modes, qj)
-                           @ _torus_density_fluct(ws, n_modes, (-qj) % n_modes))
-        rewrite = term if rewrite is None else rewrite + term
+    v_q = [params.v(abs(_torus_rep(qj, n_modes)) * ws.spacing) for qj in range(n_modes)]
+    rewrite = sum(0.5 * v_q[qj] * (_torus_density_fluct(ws, n_modes, qj)
+                                   @ _torus_density_fluct(ws, n_modes, (-qj) % n_modes))
+                  for qj in range(1, n_modes))
     n_tot = ws.total_number()
     n_sq = n_tot @ n_tot
-    phi0 = sum(params.v(abs(_torus_rep(qj, n_modes)) * ws.spacing)
-               for qj in range(n_modes)) / ws.volume
+    phi0 = sum(v_q) / ws.volume
     rewrite = rewrite + (params.v(0.0) / (2.0 * ws.volume)) * n_sq - 0.5 * phi0 * n_tot
     rewrite_defect = _projected_norm(u_full - rewrite, proj)
 
@@ -577,15 +557,13 @@ def _torus_truncated_interaction(ws: FockWorkspace, n: int,
                                  params: ModelParams) -> sp.csr_matrix:
     """Superfluid-type truncated interaction (pairing + dressing) on the torus."""
     c = params.condensate_amplitude if params.condensate_amplitude != 0.0 else 1.0
-    total = None
+    terms = []
     for kj in range(1, n):
-        k_rep = abs(_torus_rep(kj, n)) * ws.spacing
-        vk = params.v(k_rep)
-        mode, minus = (0, 0, kj), (0, 0, (-kj) % n)
-        pair = ws.creator(mode) @ ws.creator(minus)
-        op = 0.5 * vk * c**2 * (pair + pair.conjugate().T) + vk * c**2 * ws.number(mode)
-        total = op if total is None else total + op
-    return total.tocsr()
+        vk = params.v(abs(_torus_rep(kj, n)) * ws.spacing)
+        pair = ws.creator((0, 0, kj)) @ ws.creator((0, 0, (-kj) % n))
+        terms.append(0.5 * vk * c**2 * (pair + pair.conjugate().T)
+                     + vk * c**2 * ws.number((0, 0, kj)))
+    return sum(terms).tocsr()
 
 
 def _projected_norm(op: sp.spmatrix, proj: sp.spmatrix) -> float:
@@ -613,8 +591,7 @@ def truncation_rederivation_check(params: ModelParams, q_lat=(0, 0, 1),
     dressing terms of the assembled Hamiltonian plus the constant
     ``(phi0'/2) c^2 V``. Returns the two defect norms.
     """
-    q = tuple(int(x) for x in q_lat)
-    minus_q = tuple(-x for x in q)
+    q, minus_q = _plus_minus(q_lat)
     ws = FockWorkspace(box_side, [ZERO, q, minus_q],
                        {ZERO: n_max_zero, q: n_max_pair, minus_q: n_max_pair})
     proj = ws.below_truncation_projector(margin=2)
@@ -631,25 +608,21 @@ def truncation_rederivation_check(params: ModelParams, q_lat=(0, 0, 1),
 
     a0, a0d = ws.annihilator(ZERO), ws.creator(ZERO)
     phi0p = 2.0 * v_q / vol  # (1/V) sum over the two nonzero modes
-    written_out = None
-    for mode, minus in ((q, minus_q), (minus_q, q)):
-        nk = ws.number(mode)
-        pair_up = ws.creator(mode) @ ws.creator(minus)
-        pair_dn = ws.annihilator(minus) @ ws.annihilator(mode)
-        term = (0.5 * v_q / vol) * ((a0 @ a0d + a0d @ a0) @ nk
-                                    + (a0 @ a0) @ pair_up + (a0d @ a0d) @ pair_dn)
-        written_out = term if written_out is None else written_out + term
+    plus_minus = ((q, minus_q), (minus_q, q))  # k = +q, -q
+    written_out = sum(
+        (0.5 * v_q / vol) * ((a0 @ a0d + a0d @ a0) @ ws.number(mode)
+                             + (a0 @ a0) @ (ws.creator(mode) @ ws.creator(minus))
+                             + (a0d @ a0d) @ (ws.annihilator(minus) @ ws.annihilator(mode)))
+        for mode, minus in plus_minus)
     written_out = written_out + 0.5 * phi0p * (a0d @ a0)
     step1 = _projected_norm(lhs - written_out, proj)
 
     # c-substitution: a0 / sqrt(V) -> c on the written-out form
     c = params.condensate_amplitude
-    substituted = None
-    for mode, minus in ((q, minus_q), (minus_q, q)):
-        pair_up = ws.creator(mode) @ ws.creator(minus)
-        term = (0.5 * v_q) * (2.0 * c**2 * ws.number(mode)
-                              + c**2 * pair_up + c**2 * pair_up.conjugate().T)
-        substituted = term if substituted is None else substituted + term
+    pairs_up = {mode: ws.creator(mode) @ ws.creator(minus) for mode, minus in plus_minus}
+    substituted = sum((0.5 * v_q) * (2.0 * c**2 * ws.number(mode)
+                                     + c**2 * up + c**2 * up.conjugate().T)
+                      for mode, up in pairs_up.items())
     substituted = substituted + 0.5 * phi0p * c**2 * vol * ws.identity()
 
     h = build_hamiltonian("wibg", ws, params)
@@ -692,9 +665,7 @@ def _imperfect_remainder(ws: FockWorkspace, params: ModelParams, q: Mode) -> sp.
     ``-(lambda/4V)[(N - rho V) X + X (N - rho V)]`` at ``mu = lambda rho``
     — a density-fluctuation term whose seminorm decays as ``V^{-1/2}``.
     """
-    minus_q = tuple(-x for x in q)
-    x_op = (ws.creator(q) + ws.creator(minus_q)
-            + ws.annihilator(q) + ws.annihilator(minus_q))
+    x_op = sum(_ladder_sums(ws, q))  # X = B* + B
     lam, mu, vol = params.coupling, params.chemical_potential, ws.volume
     n_tot = ws.total_number()
     return ((mu / 2.0) * x_op
@@ -709,12 +680,10 @@ def _wibg_remainder(ws: FockWorkspace, params: ModelParams, q: Mode,
     This is the whole remainder: the ``(v(0)/2V) N^2`` term of H
     commutes with ``rho0_q``, which conserves the total particle number.
     """
-    minus_q = tuple(-x for x in q)
     c = params.condensate_amplitude
     q_norm = float(np.linalg.norm(ws.k_phys(q)))
     g = params.c2v(q_norm)
-    b_dag = ws.creator(q) + ws.creator(minus_q)
-    b = ws.annihilator(q) + ws.annihilator(minus_q)
+    b_dag, b = _ladder_sums(ws, q)
     a0, a0d = ws.annihilator(ZERO), ws.creator(ZERO)
     diff = a0 - a0d
     pref = renorm * 1j * g / (2.0 * c * math.sqrt(ws.volume))
@@ -750,8 +719,7 @@ def goldstone_closure_check(model: str, params: ModelParams,
         n_q = q_phys * box / (2.0 * math.pi)
         if abs(n_q - round(n_q)) > 1e-9:
             raise ValueError("q_phys must sit on every box's momentum lattice")
-        q = (0, 0, int(round(n_q)))
-        minus_q = (0, 0, -int(round(n_q)))
+        q, minus_q = _plus_minus((0, 0, round(n_q)))
         if model == "imperfect":
             amp = math.sqrt(params.condensate_density * box**3)
         else:
@@ -761,8 +729,7 @@ def goldstone_closure_check(model: str, params: ModelParams,
                            {ZERO: n0, q: n_max_pair, minus_q: n_max_pair})
         h = build_hamiltonian(model, ws, params)
         eps_q = dispersion(q_phys, params)
-        x_op = (ws.creator(q) + ws.creator(minus_q)
-                + ws.annihilator(q) + ws.annihilator(minus_q))
+        x_op = sum(_ladder_sums(ws, q))  # X = B* + B
         proj = ws.below_truncation_projector(margin=2)
 
         if model == "imperfect":

@@ -127,6 +127,10 @@ class TestWibgPairBubble:
         with pytest.raises(ValueError):
             wibg_pair_bubble(0.3, thermal_params(beta=1.0))
 
+    def test_missing_potential_refused(self):
+        with pytest.raises(ValueError, match="no potential"):
+            wibg_pair_bubble(0.3, thermal_params(beta=math.inf))
+
 
 class TestFitPowerLaw:
     def test_planted_exponents(self):

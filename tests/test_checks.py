@@ -16,6 +16,12 @@ def test_wibg_checks_pass_at_larger_amplitude(name):
     assert run_check(name, CheckContext(condensate_amplitude=2.0)).passed
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0])
+def test_tolerance_not_above_zero_is_refused(tolerance):
+    with pytest.raises(ValueError, match="must be positive"):
+        run_check("virial-imperfect", tolerance=tolerance)
+
+
 def test_goldstone_wibg_rows_are_bit_identical():
     assert run_check("goldstone-wibg").rows == run_check("goldstone-wibg").rows
 

@@ -136,6 +136,19 @@ class TestRun:
         assert "passed: False" in meta
         assert "error: ZeroDivisionError: float division by zero" in meta
 
+    @pytest.mark.parametrize("route,value", [("config", "-3"), ("config", "0"),
+                                             ("flag", "0"), ("flag", "-2")])
+    def test_worker_count_below_one_is_config_error(self, tmp_path, capsys, route, value):
+        extra = f"workers = {value}\n" if route == "config" else ""
+        cfg = write_config(tmp_path / "sweep.ini", checks="equivalence", extra=extra)
+        out_dir = tmp_path / "o"
+        argv = ["run", str(cfg), "--out", str(out_dir)]
+        if route == "flag":
+            argv += ["--workers", value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_bad_tol_syntax(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.ini")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o"),

@@ -16,11 +16,9 @@ from bosefluct.fock import (
     ZERO,
     _kinetic,
     _projected_norm,
-    _wibg_pair_block,
     appendix_bound,
     bch_defect,
     build_hamiltonian,
-    build_workspace,
     clt_char_function,
     coherent_cutoff,
     condensate_fluct_matrix,
@@ -28,6 +26,7 @@ from bosefluct.fock import (
     dynamics_commutator,
     goldstone_closure_check,
     order_param_fluct_matrix,
+    pair_block,
     truncation_rederivation_check,
     u_density_commutator_check,
 )
@@ -52,22 +51,22 @@ def wibg_params(c=1.0, v0=1.0):
 
 class TestWorkspace:
     def test_dimension(self):
-        ws = build_workspace([ZERO, Q, MQ], 4)
+        ws = FockWorkspace(1.0, [ZERO, Q, MQ], 4)
         assert ws.dimension == 125
 
     def test_single_mode_ladder(self):
-        ws = build_workspace([Q], 1)
+        ws = FockWorkspace(1.0, [Q], 1)
         a = ws.annihilator(Q).toarray()
         assert np.array_equal(a, [[0.0, 1.0], [0.0, 0.0]])
         assert np.array_equal(ws.creator(Q).toarray(), a.T)
 
     def test_number_operator(self):
-        ws = build_workspace([Q], 5)
+        ws = FockWorkspace(1.0, [Q], 5)
         n = ws.number(Q).toarray()
         assert np.allclose(n, np.diag(np.arange(6.0)))
 
     def test_ccr_below_truncation(self):
-        ws = build_workspace([ZERO, Q], 3)
+        ws = FockWorkspace(1.0, [ZERO, Q], 3)
         proj = ws.below_truncation_projector()
         for m1 in ws.modes:
             for m2 in ws.modes:
@@ -83,7 +82,7 @@ class TestWorkspace:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            build_workspace([ZERO, Q, MQ], 99)
+            FockWorkspace(1.0, [ZERO, Q, MQ], 99)
 
     def test_coherent_cutoff_grows(self):
         cuts = [coherent_cutoff(a) for a in (1.0, 3.0, 10.0)]
@@ -93,7 +92,7 @@ class TestWorkspace:
 
 class TestFiniteState:
     def test_coherent_occupation(self):
-        ws = build_workspace([ZERO], coherent_cutoff(3.0))
+        ws = FockWorkspace(1.0, [ZERO], coherent_cutoff(3.0))
         state = FiniteState.coherent_vacuum(ws, 3.0)
         assert state.expect(ws.number(ZERO)).real == pytest.approx(9.0, abs=1e-8)
         assert state.expect(ws.identity()) == pytest.approx(1.0)
@@ -109,14 +108,14 @@ class TestFiniteState:
         assert state.expect(n_q @ n_q).real == pytest.approx(3.0, abs=1e-9)
 
     def test_state_constructor_validation(self):
-        ws = build_workspace([Q], 2)
+        ws = FockWorkspace(1.0, [Q], 2)
         with pytest.raises(ValueError):
             FiniteState(ws)
         with pytest.raises(ValueError):
             FiniteState(ws, vector=np.ones(3), probabilities=np.ones(3))
 
     def test_seminorm_needs_pure_state(self):
-        ws = build_workspace([Q], 2)
+        ws = FockWorkspace(1.0, [Q], 2)
         state = FiniteState(ws, probabilities=np.ones(3))
         with pytest.raises(ValueError):
             state.seminorm(ws.number(Q))
@@ -172,12 +171,31 @@ class TestHamiltonians:
         expected = _kinetic(ws, params).diagonal() + params.v(0.0) / (2.0 * ws.volume) * n**2
         assert abs(h - sp.diags(expected)).max() < 1e-14
 
+    def test_wibg_two_pairs_against_per_pair_sum(self):
+        params = wibg_params()
+        q2, mq2 = (0, 1, 1), (0, -1, -1)
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ, q2, mq2], 2)
+        h = build_hamiltonian("wibg", ws, params)
+        # reference: kinetic term plus the c^2 v dressing and pairing written out per pair
+        n_tot = ws.total_number()
+        expected = _kinetic(ws, params) + params.v(0.0) / (2.0 * ws.volume) * (n_tot @ n_tot)
+        for k, mk in ((Q, MQ), (q2, mq2)):
+            g = params.c2v(float(np.linalg.norm(ws.k_phys(k))))
+            pair = ws.creator(k) @ ws.creator(mk)
+            expected = expected + g * (ws.number(k) + ws.number(mk) + pair + pair.conjugate().T)
+        assert abs(h - expected).max() < 1e-12
+
+    def test_wibg_needs_mode_pairs(self):
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ, (0, 1, 1)], 2)
+        with pytest.raises(ValueError, match="mode pairs"):
+            build_hamiltonian("wibg", ws, wibg_params())
+
     def test_pair_block_gap_matches_spectrum(self):
         params = wibg_params()
         ws = FockWorkspace(2.0, [Q, MQ], 24)
-        block = _wibg_pair_block(ws, params, Q).toarray()
-        vals = np.linalg.eigvalsh(block)
         k = np.linalg.norm(ws.k_phys(Q))
+        block = pair_block(ws, Q, k * k / 2.0, params.c2v(k)).toarray()
+        vals = np.linalg.eigvalsh(block)
         expected = bogoliubov_spectrum(k * k / 2.0, params.c2v(k))
         assert vals[1] - vals[0] == pytest.approx(expected, abs=1e-8)
 
@@ -199,7 +217,7 @@ class TestFluctuationMatrices:
     def test_free_mode_commutator(self):
         # i[eps a* a, i(a* - a)] = -eps (a* + a)
         eps = 0.7
-        ws = build_workspace([Q], 10)
+        ws = FockWorkspace(1.0, [Q], 10)
         h = eps * ws.number(Q)
         a_op = 1j * (ws.creator(Q) - ws.annihilator(Q))
         expected = -eps * (ws.creator(Q) + ws.annihilator(Q))
@@ -211,14 +229,14 @@ class TestFluctuationMatrices:
 class TestBchAndClt:
     def test_scalar_commutator_exact(self):
         # quadrature pair: [F1, F2] is a scalar, BCH closes with no defect
-        ws = build_workspace([Q], 60)
+        ws = FockWorkspace(1.0, [Q], 60)
         x = (ws.creator(Q) + ws.annihilator(Q)) / math.sqrt(2.0)
         p = 1j * (ws.creator(Q) - ws.annihilator(Q)) / math.sqrt(2.0)
         state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
         assert bch_defect(x, p, state) < 1e-10
 
     def test_bound_dominates_defect(self):
-        ws = build_workspace([Q], 40)
+        ws = FockWorkspace(1.0, [Q], 40)
         x = ws.creator(Q) + ws.annihilator(Q)
         p = 1j * (ws.creator(Q) - ws.annihilator(Q))
         f1 = 0.3 * (x @ x)
@@ -229,7 +247,7 @@ class TestBchAndClt:
         assert defect <= appendix_bound(f1, f2, state)
 
     def test_single_quadrature_gaussian(self):
-        ws = build_workspace([Q], 50)
+        ws = FockWorkspace(1.0, [Q], 50)
         f_op = (ws.creator(Q) + ws.annihilator(Q)) / math.sqrt(2.0)
         state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
         t_grid = np.linspace(0.0, 2.0, 9)
@@ -237,7 +255,7 @@ class TestBchAndClt:
         assert np.allclose(values, np.exp(-t_grid**2 / 4.0), atol=1e-12)
 
     def test_leakage_warning(self):
-        ws = build_workspace([Q], 3)
+        ws = FockWorkspace(1.0, [Q], 3)
         f_op = ws.creator(Q) + ws.annihilator(Q)
         state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
         with pytest.warns(RuntimeWarning):
@@ -288,7 +306,7 @@ class TestLanczosCharFunction:
     def test_two_level_breakdown_is_exact(self, monkeypatch):
         # F = a + a* on levels {0, 1}: the Krylov space closes at step 2
         monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 2)
-        ws = build_workspace([Q], 1)
+        ws = FockWorkspace(1.0, [Q], 1)
         f_op = ws.creator(Q) + ws.annihilator(Q)
         state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
         t_grid = np.linspace(0.0, 3.0, 7)
@@ -298,7 +316,7 @@ class TestLanczosCharFunction:
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 3)
-        ws = build_workspace([Q], 50)
+        ws = FockWorkspace(1.0, [Q], 50)
         f_op = (ws.creator(Q) + ws.annihilator(Q)) / math.sqrt(2.0)
         state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
         with pytest.raises(RuntimeError):

@@ -1,5 +1,6 @@
 """Unit tests for the scalar model layer."""
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -88,6 +89,34 @@ class TestSingleSource:
     def test_pattern_catches_the_inline_forms(self):
         for line in ("eps = q_norm**2 / (2.0 * params.mass)", "x = r * r /(2.0 * m)",
                      "e = k2 / (2 * params.mass)", "c = 0.5 / math.tanh(b * e / 2.0)"):
+            assert self.INLINE.search(line), line
+
+
+class TestOneBuilderPerOperator:
+    """The +-q ladder sums and the sparse accumulations are written once, in the builders."""
+
+    INLINE = re.compile(r"(creator|annihilator)\([^()]*\)\s*\+\s*(ws\.|self\.)?"
+                        r"(creator|annihilator)\(|(?P<acc>\w+) is None else (?P=acc) \+")
+    BUILDERS = {"_ladder_sums"}
+
+    def test_no_inline_copies_outside_the_builders(self):
+        found = []
+        for path in sorted(Path(bosefluct.__file__).parent.glob("*.py")):
+            source = path.read_text()
+            inside = {n for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.FunctionDef) and node.name in self.BUILDERS
+                      for n in range(node.lineno, node.end_lineno + 1)}
+            found += [f"{path.name}:{n}: {line.strip()}"
+                      for n, line in enumerate(source.splitlines(), 1)
+                      if n not in inside and self.INLINE.search(line)]
+        assert found == []
+
+    def test_pattern_catches_the_inline_forms(self):
+        for line in ("b_dag = ws.creator(q) + ws.creator(minus_q)",
+                     "x = (ws.creator(q) + ws.creator(minus_q)",
+                     "+ ws.annihilator(q) + ws.annihilator(minus_q))",
+                     "total = op if total is None else total + op",
+                     "rewrite = term if rewrite is None else rewrite + term"):
             assert self.INLINE.search(line), line
 
 
