@@ -161,10 +161,12 @@ def thermal_kernel(energy: float, beta: float) -> float:
     """Symmetric two-point weight ``(1/2) coth(beta e / 2)`` of a mode of energy ``e``.
 
     Exactly 1/2 in the ground state (``beta = inf``); ``e`` must be
-    positive at finite beta.
+    positive at finite beta, where the weight diverges at ``e = 0``.
     """
     if math.isinf(beta):
         return 0.5
+    if not energy > 0.0:
+        raise ValueError("thermal_kernel requires energy > 0 at finite beta")
     return 0.5 / math.tanh(beta * energy / 2.0)
 
 

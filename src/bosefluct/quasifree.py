@@ -13,6 +13,7 @@ momentum is ``k = (2 pi / L) n``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
@@ -85,14 +86,15 @@ class QuasiFreeState:
     mu_shift : float
         Optional negative chemical-potential shift for the normal-phase
         free gas.
+
+    Every expectation is built from ``one_point_amplitude`` and the
+    ordered two-point ``contraction`` of particle tokens.
     """
 
     def __init__(self, model: str, params: ModelParams, grid: MomentumGrid,
                  mu_shift: float = 0.0):
         if model not in ("imperfect", "wibg", "free"):
             raise ValueError(f"unknown model tag {model!r}")
-        if model == "imperfect" and params.condensate_density < 0.0:
-            raise ValueError("imperfect state needs condensate_density >= 0")
         if model == "wibg" and params.condensate_amplitude == 0.0:
             raise ValueError("wibg state needs a nonzero condensate amplitude")
         if mu_shift > 0.0:
@@ -101,7 +103,6 @@ class QuasiFreeState:
         self.params = params
         self.grid = grid
         self.mu_shift = mu_shift
-        self._coeff_cache: dict = {}
 
     # -- basic data ----------------------------------------------------
 
@@ -144,47 +145,34 @@ class QuasiFreeState:
         """(cosh a, sinh a) of the quasi-particle rotation at a mode."""
         if self.model != "wibg":
             return 1.0, 0.0
-        key = tuple(sorted(abs(x) for x in mode))
-        hit = self._coeff_cache.get(key)
-        if hit is None:
-            k = self.k_phys(mode)
-            knorm = float(np.linalg.norm(k))
-            co = bogoliubov_coefficients(dispersion(k, self.params),
-                                         self.params.c2v(knorm))
-            hit = (co.cosh_a, co.sinh_a)
-            self._coeff_cache[key] = hit
-        return hit
+        k = self.k_phys(mode)
+        co = bogoliubov_coefficients(dispersion(k, self.params),
+                                     self.params.c2v(float(np.linalg.norm(k))))
+        return co.cosh_a, co.sinh_a
 
-    # -- elementary-token expansion -------------------------------------
+    def contraction(self, left: Tuple[Mode, bool], right: Tuple[Mode, bool]) -> float:
+        """Centred ordered contraction ``<left right>`` of two particle tokens.
 
-    def _branches(self, mode: Mode, dagger: bool):
-        """Expand one particle token into diagonal-basis tokens.
-
-        Returns a list of ``(coef, key, dagger)``; ``key is None`` marks
-        a scalar (one-point) contribution.
+        Tokens are ``(mode, dagger)`` pairs. The displaced zero mode of a
+        condensed state is in its vacuum, so only ``<d d*> = 1``. Away
+        from it, ``<a*_k a_k> = ch^2 n + sh^2 (n + 1)`` (plus 1 when the
+        annihilator stands first) and ``<a_k a_-k> = <a*_k a*_-k> =
+        ch sh (2n + 1)``, with ``n`` the quasi-particle occupation; every
+        other contraction vanishes.
         """
-        if mode == ZERO:
-            if self.model == "free":
-                return [(1.0, ("a", ZERO), dagger)]  # plain thermal mode
-            z = self.one_point_amplitude
-            out = [(1.0, ("d", ZERO), dagger)]
-            if z != 0.0:
-                out.append((z, None, dagger))
-            return out
-        if self.model == "wibg":
-            ch, sh = self.rotation(mode)
-            minus = tuple(-x for x in mode)
-            # a_k = ch b_k + sh b*_{-k};  a*_k = ch b*_k + sh b_{-k}
-            if dagger:
-                return [(ch, ("b", mode), True), (sh, ("b", minus), False)]
-            return [(ch, ("b", mode), False), (sh, ("b", minus), True)]
-        return [(1.0, ("a", mode), dagger)]
-
-    def _occ(self, key) -> float:
-        kind, mode = key
-        if kind == "d":
-            return 0.0  # displaced zero mode fluctuates at vacuum level
-        return self.occupation(mode)
+        (m1, d1), (m2, d2) = left, right
+        if self.model != "free" and ZERO in (m1, m2):
+            return 1.0 if m1 == m2 and d2 and not d1 else 0.0
+        if d1 != d2:
+            if m1 != m2:
+                return 0.0
+            ch, sh = self.rotation(m1)
+            n = self.occupation(m1)
+            return ch**2 * n + sh**2 * (n + 1.0) + (0.0 if d1 else 1.0)
+        if self.model != "wibg" or m1 != tuple(-x for x in m2):
+            return 0.0
+        ch, sh = self.rotation(m1)
+        return ch * sh * (2.0 * self.occupation(m1) + 1.0)
 
 
 def two_point(state: QuasiFreeState, mode: Sequence[int], normal_ordered: bool = True) -> float:
@@ -196,59 +184,40 @@ def two_point(state: QuasiFreeState, mode: Sequence[int], normal_ordered: bool =
     m = tuple(int(x) for x in mode)
     if m == ZERO:
         raise ValueError("zero mode is handled by the one-point amplitude")
-    if state.model == "wibg":
-        ch, sh = state.rotation(m)
-        n_b = state.occupation(m)
-        value = ch**2 * n_b + sh**2 * (n_b + 1.0)
-    else:
-        value = state.occupation(m)
-    return value if normal_ordered else value + 1.0
-
-
-def _pair_sum(state: QuasiFreeState, elems) -> float:
-    """Sum over ordered pairings of diagonal-basis tokens."""
-    if not elems:
-        return 1.0
-    if len(elems) % 2:
-        return 0.0
-    key0, dag0 = elems[0]
-    total = 0.0
-    for j in range(1, len(elems)):
-        keyj, dagj = elems[j]
-        if keyj != key0 or dagj == dag0:
-            continue
-        n = state._occ(key0)
-        c = n if dag0 else n + 1.0
-        if c == 0.0:
-            continue
-        total += c * _pair_sum(state, elems[1:j] + elems[j + 1:])
-    return total
+    return state.contraction((m, normal_ordered), (m, not normal_ordered))
 
 
 def wick_expectation(state: QuasiFreeState, word: OperatorWord) -> complex:
-    """Exact expectation of an operator word via the pairing expansion.
+    """Exact expectation of an operator word by the pairing recursion.
 
-    Every token is expanded into diagonal-basis tokens plus (at the zero
-    mode) a scalar one-point amplitude; the remaining tokens are summed
-    over all ordered two-point pairings. Words longer than
-    ``MAX_WORD_LENGTH`` are refused (factorial growth).
+    The first open token either takes its one-point amplitude (the
+    condensed zero mode) or is contracted with a later open token by
+    ``QuasiFreeState.contraction``. Values are memoized on the bitmask of
+    open tokens, so the cost grows as ``2^n`` in the word length ``n``.
+    Words longer than ``MAX_WORD_LENGTH`` are refused.
     """
     if len(word) > MAX_WORD_LENGTH:
         raise ValueError(f"word length {len(word)} exceeds cap {MAX_WORD_LENGTH}")
-    branches = [state._branches(m, d) for m, d in word.tokens]
+    tokens = word.tokens
+    amplitude = state.one_point_amplitude
+    amps = [amplitude if m == ZERO else 0.0 for m, _ in tokens]
+    partners = [[(j, c) for j in range(i + 1, len(tokens))
+                 if (c := state.contraction(tokens[i], tokens[j])) != 0.0]
+                for i in range(len(tokens))]
 
-    def expand(i: int, coef: float, elems):
-        if i == len(branches):
-            return coef * _pair_sum(state, elems)
-        total = 0.0
-        for c, key, dag in branches[i]:
-            if key is None:
-                total += expand(i + 1, coef * c, elems)
-            else:
-                total += expand(i + 1, coef * c, elems + ((key, dag),))
+    @functools.cache
+    def open_sum(mask: int) -> float:
+        if not mask:
+            return 1.0
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        total = amps[i] * open_sum(rest) if amps[i] else 0.0
+        for j, c in partners[i]:
+            if rest >> j & 1:
+                total += c * open_sum(rest ^ (1 << j))
         return total
 
-    return complex(expand(0, 1.0, ()))
+    return complex(open_sum((1 << len(tokens)) - 1))
 
 
 def characteristic_function(state: QuasiFreeState, f: Mapping[Sequence[int], complex]) -> complex:
@@ -332,9 +301,12 @@ def finite_volume_variance(state: QuasiFreeState, kind: str, q: Sequence[int]) -
         (bare normalization, no extra power of ``|q|``).
     q : lattice triple, nonzero.
 
-    The density case is evaluated as the vectorized pairing sum
-    ``(1 / 2 rho0 V) sum_k n_{k+q} (n_k + 1)`` with the coherent zero
-    mode carrying ``<a*_0 a_0> = rho0 V``; the other kinds go through
+    The density case is not the Wick route but the vectorized lattice
+    sum ``(1 / 2 rho0 V) sum_k n_{k+q} (n_k + 1)`` over grid modes ``k``,
+    with the coherent zero mode carrying ``<a*_0 a_0> = rho0 V``. It also
+    counts shifted modes ``k + q`` outside the cutoff sphere, which the
+    Wick sum over grid transfer terms ``a*_{k+-q} a_k`` leaves out; the
+    two agree once that shell is negligible. The other kinds go through
     ``wick_expectation`` directly.
     """
     qt = tuple(int(x) for x in q)

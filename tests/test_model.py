@@ -72,6 +72,12 @@ class TestThermalKernel:
             assert thermal_kernel(energy, beta) == pytest.approx(
                 bose_occupation(energy, beta) + 0.5, rel=1e-14)
 
+    @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan])
+    def test_nonpositive_energy_refused(self, energy):
+        with pytest.raises(ValueError, match="energy > 0"):
+            thermal_kernel(energy, 1.0)
+        assert thermal_kernel(energy, math.inf) == 0.5
+
 
 class TestSingleSource:
     """Only the model module writes out ``|k|^2 / 2m`` and ``(1/2) coth(beta e / 2)``."""

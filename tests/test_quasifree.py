@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosefluct.model import (
     ModelParams,
@@ -15,6 +17,8 @@ from bosefluct.quasifree import (
     MAX_WORD_LENGTH,
     OperatorWord,
     QuasiFreeState,
+    _op_expectation,
+    _product_terms,
     characteristic_function,
     finite_volume_variance,
     two_point,
@@ -43,9 +47,64 @@ def wibg_state(beta=math.inf, box=2.0 * math.pi, cutoff=1.5):
     return QuasiFreeState("wibg", params, MomentumGrid(box, cutoff))
 
 
+def free_state(beta=math.inf, mu_shift=-0.5):
+    return QuasiFreeState("free", ModelParams(mass=1.0, beta=beta),
+                          MomentumGrid(2.0 * math.pi, 1.5), mu_shift=mu_shift)
+
+
 Q = (0, 0, 1)
 MQ = (0, 0, -1)
 ZERO = (0, 0, 0)
+
+
+def branch_expansion(state, word):
+    """Reference route: expand every particle token in the diagonal basis.
+
+    A condensed zero mode becomes its one-point amplitude plus a displaced
+    vacuum mode ``d``; a superfluid mode becomes ``a_k = ch b_k + sh b*_-k``
+    (``a*_k = ch b*_k + sh b_-k``). Every branch word is then summed over
+    ordered pairings, each weighted ``n`` or ``n + 1``.
+    """
+    def branches(mode, dagger):
+        if mode == ZERO:
+            if state.model == "free":
+                return [(1.0, ("a", ZERO), dagger)]
+            out = [(1.0, ("d", ZERO), dagger)]
+            if state.one_point_amplitude != 0.0:
+                out.append((state.one_point_amplitude, None, dagger))
+            return out
+        if state.model == "wibg":
+            ch, sh = state.rotation(mode)
+            minus = tuple(-x for x in mode)
+            return [(ch, ("b", mode), dagger), (sh, ("b", minus), not dagger)]
+        return [(1.0, ("a", mode), dagger)]
+
+    def pair_sum(elems):
+        if not elems:
+            return 1.0
+        (key0, dag0), total = elems[0], 0.0
+        for j in range(1, len(elems)):
+            keyj, dagj = elems[j]
+            if keyj != key0 or dagj == dag0:
+                continue
+            n = 0.0 if key0[0] == "d" else state.occupation(key0[1])
+            c = n if dag0 else n + 1.0
+            if c != 0.0:
+                total += c * pair_sum(elems[1:j] + elems[j + 1:])
+        return total
+
+    def expand(i, coef, elems):
+        if i == len(word.tokens):
+            return coef * pair_sum(elems)
+        return sum(expand(i + 1, coef * c, elems if key is None else elems + ((key, dag),))
+                   for c, key, dag in branches(*word.tokens[i]))
+
+    return expand(0, 1.0, ())
+
+
+PROPERTY_MODES = [ZERO, Q, MQ, (0, 1, 0), (0, -1, 0)]
+PROPERTY_STATES = [make(beta=beta) for beta in (math.inf, 2.0)
+                   for make in (imperfect_state, wibg_state, free_state)]
 
 
 class TestTwoPoint:
@@ -108,6 +167,20 @@ class TestWickExpectation:
             rhs = np.conj(wick_expectation(state, word))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(state=st.sampled_from(PROPERTY_STATES),
+           tokens=st.lists(st.tuples(st.sampled_from(PROPERTY_MODES), st.booleans()),
+                           max_size=8))
+    def test_matches_branch_expansion(self, state, tokens):
+        word = OperatorWord(tuple(tokens))
+        ref = branch_expansion(state, word)
+        assert abs(wick_expectation(state, word) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_free_zero_mode_at_zero_shift_refused(self):
+        state = free_state(beta=1.0, mu_shift=0.0)
+        with pytest.raises(ValueError, match="energy > 0"):
+            wick_expectation(state, OperatorWord(((ZERO, True), (ZERO, False))))
+
     def test_word_cap(self):
         word = OperatorWord(tuple((Q, bool(i % 2)) for i in range(MAX_WORD_LENGTH + 1)))
         with pytest.raises(ValueError):
@@ -145,8 +218,6 @@ class TestCharacteristicFunction:
         return terms
 
     def _wick_route(self, state, f, volume_scale=True):
-        from bosefluct.quasifree import _op_expectation, _product_terms
-
         terms = self._linear_field_terms(f)
         if volume_scale:
             terms = [(c / (math.sqrt(state.volume) if tuple(t[0][0]) == ZERO else 1.0), t)
@@ -171,8 +242,6 @@ class TestCharacteristicFunction:
 
     def test_two_path_consistency_wibg_quasiparticle(self):
         # Smear the rotated basis: b*_k = ch a*_k - sh a_{-k}
-        from bosefluct.quasifree import _op_expectation, _product_terms
-
         state = wibg_state(beta=2.0)
         rng = np.random.default_rng(32)
         for _ in range(5):
@@ -218,6 +287,22 @@ class TestFiniteVolumeVariance:
             errors.append(abs(value - exact))
             assert value == pytest.approx(exact, rel=3.0 / big.volume)
         assert errors[1] < errors[0]
+
+    def test_density_lattice_sum_is_the_wick_route(self):
+        # <T^2> / (4 rho0 V) with T the sum of a*_{k+-q} a_k over grid pairs
+        state = imperfect_state(beta=4.0, box=3.0, cutoff=4.5)
+        grid_modes = [tuple(int(x) for x in m) for m in state.grid.lattice_points]
+        on_grid = set(grid_modes)
+        transfers = []
+        for k in grid_modes:
+            for shift in (Q, MQ):
+                kq = tuple(a + b for a, b in zip(k, shift))
+                if kq in on_grid:
+                    transfers.append((1.0, ((kq, True), (k, False))))
+        assert len(transfers) == 40
+        second = _op_expectation(state, _product_terms(transfers, transfers))
+        wick = second.real / (4.0 * state.params.condensate_density * state.volume)
+        assert finite_volume_variance(state, "rho", Q) == pytest.approx(wick, rel=1e-12)
 
     def test_rejects_zero_q(self):
         with pytest.raises(ValueError):
