@@ -33,7 +33,6 @@ from .quasifree import (
 from .fluctuations import (
     FluctuationSpec,
     FormValue,
-    InadmissibleSpecError,
     covariance_form,
     equivalence_distance,
     j_map,
@@ -79,7 +78,7 @@ __all__ = [
     "QuasiFreeState", "OperatorWord", "two_point", "wick_expectation",
     "characteristic_function", "finite_volume_variance",
     # fluctuations
-    "FluctuationSpec", "FormValue", "InadmissibleSpecError", "j_map",
+    "FluctuationSpec", "FormValue", "j_map",
     "variance_rho_imperfect", "variance_A_imperfect", "variance_rho0_wibg",
     "variance_A_wibg", "variance_general", "symplectic_sigma",
     "covariance_form", "equivalence_distance", "structure_factor",

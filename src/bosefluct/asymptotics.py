@@ -33,6 +33,8 @@ __all__ = [
     "richardson_powers",
 ]
 
+DELTA_BOX_SIDES = (60.0, 85.0, 120.0, 170.0, 240.0, 340.0)  # box sides L of the delta fit
+
 
 @dataclass(frozen=True)
 class IntegralResult:
@@ -41,9 +43,6 @@ class IntegralResult:
     value: float
     error: float
     tail_bound: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -236,13 +235,11 @@ def fit_power_law(samples: Sequence[Tuple[float, float]]) -> PowerLawFit:
     )
 
 
-def delta_exponent(phase: PhaseTag, params: ModelParams,
-                   box_sides: Sequence[float] = (60.0, 85.0, 120.0, 170.0, 240.0, 340.0),
-                   rtol: float = 1e-7) -> PowerLawFit:
+def delta_exponent(phase: PhaseTag, params: ModelParams) -> PowerLawFit:
     """Fitted volume-scaling exponent of the coupled-sequence variance.
 
     Evaluates the density-fluctuation variance at the first nonzero box
-    momentum ``|q_L| = 2 pi / L`` for each box side, fits its growth as
+    momentum ``|q_L| = 2 pi / L`` for each side in ``DELTA_BOX_SIDES``, fits its growth as
     ``V^(2 delta)``, and returns the fit with ``exponent`` already
     divided down to delta. Reference values: 1/3 (condensed, the coth
     term dominates), 1/6 (critical, massless bubble), 0 (normal).
@@ -254,14 +251,14 @@ def delta_exponent(phase: PhaseTag, params: ModelParams,
     from .fluctuations import variance_rho_imperfect
 
     samples = []
-    for box in box_sides:
+    for box in DELTA_BOX_SIDES:
         q_norm = 2.0 * math.pi / box
         if phase.kind == "condensed":
-            value = variance_rho_imperfect(q_norm, params, rtol=rtol)
+            value = variance_rho_imperfect(q_norm, params)
         else:
             value = bose_bubble_integral(
                 q_norm, params, mu_shift=phase.mu_shift,
-                norm_density=params.total_density, rtol=rtol,
+                norm_density=params.total_density,
             ).value
         samples.append((box**3, value))
     fit = fit_power_law(samples)

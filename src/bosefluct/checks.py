@@ -28,6 +28,10 @@ from .model import (
 __all__ = ["CheckContext", "CheckResult", "CheckDef", "REGISTRY", "checked_tolerance",
            "run_check"]
 
+OMEGA_REL_BOUND = 1e-3  # spectrum: relative distance of E_q q / eps_q from Omega
+FULL_RATIO_BOUND = 1.05  # structure-factor: spread max/min of the full-density S(q)
+WIBG_COMMUTATOR_FLOOR = 1e-3  # u-commutation: truncated interaction must not commute
+
 
 @dataclass(frozen=True)
 class CheckContext:
@@ -118,10 +122,11 @@ def _check_spectrum(ctx: CheckContext, tol: float) -> CheckResult:
     eps_q = dispersion(q_min, params)
     ratio = bogoliubov_spectrum(eps_q, params.c2v(q_min)) * q_min / eps_q
     gap_rel = abs(ratio - omega_gap(params)) / omega_gap(params)
-    passed = worst < tol and gap_rel < 1e-3
+    passed = worst < tol and gap_rel < OMEGA_REL_BOUND
     return CheckResult("spectrum", passed,
                        ("eps", "c2v", "E_closed", "E_dense_gap", "rel_err"),
-                       rows, {"worst_rel": worst, "omega_rel": gap_rel})
+                       rows, {"worst_rel": worst, "omega_rel": gap_rel,
+                              "omega_rel_bound": OMEGA_REL_BOUND})
 
 
 def _check_variance_oracle(ctx: CheckContext, tol: float) -> CheckResult:
@@ -348,17 +353,18 @@ def _check_structure_factor(ctx: CheckContext, tol: float) -> CheckResult:
     spread = (max(slopes) - min(slopes)) / float(np.mean(slopes))
     fulls = [fluctuations.structure_factor(q, params, "full") for q in qs]
     full_ratio = max(fulls) / min(fulls)
-    passed = spread < tol and full_ratio < 1.05 and min(fulls) > 0.0
+    passed = spread < tol and full_ratio < FULL_RATIO_BOUND and min(fulls) > 0.0
     rows = [(q, s, f) for q, s, f in zip(qs, slopes, fulls)]
     return CheckResult("structure-factor", passed,
                        ("q", "S_condensate_over_q", "S_full"), rows,
-                       {"slope_spread": spread, "full_ratio": full_ratio})
+                       {"slope_spread": spread, "full_ratio": full_ratio,
+                        "full_ratio_bound": FULL_RATIO_BOUND})
 
 
 def _check_u_commutation(ctx: CheckContext, tol: float) -> CheckResult:
     report = fock.u_density_commutator_check(ctx.wibg)
     passed = (report.commutator_defect < tol and report.rewrite_defect < tol
-              and report.wibg_commutator_norm > 1e-3)
+              and report.wibg_commutator_norm > WIBG_COMMUTATOR_FLOOR)
     rows = [("full_interaction_commutator", report.commutator_defect),
             ("quadratic_rewrite", report.rewrite_defect),
             ("truncated_interaction_commutator", report.wibg_commutator_norm)]
@@ -366,6 +372,7 @@ def _check_u_commutation(ctx: CheckContext, tol: float) -> CheckResult:
         "commutator_defect": report.commutator_defect,
         "rewrite_defect": report.rewrite_defect,
         "wibg_commutator_norm": report.wibg_commutator_norm,
+        "wibg_commutator_floor": WIBG_COMMUTATOR_FLOOR,
     })
 
 

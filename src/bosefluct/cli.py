@@ -187,7 +187,7 @@ def _list_checks_command(args) -> int:
 
 
 def _spectrum_command(args) -> int:
-    if args.qmin <= 0.0 or args.qmax <= args.qmin or args.points < 2:
+    if not 0.0 < args.qmin < args.qmax < math.inf or args.points < 2:
         print("spectrum: need 0 < qmin < qmax and points >= 2", file=sys.stderr)
         return 2
     ctx = CheckContext()

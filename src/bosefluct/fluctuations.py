@@ -13,24 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .asymptotics import bose_bubble_integral, richardson, wibg_pair_bubble
-from .model import (
-    ModelParams,
-    MomentumGrid,
-    bogoliubov_spectrum,
-    bose_occupation,
-    dispersion,
-    thermal_kernel,
-)
+from .model import ModelParams, bogoliubov_spectrum, dispersion, thermal_kernel
 
 __all__ = [
     "FluctuationSpec",
     "FormValue",
-    "InadmissibleSpecError",
     "j_map",
     "variance_rho_imperfect",
     "variance_A_imperfect",
@@ -41,12 +32,7 @@ __all__ = [
     "covariance_form",
     "equivalence_distance",
     "structure_factor",
-    "structure_factor_lattice_free",
 ]
-
-
-class InadmissibleSpecError(ValueError):
-    """Raised when a smearing pair violates the small-q growth bounds."""
 
 
 def j_map(f_q0: complex) -> complex:
@@ -108,9 +94,6 @@ class FluctuationSpec:
     @property
     def renorm_factor(self) -> float:
         return self.q_norm**self.renorm_exponent
-
-    def with_q(self, q) -> "FluctuationSpec":
-        return replace(self, q=q)
 
 
 @dataclass(frozen=True)
@@ -219,47 +202,22 @@ def covariance_form(spec1: FluctuationSpec, spec2: FluctuationSpec,
 
 
 def equivalence_distance(spec1: FluctuationSpec, spec2: FluctuationSpec,
-                         params: ModelParams,
-                         q_tail: Sequence[float] | None = None) -> float:
+                         params: ModelParams) -> float:
     """Pseudometric between smearing pairs: sqrt of the limit variance
     of the difference spec as q -> 0.
 
     Zero exactly when the limiting fluctuation fields coincide, e.g.
     for the pair ``(f, 0)`` versus ``(0, Jf)``. The q -> 0 limit is a
-    Richardson extrapolation over a decreasing tail of wavevector
-    norms (default: the four values ``|q| 2^-j``, j = 0..3, seeded from
-    the specs' own q).
+    Richardson extrapolation over the four wavevector norms
+    ``|q| 2^-j``, j = 0..3, seeded from the specs' own q.
     """
     if spec1.model != spec2.model:
         raise ValueError("specs use different models")
     diff = replace(spec1, f_q0=spec1.f_q0 - spec2.f_q0, g_q0=spec1.g_q0 - spec2.g_q0)
-    if q_tail is None:
-        q_tail = [spec1.q_norm * 0.5**j for j in range(4)]
-    values = [variance_general(diff.with_q(qn), params) for qn in q_tail]
-    limit = richardson(list(q_tail), values)
+    q_tail = [spec1.q_norm * 0.5**j for j in range(4)]
+    values = [variance_general(replace(diff, q=qn), params) for qn in q_tail]
+    limit = richardson(q_tail, values)
     return math.sqrt(max(limit, 0.0))
-
-
-def check_wibg_admissibility(specs: Sequence[FluctuationSpec], params: ModelParams,
-                             tol: float = 1e-9) -> None:
-    """Enforce the small-q growth bounds on a q -> 0 family of specs.
-
-    The effective density smearing may grow at most like ``|q|^{-1/2}``
-    and the effective order-parameter smearing must stay ``O(|q|^{1/2})``,
-    otherwise the renormalized variance diverges in the limit. The
-    check inspects ``|f| |q|^{1/2}`` and ``|g| |q|^{-1/2}`` (renorm
-    factors included) along the supplied family, smallest q last.
-    """
-    fam = sorted(specs, key=lambda s: -s.q_norm)
-    f_track = [abs(s.f_q0) * s.renorm_factor * math.sqrt(s.q_norm) for s in fam]
-    g_track = [abs(s.g_q0) * s.renorm_factor / math.sqrt(s.q_norm) for s in fam]
-    for track, label in ((f_track, "density"), (g_track, "order-parameter")):
-        floor = max(track[0], tol)
-        if track[-1] > floor * (1.0 + 1e-6) and track[-1] > tol:
-            raise InadmissibleSpecError(
-                f"{label} smearing grows along q -> 0 "
-                f"({track[0]:.3e} -> {track[-1]:.3e}); variance would diverge"
-            )
 
 
 def structure_factor(q, params: ModelParams, density_kind: str = "condensate",
@@ -285,25 +243,3 @@ def structure_factor(q, params: ModelParams, density_kind: str = "condensate",
         return condensate_part + wibg_pair_bubble(q_norm, params, rtol=rtol).value
     raise ValueError(f"unknown density_kind {density_kind!r}")
 
-
-def structure_factor_lattice_free(q_lattice, params: ModelParams, grid: MomentumGrid,
-                                  mu_shift: float = 0.0) -> float:
-    """Finite-volume free-gas structure factor, closed form.
-
-    ``(1 / rho V) sum_k n(eps_{k+q}) (n(eps_k) + 1)`` over the grid
-    modes, no condensate. This is the quantity the Wick oracle
-    reproduces exactly, mode for mode.
-    """
-    q_lat = np.asarray(q_lattice, dtype=int)
-    if not np.any(q_lat != 0):
-        raise ValueError("q must be nonzero")
-    if params.total_density <= 0.0:
-        raise ValueError("total_density must be positive")
-    if params.is_ground_state:
-        return 0.0
-    if mu_shift >= 0.0:
-        raise ValueError("free gas needs mu_shift < 0 (no zero-mode divergence)")
-    occ = bose_occupation(dispersion(grid.modes, params), params.beta, mu_shift)
-    occ_shift = bose_occupation(dispersion(grid.modes + q_lat * grid.spacing, params),
-                                params.beta, mu_shift)
-    return float(np.sum(occ_shift * (occ + 1.0)) / (params.total_density * grid.volume))

@@ -51,6 +51,7 @@ LEAK_TOL = 1e-6  # top-level population that counts as truncation leakage
 LANCZOS_TOL = 1e-12  # change of the characteristic function that stops the Krylov growth
 LANCZOS_BREAKDOWN = 1e-14  # residual norm of an exact invariant subspace
 LANCZOS_MAX_STEPS = 100
+INTERACTION_BOX_SIDE = 2.0  # box side of both interaction checks: momenta are multiples of pi
 
 
 def _plus_minus(q_lat) -> Tuple[Mode, Mode]:
@@ -516,38 +517,38 @@ class UCommutationReport:
     wibg_commutator_norm: float
 
 
-def u_density_commutator_check(params: ModelParams, n_modes: int = 4,
-                               n_max: int = 3, box_side: float = 2.0,
-                               q_index: int = 1) -> UCommutationReport:
+def u_density_commutator_check(params: ModelParams) -> UCommutationReport:
     """Check ``[U, F_q(N)] = 0`` and the quadratic rewrite of U on a torus.
 
-    Builds the full two-body interaction on a 1-D momentum torus of
-    ``n_modes`` modes, verifies (i) that it commutes with the density
-    fluctuation as a matrix identity below truncation, (ii) that it
+    Builds the full two-body interaction on a 1-D momentum torus of 4
+    modes (box side ``INTERACTION_BOX_SIDE``, at most 3 bosons each),
+    verifies (i) that it commutes with the density fluctuation at
+    ``q = 2 pi / L`` as a matrix identity below truncation, (ii) that it
     equals ``(1/2) sum_{q != 0} v(q) F_q F_{-q} + (v(0)/2V) N^2
     - (phi(0)/2) N`` with ``phi(0) = (1/V) sum_q v(q)``, and (iii) that
     the superfluid-truncated interaction does *not* commute with the
     density fluctuation.
     """
-    ws = FockWorkspace(box_side, _torus_modes(n_modes), n_max)
+    n = 4
+    ws = FockWorkspace(INTERACTION_BOX_SIDE, _torus_modes(n), 3)
     proj = ws.below_truncation_projector()
-    u_full = _torus_interaction(ws, n_modes, params.v)
-    f_q = _torus_density_fluct(ws, n_modes, q_index)
+    u_full = _torus_interaction(ws, n, params.v)
+    f_q = _torus_density_fluct(ws, n, 1)
 
     comm = u_full @ f_q - f_q @ u_full
     commutator_defect = _projected_norm(comm, proj)
 
-    v_q = [params.v(abs(_torus_rep(qj, n_modes)) * ws.spacing) for qj in range(n_modes)]
-    rewrite = sum(0.5 * v_q[qj] * (_torus_density_fluct(ws, n_modes, qj)
-                                   @ _torus_density_fluct(ws, n_modes, (-qj) % n_modes))
-                  for qj in range(1, n_modes))
+    v_q = [params.v(abs(_torus_rep(qj, n)) * ws.spacing) for qj in range(n)]
+    rewrite = sum(0.5 * v_q[qj] * (_torus_density_fluct(ws, n, qj)
+                                   @ _torus_density_fluct(ws, n, (-qj) % n))
+                  for qj in range(1, n))
     n_tot = ws.total_number()
     n_sq = n_tot @ n_tot
     phi0 = sum(v_q) / ws.volume
     rewrite = rewrite + (params.v(0.0) / (2.0 * ws.volume)) * n_sq - 0.5 * phi0 * n_tot
     rewrite_defect = _projected_norm(u_full - rewrite, proj)
 
-    u_trunc = _torus_truncated_interaction(ws, n_modes, params)
+    u_trunc = _torus_truncated_interaction(ws, n, params)
     comm_w = u_trunc @ f_q - f_q @ u_trunc
     wibg_norm = _projected_norm(comm_w, proj)
     return UCommutationReport(commutator_defect, rewrite_defect, wibg_norm)
@@ -576,14 +577,13 @@ def _projected_norm(op: sp.spmatrix, proj: sp.spmatrix) -> float:
 # -- truncation rederivation ------------------------------------------------
 
 
-def truncation_rederivation_check(params: ModelParams, q_lat=(0, 0, 1),
-                                  box_side: float = 2.0, n_max_zero: int = 6,
-                                  n_max_pair: int = 4) -> Tuple[float, float]:
+def truncation_rederivation_check(params: ModelParams) -> Tuple[float, float]:
     """Two-step check that truncating to zero-mode density fluctuations
     and substituting the condensate amplitude reproduces the superfluid
     interaction.
 
-    Step 1 (matrix identity): on modes ``{0, q, -q}``,
+    Step 1 (matrix identity): on modes ``{0, +-q}`` with ``q = 2 pi / L``
+    (at most 6 zero-mode and 4 ``+-q`` bosons, box side ``INTERACTION_BOX_SIDE``),
     ``(1/2) sum_{k = +-q} v(k) F_k(N0) F_{-k}(N0)`` equals the
     normal-ordered form with explicit zero-mode operators plus the
     ``(phi0'/2) N_0`` reordering term. Step 2 (exact algebra): the
@@ -591,9 +591,8 @@ def truncation_rederivation_check(params: ModelParams, q_lat=(0, 0, 1),
     dressing terms of the assembled Hamiltonian plus the constant
     ``(phi0'/2) c^2 V``. Returns the two defect norms.
     """
-    q, minus_q = _plus_minus(q_lat)
-    ws = FockWorkspace(box_side, [ZERO, q, minus_q],
-                       {ZERO: n_max_zero, q: n_max_pair, minus_q: n_max_pair})
+    q, minus_q = _plus_minus((0, 0, 1))
+    ws = FockWorkspace(INTERACTION_BOX_SIDE, [ZERO, q, minus_q], {ZERO: 6, q: 4, minus_q: 4})
     proj = ws.below_truncation_projector(margin=2)
     v_q = params.v(float(np.linalg.norm(ws.k_phys(q))))
     vol = ws.volume
@@ -788,21 +787,19 @@ def _rho_eps_tilde(ws: FockWorkspace, params: ModelParams, q) -> sp.csr_matrix:
     return density_fluct_matrix(ws, params, q, smear=smear)
 
 
-def _virial_ratio(model: str, params: ModelParams, energy_scale: float,
-                  q_seed: float = 0.25) -> float:
+def _virial_ratio(model: str, params: ModelParams, energy_scale: float) -> float:
     """Extrapolated ``Omega^2 <rho~^2> / <A~^2>`` of the rescaled pair.
 
-    Evaluated on the closed-form variances along a small-q tail and
-    Richardson-extrapolated in ``q^2`` (the ratio is smooth in ``q^2``).
+    Evaluated on the closed-form variances along the tail ``q = 0.25 * 2^-j``,
+    j = 0..3, and Richardson-extrapolated in ``q^2`` (the ratio is smooth in ``q^2``).
     """
     from .fluctuations import (variance_A_imperfect, variance_A_wibg,
                                variance_rho0_wibg, variance_rho_imperfect)
 
     if model == "imperfect":
         # ground state: both closed forms are exactly 1/2 at every q
-        return (variance_rho_imperfect(q_seed, params)
-                / variance_A_imperfect(q_seed, params))
-    q_tail = [q_seed * 0.5**j for j in range(4)]
+        return variance_rho_imperfect(0.25, params) / variance_A_imperfect(0.25, params)
+    q_tail = [0.25 * 0.5**j for j in range(4)]
     ratios = [
         energy_scale**2 * (variance_rho0_wibg(qn, params) / qn)
         / (qn * variance_A_wibg(qn, params))

@@ -32,6 +32,8 @@ __all__ = [
     "omega_gap",
 ]
 
+MODE_CAP = 2_000_000  # most modes a MomentumGrid enumerates
+
 
 def gaussian_potential(v0: float = 1.0, kappa: float = 2.0) -> Callable[[float], float]:
     """Default radial test potential ``v(k) = v0 * exp(-k^2 / kappa^2)``.
@@ -59,7 +61,8 @@ class ModelParams:
     mass : float
         Particle mass ``m`` (energy^-1 length^-2 with hbar = 1).
     beta : float
-        Inverse temperature; ``math.inf`` means ground state.
+        Inverse temperature; ``math.inf`` means ground state. The other
+        numbers must be finite.
     total_density : float
         Average particle density ``rho``.
     condensate_density : float
@@ -86,12 +89,15 @@ class ModelParams:
             raise ValueError("mass must be positive and finite")
         if not (self.beta > 0.0):
             raise ValueError("beta must be positive (math.inf allowed)")
+        if isinstance(self.condensate_amplitude, complex):
+            raise TypeError("condensate_amplitude must be real (phase convention alpha = 0)")
+        for name in ("total_density", "condensate_density", "condensate_amplitude", "coupling"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.total_density < 0.0:
             raise ValueError("total_density must be nonnegative")
         if not (0.0 <= self.condensate_density <= self.total_density + 1e-12):
             raise ValueError("need 0 <= condensate_density <= total_density")
-        if isinstance(self.condensate_amplitude, complex):
-            raise TypeError("condensate_amplitude must be real (phase convention alpha = 0)")
 
     @property
     def is_ground_state(self) -> bool:
@@ -255,9 +261,8 @@ class MomentumGrid:
         Side length ``L`` of the cubic box; volume ``V = L^3``.
     cutoff : float
         Momentum cutoff ``K_max``; ``modes`` holds every lattice vector
-        with ``|k| <= K_max``.
-    mode_cap : int
-        Safety cap on the number of enumerated modes.
+        with ``|k| <= K_max``. A grid whose enumeration would exceed
+        ``MODE_CAP`` modes is refused.
 
     Attributes
     ----------
@@ -270,7 +275,7 @@ class MomentumGrid:
         smallest entry always has ``|q| = 2 pi / L``.
     """
 
-    def __init__(self, box_side: float, cutoff: float, mode_cap: int = 2_000_000):
+    def __init__(self, box_side: float, cutoff: float):
         if box_side <= 0.0:
             raise ValueError("box_side must be positive")
         if cutoff <= 0.0:
@@ -281,8 +286,8 @@ class MomentumGrid:
 
         n_max = int(math.floor(self.cutoff / self.spacing))
         est = (2 * n_max + 1) ** 3
-        if est > mode_cap:
-            raise ValueError(f"mode enumeration would produce ~{est} modes (cap {mode_cap})")
+        if est > MODE_CAP:
+            raise ValueError(f"mode enumeration would produce ~{est} modes (cap {MODE_CAP})")
         rng = np.arange(-n_max, n_max + 1)
         pts = np.array(np.meshgrid(rng, rng, rng, indexing="ij")).reshape(3, -1).T
         norms_sq = np.sum(pts**2, axis=1)

@@ -71,38 +71,31 @@ class OperatorWord:
 
 
 class QuasiFreeState:
-    """Finite-volume quasi-free state of one of the three gas models.
+    """Finite-volume quasi-free state of one of the two condensed gases.
 
     Parameters
     ----------
-    model : {"imperfect", "wibg", "free"}
+    model : {"imperfect", "wibg"}
         Which equilibrium state to represent. ``imperfect`` carries a
         coherent zero mode of amplitude ``sqrt(rho0 V)`` and a diagonal
         thermal kernel in the particle basis; ``wibg`` carries amplitude
         ``c sqrt(V)`` and a diagonal kernel in the rotated
-        quasi-particle (``b``) basis; ``free`` has no condensate.
+        quasi-particle (``b``) basis.
     params : ModelParams
     grid : MomentumGrid
-    mu_shift : float
-        Optional negative chemical-potential shift for the normal-phase
-        free gas.
 
     Every expectation is built from ``one_point_amplitude`` and the
     ordered two-point ``contraction`` of particle tokens.
     """
 
-    def __init__(self, model: str, params: ModelParams, grid: MomentumGrid,
-                 mu_shift: float = 0.0):
-        if model not in ("imperfect", "wibg", "free"):
+    def __init__(self, model: str, params: ModelParams, grid: MomentumGrid):
+        if model not in ("imperfect", "wibg"):
             raise ValueError(f"unknown model tag {model!r}")
         if model == "wibg" and params.condensate_amplitude == 0.0:
             raise ValueError("wibg state needs a nonzero condensate amplitude")
-        if mu_shift > 0.0:
-            raise ValueError("mu_shift must be <= 0")
         self.model = model
         self.params = params
         self.grid = grid
-        self.mu_shift = mu_shift
 
     # -- basic data ----------------------------------------------------
 
@@ -115,9 +108,7 @@ class QuasiFreeState:
         """Coherent amplitude of the zero mode, ``sqrt(rho0 V)`` or ``c sqrt(V)``."""
         if self.model == "imperfect":
             return math.sqrt(self.params.condensate_density * self.volume)
-        if self.model == "wibg":
-            return self.params.condensate_amplitude * math.sqrt(self.volume)
-        return 0.0
+        return self.params.condensate_amplitude * math.sqrt(self.volume)
 
     def k_phys(self, mode: Sequence[int]) -> np.ndarray:
         return np.asarray(mode, dtype=float) * self.grid.spacing
@@ -133,9 +124,9 @@ class QuasiFreeState:
     def kernel(self, mode: Sequence[int]) -> float:
         """Symmetric two-point weight ``(1/2) coth(beta e_k / 2)`` at ``k != 0``."""
         m = tuple(int(x) for x in mode)
-        if m == ZERO and self.model != "free":
+        if m == ZERO:
             raise ValueError("kernel is defined only away from the zero mode")
-        return thermal_kernel(self.mode_energy(m) - self.mu_shift, self.params.beta)
+        return thermal_kernel(self.mode_energy(m), self.params.beta)
 
     def occupation(self, mode: Sequence[int]) -> float:
         """Diagonal-basis occupation ``kernel - 1/2`` at ``k != 0``."""
@@ -161,7 +152,7 @@ class QuasiFreeState:
         other contraction vanishes.
         """
         (m1, d1), (m2, d2) = left, right
-        if self.model != "free" and ZERO in (m1, m2):
+        if ZERO in (m1, m2):
             return 1.0 if m1 == m2 and d2 and not d1 else 0.0
         if d1 != d2:
             if m1 != m2:
@@ -313,8 +304,8 @@ def finite_volume_variance(state: QuasiFreeState, kind: str, q: Sequence[int]) -
     if qt == ZERO:
         raise ValueError("q must be nonzero")
     if kind == "rho":
-        if state.model != "imperfect" and state.model != "free":
-            raise ValueError("kind 'rho' applies to the mean-field/free gas")
+        if state.model != "imperfect":
+            raise ValueError("kind 'rho' applies to the mean-field gas")
         return _density_variance_lattice(state, qt)
     if kind == "A":
         op = order_param_fluct_terms(qt)
@@ -338,15 +329,14 @@ def _density_variance_lattice(state: QuasiFreeState, q: Mode) -> float:
 
     nonzero = np.any(lat != 0, axis=1)
     occ = np.zeros(len(modes))
-    occ[nonzero] = bose_occupation(dispersion(modes[nonzero], params), params.beta,
-                                   state.mu_shift)
+    occ[nonzero] = bose_occupation(dispersion(modes[nonzero], params), params.beta)
     occ[~nonzero] = rho0 * grid.volume
 
     shifted = modes + qvec
     shifted_zero = np.all(np.abs(shifted) < 0.5 * grid.spacing, axis=1)
     occ_shift = np.zeros(len(modes))
     occ_shift[~shifted_zero] = bose_occupation(dispersion(shifted[~shifted_zero], params),
-                                               params.beta, state.mu_shift)
+                                               params.beta)
     occ_shift[shifted_zero] = rho0 * grid.volume
 
     plus_one = occ + 1.0

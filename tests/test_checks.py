@@ -28,9 +28,12 @@ def test_goldstone_wibg_rows_are_bit_identical():
 
 @pytest.mark.parametrize("name,keys", [
     ("delta-exponents", {"delta_condensed", "delta_critical", "delta_normal", "worst_error"}),
-    ("u-commutation", {"commutator_defect", "rewrite_defect", "wibg_commutator_norm"}),
+    ("u-commutation", {"commutator_defect", "rewrite_defect", "wibg_commutator_norm",
+                       "wibg_commutator_floor"}),
     ("truncation-rederivation", {"reordering_defect", "substitution_defect"}),
     ("lifetime-exponents", {"exponent_imperfect", "exponent_wibg", "worst_error"}),
+    ("spectrum", {"worst_rel", "omega_rel", "omega_rel_bound"}),
+    ("structure-factor", {"slope_spread", "full_ratio", "full_ratio_bound"}),
 ])
 def test_details_record_the_judged_values(name, keys):
     assert set(run_check(name).details) == keys

@@ -179,6 +179,13 @@ class TestSpectrum:
                      "--qmax", "0.1", "--points", "3",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("qmin,qmax", [("0.1", "inf"), ("nan", "1.0"), ("0.1", "nan")])
+    def test_non_finite_bound_refused_before_any_work(self, tmp_path, capsys, qmin, qmax):
+        assert main(["spectrum", "--model", "wibg", "--qmin", qmin, "--qmax", qmax,
+                     "--points", "3", "--out", str(tmp_path)]) == 2
+        assert "need 0 < qmin < qmax and points >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
 
 class TestTopLevel:
     def test_no_command_shows_help(self, capsys):

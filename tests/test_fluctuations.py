@@ -7,13 +7,10 @@ import pytest
 
 from bosefluct.fluctuations import (
     FluctuationSpec,
-    InadmissibleSpecError,
-    check_wibg_admissibility,
     covariance_form,
     equivalence_distance,
     j_map,
     structure_factor,
-    structure_factor_lattice_free,
     symplectic_sigma,
     variance_A_imperfect,
     variance_A_wibg,
@@ -24,7 +21,6 @@ from bosefluct.fluctuations import (
 from bosefluct.checks import CheckContext
 from bosefluct.model import (
     ModelParams,
-    MomentumGrid,
     bogoliubov_coefficients,
     dispersion,
     gaussian_potential,
@@ -238,34 +234,6 @@ class TestEquivalenceDistance:
             assert d13 <= d12 + d23 + 1e-9
 
 
-class TestAdmissibility:
-    @staticmethod
-    def family(f_fn, g_fn, renorm=0.0):
-        qs = [0.5 * 2.0**-j for j in range(6)]
-        return [FluctuationSpec("wibg", (0, 0, q), f_q0=f_fn(q), g_q0=g_fn(q),
-                                renorm_exponent=renorm) for q in qs]
-
-    def test_bounded_family_passes(self):
-        # density smearing O(1), order-parameter smearing O(|q|^{1/2})
-        check_wibg_admissibility(self.family(lambda q: 1.0, lambda q: q**0.5),
-                                 wibg_params())
-
-    def test_critical_growth_passes(self):
-        # f ~ |q|^{-1/2} saturates the bound without violating it
-        check_wibg_admissibility(
-            self.family(lambda q: q**-0.5, lambda q: q**0.5), wibg_params())
-
-    def test_growing_density_smearing_rejected(self):
-        with pytest.raises(InadmissibleSpecError):
-            check_wibg_admissibility(
-                self.family(lambda q: 1.0 / q, lambda q: 0.0), wibg_params())
-
-    def test_growing_order_param_smearing_rejected(self):
-        with pytest.raises(InadmissibleSpecError):
-            check_wibg_admissibility(
-                self.family(lambda q: 0.0, lambda q: q**-0.5), wibg_params())
-
-
 class TestStructureFactor:
     def test_condensate_kind_linear_slope(self):
         params = wibg_params()
@@ -287,27 +255,3 @@ class TestStructureFactor:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             structure_factor(0.1, wibg_params(), "total")
-
-    def test_lattice_free_matches_wick_oracle(self):
-        from bosefluct.quasifree import OperatorWord, QuasiFreeState, wick_expectation
-
-        params = ModelParams(mass=1.0, beta=1.0, total_density=1.0)
-        grid = MomentumGrid(3.0, 4.5)
-        mu_shift = -0.5
-        state = QuasiFreeState("free", params, grid, mu_shift=mu_shift)
-        q_lat = (0, 0, 1)
-        closed = structure_factor_lattice_free(q_lat, params, grid, mu_shift)
-        qa = np.asarray(q_lat)
-        # T = sum_k a*_{k+q} a_k; the oracle evaluates <T T*> / (rho V)
-        terms = [((shifted_t, True), (base_t, False))
-                 for n in grid.lattice_points
-                 for shifted_t, base_t in [(tuple(int(x) for x in (n + qa)),
-                                            tuple(int(x) for x in n))]]
-        acc = 0.0
-        for t1 in terms:
-            for t2 in terms:
-                word = OperatorWord((t1[0], t1[1],
-                                     (t2[1][0], True), (t2[0][0], False)))
-                acc += wick_expectation(state, word).real
-        oracle = acc / (params.total_density * grid.volume)
-        assert closed == pytest.approx(oracle, abs=1e-10)

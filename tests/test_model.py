@@ -1,6 +1,7 @@
 """Unit tests for the scalar model layer."""
 
 import ast
+import importlib
 import math
 import re
 from pathlib import Path
@@ -77,6 +78,14 @@ class TestThermalKernel:
         with pytest.raises(ValueError, match="energy > 0"):
             thermal_kernel(energy, 1.0)
         assert thermal_kernel(energy, math.inf) == 0.5
+
+
+@pytest.mark.parametrize("module", ["bosefluct", "bosefluct.model", "bosefluct.quasifree",
+                                    "bosefluct.fluctuations", "bosefluct.asymptotics",
+                                    "bosefluct.fock", "bosefluct.checks"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 class TestSingleSource:
@@ -236,6 +245,13 @@ class TestModelParams:
         with pytest.raises(ValueError):
             params(total_density=1.0, condensate_density=2.0)
 
+    @pytest.mark.parametrize("field", ["coupling", "total_density", "condensate_density",
+                                       "condensate_amplitude"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            params(**{field: value})
+
     def test_missing_potential(self):
         with pytest.raises(ValueError):
             params().v(1.0)
@@ -261,4 +277,4 @@ class TestMomentumGrid:
 
     def test_mode_cap(self):
         with pytest.raises(ValueError):
-            MomentumGrid(100.0, 50.0, mode_cap=1000)
+            MomentumGrid(100.0, 50.0)

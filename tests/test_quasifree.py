@@ -47,11 +47,6 @@ def wibg_state(beta=math.inf, box=2.0 * math.pi, cutoff=1.5):
     return QuasiFreeState("wibg", params, MomentumGrid(box, cutoff))
 
 
-def free_state(beta=math.inf, mu_shift=-0.5):
-    return QuasiFreeState("free", ModelParams(mass=1.0, beta=beta),
-                          MomentumGrid(2.0 * math.pi, 1.5), mu_shift=mu_shift)
-
-
 Q = (0, 0, 1)
 MQ = (0, 0, -1)
 ZERO = (0, 0, 0)
@@ -67,8 +62,6 @@ def branch_expansion(state, word):
     """
     def branches(mode, dagger):
         if mode == ZERO:
-            if state.model == "free":
-                return [(1.0, ("a", ZERO), dagger)]
             out = [(1.0, ("d", ZERO), dagger)]
             if state.one_point_amplitude != 0.0:
                 out.append((state.one_point_amplitude, None, dagger))
@@ -104,7 +97,7 @@ def branch_expansion(state, word):
 
 PROPERTY_MODES = [ZERO, Q, MQ, (0, 1, 0), (0, -1, 0)]
 PROPERTY_STATES = [make(beta=beta) for beta in (math.inf, 2.0)
-                   for make in (imperfect_state, wibg_state, free_state)]
+                   for make in (imperfect_state, wibg_state)]
 
 
 class TestTwoPoint:
@@ -175,11 +168,6 @@ class TestWickExpectation:
         word = OperatorWord(tuple(tokens))
         ref = branch_expansion(state, word)
         assert abs(wick_expectation(state, word) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    def test_free_zero_mode_at_zero_shift_refused(self):
-        state = free_state(beta=1.0, mu_shift=0.0)
-        with pytest.raises(ValueError, match="energy > 0"):
-            wick_expectation(state, OperatorWord(((ZERO, True), (ZERO, False))))
 
     def test_word_cap(self):
         word = OperatorWord(tuple((Q, bool(i % 2)) for i in range(MAX_WORD_LENGTH + 1)))
