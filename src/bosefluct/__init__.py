@@ -25,9 +25,7 @@ from .model import (
 from .quasifree import (
     OperatorWord,
     QuasiFreeState,
-    characteristic_function,
     finite_volume_variance,
-    two_point,
     wick_expectation,
 )
 from .fluctuations import (
@@ -75,8 +73,7 @@ __all__ = [
     "gaussian_potential", "dispersion", "bose_occupation",
     "thermal_kernel", "bogoliubov_spectrum", "bogoliubov_coefficients", "omega_gap",
     # quasifree
-    "QuasiFreeState", "OperatorWord", "two_point", "wick_expectation",
-    "characteristic_function", "finite_volume_variance",
+    "QuasiFreeState", "OperatorWord", "wick_expectation", "finite_volume_variance",
     # fluctuations
     "FluctuationSpec", "FormValue", "j_map",
     "variance_rho_imperfect", "variance_A_imperfect", "variance_rho0_wibg",

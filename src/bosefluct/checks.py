@@ -28,9 +28,11 @@ from .model import (
 __all__ = ["CheckContext", "CheckResult", "CheckDef", "REGISTRY", "checked_tolerance",
            "run_check"]
 
-OMEGA_REL_BOUND = 1e-3  # spectrum: relative distance of E_q q / eps_q from Omega
+OMEGA_REL_BOUND = 1e-3  # spectrum: relative distance of lim E_q q / eps_q from Omega
 FULL_RATIO_BOUND = 1.05  # structure-factor: spread max/min of the full-density S(q)
 WIBG_COMMUTATOR_FLOOR = 1e-3  # u-commutation: truncated interaction must not commute
+CLT_DENSITY = 4.0  # clt: condensate density of the coherent state
+NORMAL_MU_SHIFT = -0.5  # delta-exponents: chemical-potential shift of the normal phase
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,6 @@ class CheckContext:
     condensate_amplitude: float = 1.0
     v0: float = 1.0
     kappa: float = 2.0
-    clt_density: float = 4.0
-    normal_mu_shift: float = -0.5
 
     @property
     def imperfect_ground(self) -> ModelParams:
@@ -116,12 +116,13 @@ def _check_spectrum(ctx: CheckContext, tol: float) -> CheckResult:
         rel = abs(gap - closed) / closed
         worst = max(worst, rel)
         rows.append((eps, g, closed, gap, rel))
+    # E_q q / eps_q is smooth in q^2: extrapolate it to q = 0 along a q-tail
     params = ctx.wibg
-    grid = MomentumGrid(120.0, 0.3)
-    q_min = float(grid.q_norms()[0])
-    eps_q = dispersion(q_min, params)
-    ratio = bogoliubov_spectrum(eps_q, params.c2v(q_min)) * q_min / eps_q
-    gap_rel = abs(ratio - omega_gap(params)) / omega_gap(params)
+    q_tail = [2.0 * math.pi / 120.0 * 0.5**j for j in range(4)]
+    ratios = [bogoliubov_spectrum(dispersion(q, params), params.c2v(q)) * q
+              / dispersion(q, params) for q in q_tail]
+    limit = asymptotics.richardson([q**2 for q in q_tail], ratios)
+    gap_rel = abs(limit - omega_gap(params)) / omega_gap(params)
     passed = worst < tol and gap_rel < OMEGA_REL_BOUND
     return CheckResult("spectrum", passed,
                        ("eps", "c2v", "E_closed", "E_dense_gap", "rel_err"),
@@ -214,7 +215,7 @@ def _check_delta(ctx: CheckContext, tol: float) -> CheckResult:
     cases = [
         (asymptotics.PhaseTag("condensed"), thermal),
         (asymptotics.PhaseTag("critical"), replace(thermal, condensate_density=0.0)),
-        (asymptotics.PhaseTag("normal", mu_shift=ctx.normal_mu_shift),
+        (asymptotics.PhaseTag("normal", mu_shift=NORMAL_MU_SHIFT),
          replace(thermal, condensate_density=0.0)),
     ]
     for phase, params in cases:
@@ -268,11 +269,10 @@ def _clt_operator(ws, params, f, g):
 
 def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
     """Gaussian character of the smeared fluctuation at the largest volume."""
-    rho0 = ctx.clt_density
-    params = replace(ctx.imperfect_ground, total_density=rho0,
-                     condensate_density=rho0)
+    params = replace(ctx.imperfect_ground, total_density=CLT_DENSITY,
+                     condensate_density=CLT_DENSITY)
     box = 5.0
-    amp = math.sqrt(rho0 * box**3)
+    amp = math.sqrt(CLT_DENSITY * box**3)
     q, mq = (0, 0, 1), (0, 0, -1)
     ws = fock.FockWorkspace(box, [(0, 0, 0), q, mq],
                             {(0, 0, 0): fock.coherent_cutoff(amp), q: 10, mq: 10})
@@ -285,7 +285,8 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
             g = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             if abs(f + 1j * g) > 0.5:
                 break
-        s_closed = 0.5 * abs(f + 1j * g) ** 2
+        s_closed = fluctuations.variance_general(
+            fluctuations.FluctuationSpec("imperfect", ws.k_phys(q), f_q0=f, g_q0=g), params)
         t_max = 1.5 / math.sqrt(s_closed)
         t_grid = np.linspace(0.0, t_max, 7)[1:]
         f_op = _clt_operator(ws, params, f, g)
@@ -494,12 +495,13 @@ REGISTRY: Dict[str, CheckDef] = {
 def checked_tolerance(name: str, tolerance: float | None = None) -> float:
     """The tolerance check ``name`` is judged against: ``tolerance``, or the
     registered default when it is None. Refuses an unregistered name
-    (``KeyError``) and a value that is not > 0, nan included (``ValueError``)."""
+    (``KeyError``) and a value outside ``(0, inf)``, nan included
+    (``ValueError``): an infinite tolerance would switch the check off."""
     if name not in REGISTRY:
         raise KeyError(f"unknown check {name!r}")
     tol = REGISTRY[name].default_tolerance if tolerance is None else float(tolerance)
-    if not tol > 0.0:
-        raise ValueError(f"tolerance for {name!r} must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance for {name!r} must be positive and finite, got {tol!r}")
     return tol
 
 

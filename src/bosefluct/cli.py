@@ -95,6 +95,9 @@ def _load_config(path: Path):
                 raise ValueError(f"scenario field {key!r} must be finite, got {value.strip()!r}")
             ctx_kwargs[key] = number
     ctx = CheckContext(**ctx_kwargs)
+    # build the parameter sets the checks read, so a value ModelParams or the
+    # potential refuses stops the run here instead of erroring its checks
+    ctx.imperfect_ground, ctx.imperfect_thermal, ctx.wibg_thermal
 
     if not parser.has_section("run") or not parser.get("run", "checks", fallback="").strip():
         raise ValueError("config needs a [run] section with a nonempty checks list")

@@ -185,7 +185,7 @@ def symplectic_sigma(spec1: FluctuationSpec, spec2: FluctuationSpec,
 
 
 def covariance_form(spec1: FluctuationSpec, spec2: FluctuationSpec,
-                    params: ModelParams, rtol: float = 1e-7) -> FormValue:
+                    params: ModelParams) -> FormValue:
     """Full sesquilinear form ``s + i sigma / 2`` between two specs.
 
     The symmetric part is obtained by polarization of the variance
@@ -197,7 +197,7 @@ def covariance_form(spec1: FluctuationSpec, spec2: FluctuationSpec,
         raise ValueError("polarization needs a common renormalization exponent")
     plus = replace(spec1, f_q0=spec1.f_q0 + spec2.f_q0, g_q0=spec1.g_q0 + spec2.g_q0)
     minus = replace(spec1, f_q0=spec1.f_q0 - spec2.f_q0, g_q0=spec1.g_q0 - spec2.g_q0)
-    s = 0.25 * (variance_general(plus, params, rtol) - variance_general(minus, params, rtol))
+    s = 0.25 * (variance_general(plus, params) - variance_general(minus, params))
     return FormValue(s=s, sigma=symplectic_sigma(spec1, spec2, params))
 
 

@@ -690,8 +690,6 @@ def _wibg_remainder(ws: FockWorkspace, params: ModelParams, q: Mode,
 
 
 def goldstone_closure_check(model: str, params: ModelParams,
-                            q_phys: float = math.pi,
-                            box_sides: Sequence[float] = (2.0, 4.0, 6.0, 8.0),
                             n_max_pair: int = 8) -> ClosureReport:
     """Matrix-level closure of the Goldstone pair dynamics.
 
@@ -701,9 +699,11 @@ def goldstone_closure_check(model: str, params: ModelParams,
     later fitted against volume (expected rate ``V^{-1/2}``), and (c)
     computes the virial ratio ``Omega^2 <rho~^2> / <A~^2>`` of the
     rescaled pair via Richardson extrapolation in ``q^2`` of the exact
-    closed forms. The physical wavevector is held fixed across volumes
-    so the remainder decay isolates the volume scaling.
+    closed forms. The physical wavevector ``q = pi`` is held fixed across
+    the box sides 2, 4, 6 and 8, on each of whose lattices it sits, so
+    the remainder decay isolates the volume scaling.
     """
+    q_phys = math.pi
     if model == "imperfect":
         energy_scale = 1.0
     elif model == "wibg":
@@ -714,11 +714,8 @@ def goldstone_closure_check(model: str, params: ModelParams,
     identity_defect = 0.0
     secondary_defect = 0.0
     norms, volumes = [], []
-    for box in box_sides:
-        n_q = q_phys * box / (2.0 * math.pi)
-        if abs(n_q - round(n_q)) > 1e-9:
-            raise ValueError("q_phys must sit on every box's momentum lattice")
-        q, minus_q = _plus_minus((0, 0, round(n_q)))
+    for box in (2.0, 4.0, 6.0, 8.0):
+        q, minus_q = _plus_minus((0, 0, round(box / 2.0)))
         if model == "imperfect":
             amp = math.sqrt(params.condensate_density * box**3)
         else:

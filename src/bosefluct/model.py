@@ -41,9 +41,9 @@ def gaussian_potential(v0: float = 1.0, kappa: float = 2.0) -> Callable[[float],
     Even, bounded, and ``v(0) = v0 > 0``, which is all the superfluid
     model requires of its two-body potential.
     """
-    if v0 <= 0.0:
+    if not v0 > 0.0:  # nan fails too
         raise ValueError("v0 must be positive (v(0) > 0 required)")
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
 
     def v(k_norm):
@@ -145,20 +145,20 @@ def dispersion(k, params: ModelParams) -> float:
     return k_sq / (2.0 * params.mass)
 
 
-def bose_occupation(eps, beta: float, mu_shift: float = 0.0):
-    """Bose factor ``1 / (exp(beta (eps - mu_shift)) - 1)``.
+def bose_occupation(eps, beta: float):
+    """Bose factor ``1 / (exp(beta eps) - 1)``.
 
     Returns 0 for the ground state (``beta = inf``). Raises on
-    ``eps == mu_shift`` at finite beta, where the factor diverges.
+    ``eps <= 0`` at finite beta, where the factor diverges.
     Accepts scalars or arrays in ``eps``.
     """
     eps_arr = np.asarray(eps, dtype=float)
     if math.isinf(beta):
         out = np.zeros_like(eps_arr)
         return float(out) if eps_arr.ndim == 0 else out
-    x = beta * (eps_arr - mu_shift)
+    x = beta * eps_arr
     if np.any(x <= 0.0):
-        raise ValueError("bose_occupation requires eps > mu_shift at finite beta")
+        raise ValueError("bose_occupation requires eps > 0 at finite beta")
     out = 1.0 / np.expm1(x)
     return float(out) if eps_arr.ndim == 0 else out
 
@@ -270,9 +270,6 @@ class MomentumGrid:
         Physical momentum vectors.
     lattice_points : ndarray of int, shape (N, 3)
         The same modes in lattice units (``k = 2 pi n / L``).
-    q_sequence : list of ndarray
-        Nonzero lattice vectors along the z axis, smallest first. The
-        smallest entry always has ``|q| = 2 pi / L``.
     """
 
     def __init__(self, box_side: float, cutoff: float):
@@ -297,15 +294,9 @@ class MomentumGrid:
         self.lattice_points = pts[order]
         self.modes = self.lattice_points * self.spacing
 
-        nz = np.arange(1, n_max + 1)
-        self.q_sequence = [np.array([0.0, 0.0, n * self.spacing]) for n in nz]
-
     @property
     def volume(self) -> float:
         return self.box_side**3
-
-    def q_norms(self) -> np.ndarray:
-        return np.array([q[2] for q in self.q_sequence])
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -313,5 +304,5 @@ class MomentumGrid:
     def __repr__(self) -> str:
         return (
             f"MomentumGrid(L={self.box_side:g}, K_max={self.cutoff:g}, "
-            f"modes={len(self)}, n_q={len(self.q_sequence)})"
+            f"modes={len(self)})"
         )

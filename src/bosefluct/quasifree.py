@@ -2,9 +2,8 @@
 
 The two condensed states (mean-field and superfluid) are quasi-free:
 every polynomial expectation reduces to one-point amplitudes at the zero
-mode plus two-point pairings, and exponentials of linear fields have a
-closed Gaussian characteristic function. This module evaluates both
-routes at finite volume and is the independent oracle against which the
+mode plus two-point pairings. This module evaluates that Wick route at
+finite volume and is the independent oracle against which the
 closed-form fluctuation formulas are checked.
 
 Modes are addressed by integer lattice triples ``n``; the physical
@@ -16,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -33,9 +32,7 @@ from .model import (
 __all__ = [
     "QuasiFreeState",
     "OperatorWord",
-    "two_point",
     "wick_expectation",
-    "characteristic_function",
     "finite_volume_variance",
 ]
 
@@ -113,24 +110,19 @@ class QuasiFreeState:
     def k_phys(self, mode: Sequence[int]) -> np.ndarray:
         return np.asarray(mode, dtype=float) * self.grid.spacing
 
-    def mode_energy(self, mode: Sequence[int]) -> float:
-        """Energy entering the kernel: ``eps_k`` or the collective ``E_k``."""
-        eps = dispersion(self.k_phys(mode), self.params)
-        if self.model == "wibg":
-            knorm = float(np.linalg.norm(self.k_phys(mode)))
-            return bogoliubov_spectrum(eps, self.params.c2v(knorm))
-        return eps
-
-    def kernel(self, mode: Sequence[int]) -> float:
-        """Symmetric two-point weight ``(1/2) coth(beta e_k / 2)`` at ``k != 0``."""
-        m = tuple(int(x) for x in mode)
-        if m == ZERO:
-            raise ValueError("kernel is defined only away from the zero mode")
-        return thermal_kernel(self.mode_energy(m), self.params.beta)
-
     def occupation(self, mode: Sequence[int]) -> float:
-        """Diagonal-basis occupation ``kernel - 1/2`` at ``k != 0``."""
-        return self.kernel(mode) - 0.5
+        """Diagonal-basis occupation ``(1/2) coth(beta e_k / 2) - 1/2`` at ``k != 0``.
+
+        ``e_k`` is ``eps_k`` for the mean-field gas and the collective
+        ``E_k`` for the superfluid gas.
+        """
+        if tuple(int(x) for x in mode) == ZERO:
+            raise ValueError("occupation is defined only away from the zero mode")
+        k = self.k_phys(mode)
+        energy = dispersion(k, self.params)
+        if self.model == "wibg":
+            energy = bogoliubov_spectrum(energy, self.params.c2v(float(np.linalg.norm(k))))
+        return thermal_kernel(energy, self.params.beta) - 0.5
 
     def rotation(self, mode: Mode):
         """(cosh a, sinh a) of the quasi-particle rotation at a mode."""
@@ -166,18 +158,6 @@ class QuasiFreeState:
         return ch * sh * (2.0 * self.occupation(m1) + 1.0)
 
 
-def two_point(state: QuasiFreeState, mode: Sequence[int], normal_ordered: bool = True) -> float:
-    """Diagonal particle-basis two-point function at a nonzero mode.
-
-    ``normal_ordered`` selects ``<a*_k a_k>``; otherwise ``<a_k a*_k>``
-    (which exceeds it by exactly 1).
-    """
-    m = tuple(int(x) for x in mode)
-    if m == ZERO:
-        raise ValueError("zero mode is handled by the one-point amplitude")
-    return state.contraction((m, normal_ordered), (m, not normal_ordered))
-
-
 def wick_expectation(state: QuasiFreeState, word: OperatorWord) -> complex:
     """Exact expectation of an operator word by the pairing recursion.
 
@@ -211,37 +191,7 @@ def wick_expectation(state: QuasiFreeState, word: OperatorWord) -> complex:
     return complex(open_sum((1 << len(tokens)) - 1))
 
 
-def characteristic_function(state: QuasiFreeState, f: Mapping[Sequence[int], complex]) -> complex:
-    """Gaussian characteristic function of the linear field smeared by ``f``.
-
-    ``f`` maps grid modes (lattice triples) to complex values. Nonzero
-    modes contribute the kernel quadratic form ``sum kernel(k) |f(k)|^2``;
-    the zero mode contributes the condensate phase ``2 i amp |f(0)|``
-    (``amp = sqrt(rho0)`` resp. ``c``) plus a finite-volume Gaussian
-    width ``|f(0)|^2 / V`` that disappears in the thermodynamic limit.
-    For the superfluid model ``f`` smears the quasi-particle basis.
-    """
-    quad = 0.0
-    f0 = 0.0 + 0.0j
-    for mode, value in f.items():
-        m = tuple(int(x) for x in mode)
-        if m == ZERO:
-            f0 = complex(value)
-        else:
-            quad += state.kernel(m) * abs(value) ** 2
-    amp = state.one_point_amplitude / math.sqrt(state.volume)
-    phase = 2.0 * amp * abs(f0)
-    quad += abs(f0) ** 2 / state.volume
-    return complex(np.exp(-0.5 * quad + 1j * phase))
-
-
 # -- finite-volume fluctuation variances (oracle route) -----------------
-
-
-def _pm_word(sign_pattern, q: Mode):
-    """Tokens ``a^#_{+-q}`` used by the quadrature-type operators."""
-    minus_q = tuple(-x for x in q)
-    return [(q if s > 0 else minus_q, d) for s, d in sign_pattern]
 
 
 def _op_expectation(state: QuasiFreeState, terms) -> complex:
@@ -258,11 +208,12 @@ def _product_terms(op1, op2):
 
 def order_param_fluct_terms(q: Mode):
     """Self-adjoint order-parameter fluctuation ``(i/2)(a*_q + a*_{-q} - a_q - a_{-q})``."""
+    minus_q = tuple(-x for x in q)
     return [
-        (0.5j, _pm_word([(+1, True)], q)),
-        (0.5j, _pm_word([(-1, True)], q)),
-        (-0.5j, _pm_word([(+1, False)], q)),
-        (-0.5j, _pm_word([(-1, False)], q)),
+        (0.5j, ((q, True),)),
+        (0.5j, ((minus_q, True),)),
+        (-0.5j, ((q, False),)),
+        (-0.5j, ((minus_q, False),)),
     ]
 
 

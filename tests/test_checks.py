@@ -16,10 +16,17 @@ def test_wibg_checks_pass_at_larger_amplitude(name):
     assert run_check(name, CheckContext(condensate_amplitude=2.0)).passed
 
 
-@pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0, float("inf")])
 def test_tolerance_not_above_zero_is_refused(tolerance):
     with pytest.raises(ValueError, match="must be positive"):
         run_check("virial-imperfect", tolerance=tolerance)
+
+
+def test_spectrum_gap_is_checked_at_the_limit_away_from_the_default():
+    # at the default kappa^2 = 4 m c^2 v0 cancels the q^2 term; at v0 = 0.1 it does not
+    result = run_check("spectrum", CheckContext(v0=0.1))
+    assert result.passed
+    assert result.details["omega_rel"] < 1e-10
 
 
 def test_goldstone_wibg_rows_are_bit_identical():

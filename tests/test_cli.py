@@ -94,7 +94,7 @@ class TestRun:
                            extra="[tolerances]\ndivergence-exponents = 1e-12\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
-    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("route", ["config", "flag"])
     def test_bad_tolerance_value_is_config_error(self, tmp_path, capsys, route, value):
         extra = f"[tolerances]\nequivalence = {value}\n" if route == "config" else ""
@@ -108,7 +108,10 @@ class TestRun:
         assert not any(out_dir.glob("*.csv"))
 
     @pytest.mark.parametrize("field,value", [("beta_thermal", "inf"), ("mass", "nan"),
-                                             ("coupling", "-inf")])
+                                             ("coupling", "-inf"), ("mass", "-1"),
+                                             ("beta_thermal", "0"),
+                                             ("condensate_density", "2"), ("v0", "-1"),
+                                             ("kappa", "0")])
     def test_non_finite_scenario_is_config_error(self, tmp_path, capsys, field, value):
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(f"[scenario]\n{field} = {value}\n"

@@ -365,8 +365,3 @@ class TestGoldstoneClosure:
         assert report.remainder_norms[0] > report.remainder_norms[-1]
         assert report.remainder_rate.exponent == pytest.approx(-0.5, abs=0.1)
         assert report.virial_ratio == pytest.approx(1.0, abs=1e-3)
-
-    def test_off_lattice_q_rejected(self):
-        with pytest.raises(ValueError):
-            goldstone_closure_check("imperfect", imperfect_params(),
-                                    q_phys=1.0, box_sides=(2.0, 4.0))

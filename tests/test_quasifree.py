@@ -1,4 +1,4 @@
-"""Unit tests for the quasi-free Wick / characteristic-function oracle."""
+"""Unit tests for the quasi-free Wick oracle."""
 
 import math
 
@@ -19,9 +19,7 @@ from bosefluct.quasifree import (
     QuasiFreeState,
     _op_expectation,
     _product_terms,
-    characteristic_function,
     finite_volume_variance,
-    two_point,
     wick_expectation,
 )
 
@@ -102,22 +100,22 @@ PROPERTY_STATES = [make(beta=beta) for beta in (math.inf, 2.0)
 
 class TestTwoPoint:
     def test_ground_state_vanishes(self):
-        assert two_point(imperfect_state(), Q) == 0.0
-        assert two_point(imperfect_state(), Q, normal_ordered=False) == 1.0
+        assert imperfect_state().contraction((Q, True), (Q, False)) == 0.0
+        assert imperfect_state().contraction((Q, False), (Q, True)) == 1.0
 
     def test_unit_occupation(self):
-        assert two_point(unit_occupation_state(), Q) == pytest.approx(1.0)
+        assert unit_occupation_state().contraction((Q, True), (Q, False)) == pytest.approx(1.0)
 
     def test_wibg_ground_is_sinh_sq(self):
         state = wibg_state()
         kq = state.k_phys(Q)
         co = bogoliubov_coefficients(float(kq @ kq) / 2.0,
                                      state.params.c2v(float(np.linalg.norm(kq))))
-        assert two_point(state, Q) == pytest.approx(co.sinh_a**2)
+        assert state.contraction((Q, True), (Q, False)) == pytest.approx(co.sinh_a**2)
 
     def test_zero_mode_rejected(self):
         with pytest.raises(ValueError):
-            two_point(imperfect_state(), ZERO)
+            imperfect_state().occupation(ZERO)
 
 
 class TestWickExpectation:
@@ -173,80 +171,6 @@ class TestWickExpectation:
         word = OperatorWord(tuple((Q, bool(i % 2)) for i in range(MAX_WORD_LENGTH + 1)))
         with pytest.raises(ValueError):
             wick_expectation(imperfect_state(), word)
-
-
-class TestCharacteristicFunction:
-    def test_identity_at_zero_smearing(self):
-        assert characteristic_function(imperfect_state(), {}) == pytest.approx(1.0)
-
-    def test_ground_state_width(self):
-        # f supported off the zero mode with ||f||^2 = 2 gives exp(-1/2)
-        f = {Q: 1.0, MQ: 1.0}
-        value = characteristic_function(imperfect_state(), f)
-        assert value == pytest.approx(math.exp(-0.5))
-
-    def test_condensate_phase(self):
-        state = imperfect_state(rho0=1.0)
-        value = characteristic_function(state, {ZERO: 1.0})
-        expected = np.exp(-0.5 / state.volume + 2.0j)
-        assert value == pytest.approx(expected)
-
-    def _linear_field_terms(self, f):
-        """Terms of the field Phi(f) whose char function the Gaussian gives."""
-        terms = []
-        for mode, val in f.items():
-            if tuple(mode) == ZERO:
-                continue
-            terms.append((val / math.sqrt(2.0), ((mode, True),)))
-            terms.append((np.conj(val) / math.sqrt(2.0), ((mode, False),)))
-        f0 = complex(f.get(ZERO, 0.0))
-        if f0 != 0.0:
-            terms.append((abs(f0), ((ZERO, True),)))
-            terms.append((abs(f0), ((ZERO, False),)))
-        return terms
-
-    def _wick_route(self, state, f, volume_scale=True):
-        terms = self._linear_field_terms(f)
-        if volume_scale:
-            terms = [(c / (math.sqrt(state.volume) if tuple(t[0][0]) == ZERO else 1.0), t)
-                     for c, t in terms]
-        mean = _op_expectation(state, terms)
-        second = _op_expectation(state, _product_terms(terms, terms))
-        var = second - mean**2
-        return np.exp(1j * mean - 0.5 * var)
-
-    @pytest.mark.parametrize("beta", [math.inf, 2.0])
-    def test_two_path_consistency_imperfect(self, beta):
-        state = imperfect_state(beta=beta)
-        rng = np.random.default_rng(31)
-        modes = [tuple(m) for m in state.grid.lattice_points
-                 if np.linalg.norm(m) <= 1.0][:6]
-        for _ in range(5):
-            f = {m: complex(*rng.normal(size=2)) for m in modes}
-            f[ZERO] = abs(f.get(ZERO, 1.0))  # aligned phase at the condensate
-            direct = characteristic_function(state, f)
-            oracle = self._wick_route(state, f)
-            assert direct == pytest.approx(oracle, abs=1e-10)
-
-    def test_two_path_consistency_wibg_quasiparticle(self):
-        # Smear the rotated basis: b*_k = ch a*_k - sh a_{-k}
-        state = wibg_state(beta=2.0)
-        rng = np.random.default_rng(32)
-        for _ in range(5):
-            f = {Q: complex(*rng.normal(size=2)), (0, 1, 0): complex(*rng.normal(size=2))}
-            terms = []
-            for mode, val in f.items():
-                ch, sh = state.rotation(mode)
-                minus = tuple(-x for x in mode)
-                terms.append((val * ch / math.sqrt(2.0), ((mode, True),)))
-                terms.append((-val * sh / math.sqrt(2.0), ((minus, False),)))
-                terms.append((np.conj(val) * ch / math.sqrt(2.0), ((mode, False),)))
-                terms.append((-np.conj(val) * sh / math.sqrt(2.0), ((minus, True),)))
-            mean = _op_expectation(state, terms)
-            var = _op_expectation(state, _product_terms(terms, terms)) - mean**2
-            oracle = np.exp(1j * mean - 0.5 * var)
-            direct = characteristic_function(state, f)
-            assert direct == pytest.approx(oracle, abs=1e-10)
 
 
 class TestFiniteVolumeVariance:
