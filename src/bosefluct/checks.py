@@ -48,6 +48,13 @@ class CheckContext:
     v0: float = 1.0
     kappa: float = 2.0
 
+    def __post_init__(self):
+        # the superfluid checks divide by c and the mean-field ones by rho0;
+        # ModelParams allows zero because delta-exponents builds such phases
+        for name in ("condensate_amplitude", "condensate_density"):
+            if getattr(self, name) == 0.0:
+                raise ValueError(f"{name} must be nonzero: every scenario has a condensate")
+
     @property
     def imperfect_ground(self) -> ModelParams:
         return ModelParams(mass=self.mass, beta=math.inf,

@@ -108,15 +108,20 @@ class ModelParams:
         """Mean-field limit value ``mu = lambda * rho``."""
         return self.coupling * self.total_density
 
-    def v(self, k_norm: float) -> float:
-        """Two-body potential at radial momentum ``|k|``."""
+    def v(self, k_norm):
+        """Two-body potential at radial momentum ``|k|``.
+
+        A scalar gives a ``float``; an array of radii gives an array of
+        the same shape, element by element.
+        """
         if self.potential is None:
             raise ValueError("no potential supplied (superfluid model input)")
-        value = float(self.potential(abs(k_norm)))
-        return value
+        value = self.potential(abs(k_norm))
+        # getattr, not np.ndim: scalar calls stay cheap in per-mode loops
+        return np.asarray(value, dtype=float) if getattr(value, "ndim", 0) else float(value)
 
-    def c2v(self, k_norm: float) -> float:
-        """Condensate-weighted coupling ``c^2 v(|k|)``."""
+    def c2v(self, k_norm):
+        """Condensate-weighted coupling ``c^2 v(|k|)``; scalar or array like ``v``."""
         return self.condensate_amplitude**2 * self.v(k_norm)
 
 

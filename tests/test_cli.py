@@ -121,6 +121,18 @@ class TestRun:
         assert capsys.readouterr().err.startswith("config error")
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    @pytest.mark.parametrize("field,checks", [
+        ("condensate_amplitude", "virial-wibg equivalence lifetime-exponents"),
+        ("condensate_density", "virial-imperfect divergence-exponents")])
+    def test_no_condensate_is_config_error(self, tmp_path, capsys, field, checks):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(f"[scenario]\n{field} = 0\n[run]\nchecks = {checks}\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (f"config error: {field} must be nonzero: "
+                                           "every scenario has a condensate\n")
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_raising_check_keeps_the_others(self, tmp_path, capsys, monkeypatch):
         def raising(ctx, tol):
             return 1.0 / 0.0

@@ -270,6 +270,16 @@ class TestModelParams:
         with pytest.raises(ValueError):
             params().v(1.0)
 
+    def test_array_potential_matches_scalar_bit_for_bit(self):
+        p = params(condensate_amplitude=0.7, potential=gaussian_potential(1.3, 0.9),
+                   total_density=1.0, condensate_density=0.49)
+        radii = np.concatenate(([0.0, 1e-4], np.random.default_rng(3).uniform(-6.0, 6.0, 61)))
+        for method in (p.v, p.c2v):
+            assert type(method(0.5)) is float
+            values = method(radii.reshape(7, 9))
+            assert values.shape == (7, 9)
+            assert values.ravel().tolist() == [method(float(k)) for k in radii]
+
 
 class TestMomentumGrid:
     def test_modes_on_lattice(self):
