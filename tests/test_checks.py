@@ -1,8 +1,18 @@
-"""Unit tests for the check registry's scenario context."""
+"""Unit tests for the check registry: scenario context, spectrum sectors, oracle scenarios."""
 
+import math
+
+import numpy as np
 import pytest
 
-from bosefluct.checks import CheckContext, run_check
+from bosefluct import fock
+from bosefluct.checks import CheckContext, _pair_sectors, run_check
+
+Q = (0, 0, 1)
+
+
+def spectrum_workspace():
+    return fock.FockWorkspace(2.0 * math.pi, [Q, (0, 0, -1)], 20)
 
 
 def test_wibg_params_follow_the_amplitude():
@@ -27,6 +37,33 @@ def test_spectrum_gap_is_checked_at_the_limit_away_from_the_default():
     result = run_check("spectrum", CheckContext(v0=0.1))
     assert result.passed
     assert result.details["omega_rel"] < 1e-10
+
+
+def test_spectrum_sector_gap_matches_the_dense_gap():
+    ws = spectrum_workspace()
+    for eps, g, _, gap, _ in run_check("spectrum").rows:
+        dense = np.linalg.eigvalsh(fock.pair_block(ws, Q, eps, g).toarray())
+        assert gap == pytest.approx(dense[1] - dense[0], rel=1e-12, abs=0.0)
+
+
+def test_pair_sectors_hold_the_dense_spectrum():
+    ws = spectrum_workspace()
+    sectors = _pair_sectors(ws)
+    assert sorted(sectors) == list(range(-20, 21))
+    assert np.array_equal(np.sort(np.concatenate(list(sectors.values()))),
+                          np.arange(ws.dimension))
+    for eps, g, *_ in run_check("spectrum").rows[:5]:
+        block = fock.pair_block(ws, Q, eps, g)
+        dense = np.linalg.eigvalsh(block.toarray())
+        pieces = np.sort(np.concatenate([np.linalg.eigvalsh(block[idx][:, idx].toarray())
+                                         for idx in sectors.values()]))
+        assert np.max(np.abs(pieces - dense)) < 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("ctx", [CheckContext(mass=2.0), CheckContext(beta_thermal=0.5)],
+                         ids=["mass-2", "beta-half"])
+def test_variance_oracle_passes_away_from_the_default(ctx):
+    assert run_check("variance-oracle", ctx).passed
 
 
 def test_goldstone_wibg_rows_are_bit_identical():

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from bosefluct import fock
-from bosefluct.checks import _clt_operator
+from bosefluct.checks import CheckContext, _bch_operators, _clt_operator
 from bosefluct.fock import (
     FiniteState,
     FockWorkspace,
@@ -199,6 +199,13 @@ class TestHamiltonians:
         expected = bogoliubov_spectrum(k * k / 2.0, params.c2v(k))
         assert vals[1] - vals[0] == pytest.approx(expected, abs=1e-8)
 
+    def test_pair_block_is_linear(self):
+        ws = FockWorkspace(2.0 * math.pi, [Q, MQ], 20)
+        eps, g = 1.37, 0.58
+        block = pair_block(ws, Q, eps, g)
+        combined = eps * pair_block(ws, Q, 1.0, 0.0) + g * pair_block(ws, Q, 0.0, 1.0)
+        assert abs(block - combined).max() <= 1e-14 * abs(block).max()
+
     def test_unknown_model(self):
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 2)
         with pytest.raises(ValueError):
@@ -246,6 +253,18 @@ class TestBchAndClt:
         assert defect > 1e-6  # genuinely non-closing pair
         assert defect <= appendix_bound(f1, f2, state)
 
+    @pytest.mark.parametrize("box", [2.0, 3.0])
+    def test_bound_matches_operator_products(self, box):
+        _, state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, box)
+        assert appendix_bound(rho, a_op, state) == pytest.approx(
+            operator_product_bound(rho, a_op, state), rel=1e-12, abs=0.0)
+
+    def test_bound_needs_pure_state(self):
+        ws = FockWorkspace(1.0, [Q], 3)
+        state = FiniteState(ws, probabilities=np.ones(4))
+        with pytest.raises(ValueError, match="pure state"):
+            appendix_bound(ws.number(Q), ws.creator(Q) + ws.annihilator(Q), state)
+
     def test_single_quadrature_gaussian(self):
         ws = FockWorkspace(1.0, [Q], 50)
         f_op = (ws.creator(Q) + ws.annihilator(Q)) / math.sqrt(2.0)
@@ -262,6 +281,17 @@ class TestBchAndClt:
             clt_char_function(f_op, [3.0], state)
 
 
+def operator_product_bound(f1, f2, state):
+    """The double commutators as sparse operator products: the route appendix_bound replaces."""
+    comm = (f2 @ f1 - f1 @ f2).tocsr()
+    worst = 0.0
+    for t in np.linspace(0.0, 1.0, 5):
+        inner = (t * f1 + f2).tocsr()
+        double = comm @ inner - inner @ comm
+        worst = max(worst, state.seminorm(double))
+    return math.sqrt(4.0 * worst / 3.0)
+
+
 def reference_char_function(f_op, t_grid, state):
     """One ``expm_multiply`` per t: the route the Lanczos quadrature replaces."""
     gen = (1j * f_op).tocsc()
@@ -269,19 +299,34 @@ def reference_char_function(f_op, t_grid, state):
                      for t in t_grid])
 
 
+def reduced_clt_case(seed):
+    """The clt check's operator, state and t-grid on a smaller workspace."""
+    rho0, box = 4.0, 3.0
+    params = imperfect_params(total_density=rho0, condensate_density=rho0)
+    amp = math.sqrt(rho0 * box**3)
+    ws = FockWorkspace(box, [ZERO, Q, MQ],
+                       {ZERO: coherent_cutoff(amp), Q: 6, MQ: 6})
+    state = FiniteState.coherent_vacuum(ws, amp)
+    rng = np.random.default_rng(seed)
+    f, g = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
+    f_op = _clt_operator(ws, params, f, g)
+    t_grid = np.linspace(0.0, 1.5 / math.sqrt(0.5 * abs(f + 1j * g) ** 2), 7)[1:]
+    return f_op, t_grid, state
+
+
 class TestLanczosCharFunction:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_expm_on_reduced_clt_workspace(self, seed):
-        rho0, box = 4.0, 3.0
-        params = imperfect_params(total_density=rho0, condensate_density=rho0)
-        amp = math.sqrt(rho0 * box**3)
-        ws = FockWorkspace(box, [ZERO, Q, MQ],
-                           {ZERO: coherent_cutoff(amp), Q: 6, MQ: 6})
-        state = FiniteState.coherent_vacuum(ws, amp)
-        rng = np.random.default_rng(seed)
-        f, g = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
-        f_op = _clt_operator(ws, params, f, g)
-        t_grid = np.linspace(0.0, 1.5 / math.sqrt(0.5 * abs(f + 1j * g) ** 2), 7)[1:]
+        f_op, t_grid, state = reduced_clt_case(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
+            values = clt_char_function(f_op, t_grid, state)
+        assert np.max(np.abs(values - reference_char_function(f_op, t_grid, state))) < 1e-12
+
+    def test_second_gram_schmidt_pass_matches_expm(self, monkeypatch):
+        # a pass never lengthens the residual, so a ratio above 1 repeats it on every step
+        monkeypatch.setattr(fock, "LANCZOS_DGKS_RATIO", 2.0)
+        f_op, t_grid, state = reduced_clt_case(0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
             values = clt_char_function(f_op, t_grid, state)
