@@ -87,7 +87,6 @@ class CheckContext:
 class CheckResult:
     """Outcome of one check: pass flag plus the table it emits."""
 
-    name: str
     passed: bool
     columns: Tuple[str, ...]
     rows: List[Tuple]
@@ -154,7 +153,7 @@ def _check_spectrum(ctx: CheckContext, tol: float) -> CheckResult:
     limit = asymptotics.richardson([q**2 for q in q_tail], ratios)
     gap_rel = abs(limit - omega_gap(params)) / omega_gap(params)
     passed = worst < tol and gap_rel < OMEGA_REL_BOUND
-    return CheckResult("spectrum", passed,
+    return CheckResult(passed,
                        ("eps", "c2v", "E_closed", "E_dense_gap", "rel_err"),
                        rows, {"worst_rel": worst, "omega_rel": gap_rel,
                               "omega_rel_bound": OMEGA_REL_BOUND})
@@ -176,17 +175,17 @@ def _check_variance_oracle(ctx: CheckContext, tol: float) -> CheckResult:
         worst = max(worst, err)
         rows.append((label, 0.5, val, err))
 
-    boxes = (4.0, 6.0, 8.0)
-    lat_q = {4.0: (0, 0, 2), 6.0: (0, 0, 3), 8.0: (0, 0, 4)}
-
     thermal = ctx.imperfect_thermal
-    # the Boltzmann tail exp(-beta k^2 / 2m) sets the momentum cutoff
-    cutoff = 6.5 * math.sqrt(thermal.mass / thermal.beta)
+    # the Boltzmann tail exp(-beta k^2 / 2m) sets the momentum cutoff, and the
+    # box sides grow with it; even sides put q = pi on the lattice at box / 2
+    width = max(1.0, math.sqrt(thermal.mass / thermal.beta))
+    cutoff = 6.5 * width
+    boxes = [2.0 * round(side * width / 2.0) for side in (4.0, 6.0, 8.0)]
     vals = []
     for box in boxes:
         grid = MomentumGrid(box, cutoff)
         st = quasifree.QuasiFreeState("imperfect", thermal, grid)
-        vals.append(quasifree.finite_volume_variance(st, "rho", lat_q[box]))
+        vals.append(quasifree.finite_volume_variance(st, "rho", (0, 0, int(box) // 2)))
     # lattice sums over an integrand with excluded 1/k^2 points carry an
     # odd-power error expansion in the spacing
     extrapolated = asymptotics.richardson_powers([1.0 / b for b in boxes],
@@ -196,29 +195,28 @@ def _check_variance_oracle(ctx: CheckContext, tol: float) -> CheckResult:
     worst = max(worst, rel)
     rows.append(("rho_thermal", closed, extrapolated, rel))
 
-    st = quasifree.QuasiFreeState("imperfect", thermal, MomentumGrid(4.0, cutoff))
-    val = quasifree.finite_volume_variance(st, "A", (0, 0, 2))
+    st = quasifree.QuasiFreeState("imperfect", thermal, MomentumGrid(boxes[0], cutoff))
+    val = quasifree.finite_volume_variance(st, "A", (0, 0, int(boxes[0]) // 2))
     closed = fluctuations.variance_A_imperfect(q_phys, thermal)
     rel = abs(val - closed) / abs(closed)
     worst = max(worst, rel)
     rows.append(("A_thermal", closed, val, rel))
 
-    wibg = ctx.wibg_thermal
+    wibg, wibg_boxes = ctx.wibg_thermal, (4.0, 6.0, 8.0)
     for kind, closed_fn in (("rho0", fluctuations.variance_rho0_wibg),
                             ("A", fluctuations.variance_A_wibg)):
         vals = []
-        for box in boxes:
+        for box in wibg_boxes:
             grid = MomentumGrid(box, 4.0)
             st = quasifree.QuasiFreeState("wibg", wibg, grid)
-            vals.append(quasifree.finite_volume_variance(st, kind, lat_q[box]))
-        extrapolated = asymptotics.richardson([b**-3 for b in boxes], vals)
+            vals.append(quasifree.finite_volume_variance(st, kind, (0, 0, int(box) // 2)))
+        extrapolated = asymptotics.richardson([b**-3 for b in wibg_boxes], vals)
         closed = closed_fn(q_phys, wibg)
         rel = abs(extrapolated - closed) / abs(closed)
         worst = max(worst, rel)
         rows.append((f"{kind}_wibg", closed, extrapolated, rel))
 
-    return CheckResult("variance-oracle", worst < tol,
-                       ("case", "closed_form", "oracle", "error"),
+    return CheckResult(worst < tol, ("case", "closed_form", "oracle", "error"),
                        rows, {"worst": worst})
 
 
@@ -235,8 +233,7 @@ def _check_divergence(ctx: CheckContext, tol: float) -> CheckResult:
     passed = err_coth < tol and err_bubble < 0.05
     rows = [("coth", coth_fit.exponent, -2.0, err_coth),
             ("bubble", bubble_fit.exponent, -1.0, err_bubble)]
-    return CheckResult("divergence-exponents", passed,
-                       ("term", "fitted", "target", "error"), rows,
+    return CheckResult(passed, ("term", "fitted", "target", "error"), rows,
                        {"coth": coth_fit.exponent, "bubble": bubble_fit.exponent})
 
 
@@ -257,16 +254,15 @@ def _check_delta(ctx: CheckContext, tol: float) -> CheckResult:
         rows.append((phase.kind, fit.exponent, phase.reference_delta, err))
         details[f"delta_{phase.kind}"] = fit.exponent
     details["worst_error"] = max(row[3] for row in rows)
-    return CheckResult("delta-exponents", passed,
-                       ("phase", "fitted_delta", "target", "error"), rows, details)
+    return CheckResult(passed, ("phase", "fitted_delta", "target", "error"), rows, details)
 
 
-def _bch_operators(params: ModelParams, box: float, n_pair: int = 10):
+def _bch_operators(params: ModelParams, box: float):
     q, mq = (0, 0, 1), (0, 0, -1)
     amp = math.sqrt(params.condensate_density * box**3)
     ws = fock.FockWorkspace(box, [(0, 0, 0), q, mq],
                             {(0, 0, 0): fock.coherent_cutoff(amp),
-                             q: n_pair, mq: n_pair})
+                             q: 10, mq: 10})
     state = fock.FiniteState.coherent_vacuum(ws, amp)
     rho = fock.density_fluct_matrix(ws, params, q)
     a_op = fock.order_param_fluct_matrix(ws, q)
@@ -285,8 +281,7 @@ def _check_bch(ctx: CheckContext, tol: float) -> CheckResult:
         defects.append((defect, bound))
     monotone = all(defects[i][0] > defects[i + 1][0] for i in range(len(defects) - 1))
     bounded = all(d <= b * (1.0 + 1e-9) + tol for d, b in defects)
-    return CheckResult("bch", monotone and bounded,
-                       ("volume", "defect", "bound"), rows,
+    return CheckResult(monotone and bounded, ("volume", "defect", "bound"), rows,
                        {"monotone": float(monotone), "bounded": float(bounded)})
 
 
@@ -331,19 +326,19 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
         worst_rel = max(worst_rel, rel)
         rows.append((draw, f.real, f.imag, g.real, g.imag, s_closed, s_fit, rel))
     passed = worst_rel < tol and worst_imag < 1e-6
-    return CheckResult("clt", passed,
+    return CheckResult(passed,
                        ("draw", "f_re", "f_im", "g_re", "g_im",
                         "s_closed", "s_fit", "rel_err"),
                        rows, {"worst_rel": worst_rel, "worst_imag": worst_imag})
 
 
-def _closure_result(name: str, report: fock.ClosureReport, tol: float) -> CheckResult:
+def _closure_result(report: fock.ClosureReport, tol: float) -> CheckResult:
     rate_ok = abs(report.remainder_rate.exponent + 0.5) < 0.1
     virial_ok = abs(report.virial_ratio - 1.0) < 1e-3
     passed = report.identity_defect < tol and rate_ok and virial_ok \
         and report.secondary_defect < 1e-8
     rows = [(v, n) for v, n in zip(report.volumes, report.remainder_norms)]
-    return CheckResult(name, passed, ("volume", "remainder_seminorm"), rows, {
+    return CheckResult(passed, ("volume", "remainder_seminorm"), rows, {
         "identity_defect": report.identity_defect,
         "secondary_defect": report.secondary_defect,
         "remainder_rate": report.remainder_rate.exponent,
@@ -354,28 +349,28 @@ def _closure_result(name: str, report: fock.ClosureReport, tol: float) -> CheckR
 
 def _check_goldstone_imperfect(ctx: CheckContext, tol: float) -> CheckResult:
     report = fock.goldstone_closure_check("imperfect", ctx.imperfect_ground)
-    return _closure_result("goldstone-imperfect", report, tol)
+    return _closure_result(report, tol)
 
 
 def _check_goldstone_wibg(ctx: CheckContext, tol: float) -> CheckResult:
     report = fock.goldstone_closure_check("wibg", ctx.wibg)
-    return _closure_result("goldstone-wibg", report, tol)
+    return _closure_result(report, tol)
 
 
-def _virial_result(name: str, model: str, params: ModelParams, tol: float) -> CheckResult:
+def _virial_result(model: str, params: ModelParams, tol: float) -> CheckResult:
     scale = 1.0 if model == "imperfect" else omega_gap(params)
     ratio = fock._virial_ratio(model, params, scale)
     err = abs(ratio - 1.0)
-    return CheckResult(name, err < tol, ("omega", "virial_ratio", "error"),
+    return CheckResult(err < tol, ("omega", "virial_ratio", "error"),
                        [(scale, ratio, err)], {"virial_ratio": ratio})
 
 
 def _check_virial_imperfect(ctx: CheckContext, tol: float) -> CheckResult:
-    return _virial_result("virial-imperfect", "imperfect", ctx.imperfect_ground, tol)
+    return _virial_result("imperfect", ctx.imperfect_ground, tol)
 
 
 def _check_virial_wibg(ctx: CheckContext, tol: float) -> CheckResult:
-    return _virial_result("virial-wibg", "wibg", ctx.wibg, tol)
+    return _virial_result("wibg", ctx.wibg, tol)
 
 
 def _check_structure_factor(ctx: CheckContext, tol: float) -> CheckResult:
@@ -388,8 +383,7 @@ def _check_structure_factor(ctx: CheckContext, tol: float) -> CheckResult:
     full_ratio = max(fulls) / min(fulls)
     passed = spread < tol and full_ratio < FULL_RATIO_BOUND and min(fulls) > 0.0
     rows = [(q, s, f) for q, s, f in zip(qs, slopes, fulls)]
-    return CheckResult("structure-factor", passed,
-                       ("q", "S_condensate_over_q", "S_full"), rows,
+    return CheckResult(passed, ("q", "S_condensate_over_q", "S_full"), rows,
                        {"slope_spread": spread, "full_ratio": full_ratio,
                         "full_ratio_bound": FULL_RATIO_BOUND})
 
@@ -401,7 +395,7 @@ def _check_u_commutation(ctx: CheckContext, tol: float) -> CheckResult:
     rows = [("full_interaction_commutator", report.commutator_defect),
             ("quadratic_rewrite", report.rewrite_defect),
             ("truncated_interaction_commutator", report.wibg_commutator_norm)]
-    return CheckResult("u-commutation", passed, ("quantity", "norm"), rows, {
+    return CheckResult(passed, ("quantity", "norm"), rows, {
         "commutator_defect": report.commutator_defect,
         "rewrite_defect": report.rewrite_defect,
         "wibg_commutator_norm": report.wibg_commutator_norm,
@@ -414,7 +408,7 @@ def _check_truncation(ctx: CheckContext, tol: float) -> CheckResult:
     passed = step1 < tol and step2 < tol
     rows = [("zero_mode_reordering_identity", step1),
             ("c_substitution_vs_hamiltonian", step2)]
-    return CheckResult("truncation-rederivation", passed, ("step", "defect"), rows,
+    return CheckResult(passed, ("step", "defect"), rows,
                        {"reordering_defect": step1, "substitution_defect": step2})
 
 
@@ -430,8 +424,7 @@ def _check_equivalence(ctx: CheckContext, tol: float) -> CheckResult:
             d = fluctuations.equivalence_distance(s1, s2, params)
             worst = max(worst, d)
             rows.append((model, f.real, f.imag, d))
-    return CheckResult("equivalence", worst < tol,
-                       ("model", "f_re", "f_im", "distance"), rows,
+    return CheckResult(worst < tol, ("model", "f_re", "f_im", "distance"), rows,
                        {"worst": worst})
 
 
@@ -448,7 +441,7 @@ def _check_bubble_scaling(ctx: CheckContext, tol: float) -> CheckResult:
         worst = max(worst, rel)
         rows.append((q, coarse.value, fine.value, rel, fine.tail_bound))
     tails_ok = all(r[4] < 1e-8 * max(abs(r[2]), 1e-3) for r in rows)
-    return CheckResult("bubble-scaling", worst < tol and tails_ok,
+    return CheckResult(worst < tol and tails_ok,
                        ("q", "coarse", "fine", "rel_diff", "tail_bound"), rows,
                        {"worst_rel": worst})
 
@@ -465,8 +458,7 @@ def _check_lifetime(ctx: CheckContext, tol: float) -> CheckResult:
         rows.append((model, fit.exponent, target, err))
         details[f"exponent_{model}"] = fit.exponent
     details["worst_error"] = max(row[3] for row in rows)
-    return CheckResult("lifetime-exponents", passed,
-                       ("model", "fitted", "target", "error"), rows, details)
+    return CheckResult(passed, ("model", "fitted", "target", "error"), rows, details)
 
 
 # ---------------------------------------------------------------------------

@@ -136,32 +136,39 @@ def variance_A_wibg(q, params: ModelParams) -> float:
 
 def variance_general(spec: FluctuationSpec, params: ModelParams,
                      rtol: float = 1e-7) -> float:
-    """Variance of the smeared fluctuation ``F(f, g)`` at the spec's q.
+    """Variance of the smeared fluctuation ``F(f, g)`` at the spec's q:
+    the diagonal of the symmetric form, which gives the four named
+    variances at ``(f, g) = (1, 0)`` and ``(0, 1)``."""
+    return _symmetric_form(spec, spec, params, rtol)
 
-    Mean-field gas: ``(1/2)|f + ig|^2 coth(beta eps_q/2) + |f|^2 I(q)``
-    with the bubble integral ``I`` (zero in the ground state, recovering
-    ``(1/2)|f + ig|^2``). Superfluid gas:
-    ``(eps |f + ig|^2 + 2 c^2 v Im(f + ig)^2) / (2E)`` times
-    ``coth(beta E/2)``, the form of
-    ``((eps + c^2 v)|w|^2 - c^2 v Re w^2) / (2E)`` that does not cancel
-    at small q. Both give the four named variances at
-    ``(f, g) = (1, 0)`` and ``(0, 1)`` and are multiplied by the squared
-    renormalization factor ``|q|^(2 renorm_exponent)``.
-    """
-    w = spec.field_value
-    q_norm = spec.q_norm
-    scale = spec.renorm_factor**2
+
+def _symmetric_form(spec1: FluctuationSpec, spec2: FluctuationSpec,
+                    params: ModelParams, rtol: float = 1e-7) -> float:
+    """The real bilinear form ``s`` behind every variance and covariance.
+
+    With ``w = f + ig``, ``K`` the thermal kernel and ``r`` the
+    renormalization factors: ``r1 r2 [Re(conj w1 w2) K(eps_q) +
+    Re(conj f1 f2) I(q)]`` for the mean-field gas, with the bubble ``I``
+    (zero in the ground state), and ``r1 r2 K(E_q) (eps_q Re(conj w1 w2)
+    + 2 c^2 v Im w1 Im w2) / E_q`` for the superfluid gas, which does not
+    cancel at small q as ``(eps + c^2 v) Re(conj w1 w2) - c^2 v Re(w1 w2)``
+    does."""
+    w1, w2 = spec1.field_value, spec2.field_value
+    q_norm = spec1.q_norm
+    scale = spec1.renorm_factor * spec2.renorm_factor
     eps = dispersion(q_norm, params)
-    if spec.model == "imperfect":
-        value = abs(w) ** 2 * thermal_kernel(eps, params.beta)
-        if spec.f_q0 != 0.0 and not params.is_ground_state:
-            value += abs(spec.f_q0) ** 2 * bose_bubble_integral(q_norm, params, rtol=rtol).value
+    overlap = (w1.conjugate() * w2).real
+    if spec1.model == "imperfect":
+        value = overlap * thermal_kernel(eps, params.beta)
+        f_overlap = (spec1.f_q0.conjugate() * spec2.f_q0).real
+        if f_overlap != 0.0 and not params.is_ground_state:
+            value += f_overlap * bose_bubble_integral(q_norm, params, rtol=rtol).value
         return scale * value
     if params.condensate_amplitude == 0.0:
         raise ValueError("superfluid formulas need a nonzero condensate amplitude")
     g = params.c2v(q_norm)
     energy = bogoliubov_spectrum(eps, g)
-    value = (eps * abs(w) ** 2 + 2.0 * g * w.imag**2) / energy
+    value = (eps * overlap + 2.0 * g * w1.imag * w2.imag) / energy
     return scale * thermal_kernel(energy, params.beta) * value
 
 
@@ -188,17 +195,14 @@ def covariance_form(spec1: FluctuationSpec, spec2: FluctuationSpec,
                     params: ModelParams) -> FormValue:
     """Full sesquilinear form ``s + i sigma / 2`` between two specs.
 
-    The symmetric part is obtained by polarization of the variance
-    quadratic form, so it automatically satisfies the Cauchy-Schwarz
-    bound ``|sigma|^2 / 4 <= s11 s22``.
+    The matrix ``s_ij + i sigma_ij / 2`` over any specs is the two-point
+    matrix of a state: Hermitian and positive semidefinite, with ``s``
+    its real part. Hence Cauchy-Schwarz,
+    ``s11 s22 - s12^2 >= sigma12^2 / 4``. The exponents may differ, as
+    in the canonical pair ``(|q|^-1/2 rho0, |q|^1/2 A)``.
     """
-    _check_compatible(spec1, spec2)
-    if spec1.renorm_exponent != spec2.renorm_exponent:
-        raise ValueError("polarization needs a common renormalization exponent")
-    plus = replace(spec1, f_q0=spec1.f_q0 + spec2.f_q0, g_q0=spec1.g_q0 + spec2.g_q0)
-    minus = replace(spec1, f_q0=spec1.f_q0 - spec2.f_q0, g_q0=spec1.g_q0 - spec2.g_q0)
-    s = 0.25 * (variance_general(plus, params) - variance_general(minus, params))
-    return FormValue(s=s, sigma=symplectic_sigma(spec1, spec2, params))
+    sigma = symplectic_sigma(spec1, spec2, params)  # refuses incompatible specs
+    return FormValue(s=_symmetric_form(spec1, spec2, params), sigma=sigma)
 
 
 def equivalence_distance(spec1: FluctuationSpec, spec2: FluctuationSpec,

@@ -199,13 +199,12 @@ class FiniteState:
         return coeff / np.linalg.norm(coeff)
 
     @classmethod
-    def coherent_vacuum(cls, ws: FockWorkspace, amplitude: float,
-                        zero_mode=ZERO) -> "FiniteState":
+    def coherent_vacuum(cls, ws: FockWorkspace, amplitude: float) -> "FiniteState":
         """Coherent state at the zero mode, vacuum elsewhere."""
         vec = np.array([1.0])
         for m in ws.modes:
             dim = ws.n_max[m] + 1
-            if m == tuple(zero_mode):
+            if m == ZERO:
                 col = cls._coherent_column(dim, amplitude)
             else:
                 col = np.zeros(dim)
@@ -215,8 +214,7 @@ class FiniteState:
 
     @classmethod
     def coherent_thermal(cls, ws: FockWorkspace, amplitude: float,
-                         beta: float, params: ModelParams,
-                         zero_mode=ZERO) -> "FiniteState":
+                         beta: float, params: ModelParams) -> "FiniteState":
         """Diagonal-ensemble product: Poisson weights at 0, Boltzmann at k != 0.
 
         Only the diagonal (occupation-basis) weights are kept, which is
@@ -226,7 +224,7 @@ class FiniteState:
         for m in ws.modes:
             dim = ws.n_max[m] + 1
             n = np.arange(dim, dtype=float)
-            if m == tuple(zero_mode):
+            if m == ZERO:
                 with np.errstate(divide="ignore"):
                     logw = n * 2.0 * math.log(max(abs(amplitude), 1e-300)) - np.cumsum(
                         np.log(np.maximum(n, 1.0)))
@@ -712,8 +710,7 @@ def _wibg_remainder(ws: FockWorkspace, params: ModelParams, q: Mode,
     return (pref * (b_dag @ diff + diff @ b)).tocsr()
 
 
-def goldstone_closure_check(model: str, params: ModelParams,
-                            n_max_pair: int = 8) -> ClosureReport:
+def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
     """Matrix-level closure of the Goldstone pair dynamics.
 
     For each volume: (a) verifies the exact commutator identity
@@ -745,7 +742,7 @@ def goldstone_closure_check(model: str, params: ModelParams,
             amp = params.condensate_amplitude * math.sqrt(box**3)
         n0 = coherent_cutoff(amp)
         ws = FockWorkspace(box, [ZERO, q, minus_q],
-                           {ZERO: n0, q: n_max_pair, minus_q: n_max_pair})
+                           {ZERO: n0, q: 8, minus_q: 8})
         h = build_hamiltonian(model, ws, params)
         eps_q = dispersion(q_phys, params)
         x_op = sum(_ladder_sums(ws, q))  # X = B* + B

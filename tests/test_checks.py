@@ -60,8 +60,9 @@ def test_pair_sectors_hold_the_dense_spectrum():
         assert np.max(np.abs(pieces - dense)) < 1e-12 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("ctx", [CheckContext(mass=2.0), CheckContext(beta_thermal=0.5)],
-                         ids=["mass-2", "beta-half"])
+@pytest.mark.parametrize("ctx", [CheckContext(mass=2.0), CheckContext(beta_thermal=0.5),
+                                 CheckContext(mass=0.5), CheckContext(mass=4.0)],
+                         ids=["mass-2", "beta-half", "mass-half", "mass-4"])
 def test_variance_oracle_passes_away_from_the_default(ctx):
     assert run_check("variance-oracle", ctx).passed
 

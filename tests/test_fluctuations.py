@@ -1,10 +1,12 @@
 """Unit tests for the closed-form fluctuation variances and forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bosefluct import fluctuations
 from bosefluct.fluctuations import (
     FluctuationSpec,
     covariance_form,
@@ -18,6 +20,7 @@ from bosefluct.fluctuations import (
     variance_rho0_wibg,
     variance_rho_imperfect,
 )
+from bosefluct.asymptotics import bose_bubble_integral
 from bosefluct.checks import CheckContext
 from bosefluct.model import (
     ModelParams,
@@ -175,20 +178,80 @@ class TestSymplecticAndCovariance:
     @pytest.mark.parametrize("model,params", [
         ("imperfect", imperfect_params()),
         ("wibg", wibg_params(beta=1.5)),
+        ("imperfect", imperfect_params(beta=1.5)),
+        ("wibg", wibg_params()),
     ])
     def test_cauchy_schwarz(self, model, params):
         rng = np.random.default_rng(47)
-        for _ in range(500):
+        # each thermal mean-field draw integrates the bubble three times
+        n_draws = 100 if model == "imperfect" and not params.is_ground_state else 500
+        for _ in range(n_draws):
             q = (0, 0, rng.uniform(0.05, 2.5))
             draws = rng.normal(size=8)
             s1 = FluctuationSpec(model, q, f_q0=complex(draws[0], draws[1]),
                                  g_q0=complex(draws[2], draws[3]))
             s2 = FluctuationSpec(model, q, f_q0=complex(draws[4], draws[5]),
                                  g_q0=complex(draws[6], draws[7]))
-            sigma = symplectic_sigma(s1, s2, params)
+            form = covariance_form(s1, s2, params)
+            assert form.sigma == symplectic_sigma(s1, s2, params)
             v1 = variance_general(s1, params)
             v2 = variance_general(s2, params)
-            assert sigma**2 / 4.0 <= v1 * v2 * (1.0 + 1e-12) + 1e-15
+            assert form.sigma**2 / 4.0 <= v1 * v2 * (1.0 + 1e-12) + 1e-15
+            # the full determinant of the 2x2 two-point matrix
+            assert v1 * v2 - form.s**2 - form.sigma**2 / 4.0 >= -1e-9 * v1 * v2
+
+    @pytest.mark.parametrize("model,params", [
+        ("imperfect", imperfect_params()),
+        ("imperfect", imperfect_params(beta=1.0)),
+        ("wibg", wibg_params()),
+        ("wibg", wibg_params(beta=1.0)),
+    ], ids=["imperfect-ground", "imperfect-thermal", "wibg-ground", "wibg-thermal"])
+    def test_symmetric_part_is_the_polarized_variance(self, model, params):
+        # oracle: s = (V(s1 + s2) - V(s1 - s2)) / 4 on a common exponent
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            q = (0, 0, math.exp(rng.uniform(math.log(1e-3), math.log(2.0))))
+            exponent = rng.uniform(-1.0, 1.0)
+            w = rng.normal(size=8)
+            s1 = FluctuationSpec(model, q, f_q0=complex(w[0], w[1]),
+                                 g_q0=complex(w[2], w[3]), renorm_exponent=exponent)
+            s2 = FluctuationSpec(model, q, f_q0=complex(w[4], w[5]),
+                                 g_q0=complex(w[6], w[7]), renorm_exponent=exponent)
+            plus = variance_general(replace(s1, f_q0=s1.f_q0 + s2.f_q0,
+                                            g_q0=s1.g_q0 + s2.g_q0), params)
+            minus = variance_general(replace(s1, f_q0=s1.f_q0 - s2.f_q0,
+                                             g_q0=s1.g_q0 - s2.g_q0), params)
+            s = covariance_form(s1, s2, params).s
+            assert abs(s - (plus - minus) / 4.0) <= 1e-12 * (plus + minus)
+
+    @pytest.mark.parametrize("f2,params,calls", [
+        (0.3 - 1.0j, imperfect_params(beta=1.0), 1),
+        (1.0j, imperfect_params(beta=1.0), 0),  # Re(conj f1 f2) = 0
+        (0.3 - 1.0j, imperfect_params(), 0),  # ground state
+    ], ids=["thermal", "orthogonal-f", "ground"])
+    def test_one_bubble_per_form(self, monkeypatch, f2, params, calls):
+        count = []
+
+        def counted(*args, **kwargs):
+            count.append(1)
+            return bose_bubble_integral(*args, **kwargs)
+
+        monkeypatch.setattr(fluctuations, "bose_bubble_integral", counted)
+        s1 = FluctuationSpec("imperfect", 0.4, f_q0=1.0, g_q0=0.2 + 0.5j)
+        s2 = FluctuationSpec("imperfect", 0.4, f_q0=f2, g_q0=-0.7)
+        covariance_form(s1, s2, params)
+        assert len(count) == calls
+
+    @pytest.mark.parametrize("q", [1e-3, 0.1])
+    @pytest.mark.parametrize("kind", ["wibg", "wibg_thermal"])
+    def test_canonical_pair_of_mixed_exponents(self, q, kind):
+        # (|q|^-1/2 rho0, |q|^1/2 A): the exponents differ across the pair
+        params = getattr(CheckContext(), kind)
+        rho_r = FluctuationSpec("wibg", q, f_q0=1.0, renorm_exponent=-0.5)
+        a_r = FluctuationSpec("wibg", q, g_q0=1.0, renorm_exponent=0.5)
+        form = covariance_form(rho_r, a_r, params)
+        assert form.s == pytest.approx(0.0, abs=1e-15)
+        assert form.sigma == pytest.approx(1.0, rel=1e-12)
 
     def test_mismatched_specs_rejected(self):
         params = imperfect_params()

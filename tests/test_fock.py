@@ -239,7 +239,7 @@ class TestBchAndClt:
         ws = FockWorkspace(1.0, [Q], 60)
         x = (ws.creator(Q) + ws.annihilator(Q)) / math.sqrt(2.0)
         p = 1j * (ws.creator(Q) - ws.annihilator(Q)) / math.sqrt(2.0)
-        state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
+        state = FiniteState.coherent_vacuum(ws, 0.0)
         assert bch_defect(x, p, state) < 1e-10
 
     def test_bound_dominates_defect(self):
@@ -248,7 +248,7 @@ class TestBchAndClt:
         p = 1j * (ws.creator(Q) - ws.annihilator(Q))
         f1 = 0.3 * (x @ x)
         f2 = 0.3 * p
-        state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
+        state = FiniteState.coherent_vacuum(ws, 0.0)
         defect = bch_defect(f1, f2, state)
         assert defect > 1e-6  # genuinely non-closing pair
         assert defect <= appendix_bound(f1, f2, state)
@@ -268,7 +268,7 @@ class TestBchAndClt:
     def test_single_quadrature_gaussian(self):
         ws = FockWorkspace(1.0, [Q], 50)
         f_op = (ws.creator(Q) + ws.annihilator(Q)) / math.sqrt(2.0)
-        state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
+        state = FiniteState.coherent_vacuum(ws, 0.0)
         t_grid = np.linspace(0.0, 2.0, 9)
         values = clt_char_function(f_op, t_grid, state)
         assert np.allclose(values, np.exp(-t_grid**2 / 4.0), atol=1e-12)
@@ -276,7 +276,7 @@ class TestBchAndClt:
     def test_leakage_warning(self):
         ws = FockWorkspace(1.0, [Q], 3)
         f_op = ws.creator(Q) + ws.annihilator(Q)
-        state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
+        state = FiniteState.coherent_vacuum(ws, 0.0)
         with pytest.warns(RuntimeWarning):
             clt_char_function(f_op, [3.0], state)
 
@@ -353,7 +353,7 @@ class TestLanczosCharFunction:
         monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 2)
         ws = FockWorkspace(1.0, [Q], 1)
         f_op = ws.creator(Q) + ws.annihilator(Q)
-        state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
+        state = FiniteState.coherent_vacuum(ws, 0.0)
         t_grid = np.linspace(0.0, 3.0, 7)
         with pytest.warns(RuntimeWarning):  # the top level is level 1
             values = clt_char_function(f_op, t_grid, state)
@@ -363,7 +363,7 @@ class TestLanczosCharFunction:
         monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 3)
         ws = FockWorkspace(1.0, [Q], 50)
         f_op = (ws.creator(Q) + ws.annihilator(Q)) / math.sqrt(2.0)
-        state = FiniteState.coherent_vacuum(ws, 0.0, zero_mode=Q)
+        state = FiniteState.coherent_vacuum(ws, 0.0)
         with pytest.raises(RuntimeError):
             clt_char_function(f_op, [2.0], state)
 
@@ -404,7 +404,7 @@ class TestGoldstoneClosure:
         ("wibg", wibg_params()),
     ])
     def test_closure(self, model, params):
-        report = goldstone_closure_check(model, params, n_max_pair=6)
+        report = goldstone_closure_check(model, params)
         assert report.identity_defect < 1e-10
         assert report.secondary_defect < 1e-8
         assert report.remainder_norms[0] > report.remainder_norms[-1]
