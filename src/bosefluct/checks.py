@@ -264,7 +264,7 @@ def _bch_operators(params: ModelParams, box: float):
                             {(0, 0, 0): fock.coherent_cutoff(amp),
                              q: 10, mq: 10})
     state = fock.FiniteState.coherent_vacuum(ws, amp)
-    rho = fock.density_fluct_matrix(ws, params, q)
+    rho = fock.condensate_fluct_matrix(ws, q, amp)
     a_op = fock.order_param_fluct_matrix(ws, q)
     return ws, state, rho, a_op
 
@@ -285,13 +285,10 @@ def _check_bch(ctx: CheckContext, tol: float) -> CheckResult:
                        {"monotone": float(monotone), "bounded": float(bounded)})
 
 
-def _clt_operator(ws, params, f, g):
-    q, mq, zero = (0, 0, 1), (0, 0, -1), (0, 0, 0)
-    smear = {(q, zero): f, (mq, zero): f,
-             (zero, q): np.conj(f), (zero, mq): np.conj(f)}
-    rho_f = fock.density_fluct_matrix(ws, params, q, smear=smear)
-    a_g = fock.order_param_fluct_matrix(ws, q, g_q0=g)
-    return (rho_f + a_g).tocsr()
+def _clt_operator(ws, amp, f, g):
+    q = (0, 0, 1)
+    return (fock.condensate_fluct_matrix(ws, q, amp, f_q0=f)
+            + fock.order_param_fluct_matrix(ws, q, g_q0=g)).tocsr()
 
 
 def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
@@ -316,7 +313,7 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
             fluctuations.FluctuationSpec("imperfect", ws.k_phys(q), f_q0=f, g_q0=g), params)
         t_max = 1.5 / math.sqrt(s_closed)
         t_grid = np.linspace(0.0, t_max, 7)[1:]
-        f_op = _clt_operator(ws, params, f, g)
+        f_op = _clt_operator(ws, amp, f, g)
         values = fock.clt_char_function(f_op, t_grid, state)
         worst_imag = max(worst_imag, float(np.max(np.abs(np.angle(values)))))
         y = -2.0 * np.log(np.abs(values))
@@ -332,9 +329,32 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
                        rows, {"worst_rel": worst_rel, "worst_imag": worst_imag})
 
 
-def _closure_result(report: fock.ClosureReport, tol: float) -> CheckResult:
+def _virial_ratio(model: str, params: ModelParams) -> Tuple[float, float]:
+    """Oscillator energy ``Omega`` and the extrapolated ``Omega^2 <rho~^2> / <A~^2>``
+    of the rescaled pair.
+
+    Evaluated on the closed-form variances along the tail ``q = 0.25 * 2^-j``,
+    j = 0..3, and Richardson-extrapolated in ``q^2`` (the ratio is smooth in ``q^2``).
+    """
+    if model == "imperfect":
+        # ground state: both closed forms are exactly 1/2 at every q
+        return 1.0, (fluctuations.variance_rho_imperfect(0.25, params)
+                     / fluctuations.variance_A_imperfect(0.25, params))
+    omega = omega_gap(params)
+    q_tail = [0.25 * 0.5**j for j in range(4)]
+    ratios = [
+        omega**2 * (fluctuations.variance_rho0_wibg(qn, params) / qn)
+        / (qn * fluctuations.variance_A_wibg(qn, params))
+        for qn in q_tail
+    ]
+    return omega, asymptotics.richardson([qn**2 for qn in q_tail], ratios)
+
+
+def _closure_result(report: fock.ClosureReport, params: ModelParams,
+                    tol: float) -> CheckResult:
+    omega, virial = _virial_ratio(report.model, params)
     rate_ok = abs(report.remainder_rate.exponent + 0.5) < 0.1
-    virial_ok = abs(report.virial_ratio - 1.0) < 1e-3
+    virial_ok = abs(virial - 1.0) < 1e-3
     passed = report.identity_defect < tol and rate_ok and virial_ok \
         and report.secondary_defect < 1e-8
     rows = [(v, n) for v, n in zip(report.volumes, report.remainder_norms)]
@@ -342,27 +362,26 @@ def _closure_result(report: fock.ClosureReport, tol: float) -> CheckResult:
         "identity_defect": report.identity_defect,
         "secondary_defect": report.secondary_defect,
         "remainder_rate": report.remainder_rate.exponent,
-        "virial_ratio": report.virial_ratio,
-        "oscillator_energy": report.oscillator_energy,
+        "virial_ratio": virial,
+        "oscillator_energy": omega,
     })
 
 
 def _check_goldstone_imperfect(ctx: CheckContext, tol: float) -> CheckResult:
-    report = fock.goldstone_closure_check("imperfect", ctx.imperfect_ground)
-    return _closure_result(report, tol)
+    params = ctx.imperfect_ground
+    return _closure_result(fock.goldstone_closure_check("imperfect", params), params, tol)
 
 
 def _check_goldstone_wibg(ctx: CheckContext, tol: float) -> CheckResult:
-    report = fock.goldstone_closure_check("wibg", ctx.wibg)
-    return _closure_result(report, tol)
+    params = ctx.wibg
+    return _closure_result(fock.goldstone_closure_check("wibg", params), params, tol)
 
 
 def _virial_result(model: str, params: ModelParams, tol: float) -> CheckResult:
-    scale = 1.0 if model == "imperfect" else omega_gap(params)
-    ratio = fock._virial_ratio(model, params, scale)
+    omega, ratio = _virial_ratio(model, params)
     err = abs(ratio - 1.0)
     return CheckResult(err < tol, ("omega", "virial_ratio", "error"),
-                       [(scale, ratio, err)], {"virial_ratio": ratio})
+                       [(omega, ratio, err)], {"virial_ratio": ratio})
 
 
 def _check_virial_imperfect(ctx: CheckContext, tol: float) -> CheckResult:

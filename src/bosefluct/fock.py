@@ -1,12 +1,16 @@
 """Truncated Fock-space simulator: matrix-level ground truth.
 
-Builds small multi-mode bosonic workspaces with sparse ladder
-operators, assembles the mean-field and superfluid Hamiltonians, and
-provides the matrix-level checks: exact commutator identities of the
-Goldstone pair, BCH defects in the state seminorm, characteristic
-functions for the central-limit check, the vanishing commutator of the
-two-body interaction with the density fluctuation, and the truncation
-rederivation of the superfluid Hamiltonian.
+Builds small multi-mode bosonic workspaces whose ladder operators are
+read off the occupation table (one diagonal per mode), assembles the
+mean-field and superfluid Hamiltonians, and provides the matrix-level
+checks: exact commutator identities of the Goldstone pair, BCH defects
+in the state seminorm, characteristic functions for the central-limit
+check, the vanishing commutator of the two-body interaction with the
+density fluctuation, and the truncation rederivation of the superfluid
+Hamiltonian. Every check that uses a
+density operator runs on the workspace ``[0, q, -q]``, where one
+zero-mode builder, :func:`condensate_fluct_matrix`, writes the density
+fluctuation of both gases.
 
 Modes are labeled by integer lattice triples. For the interaction
 checks the mode label arithmetic is taken modulo a small torus so that
@@ -25,8 +29,8 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh, expm_multiply
 
-from .asymptotics import fit_power_law, richardson, PowerLawFit
-from .model import ModelParams, dispersion, omega_gap
+from .asymptotics import fit_power_law, PowerLawFit
+from .model import ModelParams, dispersion
 
 __all__ = [
     "FockWorkspace",
@@ -117,16 +121,21 @@ class FockWorkspace:
         return np.asarray(mode, dtype=float) * self.spacing
 
     def annihilator(self, mode) -> sp.csr_matrix:
+        """``a_k`` as one diagonal at the mode's stride in the basis index.
+
+        Basis state ``i`` holds ``n_k`` bosons in mode ``k``; ``a_k`` maps it to
+        ``i - stride`` with weight ``sqrt(n_k)``. For ``n_k = 0`` that index
+        belongs to other occupations of the slower modes; the zero weight
+        drops the entry.
+        """
         m = tuple(int(x) for x in mode)
         hit = self._ladder_cache.get(m)
         if hit is not None:
             return hit
         j = self.index(m)
-        n_loc = self._dims[j]
-        local = sp.diags(np.sqrt(np.arange(1, n_loc)), 1, format="csr")
-        left = sp.identity(int(np.prod(self._dims[:j])), format="csr")
-        right = sp.identity(int(np.prod(self._dims[j + 1:])), format="csr")
-        op = sp.kron(sp.kron(left, local, format="csr"), right, format="csr")
+        stride = int(np.prod(self._dims[j + 1:]))
+        op = sp.diags(np.sqrt(self.occupations[stride:, j]), stride,
+                      shape=(self.dimension, self.dimension), format="csr")
         self._ladder_cache[m] = op
         return op
 
@@ -314,31 +323,6 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
 # -- fluctuation operators on a workspace ---------------------------------
 
 
-def density_fluct_matrix(ws: FockWorkspace, params: ModelParams, q_lat,
-                         smear: Mapping | None = None) -> sp.csr_matrix:
-    """Cos-convention density fluctuation, k-sum restricted to the mode set.
-
-    ``(1 / 2 sqrt(rho0 V)) sum_k [f(k+q,k) a*_{k+q} a_k + f(k-q,k) a*_{k-q} a_k]``
-    with ``f = 1`` by default; ``smear`` maps (k_to, k_from) lattice
-    pairs to coefficients for the smeared variant.
-    """
-    rho0 = params.condensate_density
-    if rho0 <= 0.0:
-        raise ValueError("needs condensate_density > 0")
-    norm = 1.0 / (2.0 * math.sqrt(rho0 * ws.volume))
-    q = np.asarray(q_lat, dtype=int)
-    modes = set(ws.modes)
-    terms = []
-    for k in ws.modes:
-        for shift in (q, -q):
-            k_to = tuple(int(x) for x in (np.asarray(k) + shift))
-            if k_to in modes:
-                coef = 1.0 if smear is None else smear.get((k_to, k), 0.0)
-                if coef != 0.0:
-                    terms.append((norm * coef, k_to, k))
-    return ws.transfer_operator(terms)
-
-
 def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
     """``B* = a*_q + a*_{-q}`` and ``B = a_q + a_{-q}``."""
     q, minus_q = _plus_minus(q_lat)
@@ -358,15 +342,19 @@ def order_param_fluct_matrix(ws: FockWorkspace, q_lat, g_q0: complex = 1.0,
     return (renorm * 0.5j * (g * b_dag - np.conj(g) * b)).tocsr()
 
 
-def condensate_fluct_matrix(ws: FockWorkspace, params: ModelParams, q_lat,
+def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
                             f_q0: complex = 1.0, renorm: float = 1.0) -> sp.csr_matrix:
-    """Condensate-density fluctuation
-    ``(1 / 2 c sqrt(V)) [f (a*_q + a*_{-q}) a_0 + conj(f) a*_0 (a_q + a_{-q})]``.
+    """Zero-mode density fluctuation ``(renorm / 2z) [f B* a_0 + conj(f) a*_0 B]``.
+
+    ``B* = a*_q + a*_{-q}`` and ``z`` is the zero-mode amplitude the state
+    is built with (``sqrt(rho0 V)`` or ``c sqrt(V)``). On the ``[0, q, -q]``
+    workspace the mean-field density fluctuation keeps only these four
+    transfers, so this one builder serves both gases; ``f = i eps_q`` gives
+    the density weighted by ``i (eps_k - eps_k')``.
     """
-    c = params.condensate_amplitude
-    if c == 0.0:
-        raise ValueError("needs a condensate amplitude")
-    norm = renorm / (2.0 * c * math.sqrt(ws.volume))
+    if amplitude == 0.0:
+        raise ValueError("needs a nonzero zero-mode amplitude")
+    norm = renorm / (2.0 * amplitude)
     f = complex(f_q0)
     b_dag, b = _ladder_sums(ws, q_lat)
     up = b_dag @ ws.annihilator(ZERO)
@@ -672,8 +660,6 @@ class ClosureReport:
     remainder_norms: Tuple[float, ...]
     volumes: Tuple[float, ...]
     remainder_rate: PowerLawFit
-    virial_ratio: float
-    oscillator_energy: float
 
 
 def _imperfect_remainder(ws: FockWorkspace, params: ModelParams, q: Mode) -> sp.csr_matrix:
@@ -713,24 +699,21 @@ def _wibg_remainder(ws: FockWorkspace, params: ModelParams, q: Mode,
 def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
     """Matrix-level closure of the Goldstone pair dynamics.
 
-    For each volume: (a) verifies the exact commutator identity
-    ``i[H, rho] = rho(eps-tilde) + R`` with the closed-form remainder R
-    (defect below truncation ~ 0), (b) records the state seminorm of R,
-    later fitted against volume (expected rate ``V^{-1/2}``), and (c)
-    computes the virial ratio ``Omega^2 <rho~^2> / <A~^2>`` of the
-    rescaled pair via Richardson extrapolation in ``q^2`` of the exact
-    closed forms. The physical wavevector ``q = pi`` is held fixed across
-    the box sides 2, 4, 6 and 8, on each of whose lattices it sits, so
-    the remainder decay isolates the volume scaling.
+    For each volume: (a) verifies two exact commutator identities (defects
+    below truncation ~ 0), ``i[H, rho] = rho(eps-tilde) + R`` on the density
+    side, where ``R = 0`` for the mean-field gas, and ``i[H, A]`` in closed
+    form on the order-parameter side, which is ``-(eps_q/2) X + R`` for the
+    mean-field gas; (b) records the state seminorm of the gas's remainder
+    R, later fitted against volume (expected rate ``V^{-1/2}``). The physical wavevector ``q = pi`` is held fixed
+    across the box sides 2, 4, 6 and 8, on each of whose lattices it sits,
+    so the remainder decay isolates the volume scaling.
     """
-    q_phys = math.pi
-    if model == "imperfect":
-        energy_scale = 1.0
-    elif model == "wibg":
-        energy_scale = omega_gap(params)
-    else:
+    if model not in ("imperfect", "wibg"):
         raise ValueError(f"unknown model tag {model!r}")
-
+    q_phys = math.pi
+    eps_q = dispersion(q_phys, params)
+    # the superfluid pair is rescaled: rho0 by |q|^{-1/2}, A by |q|^{1/2}
+    renorm = 1.0 if model == "imperfect" else q_phys**-0.5
     identity_defect = 0.0
     secondary_defect = 0.0
     norms, volumes = [], []
@@ -740,86 +723,43 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
             amp = math.sqrt(params.condensate_density * box**3)
         else:
             amp = params.condensate_amplitude * math.sqrt(box**3)
-        n0 = coherent_cutoff(amp)
         ws = FockWorkspace(box, [ZERO, q, minus_q],
-                           {ZERO: n0, q: 8, minus_q: 8})
+                           {ZERO: coherent_cutoff(amp), q: 8, minus_q: 8})
         h = build_hamiltonian(model, ws, params)
-        eps_q = dispersion(q_phys, params)
         x_op = sum(_ladder_sums(ws, q))  # X = B* + B
         proj = ws.below_truncation_projector(margin=2)
+        rho = condensate_fluct_matrix(ws, q, amp, renorm=renorm)
+        # i[H, rho] = rho(eps~) + R; R = 0 for the mean-field gas, whose N-terms commute
+        rho_rhs = condensate_fluct_matrix(ws, q, amp, f_q0=1j * eps_q, renorm=renorm)
 
         if model == "imperfect":
             state = FiniteState.coherent_vacuum(ws, amp)
-            rho_op = density_fluct_matrix(ws, params, q)
-            rho_eps = _rho_eps_tilde(ws, params, q)
-            rho_defect = dynamics_commutator(h, rho_op) - rho_eps
-            identity_defect = max(identity_defect, _projected_norm(rho_defect, proj))
-            # i[H, A] = i[T, A] + R = -(eps_q/2) X + R exactly
             a_op = order_param_fluct_matrix(ws, q)
-            a_kinetic = (-0.5 * eps_q) * x_op
             remainder = _imperfect_remainder(ws, params, q)
-            a_defect = dynamics_commutator(h, a_op) - a_kinetic - remainder
-            secondary_defect = max(secondary_defect, _projected_norm(a_defect, proj))
+            a_rhs = (-0.5 * eps_q) * x_op + remainder
         else:
             state = FiniteState.coherent_b_vacuum(ws, params, q, amp)
-            renorm = q_phys**-0.5
-            rho0 = condensate_fluct_matrix(ws, params, q, renorm=renorm)
-            rho0_eps = condensate_fluct_matrix(ws, params, q, f_q0=1j * eps_q,
-                                               renorm=renorm)
-            remainder = _wibg_remainder(ws, params, q, renorm)
-            defect_op = dynamics_commutator(h, rho0) - rho0_eps - remainder
-            identity_defect = max(identity_defect, _projected_norm(defect_op, proj))
             # i[H, A] = -((eps + 2 c^2 v)/2) r X - (v(0) r / 4V)(N X + X N)
             r_a = math.sqrt(q_phys)
-            g = params.c2v(q_phys)
             a_op = order_param_fluct_matrix(ws, q, renorm=r_a)
+            remainder = _wibg_remainder(ws, params, q, renorm)
+            rho_rhs = rho_rhs + remainder
             n_tot = ws.total_number()
-            exact = (-(0.5 * (eps_q + 2.0 * g) * r_a) * x_op
+            a_rhs = (-(0.5 * (eps_q + 2.0 * params.c2v(q_phys)) * r_a) * x_op
                      - (params.v(0.0) * r_a / (4.0 * ws.volume))
                      * (n_tot @ x_op + x_op @ n_tot))
-            a_defect = dynamics_commutator(h, a_op) - exact
-            secondary_defect = max(secondary_defect, _projected_norm(a_defect, proj))
+        identity_defect = max(identity_defect, _projected_norm(
+            dynamics_commutator(h, rho) - rho_rhs, proj))
+        secondary_defect = max(secondary_defect, _projected_norm(
+            dynamics_commutator(h, a_op) - a_rhs, proj))
         norms.append(state.seminorm(remainder))
         volumes.append(box**3)
 
-    rate = fit_power_law(list(zip(volumes, norms)))
-    virial = _virial_ratio(model, params, energy_scale)
     return ClosureReport(
         model=model,
         identity_defect=identity_defect,
         secondary_defect=secondary_defect,
         remainder_norms=tuple(norms),
         volumes=tuple(volumes),
-        remainder_rate=rate,
-        virial_ratio=virial,
-        oscillator_energy=energy_scale,
+        remainder_rate=fit_power_law(list(zip(volumes, norms))),
     )
-
-
-def _rho_eps_tilde(ws: FockWorkspace, params: ModelParams, q) -> sp.csr_matrix:
-    """Smeared density fluctuation with ``f(k, k') = i (eps_k - eps_k')``."""
-    eps = {k: dispersion(ws.k_phys(k), params) for k in ws.modes}
-    # density_fluct_matrix looks up only the pairs (k +- q, k) it keeps
-    smear = {(k_to, k): 1j * (eps[k_to] - eps[k]) for k_to in ws.modes for k in ws.modes}
-    return density_fluct_matrix(ws, params, q, smear=smear)
-
-
-def _virial_ratio(model: str, params: ModelParams, energy_scale: float) -> float:
-    """Extrapolated ``Omega^2 <rho~^2> / <A~^2>`` of the rescaled pair.
-
-    Evaluated on the closed-form variances along the tail ``q = 0.25 * 2^-j``,
-    j = 0..3, and Richardson-extrapolated in ``q^2`` (the ratio is smooth in ``q^2``).
-    """
-    from .fluctuations import (variance_A_imperfect, variance_A_wibg,
-                               variance_rho0_wibg, variance_rho_imperfect)
-
-    if model == "imperfect":
-        # ground state: both closed forms are exactly 1/2 at every q
-        return variance_rho_imperfect(0.25, params) / variance_A_imperfect(0.25, params)
-    q_tail = [0.25 * 0.5**j for j in range(4)]
-    ratios = [
-        energy_scale**2 * (variance_rho0_wibg(qn, params) / qn)
-        / (qn * variance_A_wibg(qn, params))
-        for qn in q_tail
-    ]
-    return richardson([qn**2 for qn in q_tail], ratios)

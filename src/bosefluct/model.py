@@ -164,7 +164,8 @@ def bose_occupation(eps, beta: float):
     x = beta * eps_arr
     if np.any(x <= 0.0):
         raise ValueError("bose_occupation requires eps > 0 at finite beta")
-    out = 1.0 / np.expm1(x)
+    # e^{-x} / (1 - e^{-x}) is 1 / (e^x - 1) without overflow at large x
+    out = np.exp(-x) / -np.expm1(-x)
     return float(out) if eps_arr.ndim == 0 else out
 
 

@@ -4,6 +4,7 @@ import ast
 import importlib
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,14 @@ class TestBoseOccupation:
     def test_divergence_rejected(self):
         with pytest.raises(ValueError):
             bose_occupation(0.0, 1.0)
+
+    def test_matches_expm1_form_and_never_overflows(self):
+        x = np.geomspace(1e-10, 700.0, 2001)
+        assert np.allclose(bose_occupation(x, 1.0), 1.0 / np.expm1(x), rtol=1e-15, atol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = bose_occupation(np.array([710.0, 800.0, 1e6]), 1.0)
+        assert np.all((tail >= 0.0) & (tail < 1e-300))
 
     def test_array(self):
         out = bose_occupation(np.array([1.0, 2.0]), math.inf)

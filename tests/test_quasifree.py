@@ -1,12 +1,14 @@
 """Unit tests for the quasi-free Wick oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosefluct.checks import CheckContext
 from bosefluct.model import (
     ModelParams,
     MomentumGrid,
@@ -215,6 +217,15 @@ class TestFiniteVolumeVariance:
         second = _op_expectation(state, _product_terms(transfers, transfers))
         wick = second.real / (4.0 * state.params.condensate_density * state.volume)
         assert finite_volume_variance(state, "rho", Q) == pytest.approx(wick, rel=1e-12)
+
+    def test_small_mass_lattice_sum_does_not_overflow(self):
+        # beta eps passes 709 on the shifted lattice momenta at m / beta = 1/16
+        state = QuasiFreeState("imperfect", CheckContext(mass=1.0 / 16.0).imperfect_thermal,
+                               MomentumGrid(4.0, 6.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = finite_volume_variance(state, "rho", (0, 0, 2))
+        assert math.isfinite(value) and value > 0.0
 
     def test_rejects_zero_q(self):
         with pytest.raises(ValueError):
