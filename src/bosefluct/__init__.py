@@ -11,15 +11,14 @@ emergent harmonic-oscillator dynamics.
 __version__ = "0.1.0"
 
 from .model import (
-    BogoliubovCoefficients,
     ModelParams,
     MomentumGrid,
-    bogoliubov_coefficients,
     bogoliubov_spectrum,
     bose_occupation,
     dispersion,
     gaussian_potential,
     omega_gap,
+    pair_averages,
     thermal_kernel,
 )
 from .quasifree import (
@@ -69,9 +68,9 @@ from .checks import REGISTRY, CheckContext, CheckResult, run_check
 __all__ = [
     "__version__",
     # model
-    "ModelParams", "MomentumGrid", "BogoliubovCoefficients",
+    "ModelParams", "MomentumGrid",
     "gaussian_potential", "dispersion", "bose_occupation",
-    "thermal_kernel", "bogoliubov_spectrum", "bogoliubov_coefficients", "omega_gap",
+    "thermal_kernel", "bogoliubov_spectrum", "pair_averages", "omega_gap",
     # quasifree
     "QuasiFreeState", "OperatorWord", "wick_expectation", "finite_volume_variance",
     # fluctuations

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy import integrate
 
-from .model import ModelParams, bogoliubov_spectrum, dispersion
+from .model import ModelParams, bogoliubov_spectrum, dispersion, pair_averages
 
 __all__ = [
     "IntegralResult",
@@ -174,8 +174,9 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
 
     ``(2 pi)^-3 int d^3k [n_{k+q}(n_k + 1) + m_{k+q} m_k]`` with the
     depletion density ``n_k = sinh^2 a_k`` and the anomalous average
-    ``m_k = -c^2 v(k) / (2 E_k)``. This is the excited-mode contribution
-    to the full-density structure factor at zero temperature.
+    ``m_k = -c^2 v(k) / (2 E_k)``, the ``model.pair_averages`` of the
+    ground state. This is the excited-mode contribution to the
+    full-density structure factor at zero temperature.
 
     The angular variable becomes ``p = |k + q|`` (``du = p dp / (r q)``),
     so at radius ``r = |k|`` the inner integral is
@@ -197,19 +198,15 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
         raise ValueError("pair bubble implemented for the ground state only")
     nodes, weights = _gauss_legendre(PAIR_NODES)
 
-    def depletion_and_anomalous(k: np.ndarray):
-        eps = dispersion(k[:, None], params)  # one radius per row, not one 3-vector
-        g = params.c2v(k)
-        energy = bogoliubov_spectrum(eps, g)
-        return 0.5 * ((eps + g) / energy - 1.0), -g / (2.0 * energy)
-
     def radial(r: float) -> float:
         if r == 0.0:
             return 0.0
         # p runs over [|r-q|, r+q]: midpoint max(r, q), half-width min(r, q)
         half = min(r, q_norm)
         p = max(r, q_norm) + half * nodes
-        n, m = depletion_and_anomalous(np.concatenate(([r], p)))
+        k = np.concatenate(([r], p))
+        # one radius per row of k[:, None], not one 3-vector
+        n, m = pair_averages(dispersion(k[:, None], params), params.c2v(k), params.beta)
         inner = p * (n[1:] * (n[0] + 1.0) + m[1:] * m[0])
         return r / q_norm * half * float(weights @ inner)
 
@@ -225,8 +222,8 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
     prefactor = 1.0 / (4.0 * math.pi**2)
     value, abserr = integrate.quad(radial, 0.0, k_max, points=[q_norm],
                                    epsrel=rtol, epsabs=0.0, limit=400)
-    n_t, m_t = depletion_and_anomalous(np.array([k_max]))
-    tail_bound = prefactor * 8.0 * k_max**2 * float(abs(n_t[0]) + abs(m_t[0]))
+    n_t, m_t = pair_averages(dispersion(k_max, params), params.c2v(k_max), params.beta)
+    tail_bound = prefactor * 8.0 * k_max**2 * (abs(n_t) + abs(m_t))
     return IntegralResult(prefactor * value, prefactor * abserr, tail_bound)
 
 

@@ -176,10 +176,13 @@ def _check_variance_oracle(ctx: CheckContext, tol: float) -> CheckResult:
         rows.append((label, 0.5, val, err))
 
     thermal = ctx.imperfect_thermal
-    # the Boltzmann tail exp(-beta k^2 / 2m) sets the momentum cutoff, and the
-    # box sides grow with it; even sides put q = pi on the lattice at box / 2
-    width = max(1.0, math.sqrt(thermal.mass / thermal.beta))
-    cutoff = 6.5 * width
+    # the Boltzmann tail exp(-beta k^2 / 2m), of width s = sqrt(m / beta), sets
+    # the momentum cutoff; the box sides grow with a wide tail (more modes
+    # under the cutoff) and, below s = 1/2, with a narrow one (a finer
+    # lattice than s). Even sides put q = pi on the lattice at box / 2
+    s = math.sqrt(thermal.mass / thermal.beta)
+    cutoff = 6.5 * max(1.0, s)
+    width = max(1.0, s, 0.5 / s)
     boxes = [2.0 * round(side * width / 2.0) for side in (4.0, 6.0, 8.0)]
     vals = []
     for box in boxes:

@@ -179,8 +179,7 @@ def _check_compatible(spec1: FluctuationSpec, spec2: FluctuationSpec):
         raise ValueError("specs use different wavevectors")
 
 
-def symplectic_sigma(spec1: FluctuationSpec, spec2: FluctuationSpec,
-                     params: ModelParams) -> float:
+def symplectic_sigma(spec1: FluctuationSpec, spec2: FluctuationSpec) -> float:
     """Symplectic form ``sigma = Im[conj(f1 + i g1) (f2 + i g2)]``.
 
     Model-independent: it descends from the limit of the commutator,
@@ -201,7 +200,7 @@ def covariance_form(spec1: FluctuationSpec, spec2: FluctuationSpec,
     ``s11 s22 - s12^2 >= sigma12^2 / 4``. The exponents may differ, as
     in the canonical pair ``(|q|^-1/2 rho0, |q|^1/2 A)``.
     """
-    sigma = symplectic_sigma(spec1, spec2, params)  # refuses incompatible specs
+    sigma = symplectic_sigma(spec1, spec2)  # refuses incompatible specs
     return FormValue(s=_symmetric_form(spec1, spec2, params), sigma=sigma)
 
 
@@ -213,10 +212,13 @@ def equivalence_distance(spec1: FluctuationSpec, spec2: FluctuationSpec,
     Zero exactly when the limiting fluctuation fields coincide, e.g.
     for the pair ``(f, 0)`` versus ``(0, Jf)``. The q -> 0 limit is a
     Richardson extrapolation over the four wavevector norms
-    ``|q| 2^-j``, j = 0..3, seeded from the specs' own q.
+    ``|q| 2^-j``, j = 0..3, seeded from the specs' own q. Both specs
+    must carry the same ``renorm_exponent``: the difference spec has one.
     """
     if spec1.model != spec2.model:
         raise ValueError("specs use different models")
+    if spec1.renorm_exponent != spec2.renorm_exponent:
+        raise ValueError("specs use different renormalization exponents")
     diff = replace(spec1, f_q0=spec1.f_q0 - spec2.f_q0, g_q0=spec1.g_q0 - spec2.g_q0)
     q_tail = [spec1.q_norm * 0.5**j for j in range(4)]
     values = [variance_general(replace(diff, q=qn), params) for qn in q_tail]

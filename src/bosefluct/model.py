@@ -1,11 +1,11 @@
-"""Physical parameters, dispersion and Bogoliubov diagonalization data.
+"""Physical parameters, dispersion and Bogoliubov two-point averages.
 
 Closed-form scalar layer shared by every other module: the free-particle
-dispersion, Bose occupation numbers, the thermal two-point kernel
-``(1/2) coth(beta e / 2)``, the Bogoliubov excitation spectrum with its
-transformation coefficients, and the collective gap constant
-``Omega = sqrt(4 m c^2 v(0))`` of the superfluid model. The other
-modules take these formulas from here rather than writing them out.
+dispersion, the Bose factor, the thermal two-point kernel
+``(1/2) coth(beta e / 2)``, the Bogoliubov excitation spectrum, the
+normal and anomalous averages of one Bogoliubov mode, and the collective
+gap constant ``Omega = sqrt(4 m c^2 v(0))`` of the superfluid model. The
+other modules take these formulas from here rather than writing them out.
 
 Units: hbar = 1 throughout. ``beta = math.inf`` is a first-class value
 and selects the ground state.
@@ -22,13 +22,12 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "MomentumGrid",
-    "BogoliubovCoefficients",
     "gaussian_potential",
     "dispersion",
     "bose_occupation",
     "thermal_kernel",
     "bogoliubov_spectrum",
-    "bogoliubov_coefficients",
+    "pair_averages",
     "omega_gap",
 ]
 
@@ -153,33 +152,30 @@ def dispersion(k, params: ModelParams) -> float:
 def bose_occupation(eps, beta: float):
     """Bose factor ``1 / (exp(beta eps) - 1)``.
 
-    Returns 0 for the ground state (``beta = inf``). Raises on
-    ``eps <= 0`` at finite beta, where the factor diverges.
-    Accepts scalars or arrays in ``eps``.
+    Returns 0 for the ground state (``beta = inf``). At finite beta it
+    raises unless ``beta eps > 0`` (NaN included), since the factor
+    diverges at ``eps = 0``. Scalars give floats and arrays give arrays,
+    from the same arithmetic.
     """
     eps_arr = np.asarray(eps, dtype=float)
     if math.isinf(beta):
         out = np.zeros_like(eps_arr)
         return float(out) if eps_arr.ndim == 0 else out
     x = beta * eps_arr
-    if np.any(x <= 0.0):
-        raise ValueError("bose_occupation requires eps > 0 at finite beta")
+    if not (x > 0.0).all():
+        raise ValueError("Bose factor needs beta * energy > 0 at finite beta")
     # e^{-x} / (1 - e^{-x}) is 1 / (e^x - 1) without overflow at large x
     out = np.exp(-x) / -np.expm1(-x)
     return float(out) if eps_arr.ndim == 0 else out
 
 
-def thermal_kernel(energy: float, beta: float) -> float:
-    """Symmetric two-point weight ``(1/2) coth(beta e / 2)`` of a mode of energy ``e``.
+def thermal_kernel(energy, beta: float):
+    """Symmetric two-point weight ``(1/2) coth(beta e / 2) = n(e) + 1/2`` of a mode.
 
     Exactly 1/2 in the ground state (``beta = inf``); ``e`` must be
     positive at finite beta, where the weight diverges at ``e = 0``.
     """
-    if math.isinf(beta):
-        return 0.5
-    if not energy > 0.0:
-        raise ValueError("thermal_kernel requires energy > 0 at finite beta")
-    return 0.5 / math.tanh(beta * energy / 2.0)
+    return bose_occupation(energy, beta) + 0.5
 
 
 def bogoliubov_spectrum(eps_k, c2v_k):
@@ -190,57 +186,34 @@ def bogoliubov_spectrum(eps_k, c2v_k):
     """
     e = np.asarray(eps_k, dtype=float)
     g = np.asarray(c2v_k, dtype=float)
-    if np.any(e < 0.0) or np.any(g < 0.0):
+    if (e < 0.0).any() or (g < 0.0).any():
         raise ValueError("bogoliubov_spectrum needs nonnegative inputs")
     out = np.sqrt(e * (e + 2.0 * g))
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class BogoliubovCoefficients:
-    """Hyperbolic data of the canonical transformation at one mode.
+def pair_averages(eps, g, beta: float):
+    """Normal and anomalous averages ``(N, M)`` of one Bogoliubov mode.
 
-    ``plus_sq = eps/E`` and ``minus_sq = E/eps`` are the squared
-    quadrature rescalings ``(cosh a + sinh a)^2`` and
-    ``(cosh a - sinh a)^2``; their product is exactly 1.
+    ``N = <a*_k a_k> = n + (2n + 1) sinh^2 a`` and ``M = <a_k a_-k> =
+    -(2n + 1) g / 2E``, with ``E = bogoliubov_spectrum(eps, g)``,
+    ``sinh^2 a = ((eps + g) / E - 1) / 2`` and ``n = bose_occupation(E,
+    beta)``. Their quadratures are ``N + 1/2 + M = (n + 1/2) eps / E`` and
+    ``N + 1/2 - M = (n + 1/2) E / eps``. ``g = 0`` is the mean-field gas,
+    with ``(N, M) = (n, 0)``. Scalars give floats and arrays give arrays.
+    Raises unless ``eps > 0`` (NaN included): the rotation is singular at
+    the zero mode.
     """
-
-    tanh2a: float
-    cosh2a: float
-    sinh2a: float
-    plus_sq: float
-    minus_sq: float
-
-    @property
-    def cosh_a(self) -> float:
-        return math.sqrt((self.cosh2a + 1.0) / 2.0)
-
-    @property
-    def sinh_a(self) -> float:
-        # sinh2a = 2 sinh a cosh a fixes the sign of sinh a
-        return self.sinh2a / (2.0 * self.cosh_a)
-
-
-def bogoliubov_coefficients(eps_k: float, c2v_k: float) -> BogoliubovCoefficients:
-    """Transformation coefficients ``tanh 2a = -c^2 v / (eps + c^2 v)``.
-
-    Raises for ``eps_k = 0`` where the excitation energy vanishes and
-    the coefficients are singular.
-    """
-    if eps_k <= 0.0:
-        raise ValueError("bogoliubov coefficients singular at eps_k <= 0")
-    if c2v_k < 0.0:
-        raise ValueError("c2v_k must be nonnegative")
-    energy = bogoliubov_spectrum(eps_k, c2v_k)
-    cosh2a = (eps_k + c2v_k) / energy
-    sinh2a = -c2v_k / energy
-    return BogoliubovCoefficients(
-        tanh2a=sinh2a / cosh2a,
-        cosh2a=cosh2a,
-        sinh2a=sinh2a,
-        plus_sq=eps_k / energy,
-        minus_sq=energy / eps_k,
-    )
+    if not np.greater(eps, 0.0).all():
+        raise ValueError("pair averages need eps > 0")
+    energy = bogoliubov_spectrum(eps, g)
+    sinh_sq = 0.5 * ((eps + g) / energy - 1.0)
+    anomalous = -g / (2.0 * energy)
+    if math.isinf(beta):  # n = 0: the ground-state pair bubble builds no occupation array
+        return sinh_sq, anomalous
+    n = bose_occupation(energy, beta)
+    weight = 2.0 * n + 1.0
+    return n + weight * sinh_sq, weight * anomalous
 
 
 def omega_gap(params: ModelParams) -> float:

@@ -19,15 +19,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .model import (
-    ModelParams,
-    MomentumGrid,
-    bogoliubov_coefficients,
-    bogoliubov_spectrum,
-    bose_occupation,
-    dispersion,
-    thermal_kernel,
-)
+from .model import ModelParams, MomentumGrid, bose_occupation, dispersion, pair_averages
 
 __all__ = [
     "QuasiFreeState",
@@ -110,38 +102,16 @@ class QuasiFreeState:
     def k_phys(self, mode: Sequence[int]) -> np.ndarray:
         return np.asarray(mode, dtype=float) * self.grid.spacing
 
-    def occupation(self, mode: Sequence[int]) -> float:
-        """Diagonal-basis occupation ``(1/2) coth(beta e_k / 2) - 1/2`` at ``k != 0``.
-
-        ``e_k`` is ``eps_k`` for the mean-field gas and the collective
-        ``E_k`` for the superfluid gas.
-        """
-        if tuple(int(x) for x in mode) == ZERO:
-            raise ValueError("occupation is defined only away from the zero mode")
-        k = self.k_phys(mode)
-        energy = dispersion(k, self.params)
-        if self.model == "wibg":
-            energy = bogoliubov_spectrum(energy, self.params.c2v(float(np.linalg.norm(k))))
-        return thermal_kernel(energy, self.params.beta) - 0.5
-
-    def rotation(self, mode: Mode):
-        """(cosh a, sinh a) of the quasi-particle rotation at a mode."""
-        if self.model != "wibg":
-            return 1.0, 0.0
-        k = self.k_phys(mode)
-        co = bogoliubov_coefficients(dispersion(k, self.params),
-                                     self.params.c2v(float(np.linalg.norm(k))))
-        return co.cosh_a, co.sinh_a
-
     def contraction(self, left: Tuple[Mode, bool], right: Tuple[Mode, bool]) -> float:
         """Centred ordered contraction ``<left right>`` of two particle tokens.
 
         Tokens are ``(mode, dagger)`` pairs. The displaced zero mode of a
         condensed state is in its vacuum, so only ``<d d*> = 1``. Away
-        from it, ``<a*_k a_k> = ch^2 n + sh^2 (n + 1)`` (plus 1 when the
-        annihilator stands first) and ``<a_k a_-k> = <a*_k a*_-k> =
-        ch sh (2n + 1)``, with ``n`` the quasi-particle occupation; every
-        other contraction vanishes.
+        from it, ``<a*_k a_k> = N_k`` (plus 1 when the annihilator stands
+        first) and ``<a_k a_-k> = <a*_k a*_-k> = M_k``, the averages of
+        ``model.pair_averages`` with ``g = c^2 v(k)`` for the superfluid
+        gas and ``g = 0`` for the mean-field gas; every other contraction
+        vanishes.
         """
         (m1, d1), (m2, d2) = left, right
         if ZERO in (m1, m2):
@@ -149,13 +119,14 @@ class QuasiFreeState:
         if d1 != d2:
             if m1 != m2:
                 return 0.0
-            ch, sh = self.rotation(m1)
-            n = self.occupation(m1)
-            return ch**2 * n + sh**2 * (n + 1.0) + (0.0 if d1 else 1.0)
-        if self.model != "wibg" or m1 != tuple(-x for x in m2):
+        elif self.model != "wibg" or m1 != tuple(-x for x in m2):
             return 0.0
-        ch, sh = self.rotation(m1)
-        return ch * sh * (2.0 * self.occupation(m1) + 1.0)
+        k = self.k_phys(m1)
+        g = self.params.c2v(float(np.linalg.norm(k))) if self.model == "wibg" else 0.0
+        normal, anomalous = pair_averages(dispersion(k, self.params), g, self.params.beta)
+        if d1 == d2:
+            return anomalous
+        return normal + (0.0 if d1 else 1.0)
 
 
 def wick_expectation(state: QuasiFreeState, word: OperatorWord) -> complex:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bogoliubov_reference import half_angles
 from bosefluct import fluctuations
 from bosefluct.fluctuations import (
     FluctuationSpec,
@@ -22,13 +23,7 @@ from bosefluct.fluctuations import (
 )
 from bosefluct.asymptotics import bose_bubble_integral
 from bosefluct.checks import CheckContext
-from bosefluct.model import (
-    ModelParams,
-    bogoliubov_coefficients,
-    dispersion,
-    gaussian_potential,
-    omega_gap,
-)
+from bosefluct.model import ModelParams, dispersion, gaussian_potential, omega_gap
 
 
 def imperfect_params(beta=math.inf):
@@ -106,14 +101,14 @@ class TestVarianceGeneral:
 
     @pytest.mark.parametrize("q", [1e-6, 1e-4, 1e-2])
     def test_wibg_small_q_against_coefficients(self, q):
-        # plus_sq = eps/E and minus_sq = E/eps, computed without the
-        # (eps + c^2 v) - c^2 v difference that cancels at small q
+        # eps/E = (cosh a + sinh a)^2 = 1/(cosh a - sinh a)^2 and E/eps =
+        # (cosh a - sinh a)^2; the difference form has no cancellation at small q
         params = CheckContext().wibg
-        co = bogoliubov_coefficients(dispersion(q, params), params.c2v(q))
+        cosh_a, sinh_a = half_angles(dispersion(q, params), params.c2v(q))
         rho0 = variance_general(FluctuationSpec("wibg", q, f_q0=1.0), params)
         a_var = variance_general(FluctuationSpec("wibg", q, g_q0=1.0), params)
-        assert rho0 == pytest.approx(co.plus_sq / 2.0, rel=1e-12, abs=0.0)
-        assert a_var == pytest.approx(co.minus_sq / 2.0, rel=1e-12, abs=0.0)
+        assert rho0 == pytest.approx(0.5 / (cosh_a - sinh_a) ** 2, rel=1e-12, abs=0.0)
+        assert a_var == pytest.approx((cosh_a - sinh_a) ** 2 / 2.0, rel=1e-12, abs=0.0)
 
     def test_gauge_direction_vanishes_imperfect(self):
         # (f, g) = (w, Jw) has field value w + i(-i w) ... = 2w only for g = -Jf;
@@ -149,20 +144,19 @@ class TestSymplecticAndCovariance:
         q = (0, 0, 0.5)
         rho = FluctuationSpec("imperfect", q, f_q0=1.0)
         a_op = FluctuationSpec("imperfect", q, g_q0=1.0)
-        assert symplectic_sigma(rho, a_op, imperfect_params()) == pytest.approx(1.0)
+        assert symplectic_sigma(rho, a_op) == pytest.approx(1.0)
 
     def test_self_and_antisymmetry(self):
         rng = np.random.default_rng(43)
-        params = wibg_params()
         for _ in range(20):
             q = (0, 0, rng.uniform(0.1, 2.0))
             s1 = FluctuationSpec("wibg", q, f_q0=complex(*rng.normal(size=2)),
                                  g_q0=complex(*rng.normal(size=2)))
             s2 = FluctuationSpec("wibg", q, f_q0=complex(*rng.normal(size=2)),
                                  g_q0=complex(*rng.normal(size=2)))
-            assert symplectic_sigma(s1, s1, params) == pytest.approx(0.0, abs=1e-12)
-            assert symplectic_sigma(s1, s2, params) == pytest.approx(
-                -symplectic_sigma(s2, s1, params), abs=1e-12)
+            assert symplectic_sigma(s1, s1) == pytest.approx(0.0, abs=1e-12)
+            assert symplectic_sigma(s1, s2) == pytest.approx(
+                -symplectic_sigma(s2, s1), abs=1e-12)
 
     def test_full_form_composition(self):
         params = imperfect_params()
@@ -193,7 +187,7 @@ class TestSymplecticAndCovariance:
             s2 = FluctuationSpec(model, q, f_q0=complex(draws[4], draws[5]),
                                  g_q0=complex(draws[6], draws[7]))
             form = covariance_form(s1, s2, params)
-            assert form.sigma == symplectic_sigma(s1, s2, params)
+            assert form.sigma == symplectic_sigma(s1, s2)
             v1 = variance_general(s1, params)
             v2 = variance_general(s2, params)
             assert form.sigma**2 / 4.0 <= v1 * v2 * (1.0 + 1e-12) + 1e-15
@@ -254,12 +248,11 @@ class TestSymplecticAndCovariance:
         assert form.sigma == pytest.approx(1.0, rel=1e-12)
 
     def test_mismatched_specs_rejected(self):
-        params = imperfect_params()
         s1 = FluctuationSpec("imperfect", (0, 0, 1.0), f_q0=1.0)
         with pytest.raises(ValueError):
-            symplectic_sigma(s1, FluctuationSpec("wibg", (0, 0, 1.0), f_q0=1.0), params)
+            symplectic_sigma(s1, FluctuationSpec("wibg", (0, 0, 1.0), f_q0=1.0))
         with pytest.raises(ValueError):
-            symplectic_sigma(s1, FluctuationSpec("imperfect", (0, 0, 2.0), f_q0=1.0), params)
+            symplectic_sigma(s1, FluctuationSpec("imperfect", (0, 0, 2.0), f_q0=1.0))
 
 
 class TestEquivalenceDistance:
@@ -277,6 +270,14 @@ class TestEquivalenceDistance:
                 s_f = FluctuationSpec(model, (0, 0, 0.4), f_q0=f)
                 s_jf = FluctuationSpec(model, (0, 0, 0.4), g_q0=j_map(f))
                 assert equivalence_distance(s_f, s_jf, params) == pytest.approx(0.0, abs=1e-9)
+
+    def test_differing_exponents_refused(self):
+        # |q|^-1/2 rho0 - |q|^1/2 rho0 has limit variance 1/4, not the 0 of
+        # a difference spec that keeps only the first exponent
+        rho_down = FluctuationSpec("wibg", 0.3, f_q0=1.0, renorm_exponent=-0.5)
+        rho_up = FluctuationSpec("wibg", 0.3, f_q0=1.0, renorm_exponent=0.5)
+        with pytest.raises(ValueError, match="renormalization exponents"):
+            equivalence_distance(rho_down, rho_up, wibg_params())
 
     def test_self_distance_zero(self):
         spec = FluctuationSpec("wibg", (0, 0, 0.3), f_q0=1.0 + 2.0j, g_q0=-0.5)

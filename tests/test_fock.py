@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+from bogoliubov_reference import half_angles
 from bosefluct import fock
 from bosefluct.checks import CheckContext, _bch_operators, _clt_operator
 from bosefluct.fock import (
@@ -134,11 +135,9 @@ class TestFiniteState:
         params = wibg_params()
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], {ZERO: 8, Q: 14, MQ: 14})
         state = FiniteState.coherent_b_vacuum(ws, params, Q, 1.0)
-        from bosefluct.model import bogoliubov_coefficients, dispersion
-
         k = np.linalg.norm(ws.k_phys(Q))
-        co = bogoliubov_coefficients(k * k / 2.0, params.c2v(k))
-        b_op = co.cosh_a * ws.annihilator(Q) - co.sinh_a * ws.creator(MQ)
+        cosh_a, sinh_a = half_angles(k * k / 2.0, params.c2v(k))
+        b_op = cosh_a * ws.annihilator(Q) - sinh_a * ws.creator(MQ)
         assert state.seminorm(b_op) < 1e-6
 
     def test_b_vacuum_reproducible(self):

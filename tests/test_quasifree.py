@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bogoliubov_reference import half_angles
 from bosefluct.checks import CheckContext
 from bosefluct.model import (
     ModelParams,
     MomentumGrid,
-    bogoliubov_coefficients,
+    bose_occupation,
+    dispersion,
     gaussian_potential,
 )
 from bosefluct.quasifree import (
@@ -52,6 +54,17 @@ MQ = (0, 0, -1)
 ZERO = (0, 0, 0)
 
 
+def diagonal_mode(state, mode):
+    """``(cosh a, sinh a, n)`` of a mode: the half angles (``g = 0`` for the
+    mean-field gas) and the Bose factor of the diagonal energy."""
+    k = state.k_phys(mode)
+    eps = dispersion(k, state.params)
+    g = state.params.c2v(float(np.linalg.norm(k))) if state.model == "wibg" else 0.0
+    beta = state.params.beta
+    n = 0.0 if math.isinf(beta) else 1.0 / math.expm1(beta * math.sqrt(eps * (eps + 2.0 * g)))
+    return (*half_angles(eps, g), n)
+
+
 def branch_expansion(state, word):
     """Reference route: expand every particle token in the diagonal basis.
 
@@ -67,7 +80,7 @@ def branch_expansion(state, word):
                 out.append((state.one_point_amplitude, None, dagger))
             return out
         if state.model == "wibg":
-            ch, sh = state.rotation(mode)
+            ch, sh, _ = diagonal_mode(state, mode)
             minus = tuple(-x for x in mode)
             return [(ch, ("b", mode), dagger), (sh, ("b", minus), not dagger)]
         return [(1.0, ("a", mode), dagger)]
@@ -80,7 +93,7 @@ def branch_expansion(state, word):
             keyj, dagj = elems[j]
             if keyj != key0 or dagj == dag0:
                 continue
-            n = 0.0 if key0[0] == "d" else state.occupation(key0[1])
+            n = 0.0 if key0[0] == "d" else diagonal_mode(state, key0[1])[2]
             c = n if dag0 else n + 1.0
             if c != 0.0:
                 total += c * pair_sum(elems[1:j] + elems[j + 1:])
@@ -111,13 +124,17 @@ class TestTwoPoint:
     def test_wibg_ground_is_sinh_sq(self):
         state = wibg_state()
         kq = state.k_phys(Q)
-        co = bogoliubov_coefficients(float(kq @ kq) / 2.0,
-                                     state.params.c2v(float(np.linalg.norm(kq))))
-        assert state.contraction((Q, True), (Q, False)) == pytest.approx(co.sinh_a**2)
+        _, sh = half_angles(float(kq @ kq) / 2.0, state.params.c2v(float(np.linalg.norm(kq))))
+        assert state.contraction((Q, True), (Q, False)) == pytest.approx(sh**2)
 
     def test_zero_mode_rejected(self):
+        # the condensed zero mode is a displaced vacuum: its contractions never
+        # reach the Bose factor, which is refused there
+        state = imperfect_state(beta=1.0)
         with pytest.raises(ValueError):
-            imperfect_state().occupation(ZERO)
+            bose_occupation(dispersion(state.k_phys(ZERO), state.params), state.params.beta)
+        assert state.contraction((ZERO, False), (ZERO, True)) == 1.0
+        assert state.contraction((ZERO, True), (ZERO, False)) == 0.0
 
 
 class TestWickExpectation:
@@ -144,7 +161,7 @@ class TestWickExpectation:
     def test_wibg_anomalous_pair(self):
         state = wibg_state()
         word = OperatorWord(((Q, False), (MQ, False)))
-        ch, sh = state.rotation(Q)
+        ch, sh, _ = diagonal_mode(state, Q)
         assert wick_expectation(state, word) == pytest.approx(ch * sh)
 
     def test_adjoint_symmetry(self):
