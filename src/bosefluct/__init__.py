@@ -42,12 +42,8 @@ from .fluctuations import (
     variance_rho_imperfect,
 )
 from .asymptotics import (
-    PhaseTag,
-    PowerLawFit,
     bose_bubble_integral,
-    delta_exponent,
     fit_power_law,
-    lifetime_exponent,
     richardson,
     wibg_pair_bubble,
 )
@@ -79,8 +75,7 @@ __all__ = [
     "variance_A_wibg", "variance_general", "symplectic_sigma",
     "covariance_form", "equivalence_distance", "structure_factor",
     # asymptotics
-    "PhaseTag", "PowerLawFit", "bose_bubble_integral", "wibg_pair_bubble",
-    "fit_power_law", "delta_exponent", "lifetime_exponent", "richardson",
+    "bose_bubble_integral", "wibg_pair_bubble", "fit_power_law", "richardson",
     # fock
     "FockWorkspace", "FiniteState", "pair_block", "build_hamiltonian",
     "bch_defect", "clt_char_function", "dynamics_commutator",

@@ -1,40 +1,31 @@
-"""Quadrature and scaling analysis: bubble integrals and power-law fits.
+"""Quadrature and scaling analysis: bubble integrals, power-law slopes, extrapolation.
 
 Provides the thermal bubble integral entering the density-fluctuation
 variance of the mean-field gas, the zero-temperature pair bubble of the
-superfluid gas, log-log power-law fitting, the delta exponent that
-classifies abnormal fluctuations across phases, and Richardson
-extrapolation helpers for the q -> 0 and V -> infinity limits.
+superfluid gas, the log-log slope of a sampled power law, and
+Richardson extrapolation for the q -> 0 and V -> infinity limits. The
+layer computes values only; ``checks`` compares them with targets.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import integrate
 
-from .model import ModelParams, bogoliubov_spectrum, dispersion, pair_averages
+from .model import ModelParams, dispersion, pair_averages
 
 __all__ = [
     "IntegralResult",
-    "PowerLawFit",
-    "PhaseTag",
     "bose_bubble_integral",
     "wibg_pair_bubble",
     "fit_power_law",
-    "delta_exponent",
-    "lifetime_exponent",
-    "dynamical_rate_fit",
     "richardson",
-    "richardson_powers",
 ]
-
-DELTA_BOX_SIDES = (60.0, 85.0, 120.0, 170.0, 240.0, 340.0)  # box sides L of the delta fit
 
 # Node count of the pair bubble's inner Gauss-Legendre rule. 24 nodes miss
 # by 1e-6 at kappa = 0.5; 48 agree with 96 to 1e-10 over the tested
@@ -54,43 +45,6 @@ class IntegralResult:
     value: float
     error: float
     tail_bound: float
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    """Least-squares power law ``value = amplitude * q^exponent``."""
-
-    exponent: float
-    amplitude: float
-    r_squared: float
-    window: Tuple[float, float]
-
-
-@dataclass(frozen=True)
-class PhaseTag:
-    """Phase label for the delta-exponent classifier.
-
-    ``kind`` is one of ``condensed`` (macroscopic zero mode present),
-    ``critical`` (no condensate, zero chemical-potential shift) or
-    ``normal`` (no condensate, strictly negative shift ``mu_shift``).
-    """
-
-    kind: str
-    mu_shift: float = 0.0
-
-    REFERENCE = {"condensed": 1.0 / 3.0, "critical": 1.0 / 6.0, "normal": 0.0}
-
-    def __post_init__(self):
-        if self.kind not in self.REFERENCE:
-            raise ValueError(f"unknown phase kind {self.kind!r}")
-        if self.kind == "normal" and not self.mu_shift < 0.0:
-            raise ValueError("normal phase requires mu_shift < 0")
-        if self.kind != "normal" and self.mu_shift != 0.0:
-            raise ValueError("mu_shift applies to the normal phase only")
-
-    @property
-    def reference_delta(self) -> float:
-        return self.REFERENCE[self.kind]
 
 
 def _radial_cutoff(params: ModelParams, q_norm: float) -> float:
@@ -147,7 +101,8 @@ def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
         if r == 0.0:
             return 0.0
         eps_r = dispersion(r, params)
-        occ_plus_one = 1.0 + 1.0 / math.expm1(beta * (eps_r - mu_shift))
+        # n + 1 = 1 / (1 - e^{-x}): no overflow where e^x would pass the float range
+        occ_plus_one = -1.0 / math.expm1(-beta * (eps_r - mu_shift))
         return r * r * occ_plus_one * angular(r)
 
     k_max = _radial_cutoff(params, q_norm)
@@ -227,7 +182,7 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
     return IntegralResult(prefactor * value, prefactor * abserr, tail_bound)
 
 
-def fit_power_law(samples: Sequence[Tuple[float, float]]) -> PowerLawFit:
+def fit_power_law(samples: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of ``log(value)`` against ``log(q)``.
 
     Requires at least 4 samples with strictly positive abscissae and
@@ -239,96 +194,18 @@ def fit_power_law(samples: Sequence[Tuple[float, float]]) -> PowerLawFit:
     vals = np.array([s[1] for s in samples], dtype=float)
     if np.any(qs <= 0.0) or np.any(vals <= 0.0):
         raise ValueError("power-law fit requires positive samples")
-    lx, ly = np.log(qs), np.log(vals)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return PowerLawFit(
-        exponent=float(slope),
-        amplitude=float(math.exp(intercept)),
-        r_squared=float(min(max(r2, 0.0), 1.0)),
-        window=(float(qs.min()), float(qs.max())),
-    )
+    slope, _ = np.polyfit(np.log(qs), np.log(vals), 1)
+    return float(slope)
 
 
-def delta_exponent(phase: PhaseTag, params: ModelParams) -> PowerLawFit:
-    """Fitted volume-scaling exponent of the coupled-sequence variance.
-
-    Evaluates the density-fluctuation variance at the first nonzero box
-    momentum ``|q_L| = 2 pi / L`` for each side in ``DELTA_BOX_SIDES``, fits its growth as
-    ``V^(2 delta)``, and returns the fit with ``exponent`` already
-    divided down to delta. Reference values: 1/3 (condensed, the coth
-    term dominates), 1/6 (critical, massless bubble), 0 (normal).
-    """
-    if params.is_ground_state:
-        raise ValueError("delta classification is a finite-temperature statement")
-    if phase.kind == "condensed" and params.condensate_density <= 0.0:
-        raise ValueError("condensed phase requires condensate_density > 0")
-    from .fluctuations import variance_rho_imperfect
-
-    samples = []
-    for box in DELTA_BOX_SIDES:
-        q_norm = 2.0 * math.pi / box
-        if phase.kind == "condensed":
-            value = variance_rho_imperfect(q_norm, params)
-        else:
-            value = bose_bubble_integral(
-                q_norm, params, mu_shift=phase.mu_shift,
-                norm_density=params.total_density,
-            ).value
-        samples.append((box**3, value))
-    fit = fit_power_law(samples)
-    return PowerLawFit(
-        exponent=fit.exponent / 2.0,
-        amplitude=fit.amplitude,
-        r_squared=fit.r_squared,
-        window=fit.window,
-    )
-
-
-def lifetime_exponent(model: str) -> int:
-    """Power of ``1/|q|`` in the natural time rescaling of the pair dynamics.
-
-    The mean-field gas closes after ``t -> t / eps_q`` (quadratic
-    dispersion, exponent 2); the superfluid gas after ``t -> t / E_q``
-    (linear collective spectrum, exponent 1).
-    """
-    if model == "imperfect":
-        return 2
-    if model == "wibg":
-        return 1
-    raise ValueError(f"unknown model tag {model!r}")
-
-
-def dynamical_rate_fit(model: str, params: ModelParams,
-                       q_norms: Sequence[float]) -> PowerLawFit:
-    """Fit the small-q power of the dynamical normalization energy.
-
-    The normalization is ``eps_q`` for the mean-field gas and ``E_q``
-    for the superfluid gas; the fitted exponent should match
-    ``lifetime_exponent`` at small momenta.
-    """
-    samples = []
-    for q_norm in q_norms:
-        eps = dispersion(q_norm, params)
-        if model == "imperfect":
-            samples.append((q_norm, eps))
-        elif model == "wibg":
-            samples.append((q_norm, bogoliubov_spectrum(eps, params.c2v(q_norm))))
-        else:
-            raise ValueError(f"unknown model tag {model!r}")
-    return fit_power_law(samples)
-
-
-def richardson_powers(xs: Sequence[float], ys: Sequence[float],
-                      powers: Sequence[float]) -> float:
-    """Extrapolate ``y(x)`` to ``x = 0`` with a chosen correction basis.
+def richardson(xs: Sequence[float], ys: Sequence[float],
+               powers: Sequence[float]) -> float:
+    """Extrapolate ``y(x)`` to ``x = 0`` in a chosen correction basis.
 
     Solves ``y = y0 + sum_j c_j x^p_j`` exactly through the samples and
-    returns ``y0``. Useful when the error expansion is known to contain
-    only specific powers (e.g. odd powers for lattice sums of an
-    integrand with an excluded ``1/k^2`` point).
+    returns ``y0``. Each caller names the powers its error expansion
+    carries, e.g. ``(1, 2, 3)`` for a smooth sequence or odd powers only
+    for lattice sums of an integrand with an excluded ``1/k^2`` point.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -336,20 +213,3 @@ def richardson_powers(xs: Sequence[float], ys: Sequence[float],
         raise ValueError("need exactly len(powers) + 1 samples")
     design = np.column_stack([np.ones_like(xs)] + [xs**p for p in powers])
     return float(np.linalg.solve(design, ys)[0])
-
-
-def richardson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Polynomial extrapolation of ``y(x)`` to ``x = 0``.
-
-    Fits the unique degree-(n-1) polynomial through the points and
-    returns its constant term; with 3-4 points on a smooth sequence
-    this removes the leading corrections in x.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) < 2:
-        raise ValueError("need two or more matched samples")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", np.exceptions.RankWarning)
-        coeffs = np.polyfit(xs, ys, len(xs) - 1)
-    return float(coeffs[-1])

@@ -32,7 +32,15 @@ OMEGA_REL_BOUND = 1e-3  # spectrum: relative distance of lim E_q q / eps_q from 
 FULL_RATIO_BOUND = 1.05  # structure-factor: spread max/min of the full-density S(q)
 WIBG_COMMUTATOR_FLOOR = 1e-3  # u-commutation: truncated interaction must not commute
 CLT_DENSITY = 4.0  # clt: condensate density of the coherent state
-NORMAL_MU_SHIFT = -0.5  # delta-exponents: chemical-potential shift of the normal phase
+DELTA_BOX_SIDES = (60.0, 85.0, 120.0, 170.0, 240.0, 340.0)  # delta-exponents: box sides L
+# delta-exponents: (phase, chemical-potential shift, target delta). Without a
+# condensate the variance is the bubble alone: massless at the critical point,
+# gapped by the shift in the normal phase
+DELTA_PHASES = (("condensed", 0.0, 1.0 / 3.0), ("critical", 0.0, 1.0 / 6.0),
+                ("normal", -0.5, 0.0))
+# lifetime-exponents: power of |q| in the time rescaling of the pair dynamics,
+# t -> t eps_q (quadratic dispersion) or t -> t E_q (linear collective spectrum)
+LIFETIME_TARGETS = {"imperfect": 2, "wibg": 1}
 
 
 @dataclass(frozen=True)
@@ -150,7 +158,7 @@ def _check_spectrum(ctx: CheckContext, tol: float) -> CheckResult:
     q_tail = [2.0 * math.pi / 120.0 * 0.5**j for j in range(4)]
     ratios = [bogoliubov_spectrum(dispersion(q, params), params.c2v(q)) * q
               / dispersion(q, params) for q in q_tail]
-    limit = asymptotics.richardson([q**2 for q in q_tail], ratios)
+    limit = asymptotics.richardson([q**2 for q in q_tail], ratios, (1, 2, 3))
     gap_rel = abs(limit - omega_gap(params)) / omega_gap(params)
     passed = worst < tol and gap_rel < OMEGA_REL_BOUND
     return CheckResult(passed,
@@ -191,8 +199,7 @@ def _check_variance_oracle(ctx: CheckContext, tol: float) -> CheckResult:
         vals.append(quasifree.finite_volume_variance(st, "rho", (0, 0, int(box) // 2)))
     # lattice sums over an integrand with excluded 1/k^2 points carry an
     # odd-power error expansion in the spacing
-    extrapolated = asymptotics.richardson_powers([1.0 / b for b in boxes],
-                                                 vals, (1.0, 3.0))
+    extrapolated = asymptotics.richardson([1.0 / b for b in boxes], vals, (1, 3))
     closed = fluctuations.variance_rho_imperfect(q_phys, thermal)
     rel = abs(extrapolated - closed) / abs(closed)
     worst = max(worst, rel)
@@ -213,7 +220,7 @@ def _check_variance_oracle(ctx: CheckContext, tol: float) -> CheckResult:
             grid = MomentumGrid(box, 4.0)
             st = quasifree.QuasiFreeState("wibg", wibg, grid)
             vals.append(quasifree.finite_volume_variance(st, kind, (0, 0, int(box) // 2)))
-        extrapolated = asymptotics.richardson([b**-3 for b in wibg_boxes], vals)
+        extrapolated = asymptotics.richardson([b**-3 for b in wibg_boxes], vals, (1, 2))
         closed = closed_fn(q_phys, wibg)
         rel = abs(extrapolated - closed) / abs(closed)
         worst = max(worst, rel)
@@ -227,35 +234,44 @@ def _check_divergence(ctx: CheckContext, tol: float) -> CheckResult:
     """Small-q divergence powers of the two variance contributions."""
     params = ctx.imperfect_thermal
     qs = np.geomspace(0.005, 0.05, 10)
-    coth_fit = asymptotics.fit_power_law(
+    coth = asymptotics.fit_power_law(
         [(q, fluctuations.variance_A_imperfect(q, params)) for q in qs])
-    bubble_fit = asymptotics.fit_power_law(
+    bubble = asymptotics.fit_power_law(
         [(q, asymptotics.bose_bubble_integral(q, params).value) for q in qs])
-    err_coth = abs(coth_fit.exponent + 2.0)
-    err_bubble = abs(bubble_fit.exponent + 1.0)
+    err_coth = abs(coth + 2.0)
+    err_bubble = abs(bubble + 1.0)
     passed = err_coth < tol and err_bubble < 0.05
-    rows = [("coth", coth_fit.exponent, -2.0, err_coth),
-            ("bubble", bubble_fit.exponent, -1.0, err_bubble)]
+    rows = [("coth", coth, -2.0, err_coth),
+            ("bubble", bubble, -1.0, err_bubble)]
     return CheckResult(passed, ("term", "fitted", "target", "error"), rows,
-                       {"coth": coth_fit.exponent, "bubble": bubble_fit.exponent})
+                       {"coth": coth, "bubble": bubble})
 
 
 def _check_delta(ctx: CheckContext, tol: float) -> CheckResult:
-    """Volume-scaling exponent delta across the three phases."""
+    """Volume-scaling exponent delta across the three phases.
+
+    The density-fluctuation variance at the first box momentum
+    ``|q_L| = 2 pi / L`` grows as ``V^(2 delta)`` over ``DELTA_BOX_SIDES``.
+    """
     rows, passed, details = [], True, {}
     thermal = ctx.imperfect_thermal
-    cases = [
-        (asymptotics.PhaseTag("condensed"), thermal),
-        (asymptotics.PhaseTag("critical"), replace(thermal, condensate_density=0.0)),
-        (asymptotics.PhaseTag("normal", mu_shift=NORMAL_MU_SHIFT),
-         replace(thermal, condensate_density=0.0)),
-    ]
-    for phase, params in cases:
-        fit = asymptotics.delta_exponent(phase, params)
-        err = abs(fit.exponent - phase.reference_delta)
+    uncondensed = replace(thermal, condensate_density=0.0)
+    for kind, mu_shift, target in DELTA_PHASES:
+        samples = []
+        for box in DELTA_BOX_SIDES:
+            q = 2.0 * math.pi / box
+            if kind == "condensed":
+                value = fluctuations.variance_rho_imperfect(q, thermal)
+            else:
+                value = asymptotics.bose_bubble_integral(
+                    q, uncondensed, mu_shift=mu_shift,
+                    norm_density=thermal.total_density).value
+            samples.append((box**3, value))
+        delta = asymptotics.fit_power_law(samples) / 2.0
+        err = abs(delta - target)
         passed = passed and err < tol
-        rows.append((phase.kind, fit.exponent, phase.reference_delta, err))
-        details[f"delta_{phase.kind}"] = fit.exponent
+        rows.append((kind, delta, target, err))
+        details[f"delta_{kind}"] = delta
     details["worst_error"] = max(row[3] for row in rows)
     return CheckResult(passed, ("phase", "fitted_delta", "target", "error"), rows, details)
 
@@ -350,13 +366,15 @@ def _virial_ratio(model: str, params: ModelParams) -> Tuple[float, float]:
         / (qn * fluctuations.variance_A_wibg(qn, params))
         for qn in q_tail
     ]
-    return omega, asymptotics.richardson([qn**2 for qn in q_tail], ratios)
+    return omega, asymptotics.richardson([qn**2 for qn in q_tail], ratios, (1, 2, 3))
 
 
 def _closure_result(report: fock.ClosureReport, params: ModelParams,
                     tol: float) -> CheckResult:
     omega, virial = _virial_ratio(report.model, params)
-    rate_ok = abs(report.remainder_rate.exponent + 0.5) < 0.1
+    # the remainder seminorm decays as V^{-1/2}
+    rate = asymptotics.fit_power_law(list(zip(report.volumes, report.remainder_norms)))
+    rate_ok = abs(rate + 0.5) < 0.1
     virial_ok = abs(virial - 1.0) < 1e-3
     passed = report.identity_defect < tol and rate_ok and virial_ok \
         and report.secondary_defect < 1e-8
@@ -364,7 +382,7 @@ def _closure_result(report: fock.ClosureReport, params: ModelParams,
     return CheckResult(passed, ("volume", "remainder_seminorm"), rows, {
         "identity_defect": report.identity_defect,
         "secondary_defect": report.secondary_defect,
-        "remainder_rate": report.remainder_rate.exponent,
+        "remainder_rate": rate,
         "virial_ratio": virial,
         "oscillator_energy": omega,
     })
@@ -473,12 +491,15 @@ def _check_lifetime(ctx: CheckContext, tol: float) -> CheckResult:
     qs = np.geomspace(1e-3, 1e-2, 6)
     rows, passed, details = [], True, {}
     for model, params in (("imperfect", ctx.imperfect_ground), ("wibg", ctx.wibg)):
-        fit = asymptotics.dynamical_rate_fit(model, params, qs)
-        target = asymptotics.lifetime_exponent(model)
-        err = abs(fit.exponent - target)
-        passed = passed and err < tol and round(fit.exponent) == target
-        rows.append((model, fit.exponent, target, err))
-        details[f"exponent_{model}"] = fit.exponent
+        energies = [dispersion(q, params) for q in qs]
+        if model == "wibg":
+            energies = [bogoliubov_spectrum(eps, params.c2v(q)) for q, eps in zip(qs, energies)]
+        exponent = asymptotics.fit_power_law(list(zip(qs, energies)))
+        target = LIFETIME_TARGETS[model]
+        err = abs(exponent - target)
+        passed = passed and err < tol and round(exponent) == target
+        rows.append((model, exponent, target, err))
+        details[f"exponent_{model}"] = exponent
     details["worst_error"] = max(row[3] for row in rows)
     return CheckResult(passed, ("model", "fitted", "target", "error"), rows, details)
 

@@ -222,7 +222,7 @@ def equivalence_distance(spec1: FluctuationSpec, spec2: FluctuationSpec,
     diff = replace(spec1, f_q0=spec1.f_q0 - spec2.f_q0, g_q0=spec1.g_q0 - spec2.g_q0)
     q_tail = [spec1.q_norm * 0.5**j for j in range(4)]
     values = [variance_general(replace(diff, q=qn), params) for qn in q_tail]
-    limit = richardson(q_tail, values)
+    limit = richardson(q_tail, values, (1, 2, 3))
     return math.sqrt(max(limit, 0.0))
 
 

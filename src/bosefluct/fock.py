@@ -29,7 +29,6 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh, expm_multiply
 
-from .asymptotics import fit_power_law, PowerLawFit
 from .model import ModelParams, dispersion
 
 __all__ = [
@@ -652,6 +651,8 @@ class ClosureReport:
     ``identity_defect`` is the worst below-truncation defect of the
     exact density-side commutator identity; ``secondary_defect`` the
     same for the order-parameter side (its exact remainder included).
+    ``remainder_norms`` holds the state seminorm of the remainder at each
+    of ``volumes``.
     """
 
     model: str
@@ -659,7 +660,6 @@ class ClosureReport:
     secondary_defect: float
     remainder_norms: Tuple[float, ...]
     volumes: Tuple[float, ...]
-    remainder_rate: PowerLawFit
 
 
 def _imperfect_remainder(ws: FockWorkspace, params: ModelParams, q: Mode) -> sp.csr_matrix:
@@ -761,5 +761,4 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
         secondary_defect=secondary_defect,
         remainder_norms=tuple(norms),
         volumes=tuple(volumes),
-        remainder_rate=fit_power_law(list(zip(volumes, norms))),
     )

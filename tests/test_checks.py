@@ -62,8 +62,9 @@ def test_pair_sectors_hold_the_dense_spectrum():
 
 @pytest.mark.parametrize("ctx", [CheckContext(mass=2.0), CheckContext(beta_thermal=0.5),
                                  CheckContext(mass=0.5), CheckContext(mass=4.0),
-                                 CheckContext(mass=1.0 / 16.0)],
-                         ids=["mass-2", "beta-half", "mass-half", "mass-4", "mass-sixteenth"])
+                                 CheckContext(mass=1.0 / 16.0), CheckContext(mass=1.0 / 64.0)],
+                         ids=["mass-2", "beta-half", "mass-half", "mass-4", "mass-sixteenth",
+                              "mass-sixty-fourth"])
 def test_variance_oracle_passes_away_from_the_default(ctx):
     assert run_check("variance-oracle", ctx).passed
 

@@ -10,6 +10,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from bogoliubov_reference import half_angles
 from bosefluct import fock
+from bosefluct.asymptotics import fit_power_law
 from bosefluct.checks import CheckContext, _bch_operators, _clt_operator
 from bosefluct.fock import (
     FiniteState,
@@ -446,7 +447,8 @@ class TestGoldstoneClosure:
         assert report.identity_defect < 1e-10
         assert report.secondary_defect < 1e-8
         assert report.remainder_norms[0] > report.remainder_norms[-1]
-        assert report.remainder_rate.exponent == pytest.approx(-0.5, abs=0.1)
+        rate = fit_power_law(list(zip(report.volumes, report.remainder_norms)))
+        assert rate == pytest.approx(-0.5, abs=0.1)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):

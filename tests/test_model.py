@@ -142,6 +142,45 @@ class TestEveryExportIsReached:
         assert sorted(set(bosefluct.__all__) - used) == []
 
 
+def package_imports(source):
+    """Package modules a source imports (``from .x import``, ``from . import x``), and the
+    lines of those imports that sit inside a function body."""
+    tree = ast.parse(source)
+    in_functions = {id(n) for f in ast.walk(tree)
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for n in ast.walk(f)}
+    targets, nested = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            targets.update([node.module.split(".")[0]] if node.module
+                           else [alias.name for alias in node.names])
+            if id(node) in in_functions:
+                nested.append(node.lineno)
+    return targets, nested
+
+
+class TestLayerImports:
+    """``model`` imports no package module and the three computing layers import ``model``
+    alone, so fits and targets can only live above them; no function body imports from
+    the package, so no import cycle hides there."""
+
+    LAYERS = {"model": set(), "asymptotics": {"model"}, "quasifree": {"model"},
+              "fock": {"model"}}
+
+    def test_layers_import_only_model(self):
+        imports, nested = {}, []
+        for path in sorted(Path(bosefluct.__file__).parent.glob("*.py")):
+            imports[path.stem], lines = package_imports(path.read_text())
+            nested += [f"{path.name}:{n}" for n in lines]
+        layers = {name: imports[name] for name in self.LAYERS}
+        assert (nested, layers) == ([], self.LAYERS)
+
+    def test_parser_sees_every_form(self):
+        source = ("from .model import a\nfrom . import fock, checks\n"
+                  "def f():\n    from .fluctuations import b\n")
+        assert package_imports(source) == ({"model", "fock", "checks", "fluctuations"}, [4])
+
+
 class TestOneBuilderPerOperator:
     """The +-q ladder sums and the sparse accumulations are written once, in the builders."""
 
