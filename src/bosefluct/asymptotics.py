@@ -53,6 +53,21 @@ def _radial_cutoff(params: ModelParams, q_norm: float) -> float:
     return q_norm + math.sqrt(60.0 * params.mass / params.beta) + 1.0
 
 
+def _radial_quad(radial, q_norm: float, k_max: float, rtol: float) -> Tuple[float, float]:
+    """Adaptive quadrature of ``radial`` over ``[0, k_max]`` with the kink at ``|q|``.
+
+    Returns ``(value, abserr)``; raises ``RuntimeError`` when the error
+    estimate exceeds ten times the requested relative tolerance.
+    """
+    value, abserr = integrate.quad(radial, 0.0, k_max, points=[q_norm],
+                                   epsrel=rtol, epsabs=0.0, limit=400)
+    if abserr > 10.0 * rtol * max(abs(value), 1e-300) and abserr > 1e-12:
+        raise RuntimeError(
+            f"bubble quadrature did not converge: value={value:.3e} err={abserr:.3e}"
+        )
+    return value, abserr
+
+
 def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
                          norm_density: float | None = None,
                          rtol: float = 1e-7) -> IntegralResult:
@@ -107,9 +122,7 @@ def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
 
     k_max = _radial_cutoff(params, q_norm)
     prefactor = 1.0 / (2.0 * rho) / (4.0 * math.pi**2)
-    value, abserr = integrate.quad(
-        radial, 0.0, k_max, points=[q_norm], epsrel=rtol, epsabs=0.0, limit=400
-    )
+    value, abserr = _radial_quad(radial, q_norm, k_max, rtol)
     # Tail beyond k_max: both factors bounded by the exponential envelope.
     x_tail = beta * (dispersion(k_max - q_norm, params) - mu_shift)
     tail, _ = integrate.quad(
@@ -117,10 +130,6 @@ def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
         k_max, k_max + 20.0,
     )
     tail_bound = prefactor * tail / max(1.0 - math.exp(-x_tail), 0.5)
-    if abserr > 10.0 * rtol * max(abs(value), 1e-300) and abserr > 1e-12:
-        raise RuntimeError(
-            f"bubble quadrature did not converge: value={value:.3e} err={abserr:.3e}"
-        )
     return IntegralResult(prefactor * value, prefactor * abserr, tail_bound)
 
 
@@ -144,7 +153,9 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
 
     ``error`` is the outer quadrature's estimate; the fixed inner rule
     has no estimate of its own (the tests hold it against a rule of twice
-    its size). ``tail_bound`` bounds the integrand beyond the cutoff.
+    its size). ``tail_bound`` bounds the integrand beyond the cutoff. Like
+    the thermal bubble, it raises ``RuntimeError`` when the outer
+    quadrature does not converge.
     """
     q_norm = float(np.linalg.norm(q))
     if q_norm == 0.0:
@@ -175,8 +186,7 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
         kappa_scale = 32.0
     k_max = q_norm + 2.0 * kappa_scale
     prefactor = 1.0 / (4.0 * math.pi**2)
-    value, abserr = integrate.quad(radial, 0.0, k_max, points=[q_norm],
-                                   epsrel=rtol, epsabs=0.0, limit=400)
+    value, abserr = _radial_quad(radial, q_norm, k_max, rtol)
     n_t, m_t = pair_averages(dispersion(k_max, params), params.c2v(k_max), params.beta)
     tail_bound = prefactor * 8.0 * k_max**2 * (abs(n_t) + abs(m_t))
     return IntegralResult(prefactor * value, prefactor * abserr, tail_bound)

@@ -416,7 +416,8 @@ def _check_virial_wibg(ctx: CheckContext, tol: float) -> CheckResult:
 def _check_structure_factor(ctx: CheckContext, tol: float) -> CheckResult:
     """Linear condensate-density law vs nonzero full-density constant."""
     params = ctx.wibg
-    qs = np.geomspace(1e-4, 1e-3, 8)
+    # a light gas reaches the full-density plateau only at smaller q
+    qs = np.geomspace(1e-4, 1e-3, 8) * min(1.0, params.mass**2)
     slopes = [fluctuations.structure_factor(q, params) / q for q in qs]
     spread = (max(slopes) - min(slopes)) / float(np.mean(slopes))
     fulls = [fluctuations.structure_factor(q, params, "full") for q in qs]
@@ -429,7 +430,11 @@ def _check_structure_factor(ctx: CheckContext, tol: float) -> CheckResult:
 
 
 def _check_u_commutation(ctx: CheckContext, tol: float) -> CheckResult:
-    report = fock.u_density_commutator_check(ctx.wibg)
+    # a narrow potential (kappa < 2) vanishes at the torus momenta of the
+    # side-2 box; the side 4 / kappa puts the first one at pi kappa / 2, where
+    # v = v0 e^{-pi^2/4}. A smaller box would only inflate the rounding of U
+    box_side = max(fock.INTERACTION_BOX_SIDE, 4.0 / ctx.kappa)
+    report = fock.u_density_commutator_check(ctx.wibg, box_side)
     passed = (report.commutator_defect < tol and report.rewrite_defect < tol
               and report.wibg_commutator_norm > WIBG_COMMUTATOR_FLOOR)
     rows = [("full_interaction_commutator", report.commutator_defect),

@@ -2,7 +2,8 @@
 
 Builds small multi-mode bosonic workspaces whose ladder operators are
 read off the occupation table (one diagonal per mode), assembles the
-mean-field and superfluid Hamiltonians, and provides the matrix-level
+Hamiltonians of both gases as sums of ``+-k`` pair blocks with the
+couplings ``(g, mu, u)`` of the gas, and provides the matrix-level
 checks: exact commutator identities of the Goldstone pair, BCH defects
 in the state seminorm, characteristic functions for the central-limit
 check, the vanishing commutator of the two-body interaction with the
@@ -55,7 +56,7 @@ LANCZOS_TOL = 1e-12  # change of the characteristic function that stops the Kryl
 LANCZOS_BREAKDOWN = 1e-14  # residual norm of an exact invariant subspace
 LANCZOS_MAX_STEPS = 100
 LANCZOS_DGKS_RATIO = 2.0**-0.5  # a Gram-Schmidt pass that shrinks ||w|| below this is repeated
-INTERACTION_BOX_SIDE = 2.0  # box side of both interaction checks: momenta are multiples of pi
+INTERACTION_BOX_SIDE = 2.0  # box side of the truncation rederivation: momenta are multiples of pi
 
 
 def _plus_minus(q_lat) -> Tuple[Mode, Mode]:
@@ -273,11 +274,6 @@ class FiniteState:
 # -- Hamiltonians --------------------------------------------------------
 
 
-def _kinetic(ws: FockWorkspace, params: ModelParams) -> sp.csr_matrix:
-    eps = dispersion(np.array([ws.k_phys(m) for m in ws.modes]), params)
-    return sp.diags(ws.occupations @ eps, format="csr")
-
-
 def pair_block(ws: FockWorkspace, q_lat, eps: float, g: float) -> sp.csr_matrix:
     """Quadratic +-q block ``(eps + g)(n_q + n_{-q}) + g (a*_q a*_{-q} + h.c.)``.
 
@@ -290,33 +286,43 @@ def pair_block(ws: FockWorkspace, q_lat, eps: float, g: float) -> sp.csr_matrix:
     return ((eps + g) * n_ops + g * (pair + pair.conjugate().T)).tocsr()
 
 
-def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.csr_matrix:
-    """Assemble the model Hamiltonian on the workspace.
+def _couplings(model: str, params: ModelParams):
+    """The three couplings ``(g, mu, u)`` in which the two gases differ.
 
-    ``imperfect``: ``T - mu N + (lambda / 2V) N^2`` with ``mu = lambda rho``.
-    ``wibg``: one :func:`pair_block` per nonzero ``+-k`` mode pair plus
-    ``(v(0)/2V) N^2``; the number term is omitted (chemical potential
-    absorbed), which leaves each block's gap exactly at the collective spectrum.
+    ``g`` maps ``|k|`` to the pairing, ``mu`` is the chemical potential and
+    ``u`` the number coupling: ``(0, lambda rho, lambda)`` for the mean-field
+    gas and ``(c^2 v(k), 0, v(0))`` for the superfluid one, whose chemical
+    potential is absorbed.
     """
+    if model == "imperfect":
+        return (lambda k_norm: 0.0), params.chemical_potential, params.coupling
+    if model == "wibg":
+        return params.c2v, 0.0, params.v(0.0)
+    raise ValueError(f"unknown model tag {model!r}")
+
+
+def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.csr_matrix:
+    """Assemble ``sum_{+-k} pair_block(k, eps_k, g(k)) + (u/2V) N^2 - mu N``.
+
+    One :func:`pair_block` per nonzero ``+-k`` mode pair, with the
+    couplings ``(g, mu, u)`` of the gas (:func:`_couplings`). The mean-field
+    gas has no pairing, ``T - mu N + (lambda / 2V) N^2``; the superfluid one
+    has no number term, which leaves each block's gap exactly at the
+    collective spectrum.
+    """
+    g, mu, u = _couplings(model, params)
     if ZERO not in ws.modes:
         raise ValueError("workspace must contain the zero mode")
-    n_tot = ws.total_number()
-    n_sq = n_tot @ n_tot
-    if model == "imperfect":
-        mu = params.chemical_potential
-        h = _kinetic(ws, params) - mu * n_tot + (params.coupling / (2.0 * ws.volume)) * n_sq
-        return h.tocsr()
-    if model != "wibg":
-        raise ValueError(f"unknown model tag {model!r}")
     blocks = []
     for m in ws.modes:
         q, minus_q = _plus_minus(m)
         if minus_q not in ws.modes:
-            raise ValueError("wibg pairing needs +-k mode pairs")
+            raise ValueError("pair blocks need +-k mode pairs")
         if q > minus_q:  # one block per pair; the zero mode is its own mirror
             k_norm = float(np.linalg.norm(ws.k_phys(q)))
-            blocks.append(pair_block(ws, q, dispersion(k_norm, params), params.c2v(k_norm)))
-    return (sum(blocks) + (params.v(0.0) / (2.0 * ws.volume)) * n_sq).tocsr()
+            blocks.append(pair_block(ws, q, dispersion(k_norm, params), g(k_norm)))
+    n_tot = ws.total_number()
+    return (sum(blocks) + (u / (2.0 * ws.volume)) * (n_tot @ n_tot) - mu * n_tot).tocsr()
 
 
 # -- fluctuation operators on a workspace ---------------------------------
@@ -329,21 +335,16 @@ def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[sp.csr_matrix, sp.csr_matrix
             ws.annihilator(q) + ws.annihilator(minus_q))
 
 
-def order_param_fluct_matrix(ws: FockWorkspace, q_lat, g_q0: complex = 1.0,
-                             renorm: float = 1.0) -> sp.csr_matrix:
-    """Cos-convention order-parameter fluctuation ``(i/2)[g B* - conj(g) B]``.
-
-    ``B* = a*_q + a*_{-q}``; ``renorm`` multiplies the whole operator
-    (e.g. ``|q|^{1/2}`` for the superfluid pair).
-    """
+def order_param_fluct_matrix(ws: FockWorkspace, q_lat, g_q0: complex = 1.0) -> sp.csr_matrix:
+    """Order-parameter fluctuation ``(i/2)[g B* - conj(g) B]``, ``B* = a*_q + a*_{-q}``."""
     g = complex(g_q0)
     b_dag, b = _ladder_sums(ws, q_lat)
-    return (renorm * 0.5j * (g * b_dag - np.conj(g) * b)).tocsr()
+    return (0.5j * (g * b_dag - np.conj(g) * b)).tocsr()
 
 
 def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
-                            f_q0: complex = 1.0, renorm: float = 1.0) -> sp.csr_matrix:
-    """Zero-mode density fluctuation ``(renorm / 2z) [f B* a_0 + conj(f) a*_0 B]``.
+                            f_q0: complex = 1.0) -> sp.csr_matrix:
+    """Zero-mode density fluctuation ``(1 / 2z) [f B* a_0 + conj(f) a*_0 B]``.
 
     ``B* = a*_q + a*_{-q}`` and ``z`` is the zero-mode amplitude the state
     is built with (``sqrt(rho0 V)`` or ``c sqrt(V)``). On the ``[0, q, -q]``
@@ -353,7 +354,7 @@ def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
     """
     if amplitude == 0.0:
         raise ValueError("needs a nonzero zero-mode amplitude")
-    norm = renorm / (2.0 * amplitude)
+    norm = 1.0 / (2.0 * amplitude)
     f = complex(f_q0)
     b_dag, b = _ladder_sums(ws, q_lat)
     up = b_dag @ ws.annihilator(ZERO)
@@ -525,11 +526,11 @@ class UCommutationReport:
     wibg_commutator_norm: float
 
 
-def u_density_commutator_check(params: ModelParams) -> UCommutationReport:
+def u_density_commutator_check(params: ModelParams, box_side: float) -> UCommutationReport:
     """Check ``[U, F_q(N)] = 0`` and the quadratic rewrite of U on a torus.
 
     Builds the full two-body interaction on a 1-D momentum torus of 4
-    modes (box side ``INTERACTION_BOX_SIDE``, at most 3 bosons each),
+    modes (box side ``box_side``, at most 3 bosons each),
     verifies (i) that it commutes with the density fluctuation at
     ``q = 2 pi / L`` as a matrix identity below truncation, (ii) that it
     equals ``(1/2) sum_{q != 0} v(q) F_q F_{-q} + (v(0)/2V) N^2
@@ -538,7 +539,7 @@ def u_density_commutator_check(params: ModelParams) -> UCommutationReport:
     density fluctuation.
     """
     n = 4
-    ws = FockWorkspace(INTERACTION_BOX_SIDE, _torus_modes(n), 3)
+    ws = FockWorkspace(box_side, _torus_modes(n), 3)
     proj = ws.below_truncation_projector()
     u_full = _torus_interaction(ws, n, params.v)
     f_q = _torus_density_fluct(ws, n, 1)
@@ -602,7 +603,8 @@ def truncation_rederivation_check(params: ModelParams) -> Tuple[float, float]:
     q, minus_q = _plus_minus((0, 0, 1))
     ws = FockWorkspace(INTERACTION_BOX_SIDE, [ZERO, q, minus_q], {ZERO: 6, q: 4, minus_q: 4})
     proj = ws.below_truncation_projector(margin=2)
-    v_q = params.v(float(np.linalg.norm(ws.k_phys(q))))
+    q_norm = float(np.linalg.norm(ws.k_phys(q)))
+    v_q = params.v(q_norm)
     vol = ws.volume
 
     def f_n0(mode_to, mode_from_sign):
@@ -635,7 +637,8 @@ def truncation_rederivation_check(params: ModelParams) -> Tuple[float, float]:
     h = build_hamiltonian("wibg", ws, params)
     n_tot = ws.total_number()
     n_sq = n_tot @ n_tot
-    target = (h - _kinetic(ws, params) - (params.v(0.0) / (2.0 * vol)) * n_sq
+    kinetic = pair_block(ws, q, dispersion(q_norm, params), 0.0)
+    target = (h - kinetic - (params.v(0.0) / (2.0 * vol)) * n_sq
               + 0.5 * phi0p * c**2 * vol * ws.identity())
     step2 = _projected_norm(substituted - target, ws.identity())
     return step1, step2
@@ -662,62 +665,29 @@ class ClosureReport:
     volumes: Tuple[float, ...]
 
 
-def _imperfect_remainder(ws: FockWorkspace, params: ModelParams, q: Mode) -> sp.csr_matrix:
-    """Exact non-oscillator part of ``i[H, A_q]`` for the mean-field gas.
-
-    Direct commutation of ``-mu N + (lambda/2V) N^2`` with
-    ``A = (i/2)(B* - B)``, ``B* = a*_q + a*_{-q}``, gives
-    ``(mu/2) X - (lambda/4V)(N X + X N)`` with ``X = B* + B``, i.e.
-    ``-(lambda/4V)[(N - rho V) X + X (N - rho V)]`` at ``mu = lambda rho``
-    — a density-fluctuation term whose seminorm decays as ``V^{-1/2}``.
-    """
-    x_op = sum(_ladder_sums(ws, q))  # X = B* + B
-    lam, mu, vol = params.coupling, params.chemical_potential, ws.volume
-    n_tot = ws.total_number()
-    return ((mu / 2.0) * x_op
-            - (lam / (4.0 * vol)) * (n_tot @ x_op + x_op @ n_tot)).tocsr()
-
-
-def _wibg_remainder(ws: FockWorkspace, params: ModelParams, q: Mode,
-                    renorm: float) -> sp.csr_matrix:
-    """Exact non-oscillator part of ``i[H(c), rho0_q]``.
-
-    ``(i c^2 v(q) / (2 c sqrt(V))) [B*(a_0 - a*_0) + (a_0 - a*_0) B] * renorm``.
-    This is the whole remainder: the ``(v(0)/2V) N^2`` term of H
-    commutes with ``rho0_q``, which conserves the total particle number.
-    """
-    c = params.condensate_amplitude
-    q_norm = float(np.linalg.norm(ws.k_phys(q)))
-    g = params.c2v(q_norm)
-    b_dag, b = _ladder_sums(ws, q)
-    a0, a0d = ws.annihilator(ZERO), ws.creator(ZERO)
-    diff = a0 - a0d
-    pref = renorm * 1j * g / (2.0 * c * math.sqrt(ws.volume))
-    return (pref * (b_dag @ diff + diff @ b)).tocsr()
-
-
 def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
     """Matrix-level closure of the Goldstone pair dynamics.
 
-    For each volume: (a) verifies two exact commutator identities (defects
-    below truncation ~ 0), ``i[H, rho] = rho(eps-tilde) + R`` on the density
-    side, where ``R = 0`` for the mean-field gas, and ``i[H, A]`` in closed
-    form on the order-parameter side, which is ``-(eps_q/2) X + R`` for the
-    mean-field gas; (b) records the state seminorm of the gas's remainder
-    R, later fitted against volume (expected rate ``V^{-1/2}``). The physical wavevector ``q = pi`` is held fixed
-    across the box sides 2, 4, 6 and 8, on each of whose lattices it sits,
-    so the remainder decay isolates the volume scaling.
+    With the couplings ``(g, mu, u)`` of the gas and ``X = B* + B``, both
+    gases obey ``i[H, A] = r_A [-((eps + 2g)/2) X + M]``, where
+    ``M = (mu/2) X - (u/4V)(N X + X N)``, and ``i[H, rho] = rho(i eps) + P``,
+    where ``P = (i g r_rho / 2z)[B*(a_0 - a*_0) + (a_0 - a*_0) B]``; ``r_rho``
+    and ``r_A`` rescale the superfluid pair. For each volume it records the
+    worst below-truncation defect of both identities and the state seminorm
+    of the remainder, ``M`` for the mean-field gas and ``P`` for the
+    superfluid one, later fitted against volume (expected rate ``V^{-1/2}``).
+    The physical wavevector ``q = pi`` is held fixed across the box sides 2,
+    4, 6 and 8, on each of whose lattices it sits, so the remainder decay
+    isolates the volume scaling.
     """
-    if model not in ("imperfect", "wibg"):
-        raise ValueError(f"unknown model tag {model!r}")
+    g_of, mu, u = _couplings(model, params)
     q_phys = math.pi
-    eps_q = dispersion(q_phys, params)
+    if model == "wibg" and g_of(q_phys) == 0.0:
+        raise ValueError("the superfluid remainder needs c^2 v(q) != 0")
     # the superfluid pair is rescaled: rho0 by |q|^{-1/2}, A by |q|^{1/2}
-    renorm = 1.0 if model == "imperfect" else q_phys**-0.5
-    identity_defect = 0.0
-    secondary_defect = 0.0
-    norms, volumes = [], []
-    for box in (2.0, 4.0, 6.0, 8.0):
+    r_rho, r_a = (1.0, 1.0) if model == "imperfect" else (q_phys**-0.5, math.sqrt(q_phys))
+
+    def at_box(box):  # one volume; its operators are freed before the next is built
         q, minus_q = _plus_minus((0, 0, round(box / 2.0)))
         if model == "imperfect":
             amp = math.sqrt(params.condensate_density * box**3)
@@ -726,39 +696,39 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
         ws = FockWorkspace(box, [ZERO, q, minus_q],
                            {ZERO: coherent_cutoff(amp), q: 8, minus_q: 8})
         h = build_hamiltonian(model, ws, params)
-        x_op = sum(_ladder_sums(ws, q))  # X = B* + B
+        k_norm = float(np.linalg.norm(ws.k_phys(q)))  # q_phys up to rounding
+        eps_q, g = dispersion(k_norm, params), g_of(k_norm)
+        b_dag, b = _ladder_sums(ws, q)
+        x_op = b_dag + b
+        n_tot = ws.total_number()
         proj = ws.below_truncation_projector(margin=2)
-        rho = condensate_fluct_matrix(ws, q, amp, renorm=renorm)
-        # i[H, rho] = rho(eps~) + R; R = 0 for the mean-field gas, whose N-terms commute
-        rho_rhs = condensate_fluct_matrix(ws, q, amp, f_q0=1j * eps_q, renorm=renorm)
+
+        number_part = ((mu / 2.0) * x_op
+                       - (u / (4.0 * ws.volume)) * (n_tot @ x_op + x_op @ n_tot)).tocsr()
+        a_rhs = r_a * ((-0.5 * (eps_q + 2.0 * g)) * x_op + number_part)
+        rho_rhs = r_rho * condensate_fluct_matrix(ws, q, amp, f_q0=1j * eps_q)
+        if g != 0.0:
+            diff = ws.annihilator(ZERO) - ws.creator(ZERO)
+            pairing_part = ((r_rho * 1j * g / (2.0 * amp))
+                            * (b_dag @ diff + diff @ b)).tocsr()
+            rho_rhs = rho_rhs + pairing_part
+        rho = r_rho * condensate_fluct_matrix(ws, q, amp)
+        a_op = r_a * order_param_fluct_matrix(ws, q)
+        identity = _projected_norm(dynamics_commutator(h, rho) - rho_rhs, proj)
+        secondary = _projected_norm(dynamics_commutator(h, a_op) - a_rhs, proj)
 
         if model == "imperfect":
-            state = FiniteState.coherent_vacuum(ws, amp)
-            a_op = order_param_fluct_matrix(ws, q)
-            remainder = _imperfect_remainder(ws, params, q)
-            a_rhs = (-0.5 * eps_q) * x_op + remainder
+            state, remainder = FiniteState.coherent_vacuum(ws, amp), number_part
         else:
-            state = FiniteState.coherent_b_vacuum(ws, params, q, amp)
-            # i[H, A] = -((eps + 2 c^2 v)/2) r X - (v(0) r / 4V)(N X + X N)
-            r_a = math.sqrt(q_phys)
-            a_op = order_param_fluct_matrix(ws, q, renorm=r_a)
-            remainder = _wibg_remainder(ws, params, q, renorm)
-            rho_rhs = rho_rhs + remainder
-            n_tot = ws.total_number()
-            a_rhs = (-(0.5 * (eps_q + 2.0 * params.c2v(q_phys)) * r_a) * x_op
-                     - (params.v(0.0) * r_a / (4.0 * ws.volume))
-                     * (n_tot @ x_op + x_op @ n_tot))
-        identity_defect = max(identity_defect, _projected_norm(
-            dynamics_commutator(h, rho) - rho_rhs, proj))
-        secondary_defect = max(secondary_defect, _projected_norm(
-            dynamics_commutator(h, a_op) - a_rhs, proj))
-        norms.append(state.seminorm(remainder))
-        volumes.append(box**3)
+            state, remainder = FiniteState.coherent_b_vacuum(ws, params, q, amp), pairing_part
+        return identity, secondary, state.seminorm(remainder)
 
+    boxes = (2.0, 4.0, 6.0, 8.0)
+    identities, secondaries, norms = zip(*(at_box(box) for box in boxes))
     return ClosureReport(
         model=model,
-        identity_defect=identity_defect,
-        secondary_defect=secondary_defect,
-        remainder_norms=tuple(norms),
-        volumes=tuple(volumes),
+        identity_defect=max(identities),
+        secondary_defect=max(secondaries),
+        remainder_norms=norms,
+        volumes=tuple(box**3 for box in boxes),
     )

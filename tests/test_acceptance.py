@@ -5,11 +5,19 @@ tolerance and asserts the quantitative sub-conditions directly, so a
 failure pinpoints which bound broke rather than just which check.
 """
 
-import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from bosefluct.checks import CheckContext, run_check
+from bosefluct import cli
+from bosefluct.checks import REGISTRY, CheckContext, run_check
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
 
 _CACHE = {}
 
@@ -178,3 +186,13 @@ class TestCriterion10Equivalence:
 
     def test_passes(self):
         assert check("equivalence").passed
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_default_table_matches_the_benchmark_reference(name, tmp_path):
+    """The written table agrees with the benchmark's reference cell by cell."""
+    result = check(name)
+    table = tmp_path / f"{name}.csv"
+    cli._write_table(table, result.columns, result.rows)
+    reference = (workloads.REFERENCE_DIR / f"{name}.csv").read_text()
+    assert workloads.compare_tables(table.read_text(), reference) == []

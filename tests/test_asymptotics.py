@@ -202,6 +202,17 @@ class TestWibgPairBubble:
             wibg_pair_bubble(0.3, thermal_params(beta=math.inf))
 
 
+@pytest.mark.parametrize("bubble,params", [
+    (bose_bubble_integral, thermal_params(beta=1.0)),
+    (wibg_pair_bubble, wibg_params()),
+])
+def test_unconverged_radial_quadrature_raises(bubble, params, monkeypatch):
+    # an error estimate as large as the value: both bubbles refuse it
+    monkeypatch.setattr(asymptotics.integrate, "quad", lambda *args, **kw: (1.0, 1.0))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        bubble(0.3, params)
+
+
 class TestFitPowerLaw:
     def test_planted_exponents(self):
         qs = np.geomspace(0.01, 0.1, 8)

@@ -84,3 +84,19 @@ def test_goldstone_wibg_rows_are_bit_identical():
 ])
 def test_details_record_the_judged_values(name, keys):
     assert set(run_check(name).details) == keys
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 64.0])
+def test_u_commutation_passes_away_from_the_default_range(kappa):
+    # a narrow potential vanishes at the torus momenta of the side-2 box; a
+    # wide one keeps that box, where the rounding of U stays small
+    result = run_check("u-commutation", CheckContext(kappa=kappa))
+    assert result.passed
+    assert result.details["wibg_commutator_norm"] > 10.0 * result.details["wibg_commutator_floor"]
+
+
+@pytest.mark.parametrize("mass", [1.0 / 4.0, 1.0 / 16.0])
+def test_structure_factor_passes_for_a_light_gas(mass):
+    result = run_check("structure-factor", CheckContext(mass=mass))
+    assert result.passed
+    assert result.details["full_ratio"] < result.details["full_ratio_bound"]

@@ -16,7 +16,6 @@ from bosefluct.fock import (
     FiniteState,
     FockWorkspace,
     ZERO,
-    _kinetic,
     _projected_norm,
     appendix_bound,
     bch_defect,
@@ -48,6 +47,12 @@ def wibg_params(c=1.0, v0=1.0):
     return ModelParams(mass=1.0, beta=math.inf, total_density=1.0,
                        condensate_density=c**2, condensate_amplitude=c,
                        potential=gaussian_potential(v0, 2.0))
+
+
+def kinetic(ws, params):
+    """Diagonal kinetic energy ``sum_k eps_k n_k`` read from the occupation table."""
+    eps = dispersion(np.array([ws.k_phys(m) for m in ws.modes]), params)
+    return sp.diags(ws.occupations @ eps, format="csr")
 
 
 class TestWorkspace:
@@ -155,11 +160,21 @@ class TestHamiltonians:
         h = build_hamiltonian("imperfect", ws, params)
         off_diag = h - sp.diags(h.diagonal())
         assert abs(off_diag).max() == 0.0
-        kin = _kinetic(ws, params).diagonal()
+        kin = kinetic(ws, params).diagonal()
         n = ws.total_number().diagonal()
         mu, lam, vol = params.chemical_potential, params.coupling, ws.volume
         expected = kin - mu * n + lam / (2.0 * vol) * n**2
         assert np.allclose(h.diagonal(), expected)
+
+    def test_imperfect_hamiltonian_from_pair_blocks(self):
+        # the mean-field gas is the pairing-free case of the one formula
+        params = imperfect_params()
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ, (0, 1, 1), (0, -1, -1)], 2)
+        n_tot = ws.total_number()
+        expected = (kinetic(ws, params) - params.chemical_potential * n_tot
+                    + params.coupling / (2.0 * ws.volume) * (n_tot @ n_tot))
+        h = build_hamiltonian("imperfect", ws, params)
+        assert abs(h - expected).max() < 1e-12
 
     def test_wibg_self_adjoint(self):
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 4)
@@ -178,7 +193,7 @@ class TestHamiltonians:
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 3)
         h = build_hamiltonian("wibg", ws, params)
         n = ws.total_number().diagonal()
-        expected = _kinetic(ws, params).diagonal() + params.v(0.0) / (2.0 * ws.volume) * n**2
+        expected = kinetic(ws, params).diagonal() + params.v(0.0) / (2.0 * ws.volume) * n**2
         assert abs(h - sp.diags(expected)).max() < 1e-14
 
     def test_wibg_two_pairs_against_per_pair_sum(self):
@@ -188,7 +203,7 @@ class TestHamiltonians:
         h = build_hamiltonian("wibg", ws, params)
         # reference: kinetic term plus the c^2 v dressing and pairing written out per pair
         n_tot = ws.total_number()
-        expected = _kinetic(ws, params) + params.v(0.0) / (2.0 * ws.volume) * (n_tot @ n_tot)
+        expected = kinetic(ws, params) + params.v(0.0) / (2.0 * ws.volume) * (n_tot @ n_tot)
         for k, mk in ((Q, MQ), (q2, mq2)):
             g = params.c2v(float(np.linalg.norm(ws.k_phys(k))))
             pair = ws.creator(k) @ ws.creator(mk)
@@ -199,6 +214,11 @@ class TestHamiltonians:
         ws = FockWorkspace(2.0, [ZERO, Q, MQ, (0, 1, 1)], 2)
         with pytest.raises(ValueError, match="mode pairs"):
             build_hamiltonian("wibg", ws, wibg_params())
+
+    def test_imperfect_needs_mode_pairs(self):
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ, (0, 1, 1)], 2)
+        with pytest.raises(ValueError, match="mode pairs"):
+            build_hamiltonian("imperfect", ws, imperfect_params())
 
     def test_pair_block_gap_matches_spectrum(self):
         params = wibg_params()
@@ -421,7 +441,7 @@ class TestLanczosCharFunction:
 
 class TestInteractionStructure:
     def test_full_interaction_commutes(self):
-        report = u_density_commutator_check(wibg_params())
+        report = u_density_commutator_check(wibg_params(), 2.0)
         assert report.commutator_defect < 1e-10
         assert report.rewrite_defect < 1e-10
         assert report.wibg_commutator_norm > 1e-3
@@ -453,3 +473,22 @@ class TestGoldstoneClosure:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             goldstone_closure_check("ideal", imperfect_params())
+
+    def test_vanishing_superfluid_remainder_refused(self):
+        # v(pi) = v0 exp(-pi^2 / kappa^2) underflows to 0 at kappa = 0.1
+        params = CheckContext(kappa=0.1).wibg
+        with pytest.raises(ValueError, match="remainder needs"):
+            goldstone_closure_check("wibg", params)
+
+    @pytest.mark.parametrize("model,params", [
+        ("imperfect", imperfect_params()),
+        ("wibg", wibg_params()),
+    ])
+    def test_general_couplings(self, model, params, monkeypatch):
+        # pairing, chemical potential and number coupling all at once: the
+        # identities are linear in H, so they hold for any (g, mu, u)
+        monkeypatch.setattr(fock, "_couplings",
+                            lambda model, params: ((lambda k: 0.4 * math.exp(-k)), 0.7, 1.3))
+        report = goldstone_closure_check(model, params)
+        assert report.identity_defect < 1e-10
+        assert report.secondary_defect < 1e-8
