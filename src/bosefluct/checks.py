@@ -173,15 +173,16 @@ def _check_variance_oracle(ctx: CheckContext, tol: float) -> CheckResult:
     worst = 0.0
     q_phys = math.pi
 
-    # ground-state mean-field gas: both variances exactly 1/2
-    grid4 = MomentumGrid(4.0, 6.0)
-    st = quasifree.QuasiFreeState("imperfect", ctx.imperfect_ground, grid4)
-    exact_rho = quasifree.finite_volume_variance(st, "rho", (0, 0, 2))
-    exact_a = quasifree.finite_volume_variance(st, "A", (0, 0, 2))
-    for label, val in (("rho_ground", exact_rho), ("A_ground", exact_a)):
-        err = abs(val - 0.5)
+    # ground-state mean-field gas: q = pi sits on the lattice of the side-4 box
+    ground = ctx.imperfect_ground
+    st = quasifree.QuasiFreeState("imperfect", ground, MomentumGrid(4.0, 6.0))
+    for label, kind, closed_fn in (("rho_ground", "rho", fluctuations.variance_rho_imperfect),
+                                   ("A_ground", "A", fluctuations.variance_A_imperfect)):
+        closed = closed_fn(q_phys, ground)
+        val = quasifree.finite_volume_variance(st, kind, (0, 0, 2))
+        err = abs(val - closed)
         worst = max(worst, err)
-        rows.append((label, 0.5, val, err))
+        rows.append((label, closed, val, err))
 
     thermal = ctx.imperfect_thermal
     # the Boltzmann tail exp(-beta k^2 / 2m), of width s = sqrt(m / beta), sets
@@ -283,8 +284,8 @@ def _bch_operators(params: ModelParams, box: float):
                             {(0, 0, 0): fock.coherent_cutoff(amp),
                              q: 10, mq: 10})
     state = fock.FiniteState.coherent_vacuum(ws, amp)
-    rho = fock.condensate_fluct_matrix(ws, q, amp)
-    a_op = fock.order_param_fluct_matrix(ws, q)
+    rho = fock.condensate_fluct_matrix(ws, q, amp, f_q0=1.0)
+    a_op = fock.condensate_fluct_matrix(ws, q, amp, g_q0=1.0)
     return ws, state, rho, a_op
 
 
@@ -302,12 +303,6 @@ def _check_bch(ctx: CheckContext, tol: float) -> CheckResult:
     bounded = all(d <= b * (1.0 + 1e-9) + tol for d, b in defects)
     return CheckResult(monotone and bounded, ("volume", "defect", "bound"), rows,
                        {"monotone": float(monotone), "bounded": float(bounded)})
-
-
-def _clt_operator(ws, amp, f, g):
-    q = (0, 0, 1)
-    return (fock.condensate_fluct_matrix(ws, q, amp, f_q0=f)
-            + fock.order_param_fluct_matrix(ws, q, g_q0=g)).tocsr()
 
 
 def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
@@ -332,7 +327,7 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
             fluctuations.FluctuationSpec("imperfect", ws.k_phys(q), f_q0=f, g_q0=g), params)
         t_max = 1.5 / math.sqrt(s_closed)
         t_grid = np.linspace(0.0, t_max, 7)[1:]
-        f_op = _clt_operator(ws, amp, f, g)
+        f_op = fock.condensate_fluct_matrix(ws, q, amp, f_q0=f, g_q0=g)
         values = fock.clt_char_function(f_op, t_grid, state)
         worst_imag = max(worst_imag, float(np.max(np.abs(np.angle(values)))))
         y = -2.0 * np.log(np.abs(values))
@@ -416,8 +411,11 @@ def _check_virial_wibg(ctx: CheckContext, tol: float) -> CheckResult:
 def _check_structure_factor(ctx: CheckContext, tol: float) -> CheckResult:
     """Linear condensate-density law vs nonzero full-density constant."""
     params = ctx.wibg
-    # a light gas reaches the full-density plateau only at smaller q
-    qs = np.geomspace(1e-4, 1e-3, 8) * min(1.0, params.mass**2)
+    # S_full is the pair bubble's plateau, of order c^3 (m v0)^{3/2} by its small-q
+    # expansion, plus the condensate part c^2 q / Omega; the part's share grows as
+    # q / (m c v0)^2 = 16 c^2 q / Omega^4. The window at the default is measured
+    qs = np.geomspace(1e-4, 1e-3, 8) * min(1.0, (params.mass * params.condensate_amplitude
+                                                 * params.v(0.0))**2)
     slopes = [fluctuations.structure_factor(q, params) / q for q in qs]
     spread = (max(slopes) - min(slopes)) / float(np.mean(slopes))
     fulls = [fluctuations.structure_factor(q, params, "full") for q in qs]
@@ -434,16 +432,15 @@ def _check_u_commutation(ctx: CheckContext, tol: float) -> CheckResult:
     # side-2 box; the side 4 / kappa puts the first one at pi kappa / 2, where
     # v = v0 e^{-pi^2/4}. A smaller box would only inflate the rounding of U
     box_side = max(fock.INTERACTION_BOX_SIDE, 4.0 / ctx.kappa)
-    report = fock.u_density_commutator_check(ctx.wibg, box_side)
-    passed = (report.commutator_defect < tol and report.rewrite_defect < tol
-              and report.wibg_commutator_norm > WIBG_COMMUTATOR_FLOOR)
-    rows = [("full_interaction_commutator", report.commutator_defect),
-            ("quadratic_rewrite", report.rewrite_defect),
-            ("truncated_interaction_commutator", report.wibg_commutator_norm)]
+    commutator, rewrite, wibg_norm = fock.u_density_commutator_check(ctx.wibg, box_side)
+    passed = commutator < tol and rewrite < tol and wibg_norm > WIBG_COMMUTATOR_FLOOR
+    rows = [("full_interaction_commutator", commutator),
+            ("quadratic_rewrite", rewrite),
+            ("truncated_interaction_commutator", wibg_norm)]
     return CheckResult(passed, ("quantity", "norm"), rows, {
-        "commutator_defect": report.commutator_defect,
-        "rewrite_defect": report.rewrite_defect,
-        "wibg_commutator_norm": report.wibg_commutator_norm,
+        "commutator_defect": commutator,
+        "rewrite_defect": rewrite,
+        "wibg_commutator_norm": wibg_norm,
         "wibg_commutator_floor": WIBG_COMMUTATOR_FLOOR,
     })
 

@@ -103,10 +103,6 @@ class FormValue:
     s: float
     sigma: float
 
-    @property
-    def full(self) -> complex:
-        return self.s + 0.5j * self.sigma
-
 
 def variance_rho_imperfect(q, params: ModelParams, rtol: float = 1e-7) -> float:
     """Density-fluctuation variance of the mean-field gas at wavevector q.

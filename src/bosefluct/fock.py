@@ -8,10 +8,11 @@ checks: exact commutator identities of the Goldstone pair, BCH defects
 in the state seminorm, characteristic functions for the central-limit
 check, the vanishing commutator of the two-body interaction with the
 density fluctuation, and the truncation rederivation of the superfluid
-Hamiltonian. Every check that uses a
-density operator runs on the workspace ``[0, q, -q]``, where one
-zero-mode builder, :func:`condensate_fluct_matrix`, writes the density
-fluctuation of both gases.
+Hamiltonian. Every check that uses the canonical pair runs on the
+workspace ``[0, q, -q]``, where one builder,
+:func:`condensate_fluct_matrix`, writes the smeared fluctuation
+``F(f, g)`` of both gases: its density smearing ``f`` gives the density
+half of the pair and its order-parameter smearing ``g`` the other half.
 
 Modes are labeled by integer lattice triples. For the interaction
 checks the mode label arithmetic is taken modulo a small torus so that
@@ -83,8 +84,7 @@ class FockWorkspace:
     box_side : float
         Physical box side L (sets the mode momenta and the volume).
     modes : sequence of integer lattice triples
-        Mode labels; momentum is ``(2 pi / L) * label`` unless a torus
-        override maps labels to representatives first.
+        Mode labels; momentum is ``(2 pi / L) * label``.
     n_max : int or mapping mode -> int
         Per-mode occupation cutoff. The product of the local dimensions
         may not exceed ``DIMENSION_CAP``.
@@ -335,31 +335,33 @@ def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[sp.csr_matrix, sp.csr_matrix
             ws.annihilator(q) + ws.annihilator(minus_q))
 
 
-def order_param_fluct_matrix(ws: FockWorkspace, q_lat, g_q0: complex = 1.0) -> sp.csr_matrix:
-    """Order-parameter fluctuation ``(i/2)[g B* - conj(g) B]``, ``B* = a*_q + a*_{-q}``."""
-    g = complex(g_q0)
-    b_dag, b = _ladder_sums(ws, q_lat)
-    return (0.5j * (g * b_dag - np.conj(g) * b)).tocsr()
-
-
 def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
-                            f_q0: complex = 1.0) -> sp.csr_matrix:
-    """Zero-mode density fluctuation ``(1 / 2z) [f B* a_0 + conj(f) a*_0 B]``.
+                            f_q0: complex = 0.0, g_q0: complex = 0.0) -> sp.csr_matrix:
+    """Smeared fluctuation ``F(f, g) = (1/2z)[f B* a_0 + conj(f) a*_0 B]
+    + (i/2)[g B* - conj(g) B]``.
 
     ``B* = a*_q + a*_{-q}`` and ``z`` is the zero-mode amplitude the state
     is built with (``sqrt(rho0 V)`` or ``c sqrt(V)``). On the ``[0, q, -q]``
-    workspace the mean-field density fluctuation keeps only these four
-    transfers, so this one builder serves both gases; ``f = i eps_q`` gives
-    the density weighted by ``i (eps_k - eps_k')``.
+    workspace the ``f`` part is the whole mean-field density fluctuation,
+    so this one builder serves both gases; ``f = i eps_q`` gives the
+    density weighted by ``i (eps_k - eps_k')``. Each part is built only
+    when its smearing is nonzero; ``F(0, 0)`` is refused.
     """
+    f, g = complex(f_q0), complex(g_q0)
+    if f == 0.0 and g == 0.0:
+        raise ValueError("needs a nonzero smearing f or g")
     if amplitude == 0.0:
         raise ValueError("needs a nonzero zero-mode amplitude")
-    norm = 1.0 / (2.0 * amplitude)
-    f = complex(f_q0)
     b_dag, b = _ladder_sums(ws, q_lat)
-    up = b_dag @ ws.annihilator(ZERO)
-    down = ws.creator(ZERO) @ b
-    return (norm * (f * up + np.conj(f) * down)).tocsr()
+    parts = []
+    if f != 0.0:
+        norm = 1.0 / (2.0 * amplitude)
+        up = b_dag @ ws.annihilator(ZERO)
+        down = ws.creator(ZERO) @ b
+        parts.append(norm * (f * up + np.conj(f) * down))
+    if g != 0.0:
+        parts.append(0.5j * (g * b_dag - np.conj(g) * b))
+    return sum(parts[1:], parts[0]).tocsr()
 
 
 def dynamics_commutator(h: sp.spmatrix, x: sp.spmatrix) -> sp.csr_matrix:
@@ -484,26 +486,15 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
 # -- interaction commutation on a momentum torus ---------------------------
 
 
-def _torus_modes(n: int) -> List[Mode]:
-    return [(0, 0, j) for j in range(n)]
-
-
-def _torus_rep(j: int, n: int) -> int:
-    """Representative of j mod n in (-n/2, n/2]."""
-    j = j % n
-    return j - n if j > n // 2 else j
-
-
-def _torus_interaction(ws: FockWorkspace, n: int, v) -> sp.csr_matrix:
+def _torus_interaction(ws: FockWorkspace, n: int, v_q: Sequence[float]) -> sp.csr_matrix:
     """Full two-body interaction on the 1-D momentum torus.
 
     ``(1/2V) sum_{q,k,k'} v(q) a*_{k+q} a*_{k'-q} a_{k'} a_k`` with all
     mode sums and additions taken mod n, so momentum conservation is
     exact on the finite set and the density-commutation identity holds
-    as a matrix identity.
+    as a matrix identity. ``v_q[j]`` is ``v`` at torus label ``j``.
     """
     pref = 1.0 / (2.0 * ws.volume)
-    v_q = [v(abs(_torus_rep(qj, n)) * ws.spacing) for qj in range(n)]
     return sum((pref * v_q[qj]) * (ws.creator((0, 0, (kj + qj) % n))
                                    @ ws.creator((0, 0, (kpj - qj) % n))
                                    @ ws.annihilator((0, 0, kpj))
@@ -512,68 +503,52 @@ def _torus_interaction(ws: FockWorkspace, n: int, v) -> sp.csr_matrix:
                for kj in range(n) for kpj in range(n)).tocsr()
 
 
-def _torus_density_fluct(ws: FockWorkspace, n: int, qj: int) -> sp.csr_matrix:
-    """Plain (sqrt2-convention) density fluctuation ``V^{-1/2} sum_k a*_{k+q} a_k``."""
-    terms = [(1.0 / math.sqrt(ws.volume), (0, 0, (kj + qj) % n), (0, 0, kj))
-             for kj in range(n)]
-    return ws.transfer_operator(terms)
-
-
-@dataclass(frozen=True)
-class UCommutationReport:
-    commutator_defect: float
-    rewrite_defect: float
-    wibg_commutator_norm: float
-
-
-def u_density_commutator_check(params: ModelParams, box_side: float) -> UCommutationReport:
+def u_density_commutator_check(params: ModelParams,
+                               box_side: float) -> Tuple[float, float, float]:
     """Check ``[U, F_q(N)] = 0`` and the quadratic rewrite of U on a torus.
 
     Builds the full two-body interaction on a 1-D momentum torus of 4
-    modes (box side ``box_side``, at most 3 bosons each),
-    verifies (i) that it commutes with the density fluctuation at
-    ``q = 2 pi / L`` as a matrix identity below truncation, (ii) that it
-    equals ``(1/2) sum_{q != 0} v(q) F_q F_{-q} + (v(0)/2V) N^2
-    - (phi(0)/2) N`` with ``phi(0) = (1/V) sum_q v(q)``, and (iii) that
-    the superfluid-truncated interaction does *not* commute with the
-    density fluctuation.
+    modes (box side ``box_side``, at most 3 bosons each), where label
+    ``j`` stands for the momentum ``min(j, 4 - j) 2 pi / L``, and the
+    plain density fluctuations ``F_q = V^{-1/2} sum_k a*_{k+q} a_k``.
+    Returns the below-truncation norms of (i) the commutator of U with
+    ``F_q`` at ``q = 2 pi / L``, (ii) U minus ``(1/2) sum_{q != 0} v(q)
+    F_q F_{-q} + (v(0)/2V) N^2 - (phi(0)/2) N`` with ``phi(0) = (1/V)
+    sum_q v(q)``, and (iii) the commutator of the superfluid-truncated
+    interaction (pairing and dressing at the amplitude ``c``) with
+    ``F_q``, which must not vanish. Refuses ``c = 0``, where that
+    interaction is zero.
     """
+    c = params.condensate_amplitude
+    if c == 0.0:
+        raise ValueError("the truncated interaction needs a nonzero condensate amplitude")
     n = 4
-    ws = FockWorkspace(box_side, _torus_modes(n), 3)
+    ws = FockWorkspace(box_side, [(0, 0, j) for j in range(n)], 3)
     proj = ws.below_truncation_projector()
-    u_full = _torus_interaction(ws, n, params.v)
-    f_q = _torus_density_fluct(ws, n, 1)
+    v_q = [params.v(min(j, n - j) * ws.spacing) for j in range(n)]
+    u_full = _torus_interaction(ws, n, v_q)
+    density = {qj: ws.transfer_operator([(1.0 / math.sqrt(ws.volume), (0, 0, (kj + qj) % n),
+                                          (0, 0, kj)) for kj in range(n)])
+               for qj in range(1, n)}
+    f_q = density[1]
 
-    comm = u_full @ f_q - f_q @ u_full
-    commutator_defect = _projected_norm(comm, proj)
+    commutator_defect = _projected_norm(u_full @ f_q - f_q @ u_full, proj)
 
-    v_q = [params.v(abs(_torus_rep(qj, n)) * ws.spacing) for qj in range(n)]
-    rewrite = sum(0.5 * v_q[qj] * (_torus_density_fluct(ws, n, qj)
-                                   @ _torus_density_fluct(ws, n, (-qj) % n))
-                  for qj in range(1, n))
+    rewrite = sum(0.5 * v_q[qj] * (density[qj] @ density[n - qj]) for qj in range(1, n))
     n_tot = ws.total_number()
     n_sq = n_tot @ n_tot
     phi0 = sum(v_q) / ws.volume
     rewrite = rewrite + (params.v(0.0) / (2.0 * ws.volume)) * n_sq - 0.5 * phi0 * n_tot
     rewrite_defect = _projected_norm(u_full - rewrite, proj)
 
-    u_trunc = _torus_truncated_interaction(ws, n, params)
-    comm_w = u_trunc @ f_q - f_q @ u_trunc
-    wibg_norm = _projected_norm(comm_w, proj)
-    return UCommutationReport(commutator_defect, rewrite_defect, wibg_norm)
-
-
-def _torus_truncated_interaction(ws: FockWorkspace, n: int,
-                                 params: ModelParams) -> sp.csr_matrix:
-    """Superfluid-type truncated interaction (pairing + dressing) on the torus."""
-    c = params.condensate_amplitude if params.condensate_amplitude != 0.0 else 1.0
     terms = []
     for kj in range(1, n):
-        vk = params.v(abs(_torus_rep(kj, n)) * ws.spacing)
-        pair = ws.creator((0, 0, kj)) @ ws.creator((0, 0, (-kj) % n))
-        terms.append(0.5 * vk * c**2 * (pair + pair.conjugate().T)
-                     + vk * c**2 * ws.number((0, 0, kj)))
-    return sum(terms).tocsr()
+        pair = ws.creator((0, 0, kj)) @ ws.creator((0, 0, n - kj))
+        terms.append(0.5 * v_q[kj] * c**2 * (pair + pair.conjugate().T)
+                     + v_q[kj] * c**2 * ws.number((0, 0, kj)))
+    u_trunc = sum(terms).tocsr()
+    wibg_norm = _projected_norm(u_trunc @ f_q - f_q @ u_trunc, proj)
+    return commutator_defect, rewrite_defect, wibg_norm
 
 
 def _projected_norm(op: sp.spmatrix, proj: sp.spmatrix) -> float:
@@ -712,8 +687,8 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
             pairing_part = ((r_rho * 1j * g / (2.0 * amp))
                             * (b_dag @ diff + diff @ b)).tocsr()
             rho_rhs = rho_rhs + pairing_part
-        rho = r_rho * condensate_fluct_matrix(ws, q, amp)
-        a_op = r_a * order_param_fluct_matrix(ws, q)
+        rho = r_rho * condensate_fluct_matrix(ws, q, amp, f_q0=1.0)
+        a_op = r_a * condensate_fluct_matrix(ws, q, amp, g_q0=1.0)
         identity = _projected_norm(dynamics_commutator(h, rho) - rho_rhs, proj)
         secondary = _projected_norm(dynamics_commutator(h, a_op) - a_rhs, proj)
 

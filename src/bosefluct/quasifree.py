@@ -177,31 +177,28 @@ def _product_terms(op1, op2):
     return [(c1 * c2, tuple(t1) + tuple(t2)) for c1, t1 in op1 for c2, t2 in op2]
 
 
-def order_param_fluct_terms(q: Mode):
-    """Self-adjoint order-parameter fluctuation ``(i/2)(a*_q + a*_{-q} - a_q - a_{-q})``."""
-    minus_q = tuple(-x for x in q)
-    return [
-        (0.5j, ((q, True),)),
-        (0.5j, ((minus_q, True),)),
-        (-0.5j, ((q, False),)),
-        (-0.5j, ((minus_q, False),)),
-    ]
+def _fluct_terms(state: QuasiFreeState, q: Mode, f: complex, g: complex):
+    """Terms of ``F(f, g) = (1/2z)[f B* a_0 + conj(f) a*_0 B] + (i/2)[g B* - conj(g) B]``.
 
-
-def condensate_density_fluct_terms(state: QuasiFreeState, q: Mode):
-    """Zero-mode density fluctuation ``(1/(2 c sqrt(V)))[(a*_q + a*_{-q}) a_0 + h.c.]``."""
-    c = state.params.condensate_amplitude
-    if c == 0.0:
-        raise ValueError("condensate density fluctuation needs c != 0")
-    norm = 1.0 / (2.0 * c * math.sqrt(state.volume))
-    zero = ZERO
+    ``B* = a*_q + a*_{-q}`` and ``z`` is the state's one-point amplitude:
+    the density smearing ``f`` gives the four zero-mode transfers, the
+    order-parameter smearing ``g`` the four single tokens. A part whose
+    smearing is zero is left out.
+    """
+    f, g = complex(f), complex(g)
     minus_q = tuple(-x for x in q)
-    return [
-        (norm, ((q, True), (zero, False))),
-        (norm, ((minus_q, True), (zero, False))),
-        (norm, ((zero, True), (q, False))),
-        (norm, ((zero, True), (minus_q, False))),
-    ]
+    terms = []
+    if f != 0.0:
+        norm = 1.0 / (2.0 * state.one_point_amplitude)
+        terms += [(norm * f, ((q, True), (ZERO, False))),
+                  (norm * f, ((minus_q, True), (ZERO, False))),
+                  (norm * f.conjugate(), ((ZERO, True), (q, False))),
+                  (norm * f.conjugate(), ((ZERO, True), (minus_q, False)))]
+    if g != 0.0:
+        terms += [(0.5j * g, ((q, True),)), (0.5j * g, ((minus_q, True),)),
+                  (-0.5j * g.conjugate(), ((q, False),)),
+                  (-0.5j * g.conjugate(), ((minus_q, False),))]
+    return terms
 
 
 def finite_volume_variance(state: QuasiFreeState, kind: str, q: Sequence[int]) -> float:
@@ -219,8 +216,9 @@ def finite_volume_variance(state: QuasiFreeState, kind: str, q: Sequence[int]) -
     with the coherent zero mode carrying ``<a*_0 a_0> = rho0 V``. It also
     counts shifted modes ``k + q`` outside the cutoff sphere, which the
     Wick sum over grid transfer terms ``a*_{k+-q} a_k`` leaves out; the
-    two agree once that shell is negligible. The other kinds go through
-    ``wick_expectation`` directly.
+    two agree once that shell is negligible. The other kinds are
+    ``F(0, 1)`` and ``F(1, 0)`` of :func:`_fluct_terms` and go through
+    ``wick_expectation`` directly; ``rho0`` is the superfluid gas's.
     """
     qt = tuple(int(x) for x in q)
     if qt == ZERO:
@@ -229,12 +227,12 @@ def finite_volume_variance(state: QuasiFreeState, kind: str, q: Sequence[int]) -
         if state.model != "imperfect":
             raise ValueError("kind 'rho' applies to the mean-field gas")
         return _density_variance_lattice(state, qt)
-    if kind == "A":
-        op = order_param_fluct_terms(qt)
-    elif kind == "rho0":
-        op = condensate_density_fluct_terms(state, qt)
-    else:
+    smearing = {"A": (0.0, 1.0), "rho0": (1.0, 0.0)}.get(kind)
+    if smearing is None:
         raise ValueError(f"unknown variance kind {kind!r}")
+    if kind == "rho0" and state.model != "wibg":
+        raise ValueError("kind 'rho0' applies to the superfluid gas")
+    op = _fluct_terms(state, qt, *smearing)
     value = _op_expectation(state, _product_terms(op, op))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise AssertionError("variance came out non-real")

@@ -100,3 +100,25 @@ def test_structure_factor_passes_for_a_light_gas(mass):
     result = run_check("structure-factor", CheckContext(mass=mass))
     assert result.passed
     assert result.details["full_ratio"] < result.details["full_ratio_bound"]
+
+
+@pytest.mark.parametrize("v0", [1.0 / 4.0, 1.0 / 16.0])
+def test_structure_factor_passes_for_a_weak_potential(v0):
+    # the q window shrinks with (m c v0)^2, not with the mass alone
+    result = run_check("structure-factor", CheckContext(v0=v0))
+    assert result.passed
+    assert result.details["full_ratio"] < result.details["full_ratio_bound"]
+
+
+def test_variance_oracle_ground_rows_follow_the_closed_forms(monkeypatch):
+    # the ground rows are judged against the closed forms, not a literal 1/2
+    from bosefluct import fluctuations
+    for name, label in (("variance_rho_imperfect", "rho_ground"),
+                        ("variance_A_imperfect", "A_ground")):
+        with monkeypatch.context() as patch:
+            closed_fn = getattr(fluctuations, name)
+            patch.setattr(fluctuations, name, lambda q, p, *a: closed_fn(q, p, *a) + 0.25)
+            result = run_check("variance-oracle")
+        row = next(row for row in result.rows if row[0] == label)
+        assert row[1] == 0.75 and row[3] == pytest.approx(0.25)
+        assert not result.passed

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import expm_multiply
 from bogoliubov_reference import half_angles
 from bosefluct import fock
 from bosefluct.asymptotics import fit_power_law
-from bosefluct.checks import CheckContext, _bch_operators, _clt_operator
+from bosefluct.checks import CheckContext, _bch_operators
 from bosefluct.fock import (
     FiniteState,
     FockWorkspace,
@@ -25,7 +25,6 @@ from bosefluct.fock import (
     condensate_fluct_matrix,
     dynamics_commutator,
     goldstone_closure_check,
-    order_param_fluct_matrix,
     pair_block,
     truncation_rederivation_check,
     u_density_commutator_check,
@@ -245,9 +244,10 @@ class TestHamiltonians:
 class TestFluctuationMatrices:
     def test_self_adjointness(self):
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 3)
-        for op in (order_param_fluct_matrix(ws, Q),
-                   condensate_fluct_matrix(ws, Q, 1.3),
-                   condensate_fluct_matrix(ws, Q, 1.3, f_q0=0.4 - 0.9j)):
+        for op in (condensate_fluct_matrix(ws, Q, 1.3, g_q0=1.0),
+                   condensate_fluct_matrix(ws, Q, 1.3, f_q0=1.0),
+                   condensate_fluct_matrix(ws, Q, 1.3, f_q0=0.4 - 0.9j),
+                   condensate_fluct_matrix(ws, Q, 1.3, f_q0=0.4 - 0.9j, g_q0=-0.7 + 0.2j)):
             assert abs(op - op.conjugate().T).max() < 1e-14
 
     @pytest.mark.parametrize("box", [2.0, 3.0, 5.0])
@@ -266,8 +266,30 @@ class TestFluctuationMatrices:
 
     def test_builder_needs_amplitude(self):
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 2)
-        with pytest.raises(ValueError):
-            condensate_fluct_matrix(ws, Q, 0.0)
+        with pytest.raises(ValueError, match="amplitude"):
+            condensate_fluct_matrix(ws, Q, 0.0, f_q0=1.0)
+
+    def test_builder_refuses_zero_smearing(self):
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ], 2)
+        with pytest.raises(ValueError, match="smearing"):
+            condensate_fluct_matrix(ws, Q, 1.3)
+
+    def test_order_parameter_half_written_out(self):
+        # (i/2)[g B* - conj(g) B]: no zero-mode operator, so no amplitude enters
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ], 3)
+        g = 0.6 + 0.3j
+        expected = 0.5j * (g * (ws.creator(Q) + ws.creator(MQ))
+                           - np.conj(g) * (ws.annihilator(Q) + ws.annihilator(MQ)))
+        for amp in (1.3, 7.0):
+            assert abs(condensate_fluct_matrix(ws, Q, amp, g_q0=g) - expected).max() < 1e-15
+
+    def test_both_smearings_add_the_two_halves(self):
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ], 3)
+        f, g = 0.4 - 0.9j, -0.7 + 0.2j
+        both = condensate_fluct_matrix(ws, Q, 1.3, f_q0=f, g_q0=g)
+        halves = (condensate_fluct_matrix(ws, Q, 1.3, f_q0=f)
+                  + condensate_fluct_matrix(ws, Q, 1.3, g_q0=g))
+        assert abs(both - halves).max() == 0.0
 
     def test_free_mode_commutator(self):
         # i[eps a* a, i(a* - a)] = -eps (a* + a)
@@ -368,7 +390,7 @@ def reduced_clt_case(seed):
     state = FiniteState.coherent_vacuum(ws, amp)
     rng = np.random.default_rng(seed)
     f, g = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
-    f_op = _clt_operator(ws, amp, f, g)
+    f_op = condensate_fluct_matrix(ws, Q, amp, f_q0=f, g_q0=g)
     t_grid = np.linspace(0.0, 1.5 / math.sqrt(0.5 * abs(f + 1j * g) ** 2), 7)[1:]
     return f_op, t_grid, state
 
@@ -441,10 +463,15 @@ class TestLanczosCharFunction:
 
 class TestInteractionStructure:
     def test_full_interaction_commutes(self):
-        report = u_density_commutator_check(wibg_params(), 2.0)
-        assert report.commutator_defect < 1e-10
-        assert report.rewrite_defect < 1e-10
-        assert report.wibg_commutator_norm > 1e-3
+        commutator, rewrite, wibg_norm = u_density_commutator_check(wibg_params(), 2.0)
+        assert commutator < 1e-10
+        assert rewrite < 1e-10
+        assert wibg_norm > 1e-3
+
+    def test_commutation_refuses_zero_condensate(self):
+        # c = 0 used to pass silently with the truncated interaction at c = 1
+        with pytest.raises(ValueError, match="nonzero condensate amplitude"):
+            u_density_commutator_check(wibg_params(c=0.0), 2.0)
 
     def test_truncation_rederivation(self):
         step1, step2 = truncation_rederivation_check(wibg_params())

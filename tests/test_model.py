@@ -181,6 +181,28 @@ class TestLayerImports:
         assert package_imports(source) == ({"model", "fock", "checks", "fluctuations"}, [4])
 
 
+class TestOperatorAssemblyInFock:
+    """Only ``fock`` calls the workspace's ladder, number and transfer operators, so every
+    operator on a workspace is assembled in that one layer."""
+
+    CALL = re.compile(r"\b(creator|annihilator|number|transfer_operator)\(")
+
+    def test_no_module_but_fock_assembles_operators(self):
+        found = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(Path(bosefluct.__file__).parent.glob("*.py"))
+                 if path.stem != "fock"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if self.CALL.search(line)]
+        assert found == []
+
+    def test_pattern_catches_the_calls(self):
+        for line in ("up = ws.creator(q) @ ws.annihilator(ZERO)", "n = ws.number(mode)",
+                     "op = ws.transfer_operator(terms)"):
+            assert self.CALL.search(line), line
+        for line in ("n_tot = ws.total_number()", "occupation_number = 3"):
+            assert not self.CALL.search(line), line
+
+
 class TestOneBuilderPerOperator:
     """The +-q ladder sums and the sparse accumulations are written once, in the builders."""
 

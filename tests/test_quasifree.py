@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bogoliubov_reference import half_angles
+from bosefluct import fock
 from bosefluct.checks import CheckContext
+from bosefluct.fluctuations import FluctuationSpec, variance_general
 from bosefluct.model import (
     ModelParams,
     MomentumGrid,
@@ -21,6 +23,7 @@ from bosefluct.quasifree import (
     MAX_WORD_LENGTH,
     OperatorWord,
     QuasiFreeState,
+    _fluct_terms,
     _op_expectation,
     _product_terms,
     finite_volume_variance,
@@ -248,6 +251,54 @@ class TestFiniteVolumeVariance:
         with pytest.raises(ValueError):
             finite_volume_variance(imperfect_state(), "rho", ZERO)
 
+    def test_rejects_condensate_density_on_the_mean_field_state(self):
+        with pytest.raises(ValueError, match="superfluid"):
+            finite_volume_variance(imperfect_state(), "rho0", Q)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             finite_volume_variance(imperfect_state(), "phi", Q)
+
+
+def seeded_smearings(seed, count):
+    rng = np.random.default_rng(seed)
+    return [(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2)))
+            for _ in range(count)]
+
+
+def wick_second_moment(state, q, f, g):
+    """``<F F>`` of the smeared fluctuation ``F(f, g)`` at ``q`` by Wick pairing."""
+    terms = _fluct_terms(state, q, f, g)
+    return _op_expectation(state, _product_terms(terms, terms))
+
+
+class TestSmearedFluctuationAcrossRoutes:
+    """``F(f, g)`` is written once per route: the Wick terms and the Fock matrix."""
+
+    @pytest.mark.parametrize("box", [2.0, 3.0])
+    def test_wick_matches_fock_in_the_mean_field_ground_state(self, box):
+        state = imperfect_state(box=box)
+        amp = state.one_point_amplitude
+        ws = fock.FockWorkspace(box, [ZERO, Q, MQ], {ZERO: fock.coherent_cutoff(amp), Q: 4, MQ: 4})
+        vacuum = fock.FiniteState.coherent_vacuum(ws, amp)
+        for f, g in seeded_smearings(31, 4):
+            f_op = fock.condensate_fluct_matrix(ws, Q, amp, f_q0=f, g_q0=g)
+            matrix = vacuum.expect(f_op @ f_op)
+            wick = wick_second_moment(state, Q, f, g)
+            assert abs(wick - matrix) <= 1e-14 * abs(matrix)
+
+    def test_general_smearing_approaches_the_closed_form_in_the_superfluid_state(self):
+        params = wibg_state(beta=1.5).params
+        for f, g in seeded_smearings(37, 3):
+            errors = []
+            for scale in (1.0, 2.0):
+                state = QuasiFreeState("wibg", params,
+                                       MomentumGrid(scale * 2.0 * math.pi, 1.5 / scale))
+                q = (0, 0, int(scale))
+                closed = variance_general(
+                    FluctuationSpec("wibg", state.k_phys(q), f_q0=f, g_q0=g), params)
+                value = wick_second_moment(state, q, f, g)
+                assert abs(value.imag) < 1e-12
+                errors.append(abs(value.real - closed))
+                assert errors[-1] < 3.0 / state.volume
+            assert errors[1] < errors[0]
