@@ -10,7 +10,7 @@ enumerates and ``bosefluct run`` dispatches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -21,6 +21,7 @@ from .model import (
     MomentumGrid,
     bogoliubov_spectrum,
     dispersion,
+    gas_table,
     gaussian_potential,
     omega_gap,
 )
@@ -57,11 +58,22 @@ class CheckContext:
     kappa: float = 2.0
 
     def __post_init__(self):
+        for f in fields(self):  # every check reads a finite scenario
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"scenario field {f.name!r} must be finite")
         # the superfluid checks divide by c and the mean-field ones by rho0;
         # ModelParams allows zero because delta-exponents builds such phases
         for name in ("condensate_amplitude", "condensate_density"):
             if getattr(self, name) == 0.0:
                 raise ValueError(f"{name} must be nonzero: every scenario has a condensate")
+        if self.coupling == 0.0:
+            raise ValueError("coupling must be nonzero: the mean-field remainder vanishes")
+        # the superfluid sets add only the potential's rules; they are built where a
+        # check reads them, so constructing a context calls no library function
+        for name in ("v0", "kappa"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        self.imperfect_ground, self.imperfect_thermal  # ModelParams refuses the rest
 
     @property
     def imperfect_ground(self) -> ModelParams:
@@ -72,10 +84,7 @@ class CheckContext:
 
     @property
     def imperfect_thermal(self) -> ModelParams:
-        return ModelParams(mass=self.mass, beta=self.beta_thermal,
-                           total_density=self.total_density,
-                           condensate_density=self.condensate_density,
-                           coupling=self.coupling)
+        return replace(self.imperfect_ground, beta=self.beta_thermal)
 
     @property
     def wibg(self) -> ModelParams:
@@ -89,6 +98,10 @@ class CheckContext:
     @property
     def wibg_thermal(self) -> ModelParams:
         return replace(self.wibg, beta=self.beta_thermal)
+
+    def ground(self, model: str) -> ModelParams:
+        """The ground-state parameter set of the gas ``model``; KeyError for another tag."""
+        return {"imperfect": self.imperfect_ground, "wibg": self.wibg}[model]
 
 
 @dataclass
@@ -279,7 +292,7 @@ def _check_delta(ctx: CheckContext, tol: float) -> CheckResult:
 
 def _bch_operators(params: ModelParams, box: float):
     q, mq = (0, 0, 1), (0, 0, -1)
-    amp = math.sqrt(params.condensate_density * box**3)
+    amp = gas_table("imperfect", params).amplitude(box**3)
     ws = fock.FockWorkspace(box, [(0, 0, 0), q, mq],
                             {(0, 0, 0): fock.coherent_cutoff(amp),
                              q: 10, mq: 10})
@@ -310,7 +323,7 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
     params = replace(ctx.imperfect_ground, total_density=CLT_DENSITY,
                      condensate_density=CLT_DENSITY)
     box = 5.0
-    amp = math.sqrt(CLT_DENSITY * box**3)
+    amp = gas_table("imperfect", params).amplitude(box**3)
     q, mq = (0, 0, 1), (0, 0, -1)
     ws = fock.FockWorkspace(box, [(0, 0, 0), q, mq],
                             {(0, 0, 0): fock.coherent_cutoff(amp), q: 10, mq: 10})
@@ -345,67 +358,56 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
 
 def _virial_ratio(model: str, params: ModelParams) -> Tuple[float, float]:
     """Oscillator energy ``Omega`` and the extrapolated ``Omega^2 <rho~^2> / <A~^2>``
-    of the rescaled pair.
+    of the pair ``(|q|^-r rho, |q|^r A)``, with ``Omega`` and ``r`` from the gas's table.
 
-    Evaluated on the closed-form variances along the tail ``q = 0.25 * 2^-j``,
-    j = 0..3, and Richardson-extrapolated in ``q^2`` (the ratio is smooth in ``q^2``).
+    Evaluated on the closed-form variances along the tail ``q = 0.25 min(1, Omega) 2^-j``,
+    j = 0..3 (the superfluid spectrum is linear only below ``q ~ Omega``), and
+    Richardson-extrapolated in ``q^2`` (the ratio is smooth in ``q^2``).
     """
-    if model == "imperfect":
-        # ground state: both closed forms are exactly 1/2 at every q
-        return 1.0, (fluctuations.variance_rho_imperfect(0.25, params)
-                     / fluctuations.variance_A_imperfect(0.25, params))
-    omega = omega_gap(params)
-    q_tail = [0.25 * 0.5**j for j in range(4)]
+    table = gas_table(model, params)
+    omega, r = table.omega(), table.exponent
+    q_tail = [0.25 * min(1.0, omega) * 0.5**j for j in range(4)]
     ratios = [
-        omega**2 * (fluctuations.variance_rho0_wibg(qn, params) / qn)
-        / (qn * fluctuations.variance_A_wibg(qn, params))
+        omega**2 * (fluctuations.variance_general(
+            fluctuations.FluctuationSpec(model, qn, f_q0=1.0), params) / qn**(2.0 * r))
+        / (qn**(2.0 * r) * fluctuations.variance_general(
+            fluctuations.FluctuationSpec(model, qn, g_q0=1.0), params))
         for qn in q_tail
     ]
     return omega, asymptotics.richardson([qn**2 for qn in q_tail], ratios, (1, 2, 3))
 
 
-def _closure_result(report: fock.ClosureReport, params: ModelParams,
-                    tol: float) -> CheckResult:
-    omega, virial = _virial_ratio(report.model, params)
-    # the remainder seminorm decays as V^{-1/2}
-    rate = asymptotics.fit_power_law(list(zip(report.volumes, report.remainder_norms)))
-    rate_ok = abs(rate + 0.5) < 0.1
-    virial_ok = abs(virial - 1.0) < 1e-3
-    passed = report.identity_defect < tol and rate_ok and virial_ok \
-        and report.secondary_defect < 1e-8
-    rows = [(v, n) for v, n in zip(report.volumes, report.remainder_norms)]
-    return CheckResult(passed, ("volume", "remainder_seminorm"), rows, {
-        "identity_defect": report.identity_defect,
-        "secondary_defect": report.secondary_defect,
-        "remainder_rate": rate,
-        "virial_ratio": virial,
-        "oscillator_energy": omega,
-    })
+def _check_goldstone(model: str) -> Runner:
+    """Closure of the canonical pair of one gas: the exact identities, the ``V^{-1/2}``
+    decay of the remainder seminorm and the virial ratio."""
+
+    def run(ctx: CheckContext, tol: float) -> CheckResult:
+        params = ctx.ground(model)
+        report = fock.goldstone_closure_check(model, params)
+        omega, virial = _virial_ratio(model, params)
+        rows = list(zip(report.volumes, report.remainder_norms))
+        rate = asymptotics.fit_power_law(rows)
+        passed = (report.identity_defect < tol and abs(rate + 0.5) < 0.1
+                  and abs(virial - 1.0) < 1e-3 and report.secondary_defect < 1e-8)
+        return CheckResult(passed, ("volume", "remainder_seminorm"), rows, {
+            "identity_defect": report.identity_defect,
+            "secondary_defect": report.secondary_defect,
+            "remainder_rate": rate,
+            "virial_ratio": virial,
+            "oscillator_energy": omega,
+        })
+    return run
 
 
-def _check_goldstone_imperfect(ctx: CheckContext, tol: float) -> CheckResult:
-    params = ctx.imperfect_ground
-    return _closure_result(fock.goldstone_closure_check("imperfect", params), params, tol)
+def _check_virial(model: str) -> Runner:
+    """Virial identity of the oscillator pair of one gas."""
 
-
-def _check_goldstone_wibg(ctx: CheckContext, tol: float) -> CheckResult:
-    params = ctx.wibg
-    return _closure_result(fock.goldstone_closure_check("wibg", params), params, tol)
-
-
-def _virial_result(model: str, params: ModelParams, tol: float) -> CheckResult:
-    omega, ratio = _virial_ratio(model, params)
-    err = abs(ratio - 1.0)
-    return CheckResult(err < tol, ("omega", "virial_ratio", "error"),
-                       [(omega, ratio, err)], {"virial_ratio": ratio})
-
-
-def _check_virial_imperfect(ctx: CheckContext, tol: float) -> CheckResult:
-    return _virial_result("imperfect", ctx.imperfect_ground, tol)
-
-
-def _check_virial_wibg(ctx: CheckContext, tol: float) -> CheckResult:
-    return _virial_result("wibg", ctx.wibg, tol)
+    def run(ctx: CheckContext, tol: float) -> CheckResult:
+        omega, ratio = _virial_ratio(model, ctx.ground(model))
+        err = abs(ratio - 1.0)
+        return CheckResult(err < tol, ("omega", "virial_ratio", "error"),
+                           [(omega, ratio, err)], {"virial_ratio": ratio})
+    return run
 
 
 def _check_structure_factor(ctx: CheckContext, tol: float) -> CheckResult:
@@ -493,9 +495,8 @@ def _check_lifetime(ctx: CheckContext, tol: float) -> CheckResult:
     qs = np.geomspace(1e-3, 1e-2, 6)
     rows, passed, details = [], True, {}
     for model, params in (("imperfect", ctx.imperfect_ground), ("wibg", ctx.wibg)):
-        energies = [dispersion(q, params) for q in qs]
-        if model == "wibg":
-            energies = [bogoliubov_spectrum(eps, params.c2v(q)) for q, eps in zip(qs, energies)]
+        pairing = gas_table(model, params).g
+        energies = [bogoliubov_spectrum(dispersion(q, params), pairing(q)) for q in qs]
         exponent = asymptotics.fit_power_law(list(zip(qs, energies)))
         target = LIFETIME_TARGETS[model]
         err = abs(exponent - target)
@@ -529,16 +530,16 @@ REGISTRY: Dict[str, CheckDef] = {
                  _check_clt),
         CheckDef("goldstone-imperfect", "fock_oracle",
                  "closure of the canonical pair dynamics, mean-field gas", 1e-10,
-                 _check_goldstone_imperfect),
+                 _check_goldstone("imperfect")),
         CheckDef("goldstone-wibg", "fock_oracle",
                  "closure of the canonical pair dynamics, superfluid gas", 1e-10,
-                 _check_goldstone_wibg),
+                 _check_goldstone("wibg")),
         CheckDef("virial-imperfect", "fluctuations",
                  "virial identity of the oscillator pair, mean-field gas", 1e-3,
-                 _check_virial_imperfect),
+                 _check_virial("imperfect")),
         CheckDef("virial-wibg", "fluctuations",
                  "virial identity of the oscillator pair, superfluid gas", 1e-3,
-                 _check_virial_wibg),
+                 _check_virial("wibg")),
         CheckDef("structure-factor", "fluctuations",
                  "static structure function: linear law vs nonzero constant", 0.01,
                  _check_structure_factor),

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .checks import REGISTRY, CheckContext, CheckResult, checked_tolerance, run_check
-from .model import bogoliubov_spectrum, dispersion, omega_gap
+from .model import bogoliubov_spectrum, dispersion, gas_table
 
 OUTPUT_DIR_ENV = "BOSEFLUCT_OUT"
 
@@ -90,14 +90,8 @@ def _load_config(path: Path):
         for key, value in parser.items("scenario"):
             if key not in _CONTEXT_FIELDS:
                 raise ValueError(f"unknown scenario field {key!r}")
-            number = float(value)
-            if not math.isfinite(number):  # every check reads a finite scenario
-                raise ValueError(f"scenario field {key!r} must be finite, got {value.strip()!r}")
-            ctx_kwargs[key] = number
-    ctx = CheckContext(**ctx_kwargs)
-    # build the parameter sets the checks read, so a value ModelParams or the
-    # potential refuses stops the run here instead of erroring its checks
-    ctx.imperfect_ground, ctx.imperfect_thermal, ctx.wibg_thermal
+            ctx_kwargs[key] = float(value)
+    ctx = CheckContext(**ctx_kwargs)  # refuses a scenario any check would refuse
 
     if not parser.has_section("run") or not parser.get("run", "checks", fallback="").strip():
         raise ValueError("config needs a [run] section with a nonempty checks list")
@@ -193,25 +187,19 @@ def _spectrum_command(args) -> int:
     if not 0.0 < args.qmin < args.qmax < math.inf or args.points < 2:
         print("spectrum: need 0 < qmin < qmax and points >= 2", file=sys.stderr)
         return 2
-    ctx = CheckContext()
-    if args.model == "imperfect":
-        params = ctx.imperfect_ground
-        omega = 1.0
-    elif args.model == "wibg":
-        params = ctx.wibg
-        omega = omega_gap(params)
-    else:
+    try:
+        params = CheckContext().ground(args.model)
+    except KeyError:
         print(f"spectrum: unknown model {args.model!r}", file=sys.stderr)
         return 2
+    table = gas_table(args.model, params)
+    omega = table.omega()
 
     qs = np.geomspace(args.qmin, args.qmax, args.points)
     rows = []
     for q in qs:
         eps = dispersion(q, params)
-        if args.model == "wibg":
-            energy = bogoliubov_spectrum(eps, params.c2v(q))
-        else:
-            energy = eps
+        energy = bogoliubov_spectrum(eps, table.g(q))
         rows.append((q, eps, energy, energy * q / eps, omega))
     out_dir = _resolve_out(args.out)
     _write_table(out_dir / "spectrum.csv",

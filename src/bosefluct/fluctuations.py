@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import bose_bubble_integral, richardson, wibg_pair_bubble
-from .model import ModelParams, bogoliubov_spectrum, dispersion, thermal_kernel
+from .model import ModelParams, bogoliubov_spectrum, dispersion, gas_table, thermal_kernel
 
 __all__ = [
     "FluctuationSpec",
@@ -55,6 +55,7 @@ class FluctuationSpec:
     Parameters
     ----------
     model : {"imperfect", "wibg"}
+        Checked by the gas's table when a form is evaluated.
     q : momentum 3-vector (or scalar norm), nonzero
     f_q0, g_q0 : complex
         Density and order-parameter smearing values at ``(q, 0)``.
@@ -69,8 +70,6 @@ class FluctuationSpec:
     renorm_exponent: float = 0.0
 
     def __post_init__(self):
-        if self.model not in ("imperfect", "wibg"):
-            raise ValueError(f"unknown model tag {self.model!r}")
         qa = np.atleast_1d(np.asarray(self.q, dtype=float))
         if qa.size == 1:
             qa = np.array([0.0, 0.0, float(qa[0])])
@@ -142,30 +141,25 @@ def _symmetric_form(spec1: FluctuationSpec, spec2: FluctuationSpec,
                     params: ModelParams, rtol: float = 1e-7) -> float:
     """The real bilinear form ``s`` behind every variance and covariance.
 
-    With ``w = f + ig``, ``K`` the thermal kernel and ``r`` the
-    renormalization factors: ``r1 r2 [Re(conj w1 w2) K(eps_q) +
-    Re(conj f1 f2) I(q)]`` for the mean-field gas, with the bubble ``I``
-    (zero in the ground state), and ``r1 r2 K(E_q) (eps_q Re(conj w1 w2)
-    + 2 c^2 v Im w1 Im w2) / E_q`` for the superfluid gas, which does not
-    cancel at small q as ``(eps + c^2 v) Re(conj w1 w2) - c^2 v Re(w1 w2)``
-    does."""
+    With ``w = f + ig``, ``g`` the table's pairing, ``E`` the collective energy,
+    ``K`` the thermal kernel and ``r`` the renormalization factors: ``r1 r2 K(E_q)
+    (eps_q Re(conj w1 w2) + 2 g Im w1 Im w2) / E_q``, which does not cancel at
+    small q as ``(eps + g) Re(conj w1 w2) - g Re(w1 w2)`` does. ``g = 0`` is the
+    mean-field kernel, to which the mean-field gas adds ``Re(conj f1 f2) I(q)``
+    with the thermal bubble ``I`` (zero in the ground state)."""
     w1, w2 = spec1.field_value, spec2.field_value
     q_norm = spec1.q_norm
     scale = spec1.renorm_factor * spec2.renorm_factor
     eps = dispersion(q_norm, params)
-    overlap = (w1.conjugate() * w2).real
-    if spec1.model == "imperfect":
-        value = overlap * thermal_kernel(eps, params.beta)
-        f_overlap = (spec1.f_q0.conjugate() * spec2.f_q0).real
-        if f_overlap != 0.0 and not params.is_ground_state:
-            value += f_overlap * bose_bubble_integral(q_norm, params, rtol=rtol).value
-        return scale * value
-    if params.condensate_amplitude == 0.0:
-        raise ValueError("superfluid formulas need a nonzero condensate amplitude")
-    g = params.c2v(q_norm)
+    g = gas_table(spec1.model, params).g(q_norm)
     energy = bogoliubov_spectrum(eps, g)
-    value = (eps * overlap + 2.0 * g * w1.imag * w2.imag) / energy
-    return scale * thermal_kernel(energy, params.beta) * value
+    overlap = (w1.conjugate() * w2).real
+    value = thermal_kernel(energy, params.beta) * (
+        (eps * overlap + 2.0 * g * w1.imag * w2.imag) / energy)
+    f_overlap = (spec1.f_q0.conjugate() * spec2.f_q0).real
+    if spec1.model == "imperfect" and f_overlap != 0.0 and not params.is_ground_state:
+        value += f_overlap * bose_bubble_integral(q_norm, params, rtol=rtol).value
+    return scale * value
 
 
 def _check_compatible(spec1: FluctuationSpec, spec2: FluctuationSpec):

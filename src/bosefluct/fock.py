@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh, expm_multiply
 
-from .model import ModelParams, dispersion
+from .model import ModelParams, dispersion, gas_table
 
 __all__ = [
     "FockWorkspace",
@@ -261,7 +261,8 @@ class FiniteState:
             raise ValueError("the +-q cutoffs must match")
         pair_ws = FockWorkspace(ws.box_side, [q, minus_q], n_pair)
         q_norm = float(np.linalg.norm(pair_ws.k_phys(q)))
-        h_pair = pair_block(pair_ws, q, dispersion(q_norm, params), params.c2v(q_norm))
+        g = gas_table("wibg", params).g(q_norm)
+        h_pair = pair_block(pair_ws, q, dispersion(q_norm, params), g)
         # a fixed start vector keeps ARPACK, and so the tables, reproducible
         start = np.full(pair_ws.dimension, pair_ws.dimension**-0.5)
         _, vecs = eigsh(h_pair.tocsc(), k=1, which="SA", v0=start)
@@ -286,31 +287,16 @@ def pair_block(ws: FockWorkspace, q_lat, eps: float, g: float) -> sp.csr_matrix:
     return ((eps + g) * n_ops + g * (pair + pair.conjugate().T)).tocsr()
 
 
-def _couplings(model: str, params: ModelParams):
-    """The three couplings ``(g, mu, u)`` in which the two gases differ.
-
-    ``g`` maps ``|k|`` to the pairing, ``mu`` is the chemical potential and
-    ``u`` the number coupling: ``(0, lambda rho, lambda)`` for the mean-field
-    gas and ``(c^2 v(k), 0, v(0))`` for the superfluid one, whose chemical
-    potential is absorbed.
-    """
-    if model == "imperfect":
-        return (lambda k_norm: 0.0), params.chemical_potential, params.coupling
-    if model == "wibg":
-        return params.c2v, 0.0, params.v(0.0)
-    raise ValueError(f"unknown model tag {model!r}")
-
-
 def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.csr_matrix:
     """Assemble ``sum_{+-k} pair_block(k, eps_k, g(k)) + (u/2V) N^2 - mu N``.
 
     One :func:`pair_block` per nonzero ``+-k`` mode pair, with the
-    couplings ``(g, mu, u)`` of the gas (:func:`_couplings`). The mean-field
-    gas has no pairing, ``T - mu N + (lambda / 2V) N^2``; the superfluid one
-    has no number term, which leaves each block's gap exactly at the
-    collective spectrum.
+    couplings ``(g, mu, u)`` read from the gas's :func:`~bosefluct.model.gas_table`.
+    The mean-field gas has no pairing, ``T - mu N + (lambda / 2V) N^2``; the
+    superfluid one has no chemical potential, which leaves each block's gap
+    exactly at the collective spectrum.
     """
-    g, mu, u = _couplings(model, params)
+    table = gas_table(model, params)
     if ZERO not in ws.modes:
         raise ValueError("workspace must contain the zero mode")
     blocks = []
@@ -320,9 +306,10 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
             raise ValueError("pair blocks need +-k mode pairs")
         if q > minus_q:  # one block per pair; the zero mode is its own mirror
             k_norm = float(np.linalg.norm(ws.k_phys(q)))
-            blocks.append(pair_block(ws, q, dispersion(k_norm, params), g(k_norm)))
+            blocks.append(pair_block(ws, q, dispersion(k_norm, params), table.g(k_norm)))
     n_tot = ws.total_number()
-    return (sum(blocks) + (u / (2.0 * ws.volume)) * (n_tot @ n_tot) - mu * n_tot).tocsr()
+    return (sum(blocks) + (table.u / (2.0 * ws.volume)) * (n_tot @ n_tot)
+            - table.mu * n_tot).tocsr()
 
 
 # -- fluctuation operators on a workspace ---------------------------------
@@ -643,43 +630,42 @@ class ClosureReport:
 def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
     """Matrix-level closure of the Goldstone pair dynamics.
 
-    With the couplings ``(g, mu, u)`` of the gas and ``X = B* + B``, both
-    gases obey ``i[H, A] = r_A [-((eps + 2g)/2) X + M]``, where
+    With the couplings ``(g, mu, u)`` of the gas's table and ``X = B* + B``,
+    both gases obey ``i[H, A] = r_A [-((eps + 2g)/2) X + M]``, where
     ``M = (mu/2) X - (u/4V)(N X + X N)``, and ``i[H, rho] = rho(i eps) + P``,
-    where ``P = (i g r_rho / 2z)[B*(a_0 - a*_0) + (a_0 - a*_0) B]``; ``r_rho``
-    and ``r_A`` rescale the superfluid pair. For each volume it records the
-    worst below-truncation defect of both identities and the state seminorm
-    of the remainder, ``M`` for the mean-field gas and ``P`` for the
-    superfluid one, later fitted against volume (expected rate ``V^{-1/2}``).
-    The physical wavevector ``q = pi`` is held fixed across the box sides 2,
-    4, 6 and 8, on each of whose lattices it sits, so the remainder decay
-    isolates the volume scaling.
+    where ``P = (i g r_rho / 2z)[B*(a_0 - a*_0) + (a_0 - a*_0) B]``; ``r_rho =
+    |q|^-r`` and ``r_A = |q|^r`` rescale the pair. For each volume it records
+    the worst below-truncation defect of both identities and the state
+    seminorm of the remainder, ``M`` in the coherent vacuum for the mean-field
+    gas and ``P`` in the quasi-particle vacuum for the superfluid one, later
+    fitted against volume (expected rate ``V^{-1/2}``); a remainder whose
+    coupling vanishes (``mu = u = 0``, ``g(q) = 0``) is refused. The physical
+    wavevector ``q = pi`` is held fixed across the box sides 2, 4, 6 and 8,
+    on each of whose lattices it sits, so the remainder decay isolates the
+    volume scaling.
     """
-    g_of, mu, u = _couplings(model, params)
+    table = gas_table(model, params)
     q_phys = math.pi
-    if model == "wibg" and g_of(q_phys) == 0.0:
-        raise ValueError("the superfluid remainder needs c^2 v(q) != 0")
-    # the superfluid pair is rescaled: rho0 by |q|^{-1/2}, A by |q|^{1/2}
-    r_rho, r_a = (1.0, 1.0) if model == "imperfect" else (q_phys**-0.5, math.sqrt(q_phys))
+    mean_field = model == "imperfect"  # which remainder, in which state
+    if not any((table.mu, table.u) if mean_field else (table.g(q_phys),)):
+        raise ValueError("the Goldstone remainder needs a nonzero coupling, mu or u / c^2 v(q)")
+    r_rho, r_a = q_phys**-table.exponent, q_phys**table.exponent
 
     def at_box(box):  # one volume; its operators are freed before the next is built
         q, minus_q = _plus_minus((0, 0, round(box / 2.0)))
-        if model == "imperfect":
-            amp = math.sqrt(params.condensate_density * box**3)
-        else:
-            amp = params.condensate_amplitude * math.sqrt(box**3)
+        amp = table.amplitude(box**3)
         ws = FockWorkspace(box, [ZERO, q, minus_q],
                            {ZERO: coherent_cutoff(amp), q: 8, minus_q: 8})
         h = build_hamiltonian(model, ws, params)
         k_norm = float(np.linalg.norm(ws.k_phys(q)))  # q_phys up to rounding
-        eps_q, g = dispersion(k_norm, params), g_of(k_norm)
+        eps_q, g = dispersion(k_norm, params), table.g(k_norm)
         b_dag, b = _ladder_sums(ws, q)
         x_op = b_dag + b
         n_tot = ws.total_number()
         proj = ws.below_truncation_projector(margin=2)
 
-        number_part = ((mu / 2.0) * x_op
-                       - (u / (4.0 * ws.volume)) * (n_tot @ x_op + x_op @ n_tot)).tocsr()
+        number_part = ((table.mu / 2.0) * x_op
+                       - (table.u / (4.0 * ws.volume)) * (n_tot @ x_op + x_op @ n_tot)).tocsr()
         a_rhs = r_a * ((-0.5 * (eps_q + 2.0 * g)) * x_op + number_part)
         rho_rhs = r_rho * condensate_fluct_matrix(ws, q, amp, f_q0=1j * eps_q)
         if g != 0.0:
@@ -692,7 +678,7 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
         identity = _projected_norm(dynamics_commutator(h, rho) - rho_rhs, proj)
         secondary = _projected_norm(dynamics_commutator(h, a_op) - a_rhs, proj)
 
-        if model == "imperfect":
+        if mean_field:
             state, remainder = FiniteState.coherent_vacuum(ws, amp), number_part
         else:
             state, remainder = FiniteState.coherent_b_vacuum(ws, params, q, amp), pairing_part

@@ -3,9 +3,10 @@
 Closed-form scalar layer shared by every other module: the free-particle
 dispersion, the Bose factor, the thermal two-point kernel
 ``(1/2) coth(beta e / 2)``, the Bogoliubov excitation spectrum, the
-normal and anomalous averages of one Bogoliubov mode, and the collective
-gap constant ``Omega = sqrt(4 m c^2 v(0))`` of the superfluid model. The
-other modules take these formulas from here rather than writing them out.
+normal and anomalous averages of one Bogoliubov mode, the collective
+gap constant ``Omega = sqrt(4 m c^2 v(0))`` of the superfluid model, and
+:func:`gas_table`, the numbers in which the two gases differ. The other
+modules take these from here rather than writing them out.
 
 Units: hbar = 1 throughout. ``beta = math.inf`` is a first-class value
 and selects the ground state.
@@ -29,6 +30,8 @@ __all__ = [
     "bogoliubov_spectrum",
     "pair_averages",
     "omega_gap",
+    "GasTable",
+    "gas_table",
 ]
 
 MODE_CAP = 2_000_000  # most modes a MomentumGrid enumerates
@@ -216,19 +219,54 @@ def pair_averages(eps, g, beta: float):
     return n + weight * sinh_sq, weight * anomalous
 
 
+def _condensate_amplitude(params: ModelParams) -> float:
+    """The superfluid amplitude ``c``; refuses ``c = 0``, which leaves no condensate."""
+    c = params.condensate_amplitude
+    if c == 0.0:
+        raise ValueError("the superfluid gas needs a nonzero condensate amplitude c")
+    return c
+
+
 def omega_gap(params: ModelParams) -> float:
     """Collective gap constant ``Omega = sqrt(4 m c^2 v(0))``.
 
     This is the zero-momentum limit of ``E_q |q| / eps_q``, the
     frequency of the emergent oscillator pair in the superfluid model.
     """
-    c = params.condensate_amplitude
-    if c == 0.0:
-        raise ValueError("no condensate: omega_gap needs c != 0")
+    c = _condensate_amplitude(params)
     v0 = params.v(0.0)
     if v0 <= 0.0:
         raise ValueError("omega_gap needs v(0) > 0")
     return math.sqrt(4.0 * params.mass * c**2 * v0)
+
+
+@dataclass(frozen=True)
+class GasTable:
+    """The numbers in which the two gases differ; built by :func:`gas_table`."""
+
+    g: Callable[[float], float]  # pairing at |k|
+    mu: float  # chemical potential
+    u: float  # number coupling
+    exponent: float  # r of the canonical pair (|q|^-r rho, |q|^r A)
+    amplitude: Callable[[float], float]  # zero-mode amplitude z at volume V
+    omega: Callable[[], float]  # frequency of the oscillator the pair closes on
+
+
+def gas_table(model: str, params: ModelParams) -> GasTable:
+    """The :class:`GasTable` of the mean-field gas ``imperfect`` / the superfluid ``wibg``:
+    ``g(|k|)`` is 0 / ``c^2 v(|k|)``, ``(mu, u)`` is ``(lambda rho, lambda)`` / ``(0, v(0))``,
+    ``z(V)`` is ``sqrt(rho0 V)`` / ``c sqrt(V)``, ``r`` is 0 / 1/2, ``Omega`` is 1 /
+    :func:`omega_gap`. ``z`` and ``Omega`` are evaluated on demand: the superfluid gas
+    refuses them at ``c = 0``, where its couplings are the free gas's. Refuses other tags."""
+    if model == "imperfect":
+        return GasTable(g=lambda k_norm: 0.0, mu=params.chemical_potential, u=params.coupling,
+                        exponent=0.0, omega=lambda: 1.0,
+                        amplitude=lambda volume: math.sqrt(params.condensate_density * volume))
+    if model == "wibg":
+        return GasTable(g=params.c2v, mu=0.0, u=params.v(0.0), exponent=0.5,
+                        amplitude=lambda volume: _condensate_amplitude(params) * math.sqrt(volume),
+                        omega=lambda: omega_gap(params))
+    raise ValueError(f"unknown model tag {model!r}")
 
 
 class MomentumGrid:

@@ -19,7 +19,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .model import ModelParams, MomentumGrid, bose_occupation, dispersion, pair_averages
+from .model import (ModelParams, MomentumGrid, bose_occupation, dispersion, gas_table,
+                    pair_averages)
 
 __all__ = [
     "QuasiFreeState",
@@ -73,31 +74,22 @@ class QuasiFreeState:
     params : ModelParams
     grid : MomentumGrid
 
-    Every expectation is built from ``one_point_amplitude`` and the
-    ordered two-point ``contraction`` of particle tokens.
+    Every expectation is built from ``one_point_amplitude``, the table's
+    ``z(V)``, and the ordered two-point ``contraction`` of particle tokens.
     """
 
     def __init__(self, model: str, params: ModelParams, grid: MomentumGrid):
-        if model not in ("imperfect", "wibg"):
-            raise ValueError(f"unknown model tag {model!r}")
-        if model == "wibg" and params.condensate_amplitude == 0.0:
-            raise ValueError("wibg state needs a nonzero condensate amplitude")
         self.model = model
         self.params = params
         self.grid = grid
+        self.table = gas_table(model, params)
+        self.one_point_amplitude = self.table.amplitude(grid.volume)
 
     # -- basic data ----------------------------------------------------
 
     @property
     def volume(self) -> float:
         return self.grid.volume
-
-    @property
-    def one_point_amplitude(self) -> float:
-        """Coherent amplitude of the zero mode, ``sqrt(rho0 V)`` or ``c sqrt(V)``."""
-        if self.model == "imperfect":
-            return math.sqrt(self.params.condensate_density * self.volume)
-        return self.params.condensate_amplitude * math.sqrt(self.volume)
 
     def k_phys(self, mode: Sequence[int]) -> np.ndarray:
         return np.asarray(mode, dtype=float) * self.grid.spacing
@@ -109,8 +101,8 @@ class QuasiFreeState:
         condensed state is in its vacuum, so only ``<d d*> = 1``. Away
         from it, ``<a*_k a_k> = N_k`` (plus 1 when the annihilator stands
         first) and ``<a_k a_-k> = <a*_k a*_-k> = M_k``, the averages of
-        ``model.pair_averages`` with ``g = c^2 v(k)`` for the superfluid
-        gas and ``g = 0`` for the mean-field gas; every other contraction
+        ``model.pair_averages`` with the table's pairing ``g(|k|)``: the
+        anomalous pair only in the superfluid gas; every other contraction
         vanishes.
         """
         (m1, d1), (m2, d2) = left, right
@@ -122,7 +114,7 @@ class QuasiFreeState:
         elif self.model != "wibg" or m1 != tuple(-x for x in m2):
             return 0.0
         k = self.k_phys(m1)
-        g = self.params.c2v(float(np.linalg.norm(k))) if self.model == "wibg" else 0.0
+        g = self.table.g(math.sqrt(k @ k))  # |k|, bit for bit np.linalg.norm
         normal, anomalous = pair_averages(dispersion(k, self.params), g, self.params.beta)
         if d1 == d2:
             return anomalous

@@ -26,6 +26,29 @@ def test_wibg_checks_pass_at_larger_amplitude(name):
     assert run_check(name, CheckContext(condensate_amplitude=2.0)).passed
 
 
+@pytest.mark.parametrize("kwargs", [dict(kappa=-1.0), dict(mass=math.nan), dict(v0=math.inf),
+                                    dict(beta_thermal=math.inf), dict(coupling=0.0)],
+                         ids=["kappa-negative", "mass-nan", "v0-inf", "beta-inf", "coupling-0"])
+def test_scenario_refused_at_construction(kwargs):
+    with pytest.raises(ValueError):
+        CheckContext(**kwargs)
+
+
+@pytest.mark.parametrize("ctx", [CheckContext(v0=1.0 / 256.0), CheckContext(mass=1.0 / 256.0)],
+                         ids=["v0-1/256", "mass-1/256"])
+def test_virial_ratio_holds_for_a_small_gap(ctx):
+    # Omega = 1/8: the linear regime ends near q ~ Omega, so the q-tail shrinks with it
+    result = run_check("virial-wibg", ctx)
+    assert result.passed
+    assert abs(result.details["virial_ratio"] - 1.0) < 1e-6
+    # goldstone-wibg judges the same ratio
+    assert abs(run_check("goldstone-wibg", ctx).details["virial_ratio"] - 1.0) < 1e-6
+
+
+def test_goldstone_wibg_passes_for_a_soft_potential():
+    assert run_check("goldstone-wibg", CheckContext(v0=1e-3)).passed
+
+
 @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0, float("inf")])
 def test_tolerance_not_above_zero_is_refused(tolerance):
     with pytest.raises(ValueError, match="must be positive"):

@@ -133,6 +133,15 @@ class TestRun:
                                            "every scenario has a condensate\n")
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    def test_zero_coupling_is_config_error(self, tmp_path, capsys):
+        # the mean-field Goldstone remainder vanishes without a coupling
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[scenario]\ncoupling = 0\n[run]\nchecks = goldstone-imperfect\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("config error: coupling must be nonzero")
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_raising_check_keeps_the_others(self, tmp_path, capsys, monkeypatch):
         def raising(ctx, tol):
             return 1.0 / 0.0

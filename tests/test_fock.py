@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -507,6 +508,11 @@ class TestGoldstoneClosure:
         with pytest.raises(ValueError, match="remainder needs"):
             goldstone_closure_check("wibg", params)
 
+    def test_vanishing_mean_field_remainder_refused(self):
+        # lambda = 0 makes mu = lambda rho and u = lambda vanish together
+        with pytest.raises(ValueError, match="remainder needs"):
+            goldstone_closure_check("imperfect", imperfect_params(coupling=0.0))
+
     @pytest.mark.parametrize("model,params", [
         ("imperfect", imperfect_params()),
         ("wibg", wibg_params()),
@@ -514,8 +520,9 @@ class TestGoldstoneClosure:
     def test_general_couplings(self, model, params, monkeypatch):
         # pairing, chemical potential and number coupling all at once: the
         # identities are linear in H, so they hold for any (g, mu, u)
-        monkeypatch.setattr(fock, "_couplings",
-                            lambda model, params: ((lambda k: 0.4 * math.exp(-k)), 0.7, 1.3))
+        table = fock.gas_table
+        monkeypatch.setattr(fock, "gas_table", lambda model, params: replace(
+            table(model, params), g=lambda k: 0.4 * math.exp(-k), mu=0.7, u=1.3))
         report = goldstone_closure_check(model, params)
         assert report.identity_defect < 1e-10
         assert report.secondary_defect < 1e-8

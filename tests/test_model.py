@@ -17,6 +17,7 @@ from bosefluct.model import (
     bogoliubov_spectrum,
     bose_occupation,
     dispersion,
+    gas_table,
     gaussian_potential,
     omega_gap,
     pair_averages,
@@ -179,6 +180,65 @@ class TestLayerImports:
         source = ("from .model import a\nfrom . import fock, checks\n"
                   "def f():\n    from .fluctuations import b\n")
         assert package_imports(source) == ({"model", "fock", "checks", "fluctuations"}, [4])
+
+
+class TestOneGasTable:
+    """The numbers in which the two gases differ live in ``model.gas_table``. Outside
+    ``model`` the tag is compared only where the two gases build different things: the
+    ``rho``/``rho0`` kind checks and the anomalous-pair guard of the Wick state, the
+    mean-field bubble, and the state that carries the Goldstone remainder. Only ``model``
+    refuses an unknown tag."""
+
+    TAG = re.compile(r'(==|!=|not in|\bin) *\(?"(imperfect|wibg)"')
+    ALLOWED = {"fluctuations.py": 1, "fock.py": 1, "quasifree.py": 3}
+
+    def test_tag_comparisons_outside_model(self):
+        over, refusals = {}, []
+        for path in sorted(Path(bosefluct.__file__).parent.glob("*.py")):
+            if path.name == "model.py":
+                continue
+            source = path.read_text()
+            if (n := len(self.TAG.findall(source))) > self.ALLOWED.get(path.name, 0):
+                over[path.name] = n
+            refusals += [path.name] if "unknown model tag" in source else []
+        assert (over, refusals) == ({}, [])
+
+    def test_pattern_catches_the_comparisons(self):
+        for line in ('if model == "imperfect":', 'elif self.model != "wibg" or m1:',
+                     'if model not in ("imperfect", "wibg"):', 'x = kind in ("wibg",)'):
+            assert self.TAG.search(line), line
+        assert not self.TAG.search('gas_table("wibg", params)')
+
+
+class TestGasTable:
+    MEAN_FIELD = dict(total_density=1.5, condensate_density=1.2, coupling=2.0)
+    SUPERFLUID = dict(condensate_amplitude=0.5, potential=gaussian_potential(2.0, 1.5))
+
+    def test_mean_field_entries(self):
+        p = params(**self.MEAN_FIELD)
+        table = gas_table("imperfect", p)
+        assert (table.g(0.7), table.mu, table.u, table.exponent) == (0.0, 3.0, 2.0, 0.0)
+        assert table.amplitude(8.0) == math.sqrt(1.2 * 8.0)
+        assert table.omega() == 1.0
+
+    def test_superfluid_entries(self):
+        p = params(**self.SUPERFLUID)
+        table = gas_table("wibg", p)
+        assert (table.g(0.7), table.mu, table.u, table.exponent) == (p.c2v(0.7), 0.0, 2.0, 0.5)
+        assert table.amplitude(8.0) == 0.5 * math.sqrt(8.0)
+        assert table.omega() == omega_gap(p)
+
+    def test_unknown_tag_refused(self):
+        with pytest.raises(ValueError, match="unknown model tag"):
+            gas_table("ideal", params(**self.MEAN_FIELD))
+
+    def test_superfluid_without_condensate(self):
+        # the couplings are the free gas's; z and Omega need the condensate
+        table = gas_table("wibg", params(potential=gaussian_potential()))
+        assert (table.g(0.7), table.mu, table.u) == (0.0, 0.0, 1.0)
+        for entry in (lambda: table.amplitude(8.0), table.omega):
+            with pytest.raises(ValueError, match="nonzero condensate amplitude"):
+                entry()
 
 
 class TestOperatorAssemblyInFock:
