@@ -16,7 +16,6 @@ from .model import (
     bogoliubov_spectrum,
     bose_occupation,
     dispersion,
-    gaussian_potential,
     omega_gap,
     pair_averages,
     thermal_kernel,
@@ -65,7 +64,7 @@ __all__ = [
     "__version__",
     # model
     "ModelParams", "MomentumGrid",
-    "gaussian_potential", "dispersion", "bose_occupation",
+    "dispersion", "bose_occupation",
     "thermal_kernel", "bogoliubov_spectrum", "pair_averages", "omega_gap",
     # quasifree
     "QuasiFreeState", "OperatorWord", "wick_expectation", "finite_volume_variance",

@@ -176,15 +176,9 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
         inner = p * (n[1:] * (n[0] + 1.0) + m[1:] * m[0])
         return r / q_norm * half * float(weights @ inner)
 
-    # Depletion decays like (c^2 v / 2 eps)^2; the gaussian tail of v
-    # makes everything beyond a few widths negligible.
-    # crude width probe of the potential tail
-    for kappa_scale in (2.0, 4.0, 8.0, 16.0):
-        if abs(params.v(kappa_scale)) < 1e-14 * abs(params.v(0.0)):
-            break
-    else:
-        kappa_scale = 32.0
-    k_max = q_norm + 2.0 * kappa_scale
+    # Depletion decays like (c^2 v / 2 eps)^2; beyond twice the radius where
+    # v / v0 = 1e-14 the gaussian tail of v leaves nothing
+    k_max = q_norm + 2.0 * params.kappa * math.sqrt(14.0 * math.log(10.0))
     prefactor = 1.0 / (4.0 * math.pi**2)
     value, abserr = _radial_quad(radial, q_norm, k_max, rtol)
     n_t, m_t = pair_averages(dispersion(k_max, params), params.c2v(k_max), params.beta)

@@ -22,7 +22,6 @@ from .model import (
     bogoliubov_spectrum,
     dispersion,
     gas_table,
-    gaussian_potential,
     omega_gap,
 )
 
@@ -68,23 +67,21 @@ class CheckContext:
                 raise ValueError(f"{name} must be nonzero: every scenario has a condensate")
         if self.coupling == 0.0:
             raise ValueError("coupling must be nonzero: the mean-field remainder vanishes")
-        # the superfluid sets add only the potential's rules; they are built where a
-        # check reads them, so constructing a context calls no library function
-        for name in ("v0", "kappa"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        self.imperfect_ground, self.imperfect_thermal  # ModelParams refuses the rest
+        # ModelParams refuses the rest
+        self.imperfect_thermal, self.imperfect_ground, self.wibg, self.wibg_thermal
 
     @property
-    def imperfect_ground(self) -> ModelParams:
-        return ModelParams(mass=self.mass, beta=math.inf,
+    def imperfect_thermal(self) -> ModelParams:
+        return ModelParams(mass=self.mass, beta=self.beta_thermal,
                            total_density=self.total_density,
                            condensate_density=self.condensate_density,
                            coupling=self.coupling)
 
     @property
-    def imperfect_thermal(self) -> ModelParams:
-        return replace(self.imperfect_ground, beta=self.beta_thermal)
+    def imperfect_ground(self) -> ModelParams:
+        # the mean-field ground state has every particle in the condensate
+        return replace(self.imperfect_thermal, beta=math.inf,
+                       condensate_density=self.total_density)
 
     @property
     def wibg(self) -> ModelParams:
@@ -93,7 +90,7 @@ class CheckContext:
                            total_density=self.condensate_amplitude**2,
                            condensate_density=self.condensate_amplitude**2,
                            condensate_amplitude=self.condensate_amplitude,
-                           potential=gaussian_potential(self.v0, self.kappa))
+                           v0=self.v0, kappa=self.kappa)
 
     @property
     def wibg_thermal(self) -> ModelParams:

@@ -15,7 +15,7 @@ and selects the ground state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "MomentumGrid",
-    "gaussian_potential",
     "dispersion",
     "bose_occupation",
     "thermal_kernel",
@@ -35,23 +34,6 @@ __all__ = [
 ]
 
 MODE_CAP = 2_000_000  # most modes a MomentumGrid enumerates
-
-
-def gaussian_potential(v0: float = 1.0, kappa: float = 2.0) -> Callable[[float], float]:
-    """Default radial test potential ``v(k) = v0 * exp(-k^2 / kappa^2)``.
-
-    Even, bounded, and ``v(0) = v0 > 0``, which is all the superfluid
-    model requires of its two-body potential.
-    """
-    if not v0 > 0.0:  # nan fails too
-        raise ValueError("v0 must be positive (v(0) > 0 required)")
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
-
-    def v(k_norm):
-        return v0 * np.exp(-np.asarray(k_norm) ** 2 / kappa**2)
-
-    return v
 
 
 @dataclass(frozen=True)
@@ -73,9 +55,11 @@ class ModelParams:
         Real condensate amplitude ``c`` (superfluid model; phase fixed to 0).
     coupling : float
         Mean-field coupling ``lambda`` (energy * length^3).
-    potential : callable, optional
-        Radial two-body potential ``v(|k|)``; required by the superfluid
-        model. Defaults to None (mean-field gas does not use it).
+    v0, kappa : float
+        Height ``v(0)`` and width of the superfluid model's two-body
+        potential ``v(k) = v0 exp(-k^2 / kappa^2)``; both positive and
+        finite. ``v0`` defaults to None: the mean-field gas has no
+        potential.
     """
 
     mass: float
@@ -84,7 +68,8 @@ class ModelParams:
     condensate_density: float = 0.0
     condensate_amplitude: float = 0.0
     coupling: float = 0.0
-    potential: Callable[[float], float] | None = field(default=None, compare=False)
+    v0: float | None = None
+    kappa: float = 2.0
 
     def __post_init__(self):
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
@@ -100,27 +85,25 @@ class ModelParams:
             raise ValueError("total_density must be nonnegative")
         if not (0.0 <= self.condensate_density <= self.total_density + 1e-12):
             raise ValueError("need 0 <= condensate_density <= total_density")
+        for name in ("v0", "kappa"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def is_ground_state(self) -> bool:
         return math.isinf(self.beta)
 
-    @property
-    def chemical_potential(self) -> float:
-        """Mean-field limit value ``mu = lambda * rho``."""
-        return self.coupling * self.total_density
-
     def v(self, k_norm):
-        """Two-body potential at radial momentum ``|k|``.
+        """Two-body potential ``v0 exp(-k^2 / kappa^2)`` at radial momentum ``|k|``.
 
         A scalar gives a ``float``; an array of radii gives an array of
         the same shape, element by element.
         """
-        if self.potential is None:
+        if self.v0 is None:
             raise ValueError("no potential supplied (superfluid model input)")
-        value = self.potential(abs(k_norm))
-        # getattr, not np.ndim: scalar calls stay cheap in per-mode loops
-        return np.asarray(value, dtype=float) if getattr(value, "ndim", 0) else float(value)
+        value = self.v0 * np.exp(-np.asarray(k_norm) ** 2 / self.kappa**2)
+        return value if value.ndim else float(value)
 
     def c2v(self, k_norm):
         """Condensate-weighted coupling ``c^2 v(|k|)``; scalar or array like ``v``."""
@@ -234,10 +217,7 @@ def omega_gap(params: ModelParams) -> float:
     frequency of the emergent oscillator pair in the superfluid model.
     """
     c = _condensate_amplitude(params)
-    v0 = params.v(0.0)
-    if v0 <= 0.0:
-        raise ValueError("omega_gap needs v(0) > 0")
-    return math.sqrt(4.0 * params.mass * c**2 * v0)
+    return math.sqrt(4.0 * params.mass * c**2 * params.v(0.0))
 
 
 @dataclass(frozen=True)
@@ -259,8 +239,8 @@ def gas_table(model: str, params: ModelParams) -> GasTable:
     :func:`omega_gap`. ``z`` and ``Omega`` are evaluated on demand: the superfluid gas
     refuses them at ``c = 0``, where its couplings are the free gas's. Refuses other tags."""
     if model == "imperfect":
-        return GasTable(g=lambda k_norm: 0.0, mu=params.chemical_potential, u=params.coupling,
-                        exponent=0.0, omega=lambda: 1.0,
+        return GasTable(g=lambda k_norm: 0.0, mu=params.coupling * params.total_density,
+                        u=params.coupling, exponent=0.0, omega=lambda: 1.0,
                         amplitude=lambda volume: math.sqrt(params.condensate_density * volume))
     if model == "wibg":
         return GasTable(g=params.c2v, mu=0.0, u=params.v(0.0), exponent=0.5,

@@ -10,7 +10,7 @@ from bosefluct import asymptotics
 from bosefluct.asymptotics import bose_bubble_integral, fit_power_law, richardson, wibg_pair_bubble
 from bosefluct.checks import DELTA_BOX_SIDES, CheckContext
 from bosefluct.fluctuations import variance_rho_imperfect
-from bosefluct.model import ModelParams, bogoliubov_spectrum, dispersion, gaussian_potential
+from bosefluct.model import ModelParams, bogoliubov_spectrum, dispersion
 
 
 def thermal_params(beta=1.0, mass=1.0, rho0=1.0):
@@ -21,7 +21,7 @@ def thermal_params(beta=1.0, mass=1.0, rho0=1.0):
 def wibg_params():
     return ModelParams(mass=1.0, beta=math.inf, total_density=1.0,
                        condensate_density=1.0, condensate_amplitude=1.0,
-                       potential=gaussian_potential(1.0, 2.0))
+                       v0=1.0, kappa=2.0)
 
 
 def brute_force_bubble(q_norm, params, mu_shift=0.0, rho=None):

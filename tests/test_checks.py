@@ -27,11 +27,24 @@ def test_wibg_checks_pass_at_larger_amplitude(name):
 
 
 @pytest.mark.parametrize("kwargs", [dict(kappa=-1.0), dict(mass=math.nan), dict(v0=math.inf),
-                                    dict(beta_thermal=math.inf), dict(coupling=0.0)],
-                         ids=["kappa-negative", "mass-nan", "v0-inf", "beta-inf", "coupling-0"])
+                                    dict(beta_thermal=math.inf), dict(coupling=0.0),
+                                    dict(v0=0.0), dict(kappa=math.inf)],
+                         ids=["kappa-negative", "mass-nan", "v0-inf", "beta-inf", "coupling-0",
+                              "v0-0", "kappa-inf"])
 def test_scenario_refused_at_construction(kwargs):
     with pytest.raises(ValueError):
         CheckContext(**kwargs)
+
+
+@pytest.mark.parametrize("ctx", [CheckContext(condensate_density=0.25),
+                                 CheckContext(total_density=2.0)], ids=["rho0-1/4", "rho-2"])
+def test_goldstone_imperfect_passes_when_the_densities_differ(ctx):
+    # the mean-field ground state is all condensate; rho0 sets only the thermal state
+    assert ctx.imperfect_ground.condensate_density == ctx.total_density
+    assert ctx.imperfect_thermal.condensate_density == ctx.condensate_density
+    result = run_check("goldstone-imperfect", ctx)
+    assert result.passed
+    assert abs(result.details["remainder_rate"] + 0.5) < 0.1
 
 
 @pytest.mark.parametrize("ctx", [CheckContext(v0=1.0 / 256.0), CheckContext(mass=1.0 / 256.0)],

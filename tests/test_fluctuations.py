@@ -23,7 +23,7 @@ from bosefluct.fluctuations import (
 )
 from bosefluct.asymptotics import bose_bubble_integral
 from bosefluct.checks import CheckContext
-from bosefluct.model import ModelParams, dispersion, gaussian_potential, omega_gap
+from bosefluct.model import ModelParams, dispersion, omega_gap
 
 
 def imperfect_params(beta=math.inf):
@@ -34,7 +34,7 @@ def imperfect_params(beta=math.inf):
 def wibg_params(beta=math.inf, v0=1.0, kappa=2.0):
     return ModelParams(mass=1.0, beta=beta, total_density=1.0,
                        condensate_density=1.0, condensate_amplitude=1.0,
-                       potential=gaussian_potential(v0, kappa))
+                       v0=v0, kappa=kappa)
 
 
 def flat_wibg_params(v0, beta=math.inf):

@@ -30,7 +30,7 @@ from bosefluct.fock import (
     truncation_rederivation_check,
     u_density_commutator_check,
 )
-from bosefluct.model import ModelParams, bogoliubov_spectrum, dispersion, gaussian_potential
+from bosefluct.model import ModelParams, bogoliubov_spectrum, dispersion, gas_table
 
 Q = (0, 0, 1)
 MQ = (0, 0, -1)
@@ -46,7 +46,7 @@ def imperfect_params(**kw):
 def wibg_params(c=1.0, v0=1.0):
     return ModelParams(mass=1.0, beta=math.inf, total_density=1.0,
                        condensate_density=c**2, condensate_amplitude=c,
-                       potential=gaussian_potential(v0, 2.0))
+                       v0=v0, kappa=2.0)
 
 
 def kinetic(ws, params):
@@ -162,7 +162,7 @@ class TestHamiltonians:
         assert abs(off_diag).max() == 0.0
         kin = kinetic(ws, params).diagonal()
         n = ws.total_number().diagonal()
-        mu, lam, vol = params.chemical_potential, params.coupling, ws.volume
+        mu, lam, vol = gas_table("imperfect", params).mu, params.coupling, ws.volume
         expected = kin - mu * n + lam / (2.0 * vol) * n**2
         assert np.allclose(h.diagonal(), expected)
 
@@ -171,7 +171,7 @@ class TestHamiltonians:
         params = imperfect_params()
         ws = FockWorkspace(2.0, [ZERO, Q, MQ, (0, 1, 1), (0, -1, -1)], 2)
         n_tot = ws.total_number()
-        expected = (kinetic(ws, params) - params.chemical_potential * n_tot
+        expected = (kinetic(ws, params) - gas_table("imperfect", params).mu * n_tot
                     + params.coupling / (2.0 * ws.volume) * (n_tot @ n_tot))
         h = build_hamiltonian("imperfect", ws, params)
         assert abs(h - expected).max() < 1e-12

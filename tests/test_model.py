@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import math
 import re
 import warnings
@@ -18,7 +19,6 @@ from bosefluct.model import (
     bose_occupation,
     dispersion,
     gas_table,
-    gaussian_potential,
     omega_gap,
     pair_averages,
     thermal_kernel,
@@ -93,7 +93,7 @@ def test_every_exported_name_resolves(module):
 
 class TestSingleSource:
     """Only the model module writes out ``|k|^2 / 2m``, ``(1/2) coth(beta e / 2)`` and
-    the Bose factor."""
+    the Bose factor, and only ``ModelParams.v`` the gaussian ``v0 exp(-k^2 / kappa^2)``."""
 
     INLINE = re.compile(r"/\s*\(\s*\d+(\.\d*)?\s*\*\s*(params\.mass|m)\s*\)|math\.tanh\(")
     BOSE_FACTOR = re.compile(r"expm1\(")
@@ -124,6 +124,28 @@ class TestSingleSource:
             assert self.INLINE.search(line), line
         for line in ("n = 1.0 / math.expm1(beta * eps)", "out = np.exp(-x) / -np.expm1(-x)"):
             assert self.BOSE_FACTOR.search(line), line
+
+    @staticmethod
+    def gaussians(tree):
+        """Lines of the ``exp(-...)`` calls whose argument reads ``kappa``."""
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("exp")
+                and len(node.args) == 1 and ast.unparse(node.args[0]).startswith("-")
+                and "kappa" in ast.unparse(node.args[0])]
+
+    def test_potential_written_only_in_model_params_v(self):
+        found = [f"{path.name}:{n}" for path in sorted(Path(bosefluct.__file__).parent.glob("*.py"))
+                 for n in self.gaussians(ast.parse(path.read_text()))]
+        lines, start = inspect.getsourcelines(ModelParams.v)
+        own = [f"model.py:{n}" for n in range(start, start + len(lines))]
+        assert [line for line in found if line not in own] == []
+        assert len(found) == 1
+
+    def test_pattern_catches_the_gaussian(self):
+        for line in ("v = v0 * np.exp(-k ** 2 / kappa ** 2)",
+                     "w = math.exp(-(q / params.kappa) ** 2)", "x = exp(-q * q / ctx.kappa**2)"):
+            assert len(self.gaussians(ast.parse(line))) == 1, line
+        assert self.gaussians(ast.parse("y = np.exp(-k) * kappa + np.exp(kappa)")) == []
 
 
 class TestEveryExportIsReached:
@@ -212,7 +234,7 @@ class TestOneGasTable:
 
 class TestGasTable:
     MEAN_FIELD = dict(total_density=1.5, condensate_density=1.2, coupling=2.0)
-    SUPERFLUID = dict(condensate_amplitude=0.5, potential=gaussian_potential(2.0, 1.5))
+    SUPERFLUID = dict(condensate_amplitude=0.5, v0=2.0, kappa=1.5)
 
     def test_mean_field_entries(self):
         p = params(**self.MEAN_FIELD)
@@ -234,7 +256,7 @@ class TestGasTable:
 
     def test_superfluid_without_condensate(self):
         # the couplings are the free gas's; z and Omega need the condensate
-        table = gas_table("wibg", params(potential=gaussian_potential()))
+        table = gas_table("wibg", params(v0=1.0))
         assert (table.g(0.7), table.mu, table.u) == (0.0, 0.0, 1.0)
         for entry in (lambda: table.amplitude(8.0), table.omega):
             with pytest.raises(ValueError, match="nonzero condensate amplitude"):
@@ -381,27 +403,27 @@ class TestPairAverages:
 
 class TestOmegaGap:
     def test_unit(self):
-        p = params(condensate_amplitude=1.0, potential=gaussian_potential(1.0, 2.0),
+        p = params(condensate_amplitude=1.0, v0=1.0, kappa=2.0,
                    total_density=1.0, condensate_density=1.0)
         assert omega_gap(p) == pytest.approx(2.0)
 
     def test_quarter_mass(self):
         p = params(mass=0.25, condensate_amplitude=1.0,
-                   potential=gaussian_potential(1.0, 2.0),
+                   v0=1.0, kappa=2.0,
                    total_density=1.0, condensate_density=1.0)
         assert omega_gap(p) == pytest.approx(1.0)
 
     def test_double_potential(self):
-        p = params(condensate_amplitude=1.0, potential=gaussian_potential(2.0, 2.0),
+        p = params(condensate_amplitude=1.0, v0=2.0, kappa=2.0,
                    total_density=1.0, condensate_density=1.0)
         assert omega_gap(p) == pytest.approx(math.sqrt(8.0))
 
     def test_no_condensate(self):
         with pytest.raises(ValueError):
-            omega_gap(params(potential=gaussian_potential()))
+            omega_gap(params(v0=1.0))
 
     def test_gap_is_small_q_limit(self):
-        p = params(condensate_amplitude=1.0, potential=gaussian_potential(1.0, 2.0),
+        p = params(condensate_amplitude=1.0, v0=1.0, kappa=2.0,
                    total_density=1.0, condensate_density=1.0)
         q = 1e-4
         eps = q * q / 2.0
@@ -410,10 +432,6 @@ class TestOmegaGap:
 
 
 class TestModelParams:
-    def test_chemical_potential(self):
-        p = params(coupling=2.0, total_density=1.5)
-        assert p.chemical_potential == pytest.approx(3.0)
-
     def test_condensate_bound(self):
         with pytest.raises(ValueError):
             params(total_density=1.0, condensate_density=2.0)
@@ -425,12 +443,26 @@ class TestModelParams:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             params(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [("v0", -1.0), ("v0", 0.0), ("v0", math.nan),
+                                             ("kappa", 0.0), ("kappa", math.inf)])
+    def test_potential_not_positive_and_finite_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
+            params(**{field: value})
+
+    def test_potential_enters_equality_and_hash(self):
+        base = params(condensate_amplitude=1.0, v0=1.0)
+        assert base == params(condensate_amplitude=1.0, v0=1.0, kappa=2.0)
+        for other in (params(condensate_amplitude=1.0, v0=5.0),
+                      params(condensate_amplitude=1.0, v0=1.0, kappa=3.0)):
+            assert base != other
+            assert hash(base) != hash(other)
+
     def test_missing_potential(self):
         with pytest.raises(ValueError):
             params().v(1.0)
 
     def test_array_potential_matches_scalar_bit_for_bit(self):
-        p = params(condensate_amplitude=0.7, potential=gaussian_potential(1.3, 0.9),
+        p = params(condensate_amplitude=0.7, v0=1.3, kappa=0.9,
                    total_density=1.0, condensate_density=0.49)
         radii = np.concatenate(([0.0, 1e-4], np.random.default_rng(3).uniform(-6.0, 6.0, 61)))
         for method in (p.v, p.c2v):

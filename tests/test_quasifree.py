@@ -17,7 +17,6 @@ from bosefluct.model import (
     MomentumGrid,
     bose_occupation,
     dispersion,
-    gaussian_potential,
 )
 from bosefluct.quasifree import (
     MAX_WORD_LENGTH,
@@ -48,7 +47,7 @@ def unit_occupation_state():
 def wibg_state(beta=math.inf, box=2.0 * math.pi, cutoff=1.5):
     params = ModelParams(mass=1.0, beta=beta, total_density=1.0,
                          condensate_density=1.0, condensate_amplitude=1.0,
-                         potential=gaussian_potential(1.0, 2.0))
+                         v0=1.0, kappa=2.0)
     return QuasiFreeState("wibg", params, MomentumGrid(box, cutoff))
 
 
