@@ -291,7 +291,7 @@ def _bch_operators(params: ModelParams, box: float):
     q, mq = (0, 0, 1), (0, 0, -1)
     amp = gas_table("imperfect", params).amplitude(box**3)
     ws = fock.FockWorkspace(box, [(0, 0, 0), q, mq],
-                            {(0, 0, 0): fock.coherent_cutoff(amp),
+                            {(0, 0, 0): fock.coherent_window(amp),
                              q: 10, mq: 10})
     state = fock.FiniteState.coherent_vacuum(ws, amp)
     rho = fock.condensate_fluct_matrix(ws, q, amp, f_q0=1.0)
@@ -323,7 +323,7 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
     amp = gas_table("imperfect", params).amplitude(box**3)
     q, mq = (0, 0, 1), (0, 0, -1)
     ws = fock.FockWorkspace(box, [(0, 0, 0), q, mq],
-                            {(0, 0, 0): fock.coherent_cutoff(amp), q: 10, mq: 10})
+                            {(0, 0, 0): fock.coherent_window(amp), q: 10, mq: 10})
     state = fock.FiniteState.coherent_vacuum(ws, amp)
     rng = np.random.default_rng(11)
     rows, worst_rel, worst_imag = [], 0.0, 0.0

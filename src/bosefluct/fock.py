@@ -1,9 +1,11 @@
 """Truncated Fock-space simulator: matrix-level ground truth.
 
 Builds small multi-mode bosonic workspaces whose ladder operators are
-read off the occupation table (one diagonal per mode), assembles the
-Hamiltonians of both gases as sums of ``+-k`` pair blocks with the
-couplings ``(g, mu, u)`` of the gas, and provides the matrix-level
+read off the occupation table (one diagonal per mode; each mode keeps an
+occupation window ``lo .. hi``, and a coherent zero mode the window
+:func:`coherent_window` of its amplitude), assembles the Hamiltonians of
+both gases as sums of ``+-k`` pair blocks with the couplings
+``(g, mu, u)`` of the gas, and provides the matrix-level
 checks: exact commutator identities of the Goldstone pair, BCH defects
 in the state seminorm, characteristic functions for the central-limit
 check, the vanishing commutator of the two-body interaction with the
@@ -45,14 +47,14 @@ __all__ = [
     "dynamics_commutator",
     "goldstone_closure_check",
     "truncation_rederivation_check",
-    "coherent_cutoff",
+    "coherent_window",
 ]
 
 Mode = Tuple[int, int, int]
 ZERO: Mode = (0, 0, 0)
 
 DIMENSION_CAP = 200_000
-LEAK_TOL = 1e-6  # top-level population that counts as truncation leakage
+LEAK_TOL = 1e-6  # edge-level population that counts as truncation leakage
 LANCZOS_TOL = 1e-12  # change of the characteristic function that stops the Krylov growth
 LANCZOS_BREAKDOWN = 1e-14  # residual norm of an exact invariant subspace
 LANCZOS_MAX_STEPS = 100
@@ -66,18 +68,37 @@ def _plus_minus(q_lat) -> Tuple[Mode, Mode]:
     return q, tuple(-x for x in q)
 
 
-def coherent_cutoff(amplitude: float) -> int:
-    """Occupation cutoff that holds a coherent state of amplitude ``z``.
+def coherent_window(amplitude: float) -> Tuple[int, int]:
+    """Occupation window ``(lo, hi)`` that holds a coherent state of amplitude ``z``.
 
     A Poisson distribution with mean ``z^2`` has essentially all its
-    mass below ``z^2 + 8 z`` for the amplitudes used here.
+    mass within ``8 z`` of the mean for the amplitudes used here; the
+    top edge keeps ten more levels. The weight below ``lo`` is under
+    1e-17 at ``z^2 = 500``.
     """
     mean = amplitude**2
-    return int(math.ceil(mean + 8.0 * math.sqrt(max(mean, 1.0)) + 10.0))
+    width = 8.0 * math.sqrt(max(mean, 1.0))
+    return max(0, int(math.floor(mean - width))), int(math.ceil(mean + width + 10.0))
+
+
+def _window(levels) -> Tuple[int, int]:
+    """``(lo, hi)`` from a window or a top cutoff ``n``, which means ``(0, n)``."""
+    lo, hi = (0, levels) if np.ndim(levels) == 0 else levels
+    lo, hi = int(lo), int(hi)
+    if not 0 <= lo <= hi:
+        raise ValueError(f"occupation window ({lo}, {hi}) needs 0 <= lo <= hi")
+    return lo, hi
 
 
 class FockWorkspace:
     """Tensor product of truncated single-mode Fock spaces.
+
+    Each mode keeps the occupations of a window ``lo .. hi``; a bare cutoff
+    ``n`` is the window ``(0, n)``. A window with ``lo > 0`` holds a
+    coherent zero mode (:func:`coherent_window`) without the levels a
+    Poisson distribution leaves empty. The occupation table holds the
+    actual occupations, so ladder and number operators, projectors and
+    states read ``n`` from it directly.
 
     Parameters
     ----------
@@ -85,22 +106,24 @@ class FockWorkspace:
         Physical box side L (sets the mode momenta and the volume).
     modes : sequence of integer lattice triples
         Mode labels; momentum is ``(2 pi / L) * label``.
-    n_max : int or mapping mode -> int
-        Per-mode occupation cutoff. The product of the local dimensions
-        may not exceed ``DIMENSION_CAP``.
+    levels : int, ``(lo, hi)``, or mapping mode -> int or ``(lo, hi)``
+        Per-mode occupation window. The product of the local dimensions
+        ``hi - lo + 1`` may not exceed ``DIMENSION_CAP``.
     """
 
-    def __init__(self, box_side: float, modes: Sequence[Sequence[int]], n_max):
+    def __init__(self, box_side: float, modes: Sequence[Sequence[int]], levels):
         self.box_side = float(box_side)
         self.spacing = 2.0 * math.pi / self.box_side
         self.modes: List[Mode] = [tuple(int(x) for x in m) for m in modes]
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("duplicate modes")
-        if isinstance(n_max, Mapping):
-            self.n_max = {tuple(int(x) for x in k): int(v) for k, v in n_max.items()}
+        if isinstance(levels, Mapping):
+            given = {tuple(int(x) for x in k): _window(v) for k, v in levels.items()}
+            self.windows = {m: given[m] for m in self.modes}
         else:
-            self.n_max = {m: int(n_max) for m in self.modes}
-        dims = [self.n_max[m] + 1 for m in self.modes]
+            self.windows = dict.fromkeys(self.modes, _window(levels))
+        lows = np.array([self.windows[m][0] for m in self.modes])
+        dims = [hi - lo + 1 for lo, hi in self.windows.values()]
         self.dimension = int(np.prod(dims))
         if self.dimension > DIMENSION_CAP:
             raise ValueError(f"dimension {self.dimension} exceeds cap {DIMENSION_CAP}")
@@ -108,7 +131,7 @@ class FockWorkspace:
         self._ladder_cache: Dict[Mode, sp.csr_matrix] = {}
         # occupation table: occupations[i, j] = occupation of mode j in basis state i
         grids = np.indices(dims).reshape(len(dims), -1)
-        self.occupations = grids.T.copy()
+        self.occupations = grids.T + lows
 
     @property
     def volume(self) -> float:
@@ -124,9 +147,9 @@ class FockWorkspace:
         """``a_k`` as one diagonal at the mode's stride in the basis index.
 
         Basis state ``i`` holds ``n_k`` bosons in mode ``k``; ``a_k`` maps it to
-        ``i - stride`` with weight ``sqrt(n_k)``. For ``n_k = 0`` that index
-        belongs to other occupations of the slower modes; the zero weight
-        drops the entry.
+        ``i - stride`` with weight ``sqrt(n_k)``. At the bottom of the window,
+        ``n_k = lo`` (``0`` without a window), that index belongs to other
+        occupations of the slower modes; the zero weight drops the entry.
         """
         m = tuple(int(x) for x in mode)
         hit = self._ladder_cache.get(m)
@@ -134,8 +157,9 @@ class FockWorkspace:
             return hit
         j = self.index(m)
         stride = int(np.prod(self._dims[j + 1:]))
-        op = sp.diags(np.sqrt(self.occupations[stride:, j]), stride,
-                      shape=(self.dimension, self.dimension), format="csr")
+        n = self.occupations[stride:, j]
+        weights = np.where(n > self.windows[m][0], np.sqrt(n), 0.0)
+        op = sp.diags(weights, stride, shape=(self.dimension, self.dimension), format="csr")
         self._ladder_cache[m] = op
         return op
 
@@ -152,11 +176,19 @@ class FockWorkspace:
     def identity(self) -> sp.csr_matrix:
         return sp.identity(self.dimension, format="csr")
 
+    def interior(self, margin: int = 1) -> np.ndarray:
+        """Basis states at least ``margin`` levels inside every truncation edge.
+
+        The top of each window is a truncation edge, and so is its bottom
+        when ``lo > 0``; the bottom ``lo = 0`` is the physical vacuum.
+        """
+        lows, highs = np.array(list(self.windows.values())).T
+        floor = np.where(lows > 0, lows + margin, 0)
+        return np.all((self.occupations >= floor) & (self.occupations <= highs - margin), axis=1)
+
     def below_truncation_projector(self, margin: int = 1) -> sp.csr_matrix:
-        """Diagonal projector onto states ``margin`` below every cutoff."""
-        tops = np.array(self._dims) - 1
-        keep = np.all(self.occupations <= tops - margin, axis=1)
-        return sp.diags(keep.astype(float), format="csr")
+        """Diagonal projector onto states ``margin`` inside every truncation edge."""
+        return sp.diags(self.interior(margin).astype(float), format="csr")
 
     def transfer_operator(self, terms: Iterable[Tuple[complex, Sequence[int], Sequence[int]]]
                           ) -> sp.csr_matrix:
@@ -199,12 +231,18 @@ class FiniteState:
     # -- builders --------------------------------------------------------
 
     @staticmethod
-    def _coherent_column(n_levels: int, amplitude: float) -> np.ndarray:
-        n = np.arange(n_levels, dtype=float)
+    def _coherent_column(window: Tuple[int, int], amplitude: float) -> np.ndarray:
+        """Coherent amplitudes ``z^n / sqrt(n!)`` on the levels ``lo .. hi``, normalized there.
+
+        The logarithms run from ``n = 0`` whatever the window, so a window
+        holds the full-range values on its levels.
+        """
+        lo, hi = window
+        n = np.arange(hi + 1, dtype=float)
         log_coeff = n * math.log(max(abs(amplitude), 1e-300)) - 0.5 * (
             np.cumsum(np.log(np.maximum(n, 1.0)))
         )
-        coeff = np.sign(amplitude) ** n * np.exp(log_coeff - log_coeff.max())
+        coeff = (np.sign(amplitude) ** n * np.exp(log_coeff - log_coeff.max()))[lo:]
         return coeff / np.linalg.norm(coeff)
 
     @classmethod
@@ -212,12 +250,13 @@ class FiniteState:
         """Coherent state at the zero mode, vacuum elsewhere."""
         vec = np.array([1.0])
         for m in ws.modes:
-            dim = ws.n_max[m] + 1
+            lo, hi = ws.windows[m]
             if m == ZERO:
-                col = cls._coherent_column(dim, amplitude)
+                col = cls._coherent_column((lo, hi), amplitude)
+            elif lo == 0:
+                col = np.r_[1.0, np.zeros(hi)]
             else:
-                col = np.zeros(dim)
-                col[0] = 1.0
+                raise ValueError(f"the vacuum of mode {m} lies below its window ({lo}, {hi})")
             vec = np.kron(vec, col)
         return cls(ws, vector=vec.astype(complex))
 
@@ -231,15 +270,11 @@ class FiniteState:
         """
         probs = np.array([1.0])
         for m in ws.modes:
-            dim = ws.n_max[m] + 1
-            n = np.arange(dim, dtype=float)
+            lo, hi = ws.windows[m]
             if m == ZERO:
-                with np.errstate(divide="ignore"):
-                    logw = n * 2.0 * math.log(max(abs(amplitude), 1e-300)) - np.cumsum(
-                        np.log(np.maximum(n, 1.0)))
-                w = np.exp(logw - logw.max())
+                w = cls._coherent_column((lo, hi), amplitude) ** 2
             else:
-                w = np.exp(-beta * dispersion(ws.k_phys(m), params) * n)
+                w = np.exp(-beta * dispersion(ws.k_phys(m), params) * np.arange(lo, hi + 1.0))
             probs = np.kron(probs, w / w.sum())
         return cls(ws, probabilities=probs)
 
@@ -256,10 +291,9 @@ class FiniteState:
         q, minus_q = _plus_minus(q_lat)
         if ws.modes != [ZERO, q, minus_q]:
             raise ValueError("workspace modes must be ordered [0, q, -q]")
-        n_pair = ws.n_max[q]
-        if ws.n_max[minus_q] != n_pair:
-            raise ValueError("the +-q cutoffs must match")
-        pair_ws = FockWorkspace(ws.box_side, [q, minus_q], n_pair)
+        if ws.windows[q] != ws.windows[minus_q]:
+            raise ValueError("the +-q windows must match")
+        pair_ws = FockWorkspace(ws.box_side, [q, minus_q], ws.windows[q])
         q_norm = float(np.linalg.norm(pair_ws.k_phys(q)))
         g = gas_table("wibg", params).g(q_norm)
         h_pair = pair_block(pair_ws, q, dispersion(q_norm, params), g)
@@ -268,7 +302,7 @@ class FiniteState:
         _, vecs = eigsh(h_pair.tocsc(), k=1, which="SA", v0=start)
         ground = vecs[:, 0]
         ground = ground * np.sign(ground[np.argmax(np.abs(ground))])
-        zero_col = cls._coherent_column(ws.n_max[ZERO] + 1, amplitude)
+        zero_col = cls._coherent_column(ws.windows[ZERO], amplitude)
         return cls(ws, vector=np.kron(zero_col, ground).astype(complex))
 
 
@@ -415,13 +449,14 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
     steps it raises ``RuntimeError``.
 
     Emits a warning when the evolved vector, rebuilt from the Krylov
-    basis, populates the top occupation level beyond ``LEAK_TOL``
-    (truncation leakage).
+    basis, populates the edge levels of the windows beyond ``LEAK_TOL``
+    (truncation leakage): every top level, and the bottom level of a
+    window with ``lo > 0``.
     """
     if state.vector is None:
         raise ValueError("clt_char_function needs a pure state")
     ws = state.workspace
-    top_mask = np.any(ws.occupations == (np.array(ws._dims) - 1), axis=1)
+    edge_mask = ~ws.interior()
     op = f_op.tocsr()
     times = np.asarray(t_grid, dtype=float)
     norm = np.linalg.norm(state.vector)  # FiniteState keeps it within 1e-9 of 1
@@ -461,9 +496,9 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
         betas.append(beta)
         basis[steps] = w / beta
         steps += 1
-    top_rows = basis[:steps, top_mask].T
-    top_weights = norm**2 * np.sum(np.abs(top_rows @ coeffs) ** 2, axis=0)
-    worst_leak = float(np.max(top_weights, initial=0.0))
+    edge_rows = basis[:steps, edge_mask].T
+    edge_weights = norm**2 * np.sum(np.abs(edge_rows @ coeffs) ** 2, axis=0)
+    worst_leak = float(np.max(edge_weights, initial=0.0))
     if worst_leak > LEAK_TOL:
         warnings.warn(f"truncation leakage {worst_leak:.2e} exceeds {LEAK_TOL:.0e}",
                       RuntimeWarning)
@@ -655,7 +690,7 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
         q, minus_q = _plus_minus((0, 0, round(box / 2.0)))
         amp = table.amplitude(box**3)
         ws = FockWorkspace(box, [ZERO, q, minus_q],
-                           {ZERO: coherent_cutoff(amp), q: 8, minus_q: 8})
+                           {ZERO: coherent_window(amp), q: 8, minus_q: 8})
         h = build_hamiltonian(model, ws, params)
         k_norm = float(np.linalg.norm(ws.k_phys(q)))  # q_phys up to rounding
         eps_q, g = dispersion(k_norm, params), table.g(k_norm)

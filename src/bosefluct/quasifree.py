@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -84,6 +84,7 @@ class QuasiFreeState:
         self.grid = grid
         self.table = gas_table(model, params)
         self.one_point_amplitude = self.table.amplitude(grid.volume)
+        self._averages: Dict[Mode, Tuple[float, float]] = {}  # mode -> pair_averages
 
     # -- basic data ----------------------------------------------------
 
@@ -103,7 +104,7 @@ class QuasiFreeState:
         first) and ``<a_k a_-k> = <a*_k a*_-k> = M_k``, the averages of
         ``model.pair_averages`` with the table's pairing ``g(|k|)``: the
         anomalous pair only in the superfluid gas; every other contraction
-        vanishes.
+        vanishes. The averages are computed once per mode of the state.
         """
         (m1, d1), (m2, d2) = left, right
         if ZERO in (m1, m2):
@@ -113,9 +114,13 @@ class QuasiFreeState:
                 return 0.0
         elif self.model != "wibg" or m1 != tuple(-x for x in m2):
             return 0.0
-        k = self.k_phys(m1)
-        g = self.table.g(math.sqrt(k @ k))  # |k|, bit for bit np.linalg.norm
-        normal, anomalous = pair_averages(dispersion(k, self.params), g, self.params.beta)
+        averages = self._averages.get(m1)
+        if averages is None:
+            k = self.k_phys(m1)
+            g = self.table.g(math.sqrt(k @ k))  # |k|, bit for bit np.linalg.norm
+            averages = pair_averages(dispersion(k, self.params), g, self.params.beta)
+            self._averages[m1] = averages
+        normal, anomalous = averages
         if d1 == d2:
             return anomalous
         return normal + (0.0 if d1 else 1.0)

@@ -22,7 +22,7 @@ from bosefluct.fock import (
     bch_defect,
     build_hamiltonian,
     clt_char_function,
-    coherent_cutoff,
+    coherent_window,
     condensate_fluct_matrix,
     dynamics_commutator,
     goldstone_closure_check,
@@ -101,15 +101,90 @@ class TestWorkspace:
         with pytest.raises(ValueError):
             FockWorkspace(1.0, [ZERO, Q, MQ], 99)
 
-    def test_coherent_cutoff_grows(self):
-        cuts = [coherent_cutoff(a) for a in (1.0, 3.0, 10.0)]
-        assert cuts == sorted(cuts)
-        assert all(c > a * a for c, a in zip(cuts, (1.0, 3.0, 10.0)))
+    def test_coherent_window_grows(self):
+        windows = [coherent_window(a) for a in (1.0, 3.0, 10.0)]
+        assert windows == sorted(windows)
+        assert all(lo < a * a < hi for (lo, hi), a in zip(windows, (1.0, 3.0, 10.0)))
 
+
+class TestOccupationWindow:
+    """A mode on the levels ``lo .. hi``: the coherent zero mode without its empty bottom."""
+
+    WINDOW = (5, 12)
+
+    def test_occupations_are_actual(self):
+        ws = FockWorkspace(1.0, [Q, ZERO], {Q: 2, ZERO: self.WINDOW})
+        assert ws.dimension == 3 * 8
+        assert ws.windows == {Q: (0, 2), ZERO: self.WINDOW}
+        assert np.array_equal(np.unique(ws.occupations[:, 1]), np.arange(5, 13))
+        assert np.array_equal(ws.number(ZERO).diagonal(), ws.occupations[:, 1])
+
+    def test_window_ladder_matches_kron_product(self):
+        # the zero mode is the fast one: a_0 at n = lo would land in the block
+        # of the next n_q; the zero weight keeps it inside the window
+        ws = FockWorkspace(1.0, [Q, ZERO], {Q: 2, ZERO: self.WINDOW})
+        lo, hi = self.WINDOW
+        local = np.diag(np.sqrt(np.arange(lo + 1.0, hi + 1.0)), 1)
+        assert np.array_equal(ws.annihilator(ZERO).toarray(), np.kron(np.eye(3), local))
+
+    def test_ccr_away_from_both_edges(self):
+        ws = FockWorkspace(1.0, [Q, ZERO], {Q: 3, ZERO: self.WINDOW})
+        a0 = ws.annihilator(ZERO)
+        comm = a0 @ ws.creator(ZERO) - ws.creator(ZERO) @ a0 - ws.identity()
+        assert _projected_norm(comm, ws.below_truncation_projector()) < 1e-13
+        # the bottom edge is a truncation edge: there a*_0 a_0 misses n = lo
+        bottom = sp.diags((ws.occupations[:, 1] == self.WINDOW[0]).astype(float))
+        assert _projected_norm(comm, bottom) > 1.0
+
+    def test_projector_drops_both_edges(self):
+        ws = FockWorkspace(1.0, [ZERO, Q], {ZERO: self.WINDOW, Q: 4})
+        kept = ws.below_truncation_projector(margin=2).diagonal().astype(bool)
+        n0, nq = ws.occupations.T
+        assert np.array_equal(kept, (n0 >= 7) & (n0 <= 10) & (nq <= 2))
+
+    @pytest.mark.parametrize("z_sq", [27.0, 500.0])
+    def test_windowed_vacuum_is_the_full_range_one_restricted(self, z_sq):
+        amp = -math.sqrt(z_sq)  # the sign alternates the coefficients
+        lo, hi = coherent_window(amp)
+        full = FiniteState.coherent_vacuum(FockWorkspace(1.0, [ZERO, Q], {ZERO: hi, Q: 2}), amp)
+        windowed = FiniteState.coherent_vacuum(
+            FockWorkspace(1.0, [ZERO, Q], {ZERO: (lo, hi), Q: 2}), amp)
+        assert np.max(np.abs(windowed.vector - full.vector[3 * lo:])) < 1e-15
+
+    @pytest.mark.parametrize("z_sq", [8, 27, 64, 216, 500, 512])
+    def test_window_leaves_no_poisson_weight_below(self, z_sq):
+        lo, hi = coherent_window(math.sqrt(z_sq))
+        n = np.arange(lo)
+        log_terms = n * math.log(z_sq) - z_sq - np.array([math.lgamma(k + 1.0) for k in n])
+        assert np.logaddexp.reduce(log_terms) < math.log(1e-15)  # -inf when lo = 0
+        assert 0 <= lo < z_sq < hi
+
+    def test_vacuum_outside_the_window_refused(self):
+        ws = FockWorkspace(1.0, [ZERO, Q], {ZERO: 4, Q: (1, 3)})
+        with pytest.raises(ValueError, match="below its window"):
+            FiniteState.coherent_vacuum(ws, 1.0)
+
+    @pytest.mark.parametrize("levels", [(3, 2), (-1, 4)])
+    def test_bad_window_refused(self, levels):
+        with pytest.raises(ValueError, match="window"):
+            FockWorkspace(1.0, [ZERO], levels)
+
+    def test_leak_at_the_lower_edge_warns(self):
+        # mean 9: on the levels 7 .. 40 the bottom level holds 12% of the state
+        def char_function(levels):
+            ws = FockWorkspace(1.0, [ZERO], levels)
+            f_op = ws.creator(ZERO) + ws.annihilator(ZERO)
+            return clt_char_function(f_op, [0.5], FiniteState.coherent_vacuum(ws, 3.0))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            char_function(40)
+        with pytest.warns(RuntimeWarning, match="truncation leakage"):
+            char_function((7, 40))
 
 class TestFiniteState:
     def test_coherent_occupation(self):
-        ws = FockWorkspace(1.0, [ZERO], coherent_cutoff(3.0))
+        ws = FockWorkspace(1.0, [ZERO], coherent_window(3.0))
         state = FiniteState.coherent_vacuum(ws, 3.0)
         assert state.expect(ws.number(ZERO)).real == pytest.approx(9.0, abs=1e-8)
         assert state.expect(ws.identity()) == pytest.approx(1.0)
@@ -387,7 +462,7 @@ def reduced_clt_case(seed):
     rho0, box = 4.0, 3.0
     amp = math.sqrt(rho0 * box**3)
     ws = FockWorkspace(box, [ZERO, Q, MQ],
-                       {ZERO: coherent_cutoff(amp), Q: 6, MQ: 6})
+                       {ZERO: coherent_window(amp), Q: 6, MQ: 6})
     state = FiniteState.coherent_vacuum(ws, amp)
     rng = np.random.default_rng(seed)
     f, g = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
@@ -501,6 +576,11 @@ class TestGoldstoneClosure:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             goldstone_closure_check("ideal", imperfect_params())
+
+    def test_runs_past_the_full_range_dimension_cap(self):
+        # c = 2.05: 205,254 rows from level 0, 61,074 on the coherent window
+        report = goldstone_closure_check("wibg", CheckContext(condensate_amplitude=2.05).wibg)
+        assert len(report.remainder_norms) == 4
 
     def test_vanishing_superfluid_remainder_refused(self):
         # v(pi) = v0 exp(-pi^2 / kappa^2) underflows to 0 at kappa = 0.1

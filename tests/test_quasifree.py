@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bogoliubov_reference import half_angles
-from bosefluct import fock
+from bosefluct import fock, quasifree
 from bosefluct.checks import CheckContext
 from bosefluct.fluctuations import FluctuationSpec, variance_general
 from bosefluct.model import (
@@ -17,6 +17,7 @@ from bosefluct.model import (
     MomentumGrid,
     bose_occupation,
     dispersion,
+    pair_averages,
 )
 from bosefluct.quasifree import (
     MAX_WORD_LENGTH,
@@ -137,6 +138,21 @@ class TestTwoPoint:
             bose_occupation(dispersion(state.k_phys(ZERO), state.params), state.params.beta)
         assert state.contraction((ZERO, False), (ZERO, True)) == 1.0
         assert state.contraction((ZERO, True), (ZERO, False)) == 0.0
+
+    def test_one_pair_averages_call_per_mode(self, monkeypatch):
+        # the word pairs Q and -Q tokens many times, normal and anomalous, in both orders
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pair_averages(*args)
+
+        monkeypatch.setattr(quasifree, "pair_averages", counting)
+        state = wibg_state(beta=2.0)
+        word = OperatorWord(((Q, True), (MQ, True), (Q, False), (MQ, False),
+                             (Q, False), (Q, True), (MQ, False), (MQ, True)))
+        assert wick_expectation(state, word) != 0.0
+        assert len(calls) == 2  # one per distinct mode, Q and -Q
 
 
 class TestWickExpectation:
@@ -278,7 +294,7 @@ class TestSmearedFluctuationAcrossRoutes:
     def test_wick_matches_fock_in_the_mean_field_ground_state(self, box):
         state = imperfect_state(box=box)
         amp = state.one_point_amplitude
-        ws = fock.FockWorkspace(box, [ZERO, Q, MQ], {ZERO: fock.coherent_cutoff(amp), Q: 4, MQ: 4})
+        ws = fock.FockWorkspace(box, [ZERO, Q, MQ], {ZERO: fock.coherent_window(amp), Q: 4, MQ: 4})
         vacuum = fock.FiniteState.coherent_vacuum(ws, amp)
         for f, g in seeded_smearings(31, 4):
             f_op = fock.condensate_fluct_matrix(ws, Q, amp, f_q0=f, g_q0=g)
