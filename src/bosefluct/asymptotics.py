@@ -53,19 +53,80 @@ def _radial_cutoff(params: ModelParams, q_norm: float) -> float:
     return q_norm + math.sqrt(60.0 * params.mass / params.beta) + 1.0
 
 
-def _radial_quad(radial, q_norm: float, k_max: float, rtol: float) -> Tuple[float, float]:
-    """Adaptive quadrature of ``radial`` over ``[0, k_max]`` with the kink at ``|q|``.
+# Gauss-Kronrod 10/21 pair on [-1, 1], QUADPACK's qk21 (Piessens et al.,
+# QUADPACK, Springer 1983). Nodes run from the right end to the centre; the
+# odd-indexed ones are the 10-point Gauss nodes, with the weights _G10_HALF.
+_K21_HALF_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_K21_HALF_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980178400, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_G10_HALF = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# the same rules over all 21 nodes in ascending order; Gauss weight 0 off its nodes
+_K21_NODES = np.concatenate((-_K21_HALF_NODES[:-1], _K21_HALF_NODES[::-1]))
+_K21_WEIGHTS = np.concatenate((_K21_HALF_WEIGHTS[:-1], _K21_HALF_WEIGHTS[::-1]))
+_G10_WEIGHTS = np.zeros(21)
+_G10_WEIGHTS[1::2] = np.concatenate((_G10_HALF, _G10_HALF[::-1]))
+# Caps on the rounds of bisection and on the subintervals before a bubble is
+# refused: below the roundoff floor every interval keeps splitting, so the
+# interval cap bounds the memory and work a refusal costs.
+_GK_MAX_ROUNDS = 30
+_GK_MAX_INTERVALS = 400
+# Breakpoints of the thermal bubble at |q| (1 - g) and |q| + (k_max - |q|) g:
+# graded toward its log singularity at |k| = |q|, so that no bisection has to
+# chase it there
+_LOG_GRADING = 2.0 ** (-4.0 * np.arange(1, 10))
 
-    Returns ``(value, abserr)``; raises ``RuntimeError`` when the error
-    estimate exceeds ten times the requested relative tolerance.
+
+def _gauss_kronrod(f, breakpoints, rtol: float) -> Tuple[float, float]:
+    """Globally adaptive G10/K21 quadrature of ``f`` over ``[breakpoints[0], breakpoints[-1]]``.
+
+    ``f`` maps an array of abscissae to the integrand on that array. Each
+    round calls it once, on the ``(n, 21)`` Kronrod nodes of the ``n`` new
+    intervals; the intervals start at the consecutive ``breakpoints``, which
+    are never evaluated. An interval's value is its K21 sum and its error
+    ``|K21 - G10|``. The routine returns ``(value, error)``, both summed over
+    the intervals, once the error is at most ``rtol * |value|``; until then
+    it bisects every interval whose error is above its share
+    ``rtol * |value| / n`` of the tolerance. It raises
+    ``RuntimeError`` after ``_GK_MAX_ROUNDS`` rounds or beyond
+    ``_GK_MAX_INTERVALS`` intervals.
     """
-    value, abserr = integrate.quad(radial, 0.0, k_max, points=[q_norm],
-                                   epsrel=rtol, epsabs=0.0, limit=400)
-    if abserr > 10.0 * rtol * max(abs(value), 1e-300) and abserr > 1e-12:
-        raise RuntimeError(
-            f"bubble quadrature did not converge: value={value:.3e} err={abserr:.3e}"
-        )
-    return value, abserr
+    edges = np.asarray(breakpoints, dtype=float)
+    new_lo, new_hi = edges[:-1], edges[1:]
+    lo = hi = values = errors = np.empty(0)
+    for _ in range(_GK_MAX_ROUNDS):
+        centre, half = 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo)
+        fx = f(centre[:, None] + half[:, None] * _K21_NODES)
+        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
+        values = np.concatenate((values, half * (fx @ _K21_WEIGHTS)))
+        errors = np.concatenate((errors, half * np.abs(fx @ (_K21_WEIGHTS - _G10_WEIGHTS))))
+        value, error = float(values.sum()), float(errors.sum())
+        if error <= rtol * abs(value):
+            return value, error
+        split = errors > rtol * abs(value) / len(errors)
+        if len(errors) + np.count_nonzero(split) > _GK_MAX_INTERVALS:
+            break
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        keep = ~split
+        lo, hi, values, errors = lo[keep], hi[keep], values[keep], errors[keep]
+    raise RuntimeError(
+        f"bubble quadrature did not converge: value={value:.3e} err={error:.3e}"
+    )
 
 
 def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
@@ -74,9 +135,14 @@ def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
     """Thermal bubble ``(1/2 rho0) (2 pi)^-3 int d^3k n(eps_{k+q}) (n(eps_k)+1)``.
 
     The angular integral is done in closed form (the occupation is a
-    function of a variable linear in ``cos theta``), leaving a single
-    adaptive radial quadrature with the integrable log singularity at
-    ``|k| = |q|`` declared as a breakpoint. Exactly zero at ``beta = inf``.
+    function of a variable linear in ``cos theta``), leaving one radial
+    integral. The adaptive G10/K21 rule does it to ``rtol`` on an array
+    integrand, with breakpoints graded geometrically toward the integrable
+    log singularity at ``|k| = |q|`` from both sides. ``error`` is the
+    rule's estimate, and ``tail_bound`` (one scalar QUADPACK integral of
+    the exponential envelope) bounds the integrand beyond the cutoff. Raises
+    ``RuntimeError`` when the rule does not converge. Exactly zero at
+    ``beta = inf``.
 
     Parameters
     ----------
@@ -101,28 +167,20 @@ def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
 
     beta, m = params.beta, params.mass
 
-    def angular(r: float) -> float:
-        # int_{-1}^{1} du n(eps(|k+q|) - mu) with |k+q|^2 = r^2+q^2+2rqu
-        x_lo = beta * (dispersion(r - q_norm, params) - mu_shift)
-        x_hi = beta * (dispersion(r + q_norm, params) - mu_shift)
-        jac = m / (beta * r * q_norm)
-        lo = -math.expm1(-x_lo)  # 1 - e^{-x}, accurate near x = 0
-        hi = -math.expm1(-x_hi)
-        if lo <= 0.0:
-            return math.inf  # only reachable at the breakpoint itself
-        return jac * (math.log(hi) - math.log(lo))
-
-    def radial(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        eps_r = dispersion(r, params)
-        # n + 1 = 1 / (1 - e^{-x}): no overflow where e^x would pass the float range
-        occ_plus_one = -1.0 / math.expm1(-beta * (eps_r - mu_shift))
-        return r * r * occ_plus_one * angular(r)
+    def radial(r):
+        # r^2 (n(eps_r) + 1) times the closed-form angular integral
+        # int_{-1}^{1} du n(eps(|k+q|)) = m / (beta r q) log[(1 - e^{-x+}) / (1 - e^{-x-})]
+        # with x-+ = beta (eps(r -+ q) - mu); 1 - e^{-x} = -expm1(-x) is accurate
+        # near x = 0 and, unlike e^x - 1, cannot overflow
+        eps = dispersion(np.stack((r, r - q_norm, r + q_norm))[..., None], params)
+        one_minus = -np.expm1(-beta * (eps - mu_shift))
+        return r * m / (beta * q_norm) * np.log(one_minus[2] / one_minus[1]) / one_minus[0]
 
     k_max = _radial_cutoff(params, q_norm)
     prefactor = 1.0 / (2.0 * rho) / (4.0 * math.pi**2)
-    value, abserr = _radial_quad(radial, q_norm, k_max, rtol)
+    breakpoints = np.concatenate(([0.0], q_norm * (1.0 - _LOG_GRADING), [q_norm],
+                                  q_norm + (k_max - q_norm) * _LOG_GRADING[::-1], [k_max]))
+    value, abserr = _gauss_kronrod(radial, breakpoints, rtol)
     # Tail beyond k_max: both factors bounded by the exponential envelope.
     x_tail = beta * (dispersion(k_max - q_norm, params) - mu_shift)
     tail, _ = integrate.quad(
@@ -147,15 +205,16 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
     ``(1 / r q) int_{|r-q|}^{r+q} p [n_p (n_r + 1) + m_p m_r] dp``. That
     integrand is analytic in ``p`` (the ``1/p`` of ``n_p`` and ``m_p``
     cancels against the Jacobian), so a fixed Gauss-Legendre rule of
-    ``PAIR_NODES`` nodes, evaluated on arrays, converges exponentially. One
-    adaptive quadrature over ``r`` to ``rtol``, with the kink at
-    ``r = |q|`` as a breakpoint, does the outer integral.
+    ``PAIR_NODES`` nodes converges exponentially. The adaptive G10/K21
+    rule does the outer integral over ``r`` to ``rtol``, with the kink at
+    ``r = |q|`` as a breakpoint; each of its rounds evaluates the inner
+    rule once, on an ``(n_r, PAIR_NODES)`` array.
 
-    ``error`` is the outer quadrature's estimate; the fixed inner rule
-    has no estimate of its own (the tests hold it against a rule of twice
-    its size). ``tail_bound`` bounds the integrand beyond the cutoff. Like
-    the thermal bubble, it raises ``RuntimeError`` when the outer
-    quadrature does not converge.
+    ``error`` is the outer rule's estimate; the fixed inner rule has no
+    estimate of its own (the tests hold it against a rule of twice its
+    size). ``tail_bound`` bounds the integrand beyond the cutoff. Like the
+    thermal bubble, it raises ``RuntimeError`` when the outer rule does not
+    converge.
     """
     q_norm = float(np.linalg.norm(q))
     if q_norm == 0.0:
@@ -164,23 +223,21 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
         raise ValueError("pair bubble implemented for the ground state only")
     nodes, weights = _gauss_legendre(PAIR_NODES)
 
-    def radial(r: float) -> float:
-        if r == 0.0:
-            return 0.0
+    def radial(r):
         # p runs over [|r-q|, r+q]: midpoint max(r, q), half-width min(r, q)
-        half = min(r, q_norm)
-        p = max(r, q_norm) + half * nodes
-        k = np.concatenate(([r], p))
-        # one radius per row of k[:, None], not one 3-vector
-        n, m = pair_averages(dispersion(k[:, None], params), params.c2v(k), params.beta)
-        inner = p * (n[1:] * (n[0] + 1.0) + m[1:] * m[0])
-        return r / q_norm * half * float(weights @ inner)
+        half = np.minimum(r, q_norm)[..., None]
+        p = np.maximum(r, q_norm)[..., None] + half * nodes
+        k = np.concatenate((r[..., None], p), axis=-1)
+        # one radius per entry of k[..., None], not one 3-vector
+        n, m = pair_averages(dispersion(k[..., None], params), params.c2v(k), params.beta)
+        inner = p * (n[..., 1:] * (n[..., :1] + 1.0) + m[..., 1:] * m[..., :1])
+        return r / q_norm * half[..., 0] * (inner @ weights)
 
     # Depletion decays like (c^2 v / 2 eps)^2; beyond twice the radius where
     # v / v0 = 1e-14 the gaussian tail of v leaves nothing
     k_max = q_norm + 2.0 * params.kappa * math.sqrt(14.0 * math.log(10.0))
     prefactor = 1.0 / (4.0 * math.pi**2)
-    value, abserr = _radial_quad(radial, q_norm, k_max, rtol)
+    value, abserr = _gauss_kronrod(radial, [0.0, q_norm, k_max], rtol)
     n_t, m_t = pair_averages(dispersion(k_max, params), params.c2v(k_max), params.beta)
     tail_bound = prefactor * 8.0 * k_max**2 * (abs(n_t) + abs(m_t))
     return IntegralResult(prefactor * value, prefactor * abserr, tail_bound)

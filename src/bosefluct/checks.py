@@ -29,6 +29,8 @@ __all__ = ["CheckContext", "CheckResult", "CheckDef", "REGISTRY", "checked_toler
            "run_check"]
 
 OMEGA_REL_BOUND = 1e-3  # spectrum: relative distance of lim E_q q / eps_q from Omega
+DIVERGENCE_BUBBLE_BOUND = 0.05  # divergence-exponents: |fitted bubble power + 1|
+BUBBLE_TAIL_FACTOR = 1e-8  # bubble-scaling: tail bound per unit of max(|fine|, 1e-3)
 FULL_RATIO_BOUND = 1.05  # structure-factor: spread max/min of the full-density S(q)
 WIBG_COMMUTATOR_FLOOR = 1e-3  # u-commutation: truncated interaction must not commute
 CLT_DENSITY = 4.0  # clt: condensate density of the coherent state
@@ -251,11 +253,12 @@ def _check_divergence(ctx: CheckContext, tol: float) -> CheckResult:
         [(q, asymptotics.bose_bubble_integral(q, params).value) for q in qs])
     err_coth = abs(coth + 2.0)
     err_bubble = abs(bubble + 1.0)
-    passed = err_coth < tol and err_bubble < 0.05
+    passed = err_coth < tol and err_bubble < DIVERGENCE_BUBBLE_BOUND
     rows = [("coth", coth, -2.0, err_coth),
             ("bubble", bubble, -1.0, err_bubble)]
     return CheckResult(passed, ("term", "fitted", "target", "error"), rows,
-                       {"coth": coth, "bubble": bubble})
+                       {"coth": coth, "bubble": bubble,
+                        "bubble_bound": DIVERGENCE_BUBBLE_BOUND})
 
 
 def _check_delta(ctx: CheckContext, tol: float) -> CheckResult:
@@ -481,10 +484,10 @@ def _check_bubble_scaling(ctx: CheckContext, tol: float) -> CheckResult:
         rel = abs(coarse.value - fine.value) / abs(fine.value)
         worst = max(worst, rel)
         rows.append((q, coarse.value, fine.value, rel, fine.tail_bound))
-    tails_ok = all(r[4] < 1e-8 * max(abs(r[2]), 1e-3) for r in rows)
+    tails_ok = all(r[4] < BUBBLE_TAIL_FACTOR * max(abs(r[2]), 1e-3) for r in rows)
     return CheckResult(worst < tol and tails_ok,
                        ("q", "coarse", "fine", "rel_diff", "tail_bound"), rows,
-                       {"worst_rel": worst})
+                       {"worst_rel": worst, "tail_factor": BUBBLE_TAIL_FACTOR})
 
 
 def _check_lifetime(ctx: CheckContext, tol: float) -> CheckResult:

@@ -1,6 +1,8 @@
 """Unit tests for the bubble integrals, power-law slopes and extrapolation."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from scipy import integrate
 
 from bosefluct import asymptotics
 from bosefluct.asymptotics import bose_bubble_integral, fit_power_law, richardson, wibg_pair_bubble
-from bosefluct.checks import DELTA_BOX_SIDES, CheckContext
+from bosefluct.checks import DELTA_BOX_SIDES, DELTA_PHASES, CheckContext
 from bosefluct.fluctuations import variance_rho_imperfect
-from bosefluct.model import ModelParams, bogoliubov_spectrum, dispersion
+from bosefluct.model import ModelParams, bogoliubov_spectrum, dispersion, pair_averages
 
 
 def thermal_params(beta=1.0, mass=1.0, rho0=1.0):
@@ -46,6 +48,33 @@ def brute_force_bubble(q_norm, params, mu_shift=0.0, rho=None):
     k_max = q_norm + math.sqrt(60.0 * m / beta) + 1.0
     value, _ = integrate.quad(radial, 0.0, k_max, points=[q_norm],
                               epsrel=1e-10, epsabs=0.0, limit=400)
+    return value / (2.0 * rho) / (4.0 * math.pi**2)
+
+
+def strict_quad(*args, **kwargs):
+    """The value of ``integrate.quad``, refused when QUADPACK flags it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        return integrate.quad(*args, **kwargs)[0]
+
+
+def quad_bose_bubble(q_norm, params, mu_shift=0.0, rho=None, rtol=1e-10):
+    """QUADPACK oracle on the closed-form angular step: a scalar integrand with
+    the log singularity at ``|k| = |q|`` as the one breakpoint."""
+    beta, m = params.beta, params.mass
+    rho = params.condensate_density if rho is None else rho
+
+    def radial(r):
+        if r == 0.0:
+            return 0.0
+        x_lo = beta * (dispersion(r - q_norm, params) - mu_shift)
+        x_hi = beta * (dispersion(r + q_norm, params) - mu_shift)
+        angular = m / (beta * r * q_norm) * (math.log(-math.expm1(-x_hi))
+                                             - math.log(-math.expm1(-x_lo)))
+        return -r * r / math.expm1(-beta * (dispersion(r, params) - mu_shift)) * angular
+
+    k_max = q_norm + math.sqrt(60.0 * m / beta) + 1.0
+    value = strict_quad(radial, 0.0, k_max, points=[q_norm], epsrel=rtol, epsabs=0.0, limit=400)
     return value / (2.0 * rho) / (4.0 * math.pi**2)
 
 
@@ -110,6 +139,19 @@ class TestBoseBubble:
         res = bose_bubble_integral(math.pi, CheckContext(mass=1.0 / 64.0).imperfect_thermal)
         assert math.isfinite(res.value) and res.value > 0.0
 
+    @pytest.mark.parametrize("rtol", [1e-7, 1e-10])
+    @pytest.mark.parametrize("ctx", [CheckContext(mass=4.0), CheckContext(beta_thermal=0.25)],
+                             ids=["mass-4", "beta-quarter"])
+    def test_converges_below_the_quadpack_floor(self, ctx, rtol):
+        # at m / beta = 4 QUADPACK detects roundoff and gives up below q = 3e-4, and
+        # the nested oracle is off by half there. q I(q) -> 4 is smooth in q, so a
+        # quadratic through the QUADPACK values at 3, 6 and 9e-4 predicts q = 1e-4
+        params = ctx.imperfect_thermal
+        qs = [3e-4, 6e-4, 9e-4]
+        trend = np.polyfit(qs, [q * quad_bose_bubble(q, params) for q in qs], 2)
+        value = bose_bubble_integral(1e-4, params, rtol=rtol).value
+        assert 1e-4 * value == pytest.approx(np.polyval(trend, 1e-4), rel=rtol, abs=0.0)
+
 
 def nested_pair_bubble(q_norm, params):
     """Reference pair bubble: adaptive quad over u = cos(theta) nested in
@@ -142,6 +184,25 @@ def nested_pair_bubble(q_norm, params):
         kappa_scale = 32.0
     value, _ = integrate.quad(radial, 0.0, q_norm + 2.0 * kappa_scale, points=[q_norm],
                               epsrel=1e-7, epsabs=0.0, limit=400)
+    return value / (4.0 * math.pi**2)
+
+
+def quad_pair_bubble(q_norm, params, rtol=1e-10):
+    """QUADPACK oracle over ``r`` on the fixed inner Gauss-Legendre rule: a scalar
+    radial integrand with the kink at ``r = |q|`` as the one breakpoint."""
+    nodes, weights = np.polynomial.legendre.leggauss(asymptotics.PAIR_NODES)
+
+    def radial(r):
+        if r == 0.0:
+            return 0.0
+        half = min(r, q_norm)
+        p = max(r, q_norm) + half * nodes
+        k = np.concatenate(([r], p))
+        n, m = pair_averages(dispersion(k[:, None], params), params.c2v(k), params.beta)
+        return r / q_norm * half * float(weights @ (p * (n[1:] * (n[0] + 1.0) + m[1:] * m[0])))
+
+    k_max = q_norm + 2.0 * params.kappa * math.sqrt(14.0 * math.log(10.0))
+    value = strict_quad(radial, 0.0, k_max, points=[q_norm], epsrel=rtol, epsabs=0.0, limit=400)
     return value / (4.0 * math.pi**2)
 
 
@@ -202,15 +263,124 @@ class TestWibgPairBubble:
             wibg_pair_bubble(0.3, thermal_params(beta=math.inf))
 
 
+THERMAL_SCENARIOS = {"default": CheckContext(), "mass-quarter": CheckContext(mass=0.25),
+                     "mass-4": CheckContext(mass=4.0),
+                     "beta-quarter": CheckContext(beta_thermal=0.25),
+                     "beta-4": CheckContext(beta_thermal=4.0)}
+
+
+class TestAgainstQuadpack:
+    """Both bubbles at rtol 1e-10 against their scalar QUADPACK routes, over the
+    log-strata of q in [1e-4, 2] and the scenario corners."""
+
+    @pytest.mark.parametrize("scenario", THERMAL_SCENARIOS)
+    def test_thermal_bubble(self, scenario):
+        params = THERMAL_SCENARIOS[scenario].imperfect_thermal
+        for q in PAIR_QS:
+            fast = bose_bubble_integral(q, params, rtol=1e-10).value
+            assert fast == pytest.approx(quad_bose_bubble(q, params), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("kind,mu_shift", [phase[:2] for phase in DELTA_PHASES[1:]],
+                             ids=[phase[0] for phase in DELTA_PHASES[1:]])
+    def test_uncondensed_delta_phases(self, kind, mu_shift):
+        thermal = CheckContext().imperfect_thermal
+        uncondensed = replace(thermal, condensate_density=0.0)
+        for box in DELTA_BOX_SIDES:
+            q = 2.0 * math.pi / box
+            fast = bose_bubble_integral(q, uncondensed, mu_shift=mu_shift,
+                                        norm_density=thermal.total_density, rtol=1e-10).value
+            slow = quad_bose_bubble(q, uncondensed, mu_shift, thermal.total_density)
+            assert fast == pytest.approx(slow, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("scenario", PAIR_SCENARIOS)
+    def test_pair_bubble(self, scenario):
+        params = PAIR_SCENARIOS[scenario].wibg
+        for q in PAIR_QS:
+            fast = wibg_pair_bubble(q, params, rtol=1e-10).value
+            assert fast == pytest.approx(quad_pair_bubble(q, params), rel=1e-9, abs=0.0)
+
+
+def test_bubbles_evaluate_the_model_on_arrays(monkeypatch):
+    # the rule calls dispersion once per round on every node (the thermal tail
+    # bound adds QUADPACK's scalar calls); a per-point integrand calls it
+    # thousands of times
+    calls = []
+
+    def counted(k, params):
+        calls.append(k)
+        return dispersion(k, params)
+
+    monkeypatch.setattr(asymptotics, "dispersion", counted)
+    ctx = CheckContext()
+    bose_bubble_integral(0.5, ctx.imperfect_thermal)
+    thermal = len(calls)
+    wibg_pair_bubble(0.5, ctx.wibg)
+    assert thermal <= 100 and len(calls) - thermal <= 20
+
+
 @pytest.mark.parametrize("bubble,params", [
     (bose_bubble_integral, thermal_params(beta=1.0)),
     (wibg_pair_bubble, wibg_params()),
 ])
 def test_unconverged_radial_quadrature_raises(bubble, params, monkeypatch):
-    # an error estimate as large as the value: both bubbles refuse it
-    monkeypatch.setattr(asymptotics.integrate, "quad", lambda *args, **kw: (1.0, 1.0))
+    # one round of the rule does not reach rtol = 1e-7 on either bubble: both refuse it
+    monkeypatch.setattr(asymptotics, "_GK_MAX_ROUNDS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
         bubble(0.3, params)
+
+
+class TestGaussKronrod:
+    """The G10/K21 rule on integrands with known integrals."""
+
+    NODES = asymptotics._K21_NODES
+    RULES = {"K21": (asymptotics._K21_WEIGHTS, 31), "G10": (asymptotics._G10_WEIGHTS, 19)}
+
+    def test_symmetric_nodes_and_weights(self):
+        assert np.array_equal(self.NODES, -self.NODES[::-1])
+        assert np.all(np.diff(self.NODES) > 0.0)
+        for weights, _ in self.RULES.values():
+            assert np.array_equal(weights, weights[::-1])
+
+    def test_gauss_part_is_gauss_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        gauss = self.RULES["G10"][0]
+        assert np.count_nonzero(gauss) == 10
+        np.testing.assert_allclose(self.NODES[gauss > 0.0], nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(gauss[gauss > 0.0], weights, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("rule", ["K21", "G10"])
+    @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (0.3, 2.2)])
+    def test_monomials(self, rule, a, b):
+        weights, exact_to = self.RULES[rule]
+        centre, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = centre + half * self.NODES
+        assert half * weights.sum() == pytest.approx(b - a, rel=1e-15)
+
+        def error(degree):
+            exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+            return abs(half * (weights @ x**degree) - exact) / (half * (weights @ abs(x)**degree))
+
+        assert max(error(d) for d in range(exact_to + 1)) < 1e-14
+        if (a, b) == (-1.0, 1.0):  # and no further: the next even degree is missed
+            assert error(exact_to + 1) > 1e-12
+
+    @pytest.mark.parametrize("rtol", [1e-7, 1e-10])
+    def test_adaptive_rule_meets_rtol(self, rtol):
+        calls = []
+
+        def lorentzian(x):
+            calls.append(x.shape)
+            return 1.0 / (1.0 + 100.0 * x * x)
+
+        value, error = asymptotics._gauss_kronrod(lorentzian, [-1.0, 2.0], rtol)
+        exact = (math.atan(20.0) + math.atan(10.0)) / 10.0
+        assert 0.0 < error <= rtol * abs(value)
+        assert value == pytest.approx(exact, rel=rtol, abs=0.0)
+        assert len(calls) > 1 and all(shape[1] == 21 for shape in calls)
+
+    def test_unreachable_tolerance_refused(self):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            asymptotics._gauss_kronrod(np.cos, [0.0, 1.0], 1e-20)
 
 
 class TestFitPowerLaw:

@@ -117,6 +117,8 @@ def test_goldstone_wibg_rows_are_bit_identical():
     ("lifetime-exponents", {"exponent_imperfect", "exponent_wibg", "worst_error"}),
     ("spectrum", {"worst_rel", "omega_rel", "omega_rel_bound"}),
     ("structure-factor", {"slope_spread", "full_ratio", "full_ratio_bound"}),
+    ("divergence-exponents", {"coth", "bubble", "bubble_bound"}),
+    ("bubble-scaling", {"worst_rel", "tail_factor"}),
 ])
 def test_details_record_the_judged_values(name, keys):
     assert set(run_check(name).details) == keys

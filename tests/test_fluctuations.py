@@ -176,9 +176,7 @@ class TestSymplecticAndCovariance:
     ])
     def test_cauchy_schwarz(self, model, params):
         rng = np.random.default_rng(47)
-        # each thermal mean-field draw integrates the bubble three times
-        n_draws = 100 if model == "imperfect" and not params.is_ground_state else 500
-        for _ in range(n_draws):
+        for _ in range(500):
             q = (0, 0, rng.uniform(0.05, 2.5))
             draws = rng.normal(size=8)
             s1 = FluctuationSpec(model, q, f_q0=complex(draws[0], draws[1]),
