@@ -328,6 +328,7 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
     ws = fock.FockWorkspace(box, [(0, 0, 0), q, mq],
                             {(0, 0, 0): fock.coherent_window(amp), q: 10, mq: 10})
     state = fock.FiniteState.coherent_vacuum(ws, amp)
+    family = fock.condensate_fluct_family(ws, q, amp)
     rng = np.random.default_rng(11)
     rows, worst_rel, worst_imag = [], 0.0, 0.0
     for draw in range(10):
@@ -340,8 +341,7 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
             fluctuations.FluctuationSpec("imperfect", ws.k_phys(q), f_q0=f, g_q0=g), params)
         t_max = 1.5 / math.sqrt(s_closed)
         t_grid = np.linspace(0.0, t_max, 7)[1:]
-        f_op = fock.condensate_fluct_matrix(ws, q, amp, f_q0=f, g_q0=g)
-        values = fock.clt_char_function(f_op, t_grid, state)
+        values = fock.clt_char_function(family(f, g), t_grid, state)
         worst_imag = max(worst_imag, float(np.max(np.abs(np.angle(values)))))
         y = -2.0 * np.log(np.abs(values))
         coeffs = np.polyfit(t_grid**2, y, 2)

@@ -14,7 +14,9 @@ Hamiltonian. Every check that uses the canonical pair runs on the
 workspace ``[0, q, -q]``, where one builder,
 :func:`condensate_fluct_matrix`, writes the smeared fluctuation
 ``F(f, g)`` of both gases: its density smearing ``f`` gives the density
-half of the pair and its order-parameter smearing ``g`` the other half.
+half of the pair and its order-parameter smearing ``g`` the other half;
+:func:`condensate_fluct_family` gives it for many smearings from parts
+built once.
 
 Modes are labeled by integer lattice triples. For the interaction
 checks the mode label arithmetic is taken modulo a small torus so that
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,6 +60,7 @@ LEAK_TOL = 1e-6  # edge-level population that counts as truncation leakage
 LANCZOS_TOL = 1e-12  # change of the characteristic function that stops the Krylov growth
 LANCZOS_BREAKDOWN = 1e-14  # residual norm of an exact invariant subspace
 LANCZOS_MAX_STEPS = 100
+LANCZOS_START_ROWS = 16  # rows of the Krylov basis before its first doubling
 LANCZOS_DGKS_RATIO = 2.0**-0.5  # a Gram-Schmidt pass that shrinks ||w|| below this is repeated
 INTERACTION_BOX_SIDE = 2.0  # box side of the truncation rederivation: momenta are multiples of pi
 
@@ -129,6 +132,7 @@ class FockWorkspace:
             raise ValueError(f"dimension {self.dimension} exceeds cap {DIMENSION_CAP}")
         self._dims = dims
         self._ladder_cache: Dict[Mode, sp.csr_matrix] = {}
+        self._creator_cache: Dict[Mode, sp.csr_matrix] = {}
         # occupation table: occupations[i, j] = occupation of mode j in basis state i
         grids = np.indices(dims).reshape(len(dims), -1)
         self.occupations = grids.T + lows
@@ -164,14 +168,23 @@ class FockWorkspace:
         return op
 
     def creator(self, mode) -> sp.csr_matrix:
-        return self.annihilator(mode).conjugate().T.tocsr()
+        """``a*_k``, the adjoint of :meth:`annihilator`; cached per workspace like it."""
+        m = tuple(int(x) for x in mode)
+        hit = self._creator_cache.get(m)
+        if hit is None:
+            hit = self._creator_cache[m] = self.annihilator(m).conjugate().T.tocsr()
+        return hit
 
     def number(self, mode) -> sp.csr_matrix:
         j = self.index(mode)
         return sp.diags(self.occupations[:, j].astype(float), format="csr")
 
+    def totals(self) -> np.ndarray:
+        """Total occupation ``N`` of each basis state: the diagonal of :meth:`total_number`."""
+        return self.occupations.sum(axis=1).astype(float)
+
     def total_number(self) -> sp.csr_matrix:
-        return sp.diags(self.occupations.sum(axis=1).astype(float), format="csr")
+        return sp.diags(self.totals(), format="csr")
 
     def identity(self) -> sp.csr_matrix:
         return sp.identity(self.dimension, format="csr")
@@ -341,9 +354,9 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
         if q > minus_q:  # one block per pair; the zero mode is its own mirror
             k_norm = float(np.linalg.norm(ws.k_phys(q)))
             blocks.append(pair_block(ws, q, dispersion(k_norm, params), table.g(k_norm)))
-    n_tot = ws.total_number()
-    return (sum(blocks) + (table.u / (2.0 * ws.volume)) * (n_tot @ n_tot)
-            - table.mu * n_tot).tocsr()
+    n_sq = sp.diags(ws.totals()**2, format="csr")
+    return (sum(blocks) + (table.u / (2.0 * ws.volume)) * n_sq
+            - table.mu * ws.total_number()).tocsr()
 
 
 # -- fluctuation operators on a workspace ---------------------------------
@@ -354,6 +367,28 @@ def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[sp.csr_matrix, sp.csr_matrix
     q, minus_q = _plus_minus(q_lat)
     return (ws.creator(q) + ws.creator(minus_q),
             ws.annihilator(q) + ws.annihilator(minus_q))
+
+
+def _fluct_weights(amplitude: float, f_q0: complex, g_q0: complex
+                   ) -> Tuple[complex, complex, complex, complex]:
+    """Weights of the parts ``B* a_0``, ``a*_0 B``, ``B*`` and ``B`` in ``F(f, g)``."""
+    f, g = complex(f_q0), complex(g_q0)
+    if f == 0.0 and g == 0.0:
+        raise ValueError("needs a nonzero smearing f or g")
+    if amplitude == 0.0:
+        raise ValueError("needs a nonzero zero-mode amplitude")
+    norm = 1.0 / (2.0 * amplitude)
+    return norm * f, norm * f.conjugate(), 0.5j * g, -0.5j * g.conjugate()
+
+
+def _fluct_parts(ws: FockWorkspace, q_lat, weights: Sequence[complex]
+                 ) -> List[Tuple[complex, sp.csr_matrix]]:
+    """``(w, P)`` for each part ``P`` of ``F(f, g)`` (``B* a_0``, ``a*_0 B``, ``B*``,
+    ``B``) whose weight ``w`` is nonzero; a part of weight zero is not built."""
+    b_dag, b = _ladder_sums(ws, q_lat)
+    builders = (lambda: b_dag @ ws.annihilator(ZERO), lambda: ws.creator(ZERO) @ b,
+                lambda: b_dag, lambda: b)
+    return [(w, build()) for w, build in zip(weights, builders) if w != 0.0]
 
 
 def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
@@ -368,21 +403,47 @@ def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
     density weighted by ``i (eps_k - eps_k')``. Each part is built only
     when its smearing is nonzero; ``F(0, 0)`` is refused.
     """
-    f, g = complex(f_q0), complex(g_q0)
-    if f == 0.0 and g == 0.0:
-        raise ValueError("needs a nonzero smearing f or g")
-    if amplitude == 0.0:
-        raise ValueError("needs a nonzero zero-mode amplitude")
-    b_dag, b = _ladder_sums(ws, q_lat)
-    parts = []
-    if f != 0.0:
-        norm = 1.0 / (2.0 * amplitude)
-        up = b_dag @ ws.annihilator(ZERO)
-        down = ws.creator(ZERO) @ b
-        parts.append(norm * (f * up + np.conj(f) * down))
-    if g != 0.0:
-        parts.append(0.5j * (g * b_dag - np.conj(g) * b))
-    return sum(parts[1:], parts[0]).tocsr()
+    terms = [w * part for w, part in
+             _fluct_parts(ws, q_lat, _fluct_weights(amplitude, f_q0, g_q0))]
+    return sum(terms[1:], terms[0]).tocsr()
+
+
+def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
+                            ) -> Callable[..., sp.csr_matrix]:
+    """``(f_q0, g_q0) -> F(f, g)`` for many smearings on one workspace.
+
+    ``F`` is linear in ``(f, conj f, g, conj g)``. The four parts of
+    :func:`condensate_fluct_matrix` are built once and their entries laid
+    out together, row by row, as one sparse pattern that records the part
+    each entry comes from. A call only scales every entry by its part's
+    weight, so it equals :func:`condensate_fluct_matrix` entry for entry;
+    where a smearing vanishes its parts stay as explicit zeros, and an
+    entry that two parts share is stored once for each. ``F(0, 0)`` is
+    refused.
+    """
+    n = ws.dimension
+    parts = [part.tocoo() for _, part in _fluct_parts(ws, q_lat, (1.0,) * 4)]
+    rows = np.concatenate([part.row for part in parts])
+    cols = np.concatenate([part.col for part in parts])
+    order = np.argsort(rows.astype(np.int64) * n + cols, kind="stable")
+    values = np.concatenate([part.data for part in parts])[order]
+    owner = np.repeat(np.arange(len(parts)), [part.nnz for part in parts])[order]
+    indices = cols[order]
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(indices.dtype)
+
+    def matrix(f_q0: complex = 0.0, g_q0: complex = 0.0) -> sp.csr_matrix:
+        data = np.array(_fluct_weights(amplitude, f_q0, g_q0))[owner]
+        data *= values
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    return matrix
+
+
+def _number_anticommutator(ws: FockWorkspace, x: sp.csr_matrix) -> sp.csr_matrix:
+    """``N X + X N``, the diagonal ``N`` applied as scalings of the rows and the columns of ``X``."""
+    totals = ws.totals()
+    data = np.repeat(totals, np.diff(x.indptr)) * x.data + x.data * totals[x.indices]
+    return sp.csr_matrix((data, x.indices, x.indptr), shape=x.shape)
 
 
 def dynamics_commutator(h: sp.spmatrix, x: sp.spmatrix) -> sp.csr_matrix:
@@ -446,7 +507,10 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
     norm (the DGKS criterion). The Krylov space grows until the values on the
     whole grid change by less than ``LANCZOS_TOL`` between two steps, or
     until an invariant subspace is reached; past ``LANCZOS_MAX_STEPS``
-    steps it raises ``RuntimeError``.
+    steps it raises ``RuntimeError``. The basis holds ``LANCZOS_START_ROWS``
+    rows at first and doubles when it fills: a buffer that small comes back
+    from the allocator already mapped on the next call, where a buffer for
+    every possible step would be mapped, and page-faulted, afresh each time.
 
     Emits a warning when the evolved vector, rebuilt from the Krylov
     basis, populates the edge levels of the windows beyond ``LEAK_TOL``
@@ -460,8 +524,9 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
     op = f_op.tocsr()
     times = np.asarray(t_grid, dtype=float)
     norm = np.linalg.norm(state.vector)  # FiniteState keeps it within 1e-9 of 1
-    # rows past the last step are never written, so they take no resident memory
-    basis = np.empty((LANCZOS_MAX_STEPS, len(state.vector)), dtype=complex)
+    # a basis small enough for the allocator to reuse between calls, doubled when full
+    basis = np.empty((min(LANCZOS_START_ROWS, LANCZOS_MAX_STEPS), len(state.vector)),
+                     dtype=complex)
     basis[0] = state.vector / norm
     alphas: List[float] = []
     betas: List[float] = []
@@ -494,6 +559,10 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
                                f"after {LANCZOS_MAX_STEPS} steps")
         previous = values
         betas.append(beta)
+        if steps == len(basis):
+            grown = np.empty((min(2 * steps, LANCZOS_MAX_STEPS), basis.shape[1]), dtype=complex)
+            grown[:steps] = basis
+            basis = grown
         basis[steps] = w / beta
         steps += 1
     edge_rows = basis[:steps, edge_mask].T
@@ -558,7 +627,7 @@ def u_density_commutator_check(params: ModelParams,
 
     rewrite = sum(0.5 * v_q[qj] * (density[qj] @ density[n - qj]) for qj in range(1, n))
     n_tot = ws.total_number()
-    n_sq = n_tot @ n_tot
+    n_sq = sp.diags(ws.totals()**2, format="csr")
     phi0 = sum(v_q) / ws.volume
     rewrite = rewrite + (params.v(0.0) / (2.0 * ws.volume)) * n_sq - 0.5 * phi0 * n_tot
     rewrite_defect = _projected_norm(u_full - rewrite, proj)
@@ -574,10 +643,19 @@ def u_density_commutator_check(params: ModelParams,
 
 
 def _projected_norm(op: sp.spmatrix, proj: sp.spmatrix) -> float:
-    clipped = proj @ op @ proj
-    if clipped.nnz == 0:
-        return 0.0
-    return float(math.sqrt(np.sum(np.abs(clipped.tocoo().data) ** 2)))
+    """Frobenius norm of ``P op P`` for a diagonal projector ``P``.
+
+    The entries of ``op`` whose row and column both lie in the range of
+    ``P`` are selected directly, without the two sparse products.
+    """
+    diagonal, entries = proj.diagonal(), sp.coo_matrix(proj)
+    off_diagonal = entries.data[entries.row != entries.col]
+    if np.any(off_diagonal) or not np.all(np.isin(diagonal, (0.0, 1.0))):
+        raise ValueError("needs a diagonal projector")
+    kept = diagonal != 0.0
+    op = op.tocsr()
+    clipped = op.data[np.repeat(kept, np.diff(op.indptr)) & kept[op.indices]]
+    return float(math.sqrt(np.sum(np.abs(clipped) ** 2)))
 
 
 # -- truncation rederivation ------------------------------------------------
@@ -632,8 +710,7 @@ def truncation_rederivation_check(params: ModelParams) -> Tuple[float, float]:
     substituted = substituted + 0.5 * phi0p * c**2 * vol * ws.identity()
 
     h = build_hamiltonian("wibg", ws, params)
-    n_tot = ws.total_number()
-    n_sq = n_tot @ n_tot
+    n_sq = sp.diags(ws.totals()**2, format="csr")
     kinetic = pair_block(ws, q, dispersion(q_norm, params), 0.0)
     target = (h - kinetic - (params.v(0.0) / (2.0 * vol)) * n_sq
               + 0.5 * phi0p * c**2 * vol * ws.identity())
@@ -696,11 +773,10 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
         eps_q, g = dispersion(k_norm, params), table.g(k_norm)
         b_dag, b = _ladder_sums(ws, q)
         x_op = b_dag + b
-        n_tot = ws.total_number()
         proj = ws.below_truncation_projector(margin=2)
 
         number_part = ((table.mu / 2.0) * x_op
-                       - (table.u / (4.0 * ws.volume)) * (n_tot @ x_op + x_op @ n_tot)).tocsr()
+                       - (table.u / (4.0 * ws.volume)) * _number_anticommutator(ws, x_op)).tocsr()
         a_rhs = r_a * ((-0.5 * (eps_q + 2.0 * g)) * x_op + number_part)
         rho_rhs = r_rho * condensate_fluct_matrix(ws, q, amp, f_q0=1j * eps_q)
         if g != 0.0:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 
 from bogoliubov_reference import half_angles
 from bosefluct import fock
@@ -17,12 +17,14 @@ from bosefluct.fock import (
     FiniteState,
     FockWorkspace,
     ZERO,
+    _number_anticommutator,
     _projected_norm,
     appendix_bound,
     bch_defect,
     build_hamiltonian,
     clt_char_function,
     coherent_window,
+    condensate_fluct_family,
     condensate_fluct_matrix,
     dynamics_commutator,
     goldstone_closure_check,
@@ -96,6 +98,16 @@ class TestWorkspace:
             expected = np.kron(np.kron(factors[0], factors[1]), factors[2])
             assert np.array_equal(ws.annihilator(mode).toarray(), expected)
             assert np.array_equal(ws.creator(mode).toarray(), expected.T)
+
+    def test_creators_are_cached_per_workspace(self):
+        window = {ZERO: (5, 12), Q: 3, MQ: 3}
+        ws, other = FockWorkspace(1.0, [ZERO, Q, MQ], window), FockWorkspace(1.0, [ZERO, Q, MQ], 4)
+        for m in ws.modes:
+            assert ws.creator(m) is ws.creator(m)
+            assert abs(ws.creator(m) - ws.annihilator(m).conj().T).max() == 0.0
+            assert other.creator(m) is not ws.creator(m)
+            assert abs(other.creator(m) - other.annihilator(m).conj().T).max() == 0.0
+        assert ws.creator(ZERO).shape != other.creator(ZERO).shape
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -367,6 +379,26 @@ class TestFluctuationMatrices:
                   + condensate_fluct_matrix(ws, Q, 1.3, g_q0=g))
         assert abs(both - halves).max() == 0.0
 
+    # at q = 0 both density parts are 2 a*_0 a_0, so two parts share every entry
+    @pytest.mark.parametrize("q", [Q, ZERO])
+    def test_family_matches_builder(self, q):
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ], {ZERO: (3, 14), Q: 4, MQ: 4})
+        amp = 3.0
+        family = condensate_fluct_family(ws, q, amp)
+        rng = np.random.default_rng(3)
+        draws = [complex(*rng.uniform(-1, 1, 2)) for _ in range(8)]
+        smearings = list(zip(draws[::2], draws[1::2])) + [(draws[0], 0.0), (0.0, draws[1])]
+        for f, g in smearings:
+            built = condensate_fluct_matrix(ws, q, amp, f_q0=f, g_q0=g)
+            assert abs(family(f, g) - built).max() <= 1e-15
+        with pytest.raises(ValueError, match="smearing"):
+            family(0.0, 0.0)
+
+    def test_family_needs_amplitude(self):
+        family = condensate_fluct_family(FockWorkspace(2.0, [ZERO, Q, MQ], 2), Q, 0.0)
+        with pytest.raises(ValueError, match="amplitude"):
+            family(1.0, 0.0)
+
     def test_free_mode_commutator(self):
         # i[eps a* a, i(a* - a)] = -eps (a* + a)
         eps = 0.7
@@ -489,6 +521,24 @@ class TestLanczosCharFunction:
             values = clt_char_function(f_op, t_grid, state)
         assert np.max(np.abs(values - reference_char_function(f_op, t_grid, state))) < 1e-12
 
+    def test_repeated_calls_are_bit_identical(self):
+        f_op, t_grid, state = reduced_clt_case(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
+            first = clt_char_function(f_op, t_grid, state)
+            second = clt_char_function(f_op, t_grid, state)
+        assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_basis_growth_matches_expm(self, rows, monkeypatch):
+        # a basis of 1-3 rows fills on the first steps and is doubled several times
+        monkeypatch.setattr(fock, "LANCZOS_START_ROWS", rows)
+        f_op, t_grid, state = reduced_clt_case(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
+            values = clt_char_function(f_op, t_grid, state)
+        assert np.max(np.abs(values - reference_char_function(f_op, t_grid, state))) < 1e-12
+
     def test_matches_expm_on_random_hermitian(self):
         ws = FockWorkspace(2.0, [ZERO, Q], 20)
         rng = np.random.default_rng(5)
@@ -535,6 +585,39 @@ class TestLanczosCharFunction:
             clt_char_function(f_op, t_grid[:-1], state)
         with pytest.warns(RuntimeWarning, match="truncation leakage"):
             clt_char_function(f_op, t_grid, state)
+
+
+class TestDiagonalShortcuts:
+    """The diagonal projector and ``N`` act by selecting and scaling entries, not by products."""
+
+    @staticmethod
+    def random_op(ws, seed):
+        rng = np.random.default_rng(seed)
+        op = sp.random(ws.dimension, ws.dimension, density=0.1, random_state=rng, format="csr")
+        return (op + 1j * sp.random(ws.dimension, ws.dimension, density=0.1,
+                                    random_state=rng, format="csr")).tocsr()
+
+    @pytest.mark.parametrize("margin", [0, 1, 2])
+    def test_projected_norm_matches_products(self, margin):
+        ws = FockWorkspace(1.0, [ZERO, Q], {ZERO: (2, 9), Q: 4})
+        op, proj = self.random_op(ws, margin), ws.below_truncation_projector(margin)
+        clipped = proj @ op @ proj
+        expected = math.sqrt(np.sum(np.abs(clipped.data) ** 2))
+        assert _projected_norm(op, proj) == pytest.approx(expected, rel=1e-14)
+        assert _projected_norm(op, ws.identity()) == pytest.approx(sparse_norm(op), rel=1e-14)
+
+    def test_projected_norm_refuses_a_non_projector(self):
+        ws = FockWorkspace(1.0, [Q], 3)
+        op = ws.number(Q)
+        for proj in (ws.creator(Q) + ws.identity(), 2.0 * ws.identity()):
+            with pytest.raises(ValueError, match="diagonal projector"):
+                _projected_norm(op, proj)
+
+    def test_number_anticommutator_matches_products(self):
+        ws = FockWorkspace(1.0, [ZERO, Q, MQ], {ZERO: (2, 9), Q: 3, MQ: 3})
+        x = (ws.creator(Q) + ws.annihilator(MQ) + self.random_op(ws, 7)).tocsr()
+        n_tot = ws.total_number()
+        assert abs(_number_anticommutator(ws, x) - (n_tot @ x + x @ n_tot)).max() == 0.0
 
 
 class TestInteractionStructure:
