@@ -128,16 +128,6 @@ class CheckDef:
 # ---------------------------------------------------------------------------
 
 
-def _pair_sectors(ws: fock.FockWorkspace) -> Dict[int, np.ndarray]:
-    """Basis indices of each sector of ``n_q - n_{-q}`` on a ``[q, -q]`` workspace.
-
-    :func:`fock.pair_block` conserves the number difference, so it is
-    block diagonal in these sectors.
-    """
-    diff = ws.occupations[:, 0] - ws.occupations[:, 1]
-    return {int(d): np.flatnonzero(diff == d) for d in np.unique(diff)}
-
-
 def _check_spectrum(ctx: CheckContext, tol: float) -> CheckResult:
     """Collective gap from the number-difference sectors vs the closed form.
 
@@ -152,7 +142,7 @@ def _check_spectrum(ctx: CheckContext, tol: float) -> CheckResult:
     rows, worst = [], 0.0
     q = (0, 0, 1)
     ws = fock.FockWorkspace(2.0 * math.pi, [q, (0, 0, -1)], 20)
-    sectors = _pair_sectors(ws)
+    sectors = fock.pair_sectors(ws, q)
     kinetic, pairing = fock.pair_block(ws, q, 1.0, 0.0), fock.pair_block(ws, q, 0.0, 1.0)
     blocks = [(kinetic[idx][:, idx].toarray(), pairing[idx][:, idx].toarray())
               for idx in (sectors[0], sectors[1])]

@@ -32,7 +32,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh, expm_multiply
 
 from .model import ModelParams, dispersion, gas_table
@@ -40,7 +39,9 @@ from .model import ModelParams, dispersion, gas_table
 __all__ = [
     "FockWorkspace",
     "FiniteState",
+    "LayeredOperator",
     "pair_block",
+    "pair_sectors",
     "build_hamiltonian",
     "u_density_commutator_check",
     "bch_defect",
@@ -334,6 +335,18 @@ def pair_block(ws: FockWorkspace, q_lat, eps: float, g: float) -> sp.csr_matrix:
     return ((eps + g) * n_ops + g * (pair + pair.conjugate().T)).tocsr()
 
 
+def _pair_occupations(ws: FockWorkspace, q_lat) -> Tuple[np.ndarray, np.ndarray]:
+    """``n_q`` and ``n_{-q}`` of every basis state, read from the occupation table."""
+    q, minus_q = _plus_minus(q_lat)
+    return ws.occupations[:, ws.index(q)], ws.occupations[:, ws.index(minus_q)]
+
+
+def pair_sectors(ws: FockWorkspace, q_lat) -> Dict[int, np.ndarray]:
+    """Basis indices of each sector of ``n_q - n_{-q}``, which :func:`pair_block` conserves."""
+    diff = np.subtract(*_pair_occupations(ws, q_lat))
+    return {int(d): np.flatnonzero(diff == d) for d in np.unique(diff)}
+
+
 def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.csr_matrix:
     """Assemble ``sum_{+-k} pair_block(k, eps_k, g(k)) + (u/2V) N^2 - mu N``.
 
@@ -360,6 +373,30 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
 
 
 # -- fluctuation operators on a workspace ---------------------------------
+
+
+class LayeredOperator:
+    """A Hermitian ``matrix`` on the workspace indices ``order``, in blocks sorted by a grade.
+
+    Block ``b`` holds the positions ``starts[b] .. starts[b + 1]`` in ascending ``grades``.
+    With two blocks, the parities of a grade ``G`` that every entry moves by one, the
+    Krylov row ``k`` grown from a vector on ``G = 0`` is zero off :meth:`span` ``(k)``.
+    """
+
+    def __init__(self, order: np.ndarray, matrix: sp.csr_matrix, grades: np.ndarray,
+                 starts: np.ndarray):
+        self.order, self.matrix, self.grades, self.starts = order, matrix, grades, starts
+
+    def span(self, k: int) -> Tuple[int, int]:
+        """Positions ``lo .. hi`` with ``G <= k`` of block ``k`` modulo the number of blocks."""
+        lo, end = self.starts[k % (len(self.starts) - 1):][:2]
+        return int(lo), int(lo + np.searchsorted(self.grades[lo:end], k, side="right"))
+
+    def rows(self, lo: int, hi: int) -> sp.csr_matrix:
+        """The rows ``lo .. hi`` of ``matrix``, sharing its arrays."""
+        m, cut = self.matrix, slice(self.matrix.indptr[lo], self.matrix.indptr[hi])
+        return sp.csr_matrix((m.data[cut], m.indices[cut], m.indptr[lo:hi + 1] - m.indptr[lo]),
+                             shape=(hi - lo, m.shape[1]))
 
 
 def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -409,7 +446,7 @@ def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
 
 
 def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
-                            ) -> Callable[..., sp.csr_matrix]:
+                            ) -> Callable[..., LayeredOperator]:
     """``(f_q0, g_q0) -> F(f, g)`` for many smearings on one workspace.
 
     ``F`` is linear in ``(f, conj f, g, conj g)``. The four parts of
@@ -420,21 +457,33 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
     where a smearing vanishes its parts stay as explicit zeros, and an
     entry that two parts share is stored once for each. ``F(0, 0)`` is
     refused.
+
+    Each part moves the pair grade ``G = n_q + n_{-q}`` by one, so a call
+    returns a :class:`LayeredOperator` on the basis laid out once by the
+    parity of ``G``, then ``G``; where an entry does not, as at ``q = 0``,
+    on one block of one layer in workspace order.
     """
     n = ws.dimension
     parts = [part.tocoo() for _, part in _fluct_parts(ws, q_lat, (1.0,) * 4)]
     rows = np.concatenate([part.row for part in parts])
     cols = np.concatenate([part.col for part in parts])
-    order = np.argsort(rows.astype(np.int64) * n + cols, kind="stable")
-    values = np.concatenate([part.data for part in parts])[order]
-    owner = np.repeat(np.arange(len(parts)), [part.nnz for part in parts])[order]
-    indices = cols[order]
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(indices.dtype)
+    grade = np.add(*_pair_occupations(ws, q_lat))
+    grade *= np.all(np.abs(grade[rows] - grade[cols]) == 1)  # else one layer: G = 0
+    order = np.lexsort((grade, grade % 2))
+    position = np.argsort(order)
+    rows, cols = position[rows], position[cols]
+    entries = np.argsort(rows * n + cols, kind="stable")
+    values = np.concatenate([part.data for part in parts])[entries]
+    owner = np.repeat(np.arange(len(parts)), [part.nnz for part in parts])[entries]
+    indices = cols[entries].astype(np.int32)
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(np.int32)
+    grades, starts = grade[order], np.r_[0, np.cumsum(np.bincount(grade % 2))]
 
-    def matrix(f_q0: complex = 0.0, g_q0: complex = 0.0) -> sp.csr_matrix:
+    def matrix(f_q0: complex = 0.0, g_q0: complex = 0.0) -> LayeredOperator:
         data = np.array(_fluct_weights(amplitude, f_q0, g_q0))[owner]
         data *= values
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        return LayeredOperator(order, sp.csr_matrix((data, indices, indptr), shape=(n, n)),
+                               grades, starts)
 
     return matrix
 
@@ -493,7 +542,7 @@ def appendix_bound(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> floa
     return math.sqrt(4.0 * worst / 3.0)
 
 
-def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
+def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[float],
                       state: FiniteState) -> np.ndarray:
     """``omega(e^{i t F})`` on a grid of t values.
 
@@ -512,6 +561,11 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
     from the allocator already mapped on the next call, where a buffer for
     every possible step would be mapped, and page-faulted, afresh each time.
 
+    ``F`` is a :class:`LayeredOperator`, or a sparse matrix as one block of
+    one layer. From a state on ``G = 0``, the Krylov row ``k`` is zero off
+    ``F.span(k)``, so step ``k`` multiplies by the rows ``F.span(k + 1)`` and
+    orthogonalizes there against the prior rows of their block alone.
+
     Emits a warning when the evolved vector, rebuilt from the Krylov
     basis, populates the edge levels of the windows beyond ``LEAK_TOL``
     (truncation leakage): every top level, and the bottom level of a
@@ -520,33 +574,38 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
     if state.vector is None:
         raise ValueError("clt_char_function needs a pure state")
     ws = state.workspace
-    edge_mask = ~ws.interior()
-    op = f_op.tocsr()
+    n = len(state.vector)
+    op = f_op if isinstance(f_op, LayeredOperator) else LayeredOperator(  # one block, one layer
+        np.arange(n), f_op.tocsr(), np.zeros(n, dtype=int), np.array([0, n]))
+    n_blocks = len(op.starts) - 1
+    edge_mask = ~ws.interior()[op.order]
     times = np.asarray(t_grid, dtype=float)
     norm = np.linalg.norm(state.vector)  # FiniteState keeps it within 1e-9 of 1
     # a basis small enough for the allocator to reuse between calls, doubled when full
-    basis = np.empty((min(LANCZOS_START_ROWS, LANCZOS_MAX_STEPS), len(state.vector)),
-                     dtype=complex)
-    basis[0] = state.vector / norm
+    basis = np.empty((min(LANCZOS_START_ROWS, LANCZOS_MAX_STEPS), n), dtype=complex)
+    basis[0] = state.vector[op.order] / norm
+    if np.any(basis[0, op.span(0)[1]:]):
+        raise ValueError("the state must lie on the lowest layer of the operator")
     alphas: List[float] = []
     betas: List[float] = []
     previous = None
     steps = 1
     while True:
         q = basis[steps - 1]
-        w = op @ q
-        alphas.append(float(np.vdot(q, w).real))
-        w -= alphas[-1] * q
+        lo, hi = op.span(steps)  # where F q lies
+        w = op.rows(lo, hi) @ q
+        alphas.append(float(np.vdot(q[lo:hi], w).real))  # with two blocks q[lo:hi] is zero
+        w -= alphas[-1] * q[lo:hi]
         if betas:
-            w -= betas[-1] * basis[steps - 2]
+            w -= betas[-1] * basis[steps - 2, lo:hi]
         beta = float(np.linalg.norm(w))
         for _ in range(2):  # classical Gram-Schmidt; twice is enough
-            prior = basis[:steps]
+            prior = basis[steps % n_blocks:steps:n_blocks, lo:hi]  # the prior rows of its block
             w -= (prior @ w.conj()).conj() @ prior
             before, beta = beta, float(np.linalg.norm(w))
             if beta >= LANCZOS_DGKS_RATIO * before:
                 break
-        lam, vecs = eigh_tridiagonal(np.array(alphas), np.array(betas))
+        lam, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
         # Krylov coefficients of e^{itF} v: c_j(t) = sum_k U_jk U_0k e^{i t lam_k}
         coeffs = vecs @ (vecs[0][:, None] * np.exp(1j * np.outer(lam, times)))
         values = coeffs[0]
@@ -563,7 +622,8 @@ def clt_char_function(f_op: sp.spmatrix, t_grid: Sequence[float],
             grown = np.empty((min(2 * steps, LANCZOS_MAX_STEPS), basis.shape[1]), dtype=complex)
             grown[:steps] = basis
             basis = grown
-        basis[steps] = w / beta
+        basis[steps, :lo] = basis[steps, hi:] = 0.0
+        basis[steps, lo:hi] = w / beta
         steps += 1
     edge_rows = basis[:steps, edge_mask].T
     edge_weights = norm**2 * np.sum(np.abs(edge_rows @ coeffs) ** 2, axis=0)

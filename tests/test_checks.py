@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bosefluct import fock
-from bosefluct.checks import CheckContext, _pair_sectors, run_check
+from bosefluct.checks import CheckContext, run_check
 
 Q = (0, 0, 1)
 
@@ -80,20 +80,6 @@ def test_spectrum_sector_gap_matches_the_dense_gap():
     for eps, g, _, gap, _ in run_check("spectrum").rows:
         dense = np.linalg.eigvalsh(fock.pair_block(ws, Q, eps, g).toarray())
         assert gap == pytest.approx(dense[1] - dense[0], rel=1e-12, abs=0.0)
-
-
-def test_pair_sectors_hold_the_dense_spectrum():
-    ws = spectrum_workspace()
-    sectors = _pair_sectors(ws)
-    assert sorted(sectors) == list(range(-20, 21))
-    assert np.array_equal(np.sort(np.concatenate(list(sectors.values()))),
-                          np.arange(ws.dimension))
-    for eps, g, *_ in run_check("spectrum").rows[:5]:
-        block = fock.pair_block(ws, Q, eps, g)
-        dense = np.linalg.eigvalsh(block.toarray())
-        pieces = np.sort(np.concatenate([np.linalg.eigvalsh(block[idx][:, idx].toarray())
-                                         for idx in sectors.values()]))
-        assert np.max(np.abs(pieces - dense)) < 1e-12 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("ctx", [CheckContext(mass=2.0), CheckContext(beta_thermal=0.5),

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 from bogoliubov_reference import half_angles
 from bosefluct import fock
 from bosefluct.asymptotics import fit_power_law
-from bosefluct.checks import CheckContext, _bch_operators
+from bosefluct.checks import CheckContext, _bch_operators, run_check
 from bosefluct.fock import (
     FiniteState,
     FockWorkspace,
@@ -29,6 +29,7 @@ from bosefluct.fock import (
     dynamics_commutator,
     goldstone_closure_check,
     pair_block,
+    pair_sectors,
     truncation_rederivation_check,
     u_density_commutator_check,
 )
@@ -390,7 +391,7 @@ class TestFluctuationMatrices:
         smearings = list(zip(draws[::2], draws[1::2])) + [(draws[0], 0.0), (0.0, draws[1])]
         for f, g in smearings:
             built = condensate_fluct_matrix(ws, q, amp, f_q0=f, g_q0=g)
-            assert abs(family(f, g) - built).max() <= 1e-15
+            assert abs(workspace_matrix(family(f, g)) - built).max() <= 1e-15
         with pytest.raises(ValueError, match="smearing"):
             family(0.0, 0.0)
 
@@ -489,8 +490,15 @@ def reference_char_function(f_op, t_grid, state):
                      for t in t_grid])
 
 
-def reduced_clt_case(seed):
-    """The clt check's operator, state and t-grid on a smaller workspace."""
+def workspace_matrix(op):
+    """A :class:`LayeredOperator` as a sparse matrix in the workspace basis."""
+    position = np.argsort(op.order)
+    return op.matrix[position][:, position]
+
+
+def reduced_clt_case(seed, q=Q, layered=False):
+    """The clt check's operator, state and t-grid on a smaller workspace; with ``layered``
+    the operator comes from :func:`condensate_fluct_family`, as in the check."""
     rho0, box = 4.0, 3.0
     amp = math.sqrt(rho0 * box**3)
     ws = FockWorkspace(box, [ZERO, Q, MQ],
@@ -498,7 +506,8 @@ def reduced_clt_case(seed):
     state = FiniteState.coherent_vacuum(ws, amp)
     rng = np.random.default_rng(seed)
     f, g = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
-    f_op = condensate_fluct_matrix(ws, Q, amp, f_q0=f, g_q0=g)
+    f_op = (condensate_fluct_family(ws, q, amp)(f, g) if layered
+            else condensate_fluct_matrix(ws, q, amp, f_q0=f, g_q0=g))
     t_grid = np.linspace(0.0, 1.5 / math.sqrt(0.5 * abs(f + 1j * g) ** 2), 7)[1:]
     return f_op, t_grid, state
 
@@ -585,6 +594,102 @@ class TestLanczosCharFunction:
             clt_char_function(f_op, t_grid[:-1], state)
         with pytest.warns(RuntimeWarning, match="truncation leakage"):
             clt_char_function(f_op, t_grid, state)
+
+
+class TestPairGrades:
+    """The pair occupations ``n_q``, ``n_{-q}``: the sectors of their difference, which
+    ``pair_block`` conserves, and the grade layers of their sum, which ``F(f, g)`` moves by one."""
+
+    def test_pair_sectors_hold_the_dense_spectrum(self):
+        ws = FockWorkspace(2.0 * math.pi, [Q, MQ], 20)
+        sectors = pair_sectors(ws, Q)
+        assert sorted(sectors) == list(range(-20, 21))
+        assert np.array_equal(np.sort(np.concatenate(list(sectors.values()))),
+                              np.arange(ws.dimension))
+        for eps, g, *_ in run_check("spectrum").rows[:5]:
+            block = pair_block(ws, Q, eps, g)
+            dense = np.linalg.eigvalsh(block.toarray())
+            pieces = np.sort(np.concatenate([np.linalg.eigvalsh(block[idx][:, idx].toarray())
+                                             for idx in sectors.values()]))
+            assert np.max(np.abs(pieces - dense)) < 1e-12 * np.max(np.abs(dense))
+
+    def test_layout_has_the_two_parities_of_the_pair_grade(self):
+        f_op, _, state = reduced_clt_case(0, layered=True)
+        ws = state.workspace
+        grade = ws.occupations[:, 1] + ws.occupations[:, 2]
+        n_even = np.count_nonzero(grade % 2 == 0)
+        assert np.array_equal(f_op.starts, [0, n_even, ws.dimension])
+        assert np.array_equal(np.sort(f_op.order), np.arange(ws.dimension))
+        assert np.array_equal(grade[f_op.order], f_op.grades)
+        for block in np.split(f_op.grades, [n_even]):
+            assert np.all(np.diff(block) >= 0) and len(set(block % 2)) == 1
+        assert f_op.span(0) == (0, np.count_nonzero(grade == 0))
+        assert f_op.span(3) == (n_even, n_even + np.count_nonzero((grade % 2 == 1) & (grade <= 3)))
+        # every entry joins the two parities
+        rows, cols = f_op.matrix.nonzero()
+        assert np.all((rows < n_even) != (cols < n_even))
+
+
+class TestLayeredLanczos:
+    """The family's operator, laid out by the pair grade ``G = n_q + n_{-q}``: each Lanczos
+    step works on the rows of one parity of ``G`` that its Krylov row can reach."""
+
+    @staticmethod
+    def char_function(f_op, t_grid, state):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
+            return clt_char_function(f_op, t_grid, state)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_expm(self, seed):
+        f_op, t_grid, state = reduced_clt_case(seed, layered=True)
+        reference = reference_char_function(workspace_matrix(f_op), t_grid, state)
+        assert np.max(np.abs(self.char_function(f_op, t_grid, state) - reference)) < 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_basis_growth_matches_expm(self, rows, monkeypatch):
+        monkeypatch.setattr(fock, "LANCZOS_START_ROWS", rows)
+        f_op, t_grid, state = reduced_clt_case(2, layered=True)
+        reference = reference_char_function(workspace_matrix(f_op), t_grid, state)
+        assert np.max(np.abs(self.char_function(f_op, t_grid, state) - reference)) < 1e-12
+
+    def test_second_gram_schmidt_pass_matches_expm(self, monkeypatch):
+        monkeypatch.setattr(fock, "LANCZOS_DGKS_RATIO", 2.0)
+        f_op, t_grid, state = reduced_clt_case(0, layered=True)
+        reference = reference_char_function(workspace_matrix(f_op), t_grid, state)
+        assert np.max(np.abs(self.char_function(f_op, t_grid, state) - reference)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_one_layer_route(self, seed):
+        f_op, t_grid, state = reduced_clt_case(seed, layered=True)
+        one_layer = self.char_function(workspace_matrix(f_op), t_grid, state)
+        assert np.max(np.abs(self.char_function(f_op, t_grid, state) - one_layer)) < 1e-14
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 3)
+        f_op, t_grid, state = reduced_clt_case(0, layered=True)
+        with pytest.raises(RuntimeError, match="not converged"):
+            self.char_function(f_op, t_grid, state)
+
+    def test_leak_warns(self):
+        f_op, t_grid, state = reduced_clt_case(0, layered=True)
+        with pytest.warns(RuntimeWarning, match="truncation leakage"):
+            clt_char_function(f_op, t_grid, state)
+
+    def test_zero_mode_falls_back_to_one_layer(self):
+        # at q = 0 the parts keep n_0 or move it by one: G = 2 n_0 moves by 0 or 2
+        f_op, t_grid, state = reduced_clt_case(1, q=ZERO, layered=True)
+        assert np.array_equal(f_op.starts, [0, state.workspace.dimension])
+        assert np.array_equal(f_op.order, np.arange(state.workspace.dimension))
+        reference = reference_char_function(workspace_matrix(f_op), t_grid, state)
+        assert np.max(np.abs(self.char_function(f_op, t_grid, state) - reference)) < 1e-12
+
+    def test_state_off_the_lowest_layer_refused(self):
+        f_op, t_grid, state = reduced_clt_case(0, layered=True)
+        ws = state.workspace
+        shifted = FiniteState(ws, vector=(ws.creator(Q) @ state.vector))
+        with pytest.raises(ValueError, match="lowest layer"):
+            clt_char_function(f_op, t_grid, shifted)
 
 
 class TestDiagonalShortcuts:

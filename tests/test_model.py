@@ -1,7 +1,7 @@
 """Unit tests for the scalar model layer."""
 
 import ast
-import importlib
+import importlib.util
 import inspect
 import math
 import re
@@ -283,6 +283,41 @@ class TestOperatorAssemblyInFock:
             assert self.CALL.search(line), line
         for line in ("n_tot = ws.total_number()", "occupation_number = 3"):
             assert not self.CALL.search(line), line
+
+
+class TestScipyImports:
+    """``src/`` imports exactly ``scipy.sparse``, ``scipy.sparse.linalg`` and ``scipy.integrate``:
+    every scipy module it imports adds to the start-up time of each process."""
+
+    ALLOWED = {"scipy.sparse", "scipy.sparse.linalg", "scipy.integrate"}
+
+    @staticmethod
+    def scipy_modules(source):
+        """The scipy modules a source imports; ``from scipy import x`` imports ``scipy.x``."""
+        found = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level \
+                    and node.module.split(".")[0] == "scipy":
+                for alias in node.names:
+                    name = f"{node.module}.{alias.name}"
+                    found.add(name if importlib.util.find_spec(name) else node.module)
+        return {name for name in found if name.split(".")[0] == "scipy"}
+
+    def test_only_the_allowed_modules(self):
+        package = Path(bosefluct.__file__).parent
+        assert set().union(*(self.scipy_modules(path.read_text())
+                             for path in sorted(package.glob("*.py")))) == self.ALLOWED
+
+    def test_reader_resolves_the_import_forms(self):
+        cases = {"import scipy.sparse as sp": {"scipy.sparse"},
+                 "from scipy import integrate": {"scipy.integrate"},
+                 "from scipy.linalg import eigh_tridiagonal": {"scipy.linalg"},
+                 "from scipy.sparse.linalg import eigsh, expm_multiply": {"scipy.sparse.linalg"},
+                 "import numpy as np\nfrom .model import dispersion": set()}
+        for source, modules in cases.items():
+            assert self.scipy_modules(source) == modules, source
 
 
 class TestOneBuilderPerOperator:
