@@ -52,13 +52,12 @@ from .fock import (
     bch_defect,
     build_hamiltonian,
     clt_char_function,
-    dynamics_commutator,
     goldstone_closure_check,
     pair_block,
     truncation_rederivation_check,
     u_density_commutator_check,
 )
-from .checks import REGISTRY, CheckContext, CheckResult, run_check
+from .checks import REGISTRY, CheckContext, CheckResult, Judgement, run_check
 
 __all__ = [
     "__version__",
@@ -77,9 +76,8 @@ __all__ = [
     "bose_bubble_integral", "wibg_pair_bubble", "fit_power_law", "richardson",
     # fock
     "FockWorkspace", "FiniteState", "pair_block", "build_hamiltonian",
-    "bch_defect", "clt_char_function", "dynamics_commutator",
-    "goldstone_closure_check", "truncation_rederivation_check",
-    "u_density_commutator_check",
+    "bch_defect", "clt_char_function", "goldstone_closure_check",
+    "truncation_rederivation_check", "u_density_commutator_check",
     # checks
-    "REGISTRY", "CheckContext", "CheckResult", "run_check",
+    "REGISTRY", "CheckContext", "CheckResult", "Judgement", "run_check",
 ]

@@ -3,11 +3,11 @@
 Subcommands
 -----------
 ``run <config>``
-    Execute the checks selected in an INI-style config and write one
-    CSV table per check (plus a ``.meta`` sidecar). A check that raises
-    gets only a meta with its error text; the others still run. Exit 0
-    when every check passes, 1 on a check failure or error, 2 on
-    usage/config errors.
+    Execute the checks selected in an INI-style config and write one CSV
+    table per check, plus a ``.meta`` sidecar with the tolerance and each
+    judgement's value, bound and margin. A check that raises gets only a
+    meta with its error text; the others still run. Exit 0 when every
+    check passes, 1 on a check failure or error, 2 on usage/config errors.
 ``list-checks``
     Print the registry: name, module, anchor.
 ``spectrum --model <tag> --qmin <x> --qmax <x> --points <n>``
@@ -31,7 +31,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -53,11 +53,6 @@ def _format_cell(value) -> str:
 def _write_table(path: Path, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = ["# " + ",".join(columns)]
     lines += [",".join(_format_cell(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_meta(path: Path, entries: Dict[str, object]) -> None:
-    lines = [f"{key}: {_format_cell(value)}" for key, value in entries.items()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -96,9 +91,6 @@ def _load_config(path: Path):
     if not parser.has_section("run") or not parser.get("run", "checks", fallback="").strip():
         raise ValueError("config needs a [run] section with a nonempty checks list")
     raw = parser.get("run", "checks").replace(",", " ").split()
-    for name in raw:
-        if name not in REGISTRY:
-            raise KeyError(f"unknown check {name!r}")
     workers = parser.getint("run", "workers", fallback=1)
     out = parser.get("run", "out", fallback=None)
 
@@ -114,6 +106,7 @@ def _run_command(args) -> int:
     try:
         ctx, names, cfg_workers, cfg_out, tols, digest = _load_config(Path(args.config))
         tols.update(_parse_tol_overrides(args.tol))
+        tols = {name: checked_tolerance(name, tols.get(name)) for name in names}  # KeyError
         workers = cfg_workers if args.workers is None else args.workers
         if min(workers, cfg_workers) < 1:  # a bad config value is refused even when overridden
             raise ValueError("worker count ([run] workers, --workers) must be at least 1")
@@ -123,13 +116,15 @@ def _run_command(args) -> int:
 
     out_dir = _resolve_out(args.out or cfg_out)
 
-    def task(name: str) -> CheckResult:
-        return run_check(name, ctx, tols.get(name))
+    def task(name: str) -> Tuple[CheckResult, float]:
+        t0 = time.perf_counter()
+        result = run_check(name, ctx, tols[name])
+        return result, time.perf_counter() - t0
 
     started = time.perf_counter()
     failed = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_timed, task, name) for name in names]
+        futures = [pool.submit(task, name) for name in names]
         for name, future in zip(names, futures):  # submission order => deterministic assembly
             spec = REGISTRY[name]
             meta = {
@@ -137,26 +132,28 @@ def _run_command(args) -> int:
                 "module": spec.module,
                 "anchor": spec.anchor,
                 "passed": False,
+                "tolerance": tols[name],
                 "config_hash": digest,
                 "version": __version__,
             }
             try:
                 result, elapsed = future.result()
             except Exception as exc:  # a raising check must not hide the others
-                error = f"{type(exc).__name__}: {exc}"
-                meta["error"] = error
-                _write_meta(out_dir / f"{name}.csv.meta", meta)
-                print(f"{name}: ERROR ({error})", file=sys.stderr)
-                failed.append(name)
-                continue
-            _write_table(out_dir / f"{name}.csv", result.columns, result.rows)
-            meta["passed"] = result.passed
-            meta["wall_time_s"] = elapsed
-            meta.update(result.details)
-            _write_meta(out_dir / f"{name}.csv.meta", meta)
-            status = "pass" if result.passed else "FAIL"
-            print(f"{name}: {status} ({elapsed:.2f}s)")
-            if not result.passed:
+                meta["error"] = f"{type(exc).__name__}: {exc}"
+                print(f"{name}: ERROR ({meta['error']})", file=sys.stderr)
+            else:
+                _write_table(out_dir / f"{name}.csv", result.columns, result.rows)
+                meta["passed"] = result.passed
+                meta["wall_time_s"] = elapsed
+                for j in result.judgements:
+                    meta |= {j.name: j.value, f"{j.name}_bound": j.bound,
+                             f"{j.name}_margin": j.margin}
+                meta |= result.details
+                broken = "".join(f"; {j.name} fails" for j in result.judgements if not j.holds)
+                print(f"{name}: {'FAIL' if broken else 'pass'} ({elapsed:.2f}s{broken})")
+            lines = [f"{key}: {value}" for key, value in meta.items()]  # repr: round-trip floats
+            (out_dir / f"{name}.csv.meta").write_text("\n".join(lines) + "\n")
+            if not meta["passed"]:
                 failed.append(name)
 
     total = time.perf_counter() - started
@@ -166,12 +163,6 @@ def _run_command(args) -> int:
         return 1
     print(f"all {len(names)} checks passed (total {total:.2f}s)")
     return 0
-
-
-def _timed(task, name):
-    t0 = time.perf_counter()
-    result = task(name)
-    return result, time.perf_counter() - t0
 
 
 def _list_checks_command(args) -> int:

@@ -47,7 +47,6 @@ __all__ = [
     "bch_defect",
     "appendix_bound",
     "clt_char_function",
-    "dynamics_commutator",
     "goldstone_closure_check",
     "truncation_rederivation_check",
     "coherent_window",
@@ -495,11 +494,6 @@ def _number_anticommutator(ws: FockWorkspace, x: sp.csr_matrix) -> sp.csr_matrix
     return sp.csr_matrix((data, x.indices, x.indptr), shape=x.shape)
 
 
-def dynamics_commutator(h: sp.spmatrix, x: sp.spmatrix) -> sp.csr_matrix:
-    """Heisenberg derivative ``i [H, X]``."""
-    return (1j * (h @ x - x @ h)).tocsr()
-
-
 # -- BCH and CLT -----------------------------------------------------------
 
 
@@ -708,13 +702,13 @@ def _projected_norm(op: sp.spmatrix, proj: sp.spmatrix) -> float:
     The entries of ``op`` whose row and column both lie in the range of
     ``P`` are selected directly, without the two sparse products.
     """
-    diagonal, entries = proj.diagonal(), sp.coo_matrix(proj)
-    off_diagonal = entries.data[entries.row != entries.col]
-    if np.any(off_diagonal) or not np.all(np.isin(diagonal, (0.0, 1.0))):
+    diagonal = proj.diagonal()  # a nonzero off the diagonal shows in the counts
+    if proj.count_nonzero() > np.count_nonzero(diagonal) or not np.all(np.isin(diagonal, (0, 1))):
         raise ValueError("needs a diagonal projector")
     kept = diagonal != 0.0
     op = op.tocsr()
-    clipped = op.data[np.repeat(kept, np.diff(op.indptr)) & kept[op.indices]]
+    # np.take gathers on the int32 indices at about twice the speed of kept[op.indices]
+    clipped = op.data[np.repeat(kept, np.diff(op.indptr)) & np.take(kept, op.indices)]
     return float(math.sqrt(np.sum(np.abs(clipped) ** 2)))
 
 
@@ -788,13 +782,17 @@ class ClosureReport:
     ``identity_defect`` is the worst below-truncation defect of the
     exact density-side commutator identity; ``secondary_defect`` the
     same for the order-parameter side (its exact remainder included).
-    ``remainder_norms`` holds the state seminorm of the remainder at each
-    of ``volumes``.
+    The ``*_relative`` fields divide each box's defect by the norm of the
+    product ``P H X P`` it rounds, the scale of its rounding error, before
+    taking the worst. ``remainder_norms`` holds the state seminorm of the
+    remainder at each of ``volumes``.
     """
 
     model: str
     identity_defect: float
     secondary_defect: float
+    identity_relative: float
+    secondary_relative: float
     remainder_norms: Tuple[float, ...]
     volumes: Tuple[float, ...]
 
@@ -846,21 +844,30 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
             rho_rhs = rho_rhs + pairing_part
         rho = r_rho * condensate_fluct_matrix(ws, q, amp, f_q0=1.0)
         a_op = r_a * condensate_fluct_matrix(ws, q, amp, g_q0=1.0)
-        identity = _projected_norm(dynamics_commutator(h, rho) - rho_rhs, proj)
-        secondary = _projected_norm(dynamics_commutator(h, a_op) - a_rhs, proj)
+
+        def defect(x_op, rhs):  # |P (i[H, X] - rhs) P|, absolute and over |P H X P|
+            commutator = h @ x_op
+            scale = _projected_norm(commutator, proj)
+            commutator = commutator - x_op @ h  # the rebinding frees H X
+            # times -i, which is exact: the norm of [H, X] + i rhs, without a copy of i[H, X]
+            absolute = _projected_norm(commutator + 1j * rhs, proj)
+            return absolute, absolute / scale
 
         if mean_field:
             state, remainder = FiniteState.coherent_vacuum(ws, amp), number_part
         else:
             state, remainder = FiniteState.coherent_b_vacuum(ws, params, q, amp), pairing_part
-        return identity, secondary, state.seminorm(remainder)
+        return (*defect(rho, rho_rhs), *defect(a_op, a_rhs), state.seminorm(remainder))
 
     boxes = (2.0, 4.0, 6.0, 8.0)
-    identities, secondaries, norms = zip(*(at_box(box) for box in boxes))
+    identities, identity_rels, secondaries, secondary_rels, norms = zip(
+        *(at_box(box) for box in boxes))
     return ClosureReport(
         model=model,
         identity_defect=max(identities),
         secondary_defect=max(secondaries),
+        identity_relative=max(identity_rels),
+        secondary_relative=max(secondary_rels),
         remainder_norms=norms,
         volumes=tuple(box**3 for box in boxes),
     )

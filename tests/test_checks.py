@@ -1,14 +1,20 @@
 """Unit tests for the check registry: scenario context, spectrum sectors, oracle scenarios."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bosefluct import fock
-from bosefluct.checks import CheckContext, run_check
+from bosefluct import checks, fock
+from bosefluct.checks import REGISTRY, CheckContext, CheckResult, Judgement, run_check
 
 Q = (0, 0, 1)
+
+
+def judged(result):
+    return {j.name: j for j in result.judgements}
 
 
 def spectrum_workspace():
@@ -28,9 +34,9 @@ def test_wibg_checks_pass_at_larger_amplitude(name):
 
 @pytest.mark.parametrize("kwargs", [dict(kappa=-1.0), dict(mass=math.nan), dict(v0=math.inf),
                                     dict(beta_thermal=math.inf), dict(coupling=0.0),
-                                    dict(v0=0.0), dict(kappa=math.inf)],
+                                    dict(v0=0.0), dict(kappa=math.inf), dict(coupling=-1.0)],
                          ids=["kappa-negative", "mass-nan", "v0-inf", "beta-inf", "coupling-0",
-                              "v0-0", "kappa-inf"])
+                              "v0-0", "kappa-inf", "coupling-negative"])
 def test_scenario_refused_at_construction(kwargs):
     with pytest.raises(ValueError):
         CheckContext(**kwargs)
@@ -72,7 +78,7 @@ def test_spectrum_gap_is_checked_at_the_limit_away_from_the_default():
     # at the default kappa^2 = 4 m c^2 v0 cancels the q^2 term; at v0 = 0.1 it does not
     result = run_check("spectrum", CheckContext(v0=0.1))
     assert result.passed
-    assert result.details["omega_rel"] < 1e-10
+    assert judged(result)["omega_rel"].value < 1e-10
 
 
 def test_spectrum_sector_gap_matches_the_dense_gap():
@@ -95,19 +101,25 @@ def test_goldstone_wibg_rows_are_bit_identical():
     assert run_check("goldstone-wibg").rows == run_check("goldstone-wibg").rows
 
 
+# judged values map to their bounds, unjudged details to None
 @pytest.mark.parametrize("name,keys", [
-    ("delta-exponents", {"delta_condensed", "delta_critical", "delta_normal", "worst_error"}),
-    ("u-commutation", {"commutator_defect", "rewrite_defect", "wibg_commutator_norm",
-                       "wibg_commutator_floor"}),
-    ("truncation-rederivation", {"reordering_defect", "substitution_defect"}),
-    ("lifetime-exponents", {"exponent_imperfect", "exponent_wibg", "worst_error"}),
-    ("spectrum", {"worst_rel", "omega_rel", "omega_rel_bound"}),
-    ("structure-factor", {"slope_spread", "full_ratio", "full_ratio_bound"}),
-    ("divergence-exponents", {"coth", "bubble", "bubble_bound"}),
-    ("bubble-scaling", {"worst_rel", "tail_factor"}),
+    ("delta-exponents", {"delta_condensed": None, "delta_critical": None, "delta_normal": None,
+                         "worst_error": 0.03}),
+    ("u-commutation", {"commutator_defect": 1e-10, "rewrite_defect": 1e-10,
+                       "wibg_commutator_norm": checks.WIBG_COMMUTATOR_FLOOR}),
+    ("truncation-rederivation", {"reordering_defect": 1e-10, "substitution_defect": 1e-10}),
+    ("lifetime-exponents", {"exponent_imperfect": None, "exponent_wibg": None, "worst_error": 0.05,
+                            "target_distance": checks.LIFETIME_ROUNDING_BOUND}),
+    ("spectrum", {"worst_rel": 1e-8, "omega_rel": checks.OMEGA_REL_BOUND}),
+    ("structure-factor", {"slope_spread": 0.01, "full_ratio": checks.FULL_RATIO_BOUND,
+                          "min_full": 0.0}),
+    ("divergence-exponents", {"coth": None, "bubble": None, "coth_error": 0.02,
+                              "bubble_error": checks.DIVERGENCE_BUBBLE_BOUND}),
+    ("bubble-scaling", {"worst_rel": 1e-5, "worst_tail": checks.BUBBLE_TAIL_FACTOR}),
 ])
 def test_details_record_the_judged_values(name, keys):
-    assert set(run_check(name).details) == keys
+    result = run_check(name)
+    assert {j.name: j.bound for j in result.judgements} | dict.fromkeys(result.details) == keys
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 64.0])
@@ -116,14 +128,15 @@ def test_u_commutation_passes_away_from_the_default_range(kappa):
     # wide one keeps that box, where the rounding of U stays small
     result = run_check("u-commutation", CheckContext(kappa=kappa))
     assert result.passed
-    assert result.details["wibg_commutator_norm"] > 10.0 * result.details["wibg_commutator_floor"]
+    floor = judged(result)["wibg_commutator_norm"]
+    assert floor.value > 10.0 * floor.bound
 
 
 @pytest.mark.parametrize("mass", [1.0 / 4.0, 1.0 / 16.0])
 def test_structure_factor_passes_for_a_light_gas(mass):
     result = run_check("structure-factor", CheckContext(mass=mass))
     assert result.passed
-    assert result.details["full_ratio"] < result.details["full_ratio_bound"]
+    assert judged(result)["full_ratio"].value < judged(result)["full_ratio"].bound
 
 
 @pytest.mark.parametrize("v0", [1.0 / 4.0, 1.0 / 16.0])
@@ -131,7 +144,7 @@ def test_structure_factor_passes_for_a_weak_potential(v0):
     # the q window shrinks with (m c v0)^2, not with the mass alone
     result = run_check("structure-factor", CheckContext(v0=v0))
     assert result.passed
-    assert result.details["full_ratio"] < result.details["full_ratio_bound"]
+    assert judged(result)["full_ratio"].value < judged(result)["full_ratio"].bound
 
 
 def test_variance_oracle_ground_rows_follow_the_closed_forms(monkeypatch):
@@ -146,3 +159,72 @@ def test_variance_oracle_ground_rows_follow_the_closed_forms(monkeypatch):
         row = next(row for row in result.rows if row[0] == label)
         assert row[1] == 0.75 and row[3] == pytest.approx(0.25)
         assert not result.passed
+
+
+@pytest.mark.parametrize("name,ctx", [
+    ("goldstone-imperfect", CheckContext(total_density=4.0, condensate_density=4.0)),
+    ("goldstone-imperfect", CheckContext(mass=1.0 / 128.0)),
+    ("goldstone-imperfect", CheckContext(mass=1.0 / 256.0)),
+    ("goldstone-wibg", CheckContext(condensate_amplitude=4.0)),
+    ("goldstone-wibg", CheckContext(mass=1.0 / 256.0)),
+], ids=["imperfect-rho-4", "imperfect-mass-1/128", "imperfect-mass-1/256", "wibg-c-4",
+        "wibg-mass-1/256"])
+def test_goldstone_defects_are_judged_at_their_rounding_scale(name, ctx):
+    # the absolute defects grow with the norms of the products H X, past 1e-10
+    # here; divided by ||P H X P|| they stay at the rounding of one product
+    result = run_check(name, ctx)
+    assert result.details["identity_defect"] > 1e-10
+    assert result.passed
+    assert judged(result)["identity_rel"].bound == 2e-15
+
+
+@pytest.mark.parametrize("value,bound,relation,holds,margin", [
+    (1.0, 2.0, "<", True, 1.0), (2.0, 2.0, "<", False, 0.0), (2.0, 2.0, "<=", True, 0.0),
+    (3.0, 2.0, "<=", False, -1.0), (3.0, 2.0, ">", True, 1.0), (2.0, 2.0, ">", False, 0.0),
+])
+def test_judgement_holds_inside_its_bound(value, bound, relation, holds, margin):
+    judgement = Judgement("x", value, bound, relation)
+    assert judgement.holds is holds and judgement.margin == margin
+
+
+@pytest.mark.parametrize("relation", ["<", "<=", ">"])
+def test_nan_never_holds(relation):
+    assert not Judgement("x", math.nan, 1.0, relation).holds
+
+
+def test_judgement_refuses_another_relation():
+    with pytest.raises(KeyError):
+        Judgement("x", 1.0, 2.0, ">=").holds
+
+
+def test_result_needs_judgements_under_distinct_names():
+    assert CheckResult(("a",), [], (Judgement("x", 0.0, 1.0),)).passed
+    assert not CheckResult(("a",), [], (Judgement("x", 0.0, 1.0), Judgement("y", 2.0, 1.0))).passed
+    for judgements in ((), (Judgement("x", 0.0, 1.0), Judgement("x", 0.5, 1.0))):
+        with pytest.raises(ValueError, match="needs judgements"):
+            CheckResult(("a",), [], judgements)
+
+
+def test_runners_leave_the_verdict_to_their_judgements():
+    """No runner writes ``passed``; every bound is the tolerance, a module constant or 0."""
+    tree = ast.parse(Path(checks.__file__).read_text())
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)
+                 and target.id.isupper()}
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Name) and node.id == "passed")
+        assert not (isinstance(node, ast.keyword) and node.arg == "passed")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Judgement":
+            args = node.args + [None] * (4 - len(node.args))
+            for keyword in node.keywords:
+                args[["name", "value", "bound", "relation"].index(keyword.arg)] = keyword.value
+            bound, relation = args[2], args[3]
+            assert (isinstance(bound, ast.Name) and bound.id in constants | {"tol"}
+                    or isinstance(bound, ast.Constant) and bound.value == 0), ast.unparse(node)
+            assert relation is None or relation.value in ("<", "<=", ">"), ast.unparse(node)
+    runners = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and getattr(node.returns, "id", None) == "CheckResult" and node.name != "run_check"]
+    assert len(runners) == len(REGISTRY) - 2  # goldstone and virial: one runner per gas pair
+    for runner in runners:
+        assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Judgement"
+                   for node in ast.walk(runner)), runner.name

@@ -4,10 +4,14 @@ import dataclasses
 
 import pytest
 
-from bosefluct.checks import REGISTRY
+from bosefluct.checks import REGISTRY, run_check
 from bosefluct.cli import OUTPUT_DIR_ENV, main
 
 FAST_CHECKS = "lifetime-exponents virial-imperfect virial-wibg u-commutation"
+
+
+def read_meta(path):
+    return dict(line.split(": ", 1) for line in path.read_text().splitlines())
 
 
 def write_config(path, checks=FAST_CHECKS, extra=""):
@@ -89,6 +93,35 @@ class TestRun:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_meta_records_every_judgement(self, tmp_path):
+        cfg = write_config(tmp_path / "sweep.ini", checks=" ".join(REGISTRY))
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 0
+        for name, spec in REGISTRY.items():
+            meta = read_meta(out_dir / f"{name}.csv.meta")
+            assert float(meta["tolerance"]) == spec.default_tolerance
+            judgements = run_check(name).judgements
+            for j in judgements:
+                assert {j.name, f"{j.name}_bound", f"{j.name}_margin"} <= set(meta)
+                assert float(meta[f"{j.name}_bound"]) == j.bound
+            holds = all(float(meta[f"{j.name}_margin"]) > 0.0 for j in judgements)
+            assert meta["passed"] == str(holds) == "True"
+
+    def test_tolerance_override_shows_in_the_meta(self, tmp_path, capsys):
+        # equivalence's distance is exactly 0 at the default, so it passes even 1e-30
+        cfg = write_config(tmp_path / "sweep.ini", checks="equivalence variance-oracle")
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out_dir), "--tol", "equivalence=1e-30",
+                     "--tol", "variance-oracle=1e-30"]) == 1
+        for name, passed in (("equivalence", "True"), ("variance-oracle", "False")):
+            meta = read_meta(out_dir / f"{name}.csv.meta")
+            assert meta["tolerance"] == meta["worst_bound"] == "1e-30"
+            assert meta["passed"] == passed == str(float(meta["worst_margin"]) > 0.0)
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("equivalence: pass") for line in lines)
+        line = next(line for line in lines if line.startswith("variance-oracle: "))
+        assert line.startswith("variance-oracle: FAIL") and line.endswith("; worst fails)")
+
     def test_tolerance_from_config(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.ini", checks="divergence-exponents",
                            extra="[tolerances]\ndivergence-exponents = 1e-12\n")
@@ -108,7 +141,8 @@ class TestRun:
         assert not any(out_dir.glob("*.csv"))
 
     @pytest.mark.parametrize("field,value", [("beta_thermal", "inf"), ("mass", "nan"),
-                                             ("coupling", "-inf"), ("mass", "-1"),
+                                             ("coupling", "-inf"), ("coupling", "-1"),
+                                             ("mass", "-1"),
                                              ("beta_thermal", "0"),
                                              ("condensate_density", "2"), ("v0", "-1"),
                                              ("kappa", "0")])
