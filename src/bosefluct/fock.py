@@ -93,6 +93,26 @@ def _window(levels) -> Tuple[int, int]:
     return lo, hi
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """``Re <a, b> = Re sum conj(a_i) b_i``, summed by numpy's own loop in index order.
+
+    A complex vector is read as the real vector of its parts. So
+    ``||a|| = sqrt(_inner(a, a))`` and ``Im <a, b> = _inner(1j * a, b)``.
+    BLAS (``np.vdot``, ``np.linalg.norm``) would split a long sum by thread,
+    which moves its last digit with the thread count, and a threaded call
+    leaves OpenBLAS's worker spinning on a second core.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    kind = np.result_type(a, b, np.float64)
+    x, y = (np.ascontiguousarray(v, dtype=kind).view(np.float64) for v in (a, b))
+    return float(np.einsum("i,i->", x, y))
+
+
+def _norm(a: np.ndarray) -> float:
+    """``||a||`` through :func:`_inner`."""
+    return math.sqrt(_inner(a, a))
+
+
 class FockWorkspace:
     """Tensor product of truncated single-mode Fock spaces.
 
@@ -146,6 +166,10 @@ class FockWorkspace:
 
     def k_phys(self, mode) -> np.ndarray:
         return np.asarray(mode, dtype=float) * self.spacing
+
+    def k_norm(self, mode) -> float:
+        """``|k|`` of a mode."""
+        return _norm(self.k_phys(mode))
 
     def annihilator(self, mode) -> sp.csr_matrix:
         """``a_k`` as one diagonal at the mode's stride in the basis index.
@@ -223,7 +247,7 @@ class FiniteState:
         if (self.vector is None) == (self.probabilities is None):
             raise ValueError("provide exactly one of vector / probabilities")
         if self.vector is not None:
-            nrm = np.linalg.norm(self.vector)
+            nrm = _norm(self.vector)
             if not math.isclose(nrm, 1.0, rel_tol=1e-9):
                 self.vector = self.vector / nrm
         else:
@@ -232,14 +256,16 @@ class FiniteState:
 
     def expect(self, op: sp.spmatrix) -> complex:
         if self.vector is not None:
-            return complex(np.vdot(self.vector, op @ self.vector))
-        return complex(np.dot(self.probabilities, op.diagonal()))
+            x, y = self.vector, op @ self.vector
+        else:
+            x, y = self.probabilities, op.diagonal()
+        return complex(_inner(x, y), _inner(1j * x, y))
 
     def seminorm(self, op: sp.spmatrix) -> float:
         """State seminorm ``sqrt(omega(X* X))``."""
         if self.vector is None:
             raise ValueError("seminorm implemented for pure states")
-        return float(np.linalg.norm(op @ self.vector))
+        return _norm(op @ self.vector)
 
     # -- builders --------------------------------------------------------
 
@@ -256,7 +282,7 @@ class FiniteState:
             np.cumsum(np.log(np.maximum(n, 1.0)))
         )
         coeff = (np.sign(amplitude) ** n * np.exp(log_coeff - log_coeff.max()))[lo:]
-        return coeff / np.linalg.norm(coeff)
+        return coeff / _norm(coeff)
 
     @classmethod
     def coherent_vacuum(cls, ws: FockWorkspace, amplitude: float) -> "FiniteState":
@@ -307,7 +333,7 @@ class FiniteState:
         if ws.windows[q] != ws.windows[minus_q]:
             raise ValueError("the +-q windows must match")
         pair_ws = FockWorkspace(ws.box_side, [q, minus_q], ws.windows[q])
-        q_norm = float(np.linalg.norm(pair_ws.k_phys(q)))
+        q_norm = pair_ws.k_norm(q)
         g = gas_table("wibg", params).g(q_norm)
         h_pair = pair_block(pair_ws, q, dispersion(q_norm, params), g)
         # a fixed start vector keeps ARPACK, and so the tables, reproducible
@@ -364,7 +390,7 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
         if minus_q not in ws.modes:
             raise ValueError("pair blocks need +-k mode pairs")
         if q > minus_q:  # one block per pair; the zero mode is its own mirror
-            k_norm = float(np.linalg.norm(ws.k_phys(q)))
+            k_norm = ws.k_norm(q)
             blocks.append(pair_block(ws, q, dispersion(k_norm, params), table.g(k_norm)))
     n_sq = sp.diags(ws.totals()**2, format="csr")
     return (sum(blocks) + (table.u / (2.0 * ws.volume)) * n_sq
@@ -375,16 +401,22 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
 
 
 class LayeredOperator:
-    """A Hermitian ``matrix`` on the workspace indices ``order``, in blocks sorted by a grade.
+    """A Hermitian operator on the workspace indices ``order``, in blocks sorted by a grade.
 
-    Block ``b`` holds the positions ``starts[b] .. starts[b + 1]`` in ascending ``grades``.
+    Block ``b`` holds the positions ``starts[b] .. starts[b + 1]`` in ascending ``grades``,
+    and ``blocks[b]`` their rows as one CSR matrix of its own.
     With two blocks, the parities of a grade ``G`` that every entry moves by one, the
     Krylov row ``k`` grown from a vector on ``G = 0`` is zero off :meth:`span` ``(k)``.
     """
 
-    def __init__(self, order: np.ndarray, matrix: sp.csr_matrix, grades: np.ndarray,
+    def __init__(self, order: np.ndarray, blocks: Sequence[sp.csr_matrix], grades: np.ndarray,
                  starts: np.ndarray):
-        self.order, self.matrix, self.grades, self.starts = order, matrix, grades, starts
+        self.order, self.blocks, self.grades, self.starts = order, blocks, grades, starts
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The whole operator on the positions, its blocks stacked."""
+        return sp.vstack(self.blocks, format="csr")
 
     def span(self, k: int) -> Tuple[int, int]:
         """Positions ``lo .. hi`` with ``G <= k`` of block ``k`` modulo the number of blocks."""
@@ -392,8 +424,14 @@ class LayeredOperator:
         return int(lo), int(lo + np.searchsorted(self.grades[lo:end], k, side="right"))
 
     def rows(self, lo: int, hi: int) -> sp.csr_matrix:
-        """The rows ``lo .. hi`` of ``matrix``, sharing its arrays."""
-        m, cut = self.matrix, slice(self.matrix.indptr[lo], self.matrix.indptr[hi])
+        """The rows ``lo .. hi``, which lie in one block, as a CSR matrix.
+
+        They share the block's arrays when they hold at least half its
+        entries; scipy's CSR constructor copies a shorter slice.
+        """
+        b = int(np.searchsorted(self.starts, lo, side="right")) - 1
+        m, lo, hi = self.blocks[b], lo - self.starts[b], hi - self.starts[b]
+        cut = slice(m.indptr[lo], m.indptr[hi])
         return sp.csr_matrix((m.data[cut], m.indices[cut], m.indptr[lo:hi + 1] - m.indptr[lo]),
                              shape=(hi - lo, m.shape[1]))
 
@@ -450,9 +488,9 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
 
     ``F`` is linear in ``(f, conj f, g, conj g)``. The four parts of
     :func:`condensate_fluct_matrix` are built once and their entries laid
-    out together, row by row, as one sparse pattern that records the part
-    each entry comes from. A call only scales every entry by its part's
-    weight, so it equals :func:`condensate_fluct_matrix` entry for entry;
+    out together, row by row, as one sparse pattern per block below that
+    records the part each entry comes from. A call only scales every entry
+    by its part's weight, so it equals :func:`condensate_fluct_matrix` entry for entry;
     where a smearing vanishes its parts stay as explicit zeros, and an
     entry that two parts share is stored once for each. ``F(0, 0)`` is
     refused.
@@ -477,12 +515,17 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
     indices = cols[entries].astype(np.int32)
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(np.int32)
     grades, starts = grade[order], np.r_[0, np.cumsum(np.bincount(grade % 2))]
+    firsts = indptr[starts]  # the first entry of each block
+    # per block: its entries' parts and values, its row pointers, and column indices in an
+    # array of their own, which scipy's CSR constructor would copy as a slice of half the base
+    pieces = [(owner[e0:e1], values[e0:e1], indices[e0:e1].copy(), indptr[r0:r1 + 1] - e0)
+              for r0, r1, e0, e1 in zip(starts[:-1], starts[1:], firsts[:-1], firsts[1:])]
 
     def matrix(f_q0: complex = 0.0, g_q0: complex = 0.0) -> LayeredOperator:
-        data = np.array(_fluct_weights(amplitude, f_q0, g_q0))[owner]
-        data *= values
-        return LayeredOperator(order, sp.csr_matrix((data, indices, indptr), shape=(n, n)),
-                               grades, starts)
+        weights = np.array(_fluct_weights(amplitude, f_q0, g_q0))
+        blocks = [sp.csr_matrix((weights[part] * vals, idx, ptr), shape=(len(ptr) - 1, n))
+                  for part, vals, idx, ptr in pieces]
+        return LayeredOperator(order, blocks, grades, starts)
 
     return matrix
 
@@ -509,7 +552,7 @@ def bch_defect(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> float:
     comm = (f1 @ f2 - f2 @ f1).tocsc()
     left = _expm_apply(1j * f1, _expm_apply(1j * f2, v))
     right = _expm_apply(1j * (f1 + f2), _expm_apply(-0.5 * comm, v))
-    return float(np.linalg.norm(left - right))
+    return _norm(left - right)
 
 
 def appendix_bound(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> float:
@@ -532,8 +575,25 @@ def appendix_bound(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> floa
     comm_v = comm(v)
     slope = comm(f1 @ v) - f1 @ comm_v
     offset = comm(f2 @ v) - f2 @ comm_v
-    worst = max(float(np.linalg.norm(t * slope + offset)) for t in np.linspace(0.0, 1.0, 5))
+    worst = max(_norm(t * slope + offset) for t in np.linspace(0.0, 1.0, 5))
     return math.sqrt(4.0 * worst / 3.0)
+
+
+def _project_out(w: np.ndarray, prior: Sequence[np.ndarray]) -> None:
+    """One classical Gram-Schmidt pass, ``w -= sum_j <p_j, w> p_j`` in place.
+
+    Each row ``p_j`` covers a prefix of ``w``; it stands for a row that is
+    zero beyond it. Every coefficient comes from the ``w`` given, summed
+    like :func:`_inner`: ``Re <p, w>`` against ``w`` and ``Im <p, w>``
+    against ``-i w``, in one call.
+    """
+    pair = np.empty((2, len(w)), dtype=complex)
+    pair[0] = w
+    np.multiply(w, -1j, out=pair[1])
+    flat = pair.view(np.float64)
+    coefs = [np.einsum("i,ki->k", p.view(np.float64), flat[:, :2 * len(p)]) for p in prior]
+    for (re, im), p in zip(coefs, prior):
+        w[:len(p)] -= complex(re, im) * p
 
 
 def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[float],
@@ -545,7 +605,7 @@ def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[floa
     e^{i t lambda_j}`` from the eigenpairs of the tridiagonal matrix for
     every t at once (Gauss quadrature of the spectral measure). Each step
     removes the three-term part and then runs one classical Gram-Schmidt
-    pass against the whole basis as two matrix-vector products, repeated
+    pass against the prior rows of its block (:func:`_project_out`), repeated
     once when it shrinks the residual below ``LANCZOS_DGKS_RATIO`` of its
     norm (the DGKS criterion). The Krylov space grows until the values on the
     whole grid change by less than ``LANCZOS_TOL`` between two steps, or
@@ -558,7 +618,9 @@ def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[floa
     ``F`` is a :class:`LayeredOperator`, or a sparse matrix as one block of
     one layer. From a state on ``G = 0``, the Krylov row ``k`` is zero off
     ``F.span(k)``, so step ``k`` multiplies by the rows ``F.span(k + 1)`` and
-    orthogonalizes there against the prior rows of their block alone.
+    orthogonalizes there against the prior rows of their block alone, each
+    on its own span. Every sum runs in numpy's own loops, none in BLAS, so
+    the values do not depend on the BLAS thread count.
 
     Emits a warning when the evolved vector, rebuilt from the Krylov
     basis, populates the edge levels of the windows beyond ``LEAK_TOL``
@@ -570,11 +632,12 @@ def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[floa
     ws = state.workspace
     n = len(state.vector)
     op = f_op if isinstance(f_op, LayeredOperator) else LayeredOperator(  # one block, one layer
-        np.arange(n), f_op.tocsr(), np.zeros(n, dtype=int), np.array([0, n]))
+        np.arange(n), [f_op.tocsr()], np.zeros(n, dtype=int), np.array([0, n]))
     n_blocks = len(op.starts) - 1
-    edge_mask = ~ws.interior()[op.order]
+    edges = np.flatnonzero(~ws.interior()[op.order])  # positions on an edge level
+    edges = np.split(edges, np.searchsorted(edges, op.starts[1:-1]))  # by block
     times = np.asarray(t_grid, dtype=float)
-    norm = np.linalg.norm(state.vector)  # FiniteState keeps it within 1e-9 of 1
+    norm = _norm(state.vector)  # FiniteState keeps it within 1e-9 of 1
     # a basis small enough for the allocator to reuse between calls, doubled when full
     basis = np.empty((min(LANCZOS_START_ROWS, LANCZOS_MAX_STEPS), n), dtype=complex)
     basis[0] = state.vector[op.order] / norm
@@ -584,19 +647,20 @@ def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[floa
     betas: List[float] = []
     previous = None
     steps = 1
+    ends = [op.span(0)[1]]  # basis row k is zero from position ends[k] on
     while True:
         q = basis[steps - 1]
         lo, hi = op.span(steps)  # where F q lies
         w = op.rows(lo, hi) @ q
-        alphas.append(float(np.vdot(q[lo:hi], w).real))  # with two blocks q[lo:hi] is zero
+        alphas.append(_inner(q[lo:hi], w))  # with two blocks q[lo:hi] is zero
         w -= alphas[-1] * q[lo:hi]
         if betas:
             w -= betas[-1] * basis[steps - 2, lo:hi]
-        beta = float(np.linalg.norm(w))
+        beta = _norm(w)
         for _ in range(2):  # classical Gram-Schmidt; twice is enough
-            prior = basis[steps % n_blocks:steps:n_blocks, lo:hi]  # the prior rows of its block
-            w -= (prior @ w.conj()).conj() @ prior
-            before, beta = beta, float(np.linalg.norm(w))
+            # the prior rows of its block, each on its own span: a prefix of lo .. hi
+            _project_out(w, [basis[j, lo:ends[j]] for j in range(steps % n_blocks, steps, n_blocks)])
+            before, beta = beta, _norm(w)
             if beta >= LANCZOS_DGKS_RATIO * before:
                 break
         lam, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
@@ -618,9 +682,17 @@ def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[floa
             basis = grown
         basis[steps, :lo] = basis[steps, hi:] = 0.0
         basis[steps, lo:hi] = w / beta
+        ends.append(hi)
         steps += 1
-    edge_rows = basis[:steps, edge_mask].T
-    edge_weights = norm**2 * np.sum(np.abs(edge_rows @ coeffs) ** 2, axis=0)
+    # the evolved state on the edges of each block: row k adds its coefficients
+    # times its entries on the edges of its span
+    evolved = [np.zeros((len(times), len(block)), dtype=complex) for block in edges]
+    for k in range(steps):
+        block = edges[k % n_blocks]
+        kept = block[:np.searchsorted(block, ends[k])]
+        evolved[k % n_blocks][:, :len(kept)] += np.multiply.outer(coeffs[k], basis[k, kept])
+    edge_weights = norm**2 * sum(np.einsum("ti,ti->t", x.view(np.float64), x.view(np.float64))
+                                 for x in evolved)
     worst_leak = float(np.max(edge_weights, initial=0.0))
     if worst_leak > LEAK_TOL:
         warnings.warn(f"truncation leakage {worst_leak:.2e} exceeds {LEAK_TOL:.0e}",
@@ -732,7 +804,7 @@ def truncation_rederivation_check(params: ModelParams) -> Tuple[float, float]:
     q, minus_q = _plus_minus((0, 0, 1))
     ws = FockWorkspace(INTERACTION_BOX_SIDE, [ZERO, q, minus_q], {ZERO: 6, q: 4, minus_q: 4})
     proj = ws.below_truncation_projector(margin=2)
-    q_norm = float(np.linalg.norm(ws.k_phys(q)))
+    q_norm = ws.k_norm(q)
     v_q = params.v(q_norm)
     vol = ws.volume
 
@@ -827,7 +899,7 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
         ws = FockWorkspace(box, [ZERO, q, minus_q],
                            {ZERO: coherent_window(amp), q: 8, minus_q: 8})
         h = build_hamiltonian(model, ws, params)
-        k_norm = float(np.linalg.norm(ws.k_phys(q)))  # q_phys up to rounding
+        k_norm = ws.k_norm(q)  # q_phys up to rounding
         eps_q, g = dispersion(k_norm, params), table.g(k_norm)
         b_dag, b = _ladder_sums(ws, q)
         x_op = b_dag + b

@@ -1,9 +1,14 @@
 """Unit tests for the command-line interface."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bosefluct
 from bosefluct.checks import REGISTRY, run_check
 from bosefluct.cli import OUTPUT_DIR_ENV, main
 
@@ -66,6 +71,23 @@ class TestRun:
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(out_dir.glob("*.csv"))})
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_fock_tables_independent_of_the_blas_thread_count(self, tmp_path):
+        # one process per thread count: OpenBLAS reads its setting when it loads
+        cfg = write_config(tmp_path / "sweep.ini",
+                           checks="bch clt goldstone-imperfect goldstone-wibg")
+        src = str(Path(bosefluct.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        runs = {threads: subprocess.Popen(
+                    [sys.executable, "-m", "bosefluct.cli", "run", str(cfg),
+                     "--out", str(tmp_path / threads)],
+                    env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                    stdout=subprocess.DEVNULL)
+                for threads in ("1", "2")}
+        assert [run.wait(timeout=300) for run in runs.values()] == [0, 0]
+        tables = [{p.name: p.read_bytes() for p in sorted((tmp_path / threads).glob("*.csv"))}
+                  for threads in runs]
+        assert len(tables[0]) == 4 and tables[0] == tables[1]
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "sweep.ini", checks="lifetime-exponents")

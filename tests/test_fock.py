@@ -211,6 +211,26 @@ class TestFiniteState:
         assert state.expect(n_q).real == pytest.approx(1.0, abs=1e-10)
         assert state.expect(n_q @ n_q).real == pytest.approx(3.0, abs=1e-9)
 
+    def test_expect_keeps_the_imaginary_part(self):
+        ws = FockWorkspace(1.0, [ZERO], coherent_window(3.0))
+        state = FiniteState.coherent_vacuum(ws, 3.0)
+        assert state.expect(1j * ws.annihilator(ZERO)) == pytest.approx(3j, abs=1e-8)
+        flat = FiniteState(ws, probabilities=np.ones(ws.dimension))
+        assert flat.expect(1j * ws.number(ZERO)) == pytest.approx(1j * np.mean(ws.occupations))
+
+    def test_inner_matches_vdot(self):
+        rng = np.random.default_rng(3)
+        real = rng.standard_normal((2, 1000))
+        cplx = real + 1j * rng.standard_normal((2, 1000))
+        pairs = ((real[0], real[1]), (cplx[0], cplx[1]), (real[0], cplx[1]), (cplx[0], real[1]),
+                 (cplx[0, ::2], cplx[1, ::2]))
+        for a, b in pairs:
+            expected = np.vdot(a, b)
+            assert fock._inner(a, b) == pytest.approx(expected.real, rel=1e-12)
+            assert fock._inner(1j * a, b) == pytest.approx(expected.imag, rel=1e-12)
+        assert fock._norm(cplx[0]) == pytest.approx(np.linalg.norm(cplx[0]), rel=1e-14)
+        assert fock._inner([1.0, 2.0], [3.0, 4.0]) == 11.0
+
     def test_state_constructor_validation(self):
         ws = FockWorkspace(1.0, [Q], 2)
         with pytest.raises(ValueError):
@@ -628,6 +648,13 @@ class TestPairGrades:
         rows, cols = f_op.matrix.nonzero()
         assert np.all((rows < n_even) != (cols < n_even))
 
+    def test_rows_of_a_span_are_rows_of_the_matrix(self):
+        f_op, _, _ = reduced_clt_case(0, layered=True)
+        whole = f_op.matrix
+        for k in range(8):
+            lo, hi = f_op.span(k)
+            assert np.array_equal(f_op.rows(lo, hi).toarray(), whole[lo:hi].toarray())
+
 
 class TestLayeredLanczos:
     """The family's operator, laid out by the pair grade ``G = n_q + n_{-q}``: each Lanczos
@@ -674,6 +701,31 @@ class TestLayeredLanczos:
         f_op, t_grid, state = reduced_clt_case(0, layered=True)
         with pytest.warns(RuntimeWarning, match="truncation leakage"):
             clt_char_function(f_op, t_grid, state)
+
+    def test_gram_schmidt_pass_on_prefixes(self):
+        rng = np.random.default_rng(5)
+        lengths = (3, 7, 12)
+        rows = np.zeros((len(lengths), 12), dtype=complex)
+        for row, m in zip(rows, lengths):
+            row[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        w = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        expected = w - sum(np.vdot(row, w) * row for row in rows)
+        fock._project_out(w, [row[:m] for row, m in zip(rows, lengths)])
+        assert np.max(np.abs(w - expected)) < 1e-13
+
+    @pytest.mark.parametrize("layered", [True, False])
+    def test_leak_is_the_edge_weight_of_the_evolved_state(self, layered, monkeypatch):
+        f_op, t_grid, state = reduced_clt_case(0, layered=layered)
+        gen = (1j * (workspace_matrix(f_op) if layered else f_op)).tocsc()
+        edge = ~state.workspace.interior()
+        worst = max(np.sum(np.abs(expm_multiply(t * gen, state.vector)[edge]) ** 2)
+                    for t in t_grid)
+        for factor, warns in ((0.999, True), (1.001, False)):
+            monkeypatch.setattr(fock, "LEAK_TOL", factor * worst)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                clt_char_function(f_op, t_grid, state)
+            assert any("truncation leakage" in str(w.message) for w in caught) == warns
 
     def test_zero_mode_falls_back_to_one_layer(self):
         # at q = 0 the parts keep n_0 or move it by one: G = 2 n_0 moves by 0 or 2

@@ -348,6 +348,32 @@ class TestOneBuilderPerOperator:
             assert self.INLINE.search(line), line
 
 
+class TestFockReductions:
+    """``fock`` sums its norms and inner products in numpy's own loops: a BLAS
+    reduction splits its sum by thread, so the Fock tables would change with
+    the BLAS thread count."""
+
+    BLAS = {"np.vdot", "np.linalg.norm"}
+
+    @staticmethod
+    def references(source):
+        """The dotted names a source refers to, such as ``np.linalg.norm``."""
+        return {ast.unparse(node) for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute)}
+
+    def test_fock_uses_no_blas_reduction(self):
+        source = (Path(bosefluct.__file__).parent / "fock.py").read_text()
+        assert self.references(source) & self.BLAS == set()
+
+    def test_reader_finds_the_calls(self):
+        cases = {"x = float(np.linalg.norm(v))": {"np.linalg.norm"},
+                 "y = np.vdot(a, b).real": {"np.vdot"},
+                 "dot = np.vdot": {"np.vdot"},
+                 '"""Not np.vdot: a docstring."""\nz = _inner(a, b)': set()}
+        for source, found in cases.items():
+            assert self.references(source) & self.BLAS == found, source
+
+
 class TestBoseOccupation:
     def test_ground_state(self):
         assert bose_occupation(1.0, math.inf) == 0.0
