@@ -1,26 +1,26 @@
 """Truncated Fock-space simulator: matrix-level ground truth.
 
-Builds small multi-mode bosonic workspaces whose ladder operators are
-read off the occupation table (one diagonal per mode; each mode keeps an
-occupation window ``lo .. hi``, and a coherent zero mode the window
-:func:`coherent_window` of its amplitude), assembles the Hamiltonians of
-both gases as sums of ``+-k`` pair blocks with the couplings
-``(g, mu, u)`` of the gas, and provides the matrix-level
-checks: exact commutator identities of the Goldstone pair, BCH defects
-in the state seminorm, characteristic functions for the central-limit
-check, the vanishing commutator of the two-body interaction with the
-density fluctuation, and the truncation rederivation of the superfluid
-Hamiltonian. Every check that uses the canonical pair runs on the
-workspace ``[0, q, -q]``, where one builder,
-:func:`condensate_fluct_matrix`, writes the smeared fluctuation
-``F(f, g)`` of both gases: its density smearing ``f`` gives the density
-half of the pair and its order-parameter smearing ``g`` the other half;
-:func:`condensate_fluct_family` gives it for many smearings from parts
-built once.
+Builds small multi-mode bosonic workspaces (each mode keeps an occupation
+window ``lo .. hi``, and a coherent zero mode the window
+:func:`coherent_window` of its amplitude). A ladder operator is one diagonal
+at its mode's stride in the basis index, so every operator here, a sum of
+ladder words, is held as stride diagonals (``_Diagonals``): a sum adds
+vectors and a product is a shifted elementwise product of vectors. The public
+builders (:func:`pair_block`, :func:`build_hamiltonian`,
+:func:`condensate_fluct_matrix`, ``annihilator``, ``creator``) return CSR,
+converted once at their boundary, for ``expm_multiply``, eigensolves, sector
+slices and the Lanczos layout. Both Hamiltonians are sums of ``+-k`` pair
+blocks with the couplings ``(g, mu, u)`` of the gas. The matrix-level checks:
+exact commutator identities of the Goldstone pair, on stride diagonals alone;
+BCH defects in the state seminorm; characteristic functions for the
+central-limit check; the vanishing commutator of the two-body interaction
+with the density fluctuation; the truncation rederivation of the superfluid
+Hamiltonian. On the workspace ``[0, q, -q]`` one builder writes the smeared
+fluctuation ``F(f, g)`` of both gases (density half ``f``, order-parameter
+half ``g``); :func:`condensate_fluct_family` gives it for many smearings.
 
-Modes are labeled by integer lattice triples. For the interaction
-checks the mode label arithmetic is taken modulo a small torus so that
-momentum conservation is exact on the finite mode set.
+Modes are integer lattice triples; for the interaction checks their labels
+add modulo a small torus, so momentum is conserved exactly on the mode set.
 """
 
 from __future__ import annotations
@@ -113,6 +113,62 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_inner(a, a))
 
 
+class _Diagonals:
+    """An ``n x n`` operator as its diagonals: offset ``o`` -> vector ``d``, ``M[r, r + o] = d[r]``.
+
+    A ladder word is one diagonal (:meth:`FockWorkspace._ladder`), so sums of words add the
+    vectors of each offset and a product ``M1 M2`` has ``d1[r] d2[r + o1]`` at ``o1 + o2``.
+    Entries whose column lies outside the matrix are zero: what ``np.roll`` wraps meets one.
+    """
+
+    def __init__(self, n: int, diagonals: Dict[int, np.ndarray]):
+        self.n, self.diagonals = n, diagonals
+
+    def __add__(self, other: "_Diagonals", op=np.add, alone=np.asarray) -> "_Diagonals":
+        out = dict(self.diagonals)
+        for o, d in other.diagonals.items():
+            out[o] = op(out[o], d) if o in out else alone(d)
+        return _Diagonals(self.n, out)
+
+    def __sub__(self, other: "_Diagonals") -> "_Diagonals":
+        return self.__add__(other, np.subtract, np.negative)
+
+    def __mul__(self, scalar: complex) -> "_Diagonals":
+        scalar = scalar if np.imag(scalar) else np.real(scalar)  # a real operator stays real
+        return _Diagonals(self.n, {o: scalar * d for o, d in self.diagonals.items()})
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        """The product with another operator, or the image of a vector."""
+        if not isinstance(other, _Diagonals):  # summed in column order, as a CSR row
+            return sum(d * np.roll(other, -o) for o, d in sorted(self.diagonals.items()))
+        kind = np.result_type(*self.diagonals.values(), *other.diagonals.values())
+        out: Dict[int, np.ndarray] = {}
+        for o1, d1 in self.diagonals.items():
+            rows = slice(max(0, -o1), self.n - max(0, o1))  # the rows that meet the diagonal
+            cols = slice(rows.start + o1, rows.stop + o1)
+            for o2, d2 in other.diagonals.items():
+                if o1 + o2 in out:
+                    out[o1 + o2][rows] += d1[rows] * d2[cols]
+                else:
+                    out[o1 + o2] = np.zeros(self.n, dtype=kind)
+                    np.multiply(d1[rows], d2[cols], out=out[o1 + o2][rows])
+        return _Diagonals(self.n, out)
+
+    def adjoint(self) -> "_Diagonals":
+        return _Diagonals(self.n, {-o: np.roll(d, o).conj() for o, d in self.diagonals.items()})
+
+    def projected_norm(self, kept: np.ndarray) -> float:
+        """Frobenius norm of ``P M P``, ``P`` the projector onto the basis states ``kept``."""
+        clipped = [d[kept & np.roll(kept, -o)] for o, d in self.diagonals.items()]
+        return math.sqrt(sum(_inner(c, c) for c in clipped))
+
+    def tocsr(self) -> sp.csr_matrix:
+        return sp.diags([d[max(0, -o):self.n - max(0, o)] for o, d in self.diagonals.items()],
+                        list(self.diagonals), shape=(self.n, self.n), format="csr")
+
+
 class FockWorkspace:
     """Tensor product of truncated single-mode Fock spaces.
 
@@ -151,8 +207,7 @@ class FockWorkspace:
         if self.dimension > DIMENSION_CAP:
             raise ValueError(f"dimension {self.dimension} exceeds cap {DIMENSION_CAP}")
         self._dims = dims
-        self._ladder_cache: Dict[Mode, sp.csr_matrix] = {}
-        self._creator_cache: Dict[Mode, sp.csr_matrix] = {}
+        self._cache: Dict[Tuple[str, Mode], object] = {}  # ladder operators by kind and mode
         # occupation table: occupations[i, j] = occupation of mode j in basis state i
         grids = np.indices(dims).reshape(len(dims), -1)
         self.occupations = grids.T + lows
@@ -171,7 +226,12 @@ class FockWorkspace:
         """``|k|`` of a mode."""
         return _norm(self.k_phys(mode))
 
-    def annihilator(self, mode) -> sp.csr_matrix:
+    def _cached(self, kind: str, mode, build: Callable[[Mode], object]):
+        key = (kind, tuple(int(x) for x in mode))
+        hit = self._cache.get(key)
+        return hit if hit is not None else self._cache.setdefault(key, build(key[1]))
+
+    def _ladder(self, mode) -> _Diagonals:
         """``a_k`` as one diagonal at the mode's stride in the basis index.
 
         Basis state ``i`` holds ``n_k`` bosons in mode ``k``; ``a_k`` maps it to
@@ -179,25 +239,20 @@ class FockWorkspace:
         ``n_k = lo`` (``0`` without a window), that index belongs to other
         occupations of the slower modes; the zero weight drops the entry.
         """
-        m = tuple(int(x) for x in mode)
-        hit = self._ladder_cache.get(m)
-        if hit is not None:
-            return hit
-        j = self.index(m)
-        stride = int(np.prod(self._dims[j + 1:]))
-        n = self.occupations[stride:, j]
-        weights = np.where(n > self.windows[m][0], np.sqrt(n), 0.0)
-        op = sp.diags(weights, stride, shape=(self.dimension, self.dimension), format="csr")
-        self._ladder_cache[m] = op
-        return op
+        def build(m):  # n_k = lo on the first ``stride`` rows, which the shift wraps around
+            j = self.index(m)
+            n, stride = self.occupations[:, j], int(np.prod(self._dims[j + 1:]))
+            weights = np.where(n > self.windows[m][0], np.sqrt(n), 0.0)
+            return _Diagonals(self.dimension, {stride: np.roll(weights, -stride)})
+        return self._cached("a", mode, build)
+
+    def annihilator(self, mode) -> sp.csr_matrix:
+        """``a_k`` (:meth:`_ladder`) as CSR, cached per workspace."""
+        return self._cached("a csr", mode, lambda m: self._ladder(m).tocsr())
 
     def creator(self, mode) -> sp.csr_matrix:
         """``a*_k``, the adjoint of :meth:`annihilator`; cached per workspace like it."""
-        m = tuple(int(x) for x in mode)
-        hit = self._creator_cache.get(m)
-        if hit is None:
-            hit = self._creator_cache[m] = self.annihilator(m).conjugate().T.tocsr()
-        return hit
+        return self._cached("a* csr", mode, lambda m: self.annihilator(m).conjugate().T.tocsr())
 
     def number(self, mode) -> sp.csr_matrix:
         j = self.index(mode)
@@ -354,10 +409,16 @@ def pair_block(ws: FockWorkspace, q_lat, eps: float, g: float) -> sp.csr_matrix:
     Kinetic energy ``eps``, dressing and pairing ``g``; its gap is the
     collective energy ``sqrt(eps (eps + 2 g))``.
     """
+    return _pair_block(ws, q_lat, eps, g).tocsr()
+
+
+def _pair_block(ws: FockWorkspace, q_lat, eps: float, g: float) -> _Diagonals:
     q, minus_q = _plus_minus(q_lat)
-    n_ops = ws.number(q) + ws.number(minus_q)
-    pair = ws.creator(q) @ ws.creator(minus_q)
-    return ((eps + g) * n_ops + g * (pair + pair.conjugate().T)).tocsr()
+    n_ops = _Diagonals(ws.dimension, {0: np.add(*_pair_occupations(ws, q_lat), dtype=float)})
+    if g == 0.0:  # no pairing: the block is diagonal
+        return eps * n_ops
+    pair = ws._ladder(q).adjoint() @ ws._ladder(minus_q).adjoint()
+    return (eps + g) * n_ops + g * (pair + pair.adjoint())
 
 
 def _pair_occupations(ws: FockWorkspace, q_lat) -> Tuple[np.ndarray, np.ndarray]:
@@ -381,6 +442,10 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
     superfluid one has no chemical potential, which leaves each block's gap
     exactly at the collective spectrum.
     """
+    return _hamiltonian(model, ws, params).tocsr()
+
+
+def _hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> _Diagonals:
     table = gas_table(model, params)
     if ZERO not in ws.modes:
         raise ValueError("workspace must contain the zero mode")
@@ -391,10 +456,10 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
             raise ValueError("pair blocks need +-k mode pairs")
         if q > minus_q:  # one block per pair; the zero mode is its own mirror
             k_norm = ws.k_norm(q)
-            blocks.append(pair_block(ws, q, dispersion(k_norm, params), table.g(k_norm)))
-    n_sq = sp.diags(ws.totals()**2, format="csr")
-    return (sum(blocks) + (table.u / (2.0 * ws.volume)) * n_sq
-            - table.mu * ws.total_number()).tocsr()
+            blocks.append(_pair_block(ws, q, dispersion(k_norm, params), table.g(k_norm)))
+    totals = ws.totals()
+    interaction = _Diagonals(ws.dimension, {0: (table.u / (2.0 * ws.volume)) * totals**2})
+    return sum(blocks, interaction) - _Diagonals(ws.dimension, {0: table.mu * totals})
 
 
 # -- fluctuation operators on a workspace ---------------------------------
@@ -436,11 +501,11 @@ class LayeredOperator:
                              shape=(hi - lo, m.shape[1]))
 
 
-def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[_Diagonals, _Diagonals]:
     """``B* = a*_q + a*_{-q}`` and ``B = a_q + a_{-q}``."""
     q, minus_q = _plus_minus(q_lat)
-    return (ws.creator(q) + ws.creator(minus_q),
-            ws.annihilator(q) + ws.annihilator(minus_q))
+    b = ws._ladder(q) + ws._ladder(minus_q)
+    return b.adjoint(), b
 
 
 def _fluct_weights(amplitude: float, f_q0: complex, g_q0: complex
@@ -456,12 +521,12 @@ def _fluct_weights(amplitude: float, f_q0: complex, g_q0: complex
 
 
 def _fluct_parts(ws: FockWorkspace, q_lat, weights: Sequence[complex]
-                 ) -> List[Tuple[complex, sp.csr_matrix]]:
+                 ) -> List[Tuple[complex, _Diagonals]]:
     """``(w, P)`` for each part ``P`` of ``F(f, g)`` (``B* a_0``, ``a*_0 B``, ``B*``,
     ``B``) whose weight ``w`` is nonzero; a part of weight zero is not built."""
     b_dag, b = _ladder_sums(ws, q_lat)
-    builders = (lambda: b_dag @ ws.annihilator(ZERO), lambda: ws.creator(ZERO) @ b,
-                lambda: b_dag, lambda: b)
+    a_0 = ws._ladder(ZERO)
+    builders = (lambda: b_dag @ a_0, lambda: a_0.adjoint() @ b, lambda: b_dag, lambda: b)
     return [(w, build()) for w, build in zip(weights, builders) if w != 0.0]
 
 
@@ -477,9 +542,14 @@ def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
     density weighted by ``i (eps_k - eps_k')``. Each part is built only
     when its smearing is nonzero; ``F(0, 0)`` is refused.
     """
+    return _fluct(ws, q_lat, amplitude, f_q0, g_q0).tocsr()
+
+
+def _fluct(ws: FockWorkspace, q_lat, amplitude: float,
+           f_q0: complex = 0.0, g_q0: complex = 0.0) -> _Diagonals:
     terms = [w * part for w, part in
              _fluct_parts(ws, q_lat, _fluct_weights(amplitude, f_q0, g_q0))]
-    return sum(terms[1:], terms[0]).tocsr()
+    return sum(terms[1:], terms[0])
 
 
 def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
@@ -501,7 +571,7 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
     on one block of one layer in workspace order.
     """
     n = ws.dimension
-    parts = [part.tocoo() for _, part in _fluct_parts(ws, q_lat, (1.0,) * 4)]
+    parts = [part.tocsr().tocoo() for _, part in _fluct_parts(ws, q_lat, (1.0,) * 4)]
     rows = np.concatenate([part.row for part in parts])
     cols = np.concatenate([part.col for part in parts])
     grade = np.add(*_pair_occupations(ws, q_lat))
@@ -530,18 +600,7 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
     return matrix
 
 
-def _number_anticommutator(ws: FockWorkspace, x: sp.csr_matrix) -> sp.csr_matrix:
-    """``N X + X N``, the diagonal ``N`` applied as scalings of the rows and the columns of ``X``."""
-    totals = ws.totals()
-    data = np.repeat(totals, np.diff(x.indptr)) * x.data + x.data * totals[x.indices]
-    return sp.csr_matrix((data, x.indices, x.indptr), shape=x.shape)
-
-
 # -- BCH and CLT -----------------------------------------------------------
-
-
-def _expm_apply(op: sp.spmatrix, vec: np.ndarray) -> np.ndarray:
-    return expm_multiply(op.tocsc(), vec)
 
 
 def bch_defect(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> float:
@@ -549,9 +608,9 @@ def bch_defect(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> float:
     if state.vector is None:
         raise ValueError("bch_defect needs a pure state")
     v = state.vector
-    comm = (f1 @ f2 - f2 @ f1).tocsc()
-    left = _expm_apply(1j * f1, _expm_apply(1j * f2, v))
-    right = _expm_apply(1j * (f1 + f2), _expm_apply(-0.5 * comm, v))
+    comm = f1 @ f2 - f2 @ f1
+    left = expm_multiply(1j * f1, expm_multiply(1j * f2, v))
+    right = expm_multiply(1j * (f1 + f2), expm_multiply(-0.5 * comm, v))
     return _norm(left - right)
 
 
@@ -652,8 +711,9 @@ def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[floa
         q = basis[steps - 1]
         lo, hi = op.span(steps)  # where F q lies
         w = op.rows(lo, hi) @ q
-        alphas.append(_inner(q[lo:hi], w))  # with two blocks q[lo:hi] is zero
-        w -= alphas[-1] * q[lo:hi]
+        alphas.append(0.0 if n_blocks == 2 else _inner(q[lo:hi], w))  # with two blocks
+        if alphas[-1]:  # q lies in the other block, and q[lo:hi] is zero
+            w -= alphas[-1] * q[lo:hi]
         if betas:
             w -= betas[-1] * basis[steps - 2, lo:hi]
         beta = _norm(w)
@@ -898,31 +958,31 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
         amp = table.amplitude(box**3)
         ws = FockWorkspace(box, [ZERO, q, minus_q],
                            {ZERO: coherent_window(amp), q: 8, minus_q: 8})
-        h = build_hamiltonian(model, ws, params)
+        h = _hamiltonian(model, ws, params)
         k_norm = ws.k_norm(q)  # q_phys up to rounding
         eps_q, g = dispersion(k_norm, params), table.g(k_norm)
         b_dag, b = _ladder_sums(ws, q)
         x_op = b_dag + b
-        proj = ws.below_truncation_projector(margin=2)
+        n_tot = _Diagonals(ws.dimension, {0: ws.totals()})
+        kept = ws.interior(margin=2)
 
         number_part = ((table.mu / 2.0) * x_op
-                       - (table.u / (4.0 * ws.volume)) * _number_anticommutator(ws, x_op)).tocsr()
+                       - (table.u / (4.0 * ws.volume)) * (n_tot @ x_op + x_op @ n_tot))
         a_rhs = r_a * ((-0.5 * (eps_q + 2.0 * g)) * x_op + number_part)
-        rho_rhs = r_rho * condensate_fluct_matrix(ws, q, amp, f_q0=1j * eps_q)
+        rho_rhs = r_rho * _fluct(ws, q, amp, f_q0=1j * eps_q)
         if g != 0.0:
-            diff = ws.annihilator(ZERO) - ws.creator(ZERO)
-            pairing_part = ((r_rho * 1j * g / (2.0 * amp))
-                            * (b_dag @ diff + diff @ b)).tocsr()
+            diff = ws._ladder(ZERO) - ws._ladder(ZERO).adjoint()
+            pairing_part = (r_rho * 1j * g / (2.0 * amp)) * (b_dag @ diff + diff @ b)
             rho_rhs = rho_rhs + pairing_part
-        rho = r_rho * condensate_fluct_matrix(ws, q, amp, f_q0=1.0)
-        a_op = r_a * condensate_fluct_matrix(ws, q, amp, g_q0=1.0)
+        rho = r_rho * _fluct(ws, q, amp, f_q0=1.0)
+        a_op = r_a * _fluct(ws, q, amp, g_q0=1.0)
 
         def defect(x_op, rhs):  # |P (i[H, X] - rhs) P|, absolute and over |P H X P|
             commutator = h @ x_op
-            scale = _projected_norm(commutator, proj)
+            scale = commutator.projected_norm(kept)
             commutator = commutator - x_op @ h  # the rebinding frees H X
             # times -i, which is exact: the norm of [H, X] + i rhs, without a copy of i[H, X]
-            absolute = _projected_norm(commutator + 1j * rhs, proj)
+            absolute = (commutator + 1j * rhs).projected_norm(kept)
             return absolute, absolute / scale
 
         if mean_field:

@@ -1,5 +1,6 @@
 """Unit tests for the finite Fock-space workspace and matrix checks."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -17,7 +18,10 @@ from bosefluct.fock import (
     FiniteState,
     FockWorkspace,
     ZERO,
-    _number_anticommutator,
+    _Diagonals,
+    _fluct,
+    _hamiltonian,
+    _ladder_sums,
     _projected_norm,
     appendix_bound,
     bch_defect,
@@ -769,11 +773,103 @@ class TestDiagonalShortcuts:
             with pytest.raises(ValueError, match="diagonal projector"):
                 _projected_norm(op, proj)
 
-    def test_number_anticommutator_matches_products(self):
-        ws = FockWorkspace(1.0, [ZERO, Q, MQ], {ZERO: (2, 9), Q: 3, MQ: 3})
-        x = (ws.creator(Q) + ws.annihilator(MQ) + self.random_op(ws, 7)).tocsr()
-        n_tot = ws.total_number()
-        assert abs(_number_anticommutator(ws, x) - (n_tot @ x + x @ n_tot)).max() == 0.0
+
+def goldstone_box_2(model):
+    """The ``[0, q, -q]`` workspace, couplings and amplitude of a gas's Goldstone check at box 2."""
+    params = CheckContext().ground(model)
+    amp = gas_table(model, params).amplitude(8.0)
+    ws = FockWorkspace(2.0, [ZERO, Q, MQ], {ZERO: coherent_window(amp), Q: 8, MQ: 8})
+    return ws, params, amp
+
+
+STRIDE_WORKSPACES = {
+    "window": lambda: (FockWorkspace(1.0, [ZERO, Q, MQ], {ZERO: (2, 9), Q: 3, MQ: 3}), None, 1.3),
+    "imperfect": lambda: goldstone_box_2("imperfect"),
+    "wibg": lambda: goldstone_box_2("wibg"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRIDE_WORKSPACES))
+class TestStrideDiagonals:
+    """Operators as stride diagonals equal the CSR products of the same ladder operators,
+    on a zero-mode window with ``lo > 0`` and on the Goldstone layout of both gases."""
+
+    @staticmethod
+    def operators(ws):
+        """Sums of ladder words as diagonals and as CSR: ``B*``, ``B``, ``a_0 - a*_0``,
+        ``N`` and a complex combination of words of length one to three."""
+        b_dag, b = _ladder_sums(ws, Q)
+        diff = ws._ladder(ZERO) - ws._ladder(ZERO).adjoint()
+        n_tot = _Diagonals(ws.dimension, {0: ws.totals()})
+        mixed = (0.3 - 1.1j) * b_dag @ ws._ladder(ZERO) + 0.7 * diff @ b @ b - 2.0j * n_tot
+        csr_b_dag = ws.creator(Q) + ws.creator(MQ)
+        csr_b = ws.annihilator(Q) + ws.annihilator(MQ)
+        csr_diff = ws.annihilator(ZERO) - ws.creator(ZERO)
+        csr_mixed = ((0.3 - 1.1j) * csr_b_dag @ ws.annihilator(ZERO)
+                     + 0.7 * csr_diff @ csr_b @ csr_b - 2.0j * ws.total_number())
+        return ([b_dag, b, diff, n_tot, mixed],
+                [csr_b_dag, csr_b, csr_diff, ws.total_number(), csr_mixed])
+
+    def test_ladder_is_the_annihilator(self, case):
+        ws, *_ = STRIDE_WORKSPACES[case]()
+        for m in ws.modes:
+            assert abs(ws._ladder(m).tocsr() - ws.annihilator(m)).max() == 0.0
+            assert abs(ws._ladder(m).adjoint().tocsr() - ws.creator(m)).max() == 0.0
+
+    def test_products_sums_and_adjoints(self, case):
+        ws, *_ = STRIDE_WORKSPACES[case]()
+        ops, csrs = self.operators(ws)
+        for (x, y), (cx, cy) in zip(itertools.product(ops, repeat=2),
+                                    itertools.product(csrs, repeat=2)):
+            scale = abs(cx @ cy).max()
+            assert abs((x @ y).tocsr() - cx @ cy).max() <= 1e-15 * scale
+            assert abs((x + y).tocsr() - (cx + cy)).max() == 0.0
+            assert abs((x - 0.5j * y).tocsr() - (cx - 0.5j * cy)).max() == 0.0
+        for x, cx in zip(ops, csrs):
+            assert abs(x.adjoint().tocsr() - cx.conj().T).max() == 0.0
+
+    def test_the_number_anticommutator(self, case):
+        ws, *_ = STRIDE_WORKSPACES[case]()
+        b_dag, b = _ladder_sums(ws, Q)
+        x_op, n_tot = b_dag + b, _Diagonals(ws.dimension, {0: ws.totals()})
+        csr_x = ws.creator(Q) + ws.creator(MQ) + ws.annihilator(Q) + ws.annihilator(MQ)
+        csr_n = ws.total_number()
+        expected = csr_n @ csr_x + csr_x @ csr_n
+        assert abs((n_tot @ x_op + x_op @ n_tot).tocsr() - expected).max() == 0.0
+
+    def test_image_and_projected_norm(self, case):
+        ws, *_ = STRIDE_WORKSPACES[case]()
+        rng = np.random.default_rng(3)
+        vec = rng.normal(size=ws.dimension) + 1j * rng.normal(size=ws.dimension)
+        for x, cx in zip(*self.operators(ws)):
+            # the CSR row sum runs in the order of its stored columns, which a product leaves
+            # unsorted: equal up to the rounding of the largest row of |x| |vec|
+            assert np.max(np.abs(x @ vec - cx @ vec)) <= 1e-15 * np.max(abs(cx) @ abs(vec))
+            for margin in (0, 1, 2):
+                expected = _projected_norm(cx, ws.below_truncation_projector(margin))
+                assert x.projected_norm(ws.interior(margin)) == pytest.approx(expected, rel=1e-14)
+
+    def test_builders_give_the_csr_of_the_ladder_products(self, case):
+        ws, params, amp = STRIDE_WORKSPACES[case]()
+        for model in (("imperfect", "wibg") if params is None else (case,)):
+            params_m = params or CheckContext().ground(model)
+            table = gas_table(model, params_m)
+            k = ws.k_norm(Q)
+            g, n_q = table.g(k), ws.number(Q) + ws.number(MQ)
+            pair = ws.creator(Q) @ ws.creator(MQ)
+            n_sq = sp.diags(ws.totals() ** 2, format="csr")
+            expected = ((dispersion(k, params_m) + g) * n_q + g * (pair + pair.conjugate().T)
+                        + (table.u / (2.0 * ws.volume)) * n_sq - table.mu * ws.total_number())
+            assert abs(build_hamiltonian(model, ws, params_m) - expected).max() == 0.0
+            assert abs(_hamiltonian(model, ws, params_m).tocsr() - expected).max() == 0.0
+        b_dag, b = ws.creator(Q) + ws.creator(MQ), ws.annihilator(Q) + ws.annihilator(MQ)
+        f, g = 0.4 - 0.9j, -0.7 + 0.2j
+        norm = 1.0 / (2.0 * amp)
+        expected = ((norm * f) * (b_dag @ ws.annihilator(ZERO))
+                    + (norm * f.conjugate()) * (ws.creator(ZERO) @ b)
+                    + (0.5j * g) * b_dag + (-0.5j * g.conjugate()) * b)
+        assert abs(condensate_fluct_matrix(ws, Q, amp, f_q0=f, g_q0=g) - expected).max() == 0.0
+        assert abs(_fluct(ws, Q, amp, f_q0=f, g_q0=g).tocsr() - expected).max() == 0.0
 
 
 class TestInteractionStructure:
@@ -805,13 +901,30 @@ class TestGoldstoneClosure:
         ("wibg", wibg_params()),
     ])
     def test_closure(self, model, params):
-        report = goldstone_closure_check(model, params)
+        self.assert_closes(goldstone_closure_check(model, params))
+
+    @staticmethod
+    def assert_closes(report):
         assert report.identity_defect < 1e-10
         assert report.secondary_defect < 1e-8
         assert max(report.identity_relative, report.secondary_relative) < 2e-15
         assert report.remainder_norms[0] > report.remainder_norms[-1]
         rate = fit_power_law(list(zip(report.volumes, report.remainder_norms)))
         assert rate == pytest.approx(-0.5, abs=0.1)
+
+    @pytest.mark.parametrize("model,params", [
+        ("imperfect", imperfect_params()),
+        ("wibg", wibg_params()),
+    ])
+    def test_closure_makes_no_sparse_product(self, model, params, monkeypatch):
+        # every operator of the check is a sum of stride diagonals: no CSR x CSR product
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse x sparse product")
+        monkeypatch.setattr(sp._compressed._cs_matrix, "_matmul_sparse", refuse)
+        ws = FockWorkspace(1.0, [Q], 2)
+        with pytest.raises(AssertionError, match="sparse x sparse"):  # the patch holds
+            ws.creator(Q) @ ws.creator(Q)
+        self.assert_closes(goldstone_closure_check(model, params))
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):

@@ -323,8 +323,9 @@ class TestScipyImports:
 class TestOneBuilderPerOperator:
     """The +-q ladder sums and the sparse accumulations are written once, in the builders."""
 
-    INLINE = re.compile(r"(creator|annihilator)\([^()]*\)\s*\+\s*(ws\.|self\.)?"
-                        r"(creator|annihilator)\(|(?P<acc>\w+) is None else (?P=acc) \+")
+    INLINE = re.compile(r"(creator|annihilator|_ladder)\([^()]*\)(\.adjoint\(\))?\s*\+\s*"
+                        r"(ws\.|self\.)?(creator|annihilator|_ladder)\("
+                        r"|(?P<acc>\w+) is None else (?P=acc) \+")
     BUILDERS = {"_ladder_sums"}
 
     def test_no_inline_copies_outside_the_builders(self):
@@ -343,6 +344,8 @@ class TestOneBuilderPerOperator:
         for line in ("b_dag = ws.creator(q) + ws.creator(minus_q)",
                      "x = (ws.creator(q) + ws.creator(minus_q)",
                      "+ ws.annihilator(q) + ws.annihilator(minus_q))",
+                     "b = ws._ladder(q) + ws._ladder(minus_q)",
+                     "b_dag = ws._ladder(q).adjoint() + ws._ladder(minus_q).adjoint()",
                      "total = op if total is None else total + op",
                      "rewrite = term if rewrite is None else rewrite + term"):
             assert self.INLINE.search(line), line
