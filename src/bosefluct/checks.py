@@ -176,7 +176,8 @@ def _check_spectrum(ctx: CheckContext, tol: float) -> CheckResult:
     q = (0, 0, 1)
     ws = fock.FockWorkspace(2.0 * math.pi, [q, (0, 0, -1)], 20)
     sectors = fock.pair_sectors(ws, q)
-    kinetic, pairing = fock.pair_block(ws, q, 1.0, 0.0), fock.pair_block(ws, q, 0.0, 1.0)
+    kinetic, pairing = (fock.pair_block(ws, q, 1.0, 0.0).tocsr(),
+                        fock.pair_block(ws, q, 0.0, 1.0).tocsr())
     blocks = [(kinetic[idx][:, idx].toarray(), pairing[idx][:, idx].toarray())
               for idx in (sectors[0], sectors[1])]
     for _ in range(50):

@@ -4,15 +4,16 @@ Builds small multi-mode bosonic workspaces (each mode keeps an occupation
 window ``lo .. hi``, and a coherent zero mode the window
 :func:`coherent_window` of its amplitude). A ladder operator is one diagonal
 at its mode's stride in the basis index, so every operator here, a sum of
-ladder words, is held as stride diagonals (``_Diagonals``): a sum adds
-vectors and a product is a shifted elementwise product of vectors. The public
+ladder words, is held as stride diagonals (:class:`Diagonals`): a sum adds
+vectors and a product is a shifted elementwise product of vectors. The
 builders (:func:`pair_block`, :func:`build_hamiltonian`,
-:func:`condensate_fluct_matrix`, ``annihilator``, ``creator``) return CSR,
-converted once at their boundary, for ``expm_multiply``, eigensolves, sector
-slices and the Lanczos layout. Both Hamiltonians are sums of ``+-k`` pair
-blocks with the couplings ``(g, mu, u)`` of the gas. The matrix-level checks:
-exact commutator identities of the Goldstone pair, on stride diagonals alone;
-BCH defects in the state seminorm; characteristic functions for the
+:func:`condensate_fluct_matrix`, ``transfer_operator``) return
+:class:`Diagonals`, and no check multiplies two sparse matrices. CSR is made
+only for scipy: ``expm_multiply``, ``eigsh``, the Lanczos layout, sector
+slices, and the ``annihilator``/``creator`` views. Both Hamiltonians are sums
+of ``+-k`` pair blocks with the couplings ``(g, mu, u)`` of the gas. The
+matrix-level checks: exact commutator identities of the Goldstone pair; BCH
+defects in the state seminorm; characteristic functions for the
 central-limit check; the vanishing commutator of the two-body interaction
 with the density fluctuation; the truncation rederivation of the superfluid
 Hamiltonian. On the workspace ``[0, q, -q]`` one builder writes the smeared
@@ -37,6 +38,7 @@ from scipy.sparse.linalg import eigsh, expm_multiply
 from .model import ModelParams, dispersion, gas_table
 
 __all__ = [
+    "Diagonals",
     "FockWorkspace",
     "FiniteState",
     "LayeredOperator",
@@ -113,7 +115,7 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_inner(a, a))
 
 
-class _Diagonals:
+class Diagonals:
     """An ``n x n`` operator as its diagonals: offset ``o`` -> vector ``d``, ``M[r, r + o] = d[r]``.
 
     A ladder word is one diagonal (:meth:`FockWorkspace._ladder`), so sums of words add the
@@ -124,24 +126,32 @@ class _Diagonals:
     def __init__(self, n: int, diagonals: Dict[int, np.ndarray]):
         self.n, self.diagonals = n, diagonals
 
-    def __add__(self, other: "_Diagonals", op=np.add, alone=np.asarray) -> "_Diagonals":
+    @classmethod
+    def diag(cls, values: np.ndarray) -> "Diagonals":
+        """The diagonal operator with the entries ``values``."""
+        return cls(len(values), {0: np.asarray(values)})
+
+    def __add__(self, other: "Diagonals", op=np.add, alone=np.asarray) -> "Diagonals":
         out = dict(self.diagonals)
         for o, d in other.diagonals.items():
             out[o] = op(out[o], d) if o in out else alone(d)
-        return _Diagonals(self.n, out)
+        return Diagonals(self.n, out)
 
-    def __sub__(self, other: "_Diagonals") -> "_Diagonals":
+    def __radd__(self, other) -> "Diagonals":  # 0 + M, the start of ``sum``
+        return self if other == 0 else NotImplemented
+
+    def __sub__(self, other: "Diagonals") -> "Diagonals":
         return self.__add__(other, np.subtract, np.negative)
 
-    def __mul__(self, scalar: complex) -> "_Diagonals":
+    def __mul__(self, scalar: complex) -> "Diagonals":
         scalar = scalar if np.imag(scalar) else np.real(scalar)  # a real operator stays real
-        return _Diagonals(self.n, {o: scalar * d for o, d in self.diagonals.items()})
+        return Diagonals(self.n, {o: scalar * d for o, d in self.diagonals.items()})
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         """The product with another operator, or the image of a vector."""
-        if not isinstance(other, _Diagonals):  # summed in column order, as a CSR row
+        if not isinstance(other, Diagonals):  # summed in column order, as a CSR row
             return sum(d * np.roll(other, -o) for o, d in sorted(self.diagonals.items()))
         kind = np.result_type(*self.diagonals.values(), *other.diagonals.values())
         out: Dict[int, np.ndarray] = {}
@@ -154,10 +164,10 @@ class _Diagonals:
                 else:
                     out[o1 + o2] = np.zeros(self.n, dtype=kind)
                     np.multiply(d1[rows], d2[cols], out=out[o1 + o2][rows])
-        return _Diagonals(self.n, out)
+        return Diagonals(self.n, out)
 
-    def adjoint(self) -> "_Diagonals":
-        return _Diagonals(self.n, {-o: np.roll(d, o).conj() for o, d in self.diagonals.items()})
+    def adjoint(self) -> "Diagonals":
+        return Diagonals(self.n, {-o: np.roll(d, o).conj() for o, d in self.diagonals.items()})
 
     def projected_norm(self, kept: np.ndarray) -> float:
         """Frobenius norm of ``P M P``, ``P`` the projector onto the basis states ``kept``."""
@@ -165,6 +175,7 @@ class _Diagonals:
         return math.sqrt(sum(_inner(c, c) for c in clipped))
 
     def tocsr(self) -> sp.csr_matrix:
+        """The operator as CSR, for the scipy routines that take one."""
         return sp.diags([d[max(0, -o):self.n - max(0, o)] for o, d in self.diagonals.items()],
                         list(self.diagonals), shape=(self.n, self.n), format="csr")
 
@@ -207,7 +218,7 @@ class FockWorkspace:
         if self.dimension > DIMENSION_CAP:
             raise ValueError(f"dimension {self.dimension} exceeds cap {DIMENSION_CAP}")
         self._dims = dims
-        self._cache: Dict[Tuple[str, Mode], object] = {}  # ladder operators by kind and mode
+        self._ladders: Dict[Mode, Diagonals] = {}
         # occupation table: occupations[i, j] = occupation of mode j in basis state i
         grids = np.indices(dims).reshape(len(dims), -1)
         self.occupations = grids.T + lows
@@ -226,33 +237,29 @@ class FockWorkspace:
         """``|k|`` of a mode."""
         return _norm(self.k_phys(mode))
 
-    def _cached(self, kind: str, mode, build: Callable[[Mode], object]):
-        key = (kind, tuple(int(x) for x in mode))
-        hit = self._cache.get(key)
-        return hit if hit is not None else self._cache.setdefault(key, build(key[1]))
-
-    def _ladder(self, mode) -> _Diagonals:
-        """``a_k`` as one diagonal at the mode's stride in the basis index.
+    def _ladder(self, mode) -> Diagonals:
+        """``a_k`` as one diagonal at the mode's stride in the basis index, cached per workspace.
 
         Basis state ``i`` holds ``n_k`` bosons in mode ``k``; ``a_k`` maps it to
         ``i - stride`` with weight ``sqrt(n_k)``. At the bottom of the window,
         ``n_k = lo`` (``0`` without a window), that index belongs to other
         occupations of the slower modes; the zero weight drops the entry.
         """
-        def build(m):  # n_k = lo on the first ``stride`` rows, which the shift wraps around
+        m = tuple(int(x) for x in mode)
+        if m not in self._ladders:  # n_k = lo on the first ``stride`` rows, which the shift wraps
             j = self.index(m)
             n, stride = self.occupations[:, j], int(np.prod(self._dims[j + 1:]))
             weights = np.where(n > self.windows[m][0], np.sqrt(n), 0.0)
-            return _Diagonals(self.dimension, {stride: np.roll(weights, -stride)})
-        return self._cached("a", mode, build)
+            self._ladders[m] = Diagonals(self.dimension, {stride: np.roll(weights, -stride)})
+        return self._ladders[m]
 
     def annihilator(self, mode) -> sp.csr_matrix:
-        """``a_k`` (:meth:`_ladder`) as CSR, cached per workspace."""
-        return self._cached("a csr", mode, lambda m: self._ladder(m).tocsr())
+        """``a_k`` (:meth:`_ladder`) as CSR."""
+        return self._ladder(mode).tocsr()
 
     def creator(self, mode) -> sp.csr_matrix:
-        """``a*_k``, the adjoint of :meth:`annihilator`; cached per workspace like it."""
-        return self._cached("a* csr", mode, lambda m: self.annihilator(m).conjugate().T.tocsr())
+        """``a*_k``, the adjoint of :meth:`annihilator`, as CSR."""
+        return self._ladder(mode).adjoint().tocsr()
 
     def number(self, mode) -> sp.csr_matrix:
         j = self.index(mode)
@@ -283,11 +290,10 @@ class FockWorkspace:
         return sp.diags(self.interior(margin).astype(float), format="csr")
 
     def transfer_operator(self, terms: Iterable[Tuple[complex, Sequence[int], Sequence[int]]]
-                          ) -> sp.csr_matrix:
+                          ) -> Diagonals:
         """``sum coef * a*_{k_to} a_{k_from}`` over ``(coef, k_to, k_from)``."""
-        return sum((coef * (self.creator(k_to) @ self.annihilator(k_from))
-                    for coef, k_to, k_from in terms),
-                   sp.csr_matrix((self.dimension, self.dimension))).tocsr()
+        return sum((coef * (self._ladder(k_to).adjoint() @ self._ladder(k_from))
+                    for coef, k_to, k_from in terms), Diagonals(self.dimension, {}))
 
 
 @dataclass
@@ -316,7 +322,7 @@ class FiniteState:
             x, y = self.probabilities, op.diagonal()
         return complex(_inner(x, y), _inner(1j * x, y))
 
-    def seminorm(self, op: sp.spmatrix) -> float:
+    def seminorm(self, op: Diagonals | sp.spmatrix) -> float:
         """State seminorm ``sqrt(omega(X* X))``."""
         if self.vector is None:
             raise ValueError("seminorm implemented for pure states")
@@ -393,7 +399,7 @@ class FiniteState:
         h_pair = pair_block(pair_ws, q, dispersion(q_norm, params), g)
         # a fixed start vector keeps ARPACK, and so the tables, reproducible
         start = np.full(pair_ws.dimension, pair_ws.dimension**-0.5)
-        _, vecs = eigsh(h_pair.tocsc(), k=1, which="SA", v0=start)
+        _, vecs = eigsh(h_pair.tocsr(), k=1, which="SA", v0=start)
         ground = vecs[:, 0]
         ground = ground * np.sign(ground[np.argmax(np.abs(ground))])
         zero_col = cls._coherent_column(ws.windows[ZERO], amplitude)
@@ -403,18 +409,14 @@ class FiniteState:
 # -- Hamiltonians --------------------------------------------------------
 
 
-def pair_block(ws: FockWorkspace, q_lat, eps: float, g: float) -> sp.csr_matrix:
+def pair_block(ws: FockWorkspace, q_lat, eps: float, g: float) -> Diagonals:
     """Quadratic +-q block ``(eps + g)(n_q + n_{-q}) + g (a*_q a*_{-q} + h.c.)``.
 
     Kinetic energy ``eps``, dressing and pairing ``g``; its gap is the
     collective energy ``sqrt(eps (eps + 2 g))``.
     """
-    return _pair_block(ws, q_lat, eps, g).tocsr()
-
-
-def _pair_block(ws: FockWorkspace, q_lat, eps: float, g: float) -> _Diagonals:
     q, minus_q = _plus_minus(q_lat)
-    n_ops = _Diagonals(ws.dimension, {0: np.add(*_pair_occupations(ws, q_lat), dtype=float)})
+    n_ops = Diagonals.diag(np.add(*_pair_occupations(ws, q_lat), dtype=float))
     if g == 0.0:  # no pairing: the block is diagonal
         return eps * n_ops
     pair = ws._ladder(q).adjoint() @ ws._ladder(minus_q).adjoint()
@@ -433,7 +435,7 @@ def pair_sectors(ws: FockWorkspace, q_lat) -> Dict[int, np.ndarray]:
     return {int(d): np.flatnonzero(diff == d) for d in np.unique(diff)}
 
 
-def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.csr_matrix:
+def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> Diagonals:
     """Assemble ``sum_{+-k} pair_block(k, eps_k, g(k)) + (u/2V) N^2 - mu N``.
 
     One :func:`pair_block` per nonzero ``+-k`` mode pair, with the
@@ -442,10 +444,6 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> sp.
     superfluid one has no chemical potential, which leaves each block's gap
     exactly at the collective spectrum.
     """
-    return _hamiltonian(model, ws, params).tocsr()
-
-
-def _hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> _Diagonals:
     table = gas_table(model, params)
     if ZERO not in ws.modes:
         raise ValueError("workspace must contain the zero mode")
@@ -456,10 +454,10 @@ def _hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> _Diagona
             raise ValueError("pair blocks need +-k mode pairs")
         if q > minus_q:  # one block per pair; the zero mode is its own mirror
             k_norm = ws.k_norm(q)
-            blocks.append(_pair_block(ws, q, dispersion(k_norm, params), table.g(k_norm)))
+            blocks.append(pair_block(ws, q, dispersion(k_norm, params), table.g(k_norm)))
     totals = ws.totals()
-    interaction = _Diagonals(ws.dimension, {0: (table.u / (2.0 * ws.volume)) * totals**2})
-    return sum(blocks, interaction) - _Diagonals(ws.dimension, {0: table.mu * totals})
+    interaction = Diagonals.diag((table.u / (2.0 * ws.volume)) * totals**2)
+    return sum(blocks, interaction) - Diagonals.diag(table.mu * totals)
 
 
 # -- fluctuation operators on a workspace ---------------------------------
@@ -501,7 +499,7 @@ class LayeredOperator:
                              shape=(hi - lo, m.shape[1]))
 
 
-def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[_Diagonals, _Diagonals]:
+def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[Diagonals, Diagonals]:
     """``B* = a*_q + a*_{-q}`` and ``B = a_q + a_{-q}``."""
     q, minus_q = _plus_minus(q_lat)
     b = ws._ladder(q) + ws._ladder(minus_q)
@@ -521,7 +519,7 @@ def _fluct_weights(amplitude: float, f_q0: complex, g_q0: complex
 
 
 def _fluct_parts(ws: FockWorkspace, q_lat, weights: Sequence[complex]
-                 ) -> List[Tuple[complex, _Diagonals]]:
+                 ) -> List[Tuple[complex, Diagonals]]:
     """``(w, P)`` for each part ``P`` of ``F(f, g)`` (``B* a_0``, ``a*_0 B``, ``B*``,
     ``B``) whose weight ``w`` is nonzero; a part of weight zero is not built."""
     b_dag, b = _ladder_sums(ws, q_lat)
@@ -531,7 +529,7 @@ def _fluct_parts(ws: FockWorkspace, q_lat, weights: Sequence[complex]
 
 
 def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
-                            f_q0: complex = 0.0, g_q0: complex = 0.0) -> sp.csr_matrix:
+                            f_q0: complex = 0.0, g_q0: complex = 0.0) -> Diagonals:
     """Smeared fluctuation ``F(f, g) = (1/2z)[f B* a_0 + conj(f) a*_0 B]
     + (i/2)[g B* - conj(g) B]``.
 
@@ -542,14 +540,8 @@ def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
     density weighted by ``i (eps_k - eps_k')``. Each part is built only
     when its smearing is nonzero; ``F(0, 0)`` is refused.
     """
-    return _fluct(ws, q_lat, amplitude, f_q0, g_q0).tocsr()
-
-
-def _fluct(ws: FockWorkspace, q_lat, amplitude: float,
-           f_q0: complex = 0.0, g_q0: complex = 0.0) -> _Diagonals:
-    terms = [w * part for w, part in
-             _fluct_parts(ws, q_lat, _fluct_weights(amplitude, f_q0, g_q0))]
-    return sum(terms[1:], terms[0])
+    return sum(w * part for w, part in
+               _fluct_parts(ws, q_lat, _fluct_weights(amplitude, f_q0, g_q0)))
 
 
 def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
@@ -603,18 +595,21 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
 # -- BCH and CLT -----------------------------------------------------------
 
 
-def bch_defect(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> float:
-    """Seminorm of ``e^{iF1} e^{iF2} - e^{i(F1+F2)} e^{-[F1,F2]/2}`` on the state."""
+def bch_defect(f1: Diagonals, f2: Diagonals, state: FiniteState) -> float:
+    """Seminorm of ``e^{iF1} e^{iF2} - e^{i(F1+F2)} e^{-[F1,F2]/2}`` on the state.
+
+    Each exponent goes to ``expm_multiply`` as CSR.
+    """
     if state.vector is None:
         raise ValueError("bch_defect needs a pure state")
     v = state.vector
     comm = f1 @ f2 - f2 @ f1
-    left = expm_multiply(1j * f1, expm_multiply(1j * f2, v))
-    right = expm_multiply(1j * (f1 + f2), expm_multiply(-0.5 * comm, v))
+    left = expm_multiply((1j * f1).tocsr(), expm_multiply((1j * f2).tocsr(), v))
+    right = expm_multiply((1j * (f1 + f2)).tocsr(), expm_multiply((-0.5 * comm).tocsr(), v))
     return _norm(left - right)
 
 
-def appendix_bound(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> float:
+def appendix_bound(f1: Diagonals, f2: Diagonals, state: FiniteState) -> float:
     """Defect bound ``sqrt((4/3) max_t || [[F2,F1], t F1 + F2] ||_omega)``.
 
     Both error terms of the Dyson-expansion estimate are controlled by
@@ -622,7 +617,7 @@ def appendix_bound(f1: sp.spmatrix, f2: sp.spmatrix, state: FiniteState) -> floa
     on ``2 Re(1 - omega(...))`` into a bound on the defect itself.
     The double commutator applied to the state vector is affine in t,
     ``t S + O`` with ``S = C F1 v - F1 C v``, ``O = C F2 v - F2 C v`` and
-    ``C = [F2, F1]``, so it is built from matrix-vector products alone.
+    ``C = [F2, F1]``, so it needs images of vectors alone, no operator product.
     """
     if state.vector is None:
         raise ValueError("appendix_bound needs a pure state")
@@ -655,7 +650,7 @@ def _project_out(w: np.ndarray, prior: Sequence[np.ndarray]) -> None:
         w[:len(p)] -= complex(re, im) * p
 
 
-def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[float],
+def clt_char_function(f_op: Diagonals | LayeredOperator, t_grid: Sequence[float],
                       state: FiniteState) -> np.ndarray:
     """``omega(e^{i t F})`` on a grid of t values.
 
@@ -674,8 +669,8 @@ def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[floa
     from the allocator already mapped on the next call, where a buffer for
     every possible step would be mapped, and page-faulted, afresh each time.
 
-    ``F`` is a :class:`LayeredOperator`, or a sparse matrix as one block of
-    one layer. From a state on ``G = 0``, the Krylov row ``k`` is zero off
+    ``F`` is a :class:`LayeredOperator`, or :class:`Diagonals` as one block
+    of one layer. From a state on ``G = 0``, the Krylov row ``k`` is zero off
     ``F.span(k)``, so step ``k`` multiplies by the rows ``F.span(k + 1)`` and
     orthogonalizes there against the prior rows of their block alone, each
     on its own span. Every sum runs in numpy's own loops, none in BLAS, so
@@ -763,7 +758,7 @@ def clt_char_function(f_op: sp.spmatrix | LayeredOperator, t_grid: Sequence[floa
 # -- interaction commutation on a momentum torus ---------------------------
 
 
-def _torus_interaction(ws: FockWorkspace, n: int, v_q: Sequence[float]) -> sp.csr_matrix:
+def _torus_interaction(ws: FockWorkspace, n: int, v_q: Sequence[float]) -> Diagonals:
     """Full two-body interaction on the 1-D momentum torus.
 
     ``(1/2V) sum_{q,k,k'} v(q) a*_{k+q} a*_{k'-q} a_{k'} a_k`` with all
@@ -772,12 +767,11 @@ def _torus_interaction(ws: FockWorkspace, n: int, v_q: Sequence[float]) -> sp.cs
     as a matrix identity. ``v_q[j]`` is ``v`` at torus label ``j``.
     """
     pref = 1.0 / (2.0 * ws.volume)
-    return sum((pref * v_q[qj]) * (ws.creator((0, 0, (kj + qj) % n))
-                                   @ ws.creator((0, 0, (kpj - qj) % n))
-                                   @ ws.annihilator((0, 0, kpj))
-                                   @ ws.annihilator((0, 0, kj)))
+    a = [ws._ladder((0, 0, j)) for j in range(n)]
+    return sum((pref * v_q[qj]) * (a[(kj + qj) % n].adjoint() @ a[(kpj - qj) % n].adjoint()
+                                   @ a[kpj] @ a[kj])
                for qj in range(n) if v_q[qj] != 0.0
-               for kj in range(n) for kpj in range(n)).tocsr()
+               for kj in range(n) for kpj in range(n))
 
 
 def u_density_commutator_check(params: ModelParams,
@@ -801,7 +795,7 @@ def u_density_commutator_check(params: ModelParams,
         raise ValueError("the truncated interaction needs a nonzero condensate amplitude")
     n = 4
     ws = FockWorkspace(box_side, [(0, 0, j) for j in range(n)], 3)
-    proj = ws.below_truncation_projector()
+    kept = ws.interior()
     v_q = [params.v(min(j, n - j) * ws.spacing) for j in range(n)]
     u_full = _torus_interaction(ws, n, v_q)
     density = {qj: ws.transfer_operator([(1.0 / math.sqrt(ws.volume), (0, 0, (kj + qj) % n),
@@ -809,39 +803,23 @@ def u_density_commutator_check(params: ModelParams,
                for qj in range(1, n)}
     f_q = density[1]
 
-    commutator_defect = _projected_norm(u_full @ f_q - f_q @ u_full, proj)
+    commutator_defect = (u_full @ f_q - f_q @ u_full).projected_norm(kept)
 
     rewrite = sum(0.5 * v_q[qj] * (density[qj] @ density[n - qj]) for qj in range(1, n))
-    n_tot = ws.total_number()
-    n_sq = sp.diags(ws.totals()**2, format="csr")
+    totals = ws.totals()
     phi0 = sum(v_q) / ws.volume
-    rewrite = rewrite + (params.v(0.0) / (2.0 * ws.volume)) * n_sq - 0.5 * phi0 * n_tot
-    rewrite_defect = _projected_norm(u_full - rewrite, proj)
+    rewrite = (rewrite + Diagonals.diag((params.v(0.0) / (2.0 * ws.volume)) * totals**2)
+               - Diagonals.diag(0.5 * phi0 * totals))
+    rewrite_defect = (u_full - rewrite).projected_norm(kept)
 
     terms = []
     for kj in range(1, n):
-        pair = ws.creator((0, 0, kj)) @ ws.creator((0, 0, n - kj))
-        terms.append(0.5 * v_q[kj] * c**2 * (pair + pair.conjugate().T)
-                     + v_q[kj] * c**2 * ws.number((0, 0, kj)))
-    u_trunc = sum(terms).tocsr()
-    wibg_norm = _projected_norm(u_trunc @ f_q - f_q @ u_trunc, proj)
+        pair = ws._ladder((0, 0, kj)).adjoint() @ ws._ladder((0, 0, n - kj)).adjoint()
+        terms.append(0.5 * v_q[kj] * c**2 * (pair + pair.adjoint())
+                     + v_q[kj] * c**2 * Diagonals.diag(ws.occupations[:, kj].astype(float)))
+    u_trunc = sum(terms)
+    wibg_norm = (u_trunc @ f_q - f_q @ u_trunc).projected_norm(kept)
     return commutator_defect, rewrite_defect, wibg_norm
-
-
-def _projected_norm(op: sp.spmatrix, proj: sp.spmatrix) -> float:
-    """Frobenius norm of ``P op P`` for a diagonal projector ``P``.
-
-    The entries of ``op`` whose row and column both lie in the range of
-    ``P`` are selected directly, without the two sparse products.
-    """
-    diagonal = proj.diagonal()  # a nonzero off the diagonal shows in the counts
-    if proj.count_nonzero() > np.count_nonzero(diagonal) or not np.all(np.isin(diagonal, (0, 1))):
-        raise ValueError("needs a diagonal projector")
-    kept = diagonal != 0.0
-    op = op.tocsr()
-    # np.take gathers on the int32 indices at about twice the speed of kept[op.indices]
-    clipped = op.data[np.repeat(kept, np.diff(op.indptr)) & np.take(kept, op.indices)]
-    return float(math.sqrt(np.sum(np.abs(clipped) ** 2)))
 
 
 # -- truncation rederivation ------------------------------------------------
@@ -863,44 +841,45 @@ def truncation_rederivation_check(params: ModelParams) -> Tuple[float, float]:
     """
     q, minus_q = _plus_minus((0, 0, 1))
     ws = FockWorkspace(INTERACTION_BOX_SIDE, [ZERO, q, minus_q], {ZERO: 6, q: 4, minus_q: 4})
-    proj = ws.below_truncation_projector(margin=2)
     q_norm = ws.k_norm(q)
     v_q = params.v(q_norm)
     vol = ws.volume
 
-    def f_n0(mode_to, mode_from_sign):
+    def f_n0(mode_to, mode_from):
         # F_{L,k}(N0) = V^{-1/2} (a*_k a_0 + a*_0 a_{-k})
-        return (ws.creator(mode_to) @ ws.annihilator(ZERO)
-                + ws.creator(ZERO) @ ws.annihilator(mode_from_sign)) / math.sqrt(vol)
+        return (1.0 / math.sqrt(vol)) * ws.transfer_operator([(1.0, mode_to, ZERO),
+                                                              (1.0, ZERO, mode_from)])
 
     lhs = 0.5 * v_q * (f_n0(q, minus_q) @ f_n0(minus_q, q)
                        + f_n0(minus_q, q) @ f_n0(q, minus_q))
 
-    a0, a0d = ws.annihilator(ZERO), ws.creator(ZERO)
+    a0 = ws._ladder(ZERO)
+    a0d = a0.adjoint()
     phi0p = 2.0 * v_q / vol  # (1/V) sum over the two nonzero modes
     plus_minus = ((q, minus_q), (minus_q, q))  # k = +q, -q
+    numbers = {mode: Diagonals.diag(ws.occupations[:, ws.index(mode)].astype(float))
+               for mode, _ in plus_minus}
+    pairs_up = {mode: ws._ladder(mode).adjoint() @ ws._ladder(minus).adjoint()
+                for mode, minus in plus_minus}
     written_out = sum(
-        (0.5 * v_q / vol) * ((a0 @ a0d + a0d @ a0) @ ws.number(mode)
-                             + (a0 @ a0) @ (ws.creator(mode) @ ws.creator(minus))
-                             + (a0d @ a0d) @ (ws.annihilator(minus) @ ws.annihilator(mode)))
-        for mode, minus in plus_minus)
+        (0.5 * v_q / vol) * ((a0 @ a0d + a0d @ a0) @ numbers[mode] + (a0 @ a0) @ up
+                             + (a0d @ a0d) @ up.adjoint())
+        for mode, up in pairs_up.items())
     written_out = written_out + 0.5 * phi0p * (a0d @ a0)
-    step1 = _projected_norm(lhs - written_out, proj)
+    step1 = (lhs - written_out).projected_norm(ws.interior(margin=2))
 
     # c-substitution: a0 / sqrt(V) -> c on the written-out form
     c = params.condensate_amplitude
-    pairs_up = {mode: ws.creator(mode) @ ws.creator(minus) for mode, minus in plus_minus}
-    substituted = sum((0.5 * v_q) * (2.0 * c**2 * ws.number(mode)
-                                     + c**2 * up + c**2 * up.conjugate().T)
+    constant = Diagonals.diag(np.full(ws.dimension, 0.5 * phi0p * c**2 * vol))
+    substituted = sum((0.5 * v_q) * (2.0 * c**2 * numbers[mode] + c**2 * up + c**2 * up.adjoint())
                       for mode, up in pairs_up.items())
-    substituted = substituted + 0.5 * phi0p * c**2 * vol * ws.identity()
+    substituted = substituted + constant
 
     h = build_hamiltonian("wibg", ws, params)
-    n_sq = sp.diags(ws.totals()**2, format="csr")
     kinetic = pair_block(ws, q, dispersion(q_norm, params), 0.0)
-    target = (h - kinetic - (params.v(0.0) / (2.0 * vol)) * n_sq
-              + 0.5 * phi0p * c**2 * vol * ws.identity())
-    step2 = _projected_norm(substituted - target, ws.identity())
+    target = (h - kinetic - Diagonals.diag((params.v(0.0) / (2.0 * vol)) * ws.totals()**2)
+              + constant)
+    step2 = (substituted - target).projected_norm(ws.interior(margin=0))
     return step1, step2
 
 
@@ -958,24 +937,24 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
         amp = table.amplitude(box**3)
         ws = FockWorkspace(box, [ZERO, q, minus_q],
                            {ZERO: coherent_window(amp), q: 8, minus_q: 8})
-        h = _hamiltonian(model, ws, params)
+        h = build_hamiltonian(model, ws, params)
         k_norm = ws.k_norm(q)  # q_phys up to rounding
         eps_q, g = dispersion(k_norm, params), table.g(k_norm)
         b_dag, b = _ladder_sums(ws, q)
         x_op = b_dag + b
-        n_tot = _Diagonals(ws.dimension, {0: ws.totals()})
+        n_tot = Diagonals.diag(ws.totals())
         kept = ws.interior(margin=2)
 
         number_part = ((table.mu / 2.0) * x_op
                        - (table.u / (4.0 * ws.volume)) * (n_tot @ x_op + x_op @ n_tot))
         a_rhs = r_a * ((-0.5 * (eps_q + 2.0 * g)) * x_op + number_part)
-        rho_rhs = r_rho * _fluct(ws, q, amp, f_q0=1j * eps_q)
+        rho_rhs = r_rho * condensate_fluct_matrix(ws, q, amp, f_q0=1j * eps_q)
         if g != 0.0:
             diff = ws._ladder(ZERO) - ws._ladder(ZERO).adjoint()
             pairing_part = (r_rho * 1j * g / (2.0 * amp)) * (b_dag @ diff + diff @ b)
             rho_rhs = rho_rhs + pairing_part
-        rho = r_rho * _fluct(ws, q, amp, f_q0=1.0)
-        a_op = r_a * _fluct(ws, q, amp, g_q0=1.0)
+        rho = r_rho * condensate_fluct_matrix(ws, q, amp, f_q0=1.0)
+        a_op = r_a * condensate_fluct_matrix(ws, q, amp, g_q0=1.0)
 
         def defect(x_op, rhs):  # |P (i[H, X] - rhs) P|, absolute and over |P H X P|
             commutator = h @ x_op

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bosefluct import checks, fock
 from bosefluct.checks import REGISTRY, CheckContext, CheckResult, Judgement, run_check
@@ -84,8 +85,21 @@ def test_spectrum_gap_is_checked_at_the_limit_away_from_the_default():
 def test_spectrum_sector_gap_matches_the_dense_gap():
     ws = spectrum_workspace()
     for eps, g, _, gap, _ in run_check("spectrum").rows:
-        dense = np.linalg.eigvalsh(fock.pair_block(ws, Q, eps, g).toarray())
+        dense = np.linalg.eigvalsh(fock.pair_block(ws, Q, eps, g).tocsr().toarray())
         assert gap == pytest.approx(dense[1] - dense[0], rel=1e-12, abs=0.0)
+
+
+def test_no_check_multiplies_two_sparse_matrices(monkeypatch):
+    # operator algebra runs on stride diagonals; CSR goes only to scipy's solvers and slices
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse x sparse product")
+    monkeypatch.setattr(sp._compressed._cs_matrix, "_matmul_sparse", refuse)
+    ws = spectrum_workspace()
+    with pytest.raises(AssertionError, match="sparse x sparse"):  # the patch holds
+        ws.creator(Q) @ ws.creator(Q)
+    assert len(REGISTRY) == 16
+    for name in REGISTRY:
+        assert run_check(name).passed, name
 
 
 @pytest.mark.parametrize("ctx", [CheckContext(mass=2.0), CheckContext(beta_thermal=0.5),

@@ -18,11 +18,8 @@ from bosefluct.fock import (
     FiniteState,
     FockWorkspace,
     ZERO,
-    _Diagonals,
-    _fluct,
-    _hamiltonian,
+    Diagonals,
     _ladder_sums,
-    _projected_norm,
     appendix_bound,
     bch_defect,
     build_hamiltonian,
@@ -61,6 +58,11 @@ def kinetic(ws, params):
     return sp.diags(ws.occupations @ eps, format="csr")
 
 
+def projected_norm(op, proj):
+    """Frobenius norm of ``P op P`` from the two sparse products."""
+    return sparse_norm(proj @ op @ proj)
+
+
 class TestWorkspace:
     def test_dimension(self):
         ws = FockWorkspace(1.0, [ZERO, Q, MQ], 4)
@@ -86,7 +88,7 @@ class TestWorkspace:
                 adag = ws.creator(m2)
                 delta = 1.0 if m1 == m2 else 0.0
                 comm = a @ adag - adag @ a - delta * ws.identity()
-                assert _projected_norm(comm, proj) == pytest.approx(0.0, abs=1e-13)
+                assert projected_norm(comm, proj) == pytest.approx(0.0, abs=1e-13)
 
     def test_mixed_cutoffs(self):
         ws = FockWorkspace(2.0, [ZERO, Q], {ZERO: 5, Q: 2})
@@ -103,15 +105,15 @@ class TestWorkspace:
             assert np.array_equal(ws.annihilator(mode).toarray(), expected)
             assert np.array_equal(ws.creator(mode).toarray(), expected.T)
 
-    def test_creators_are_cached_per_workspace(self):
+    def test_ladders_are_cached_per_workspace(self):
         window = {ZERO: (5, 12), Q: 3, MQ: 3}
         ws, other = FockWorkspace(1.0, [ZERO, Q, MQ], window), FockWorkspace(1.0, [ZERO, Q, MQ], 4)
         for m in ws.modes:
-            assert ws.creator(m) is ws.creator(m)
+            assert ws._ladder(m) is ws._ladder(m)
+            assert other._ladder(m) is not ws._ladder(m)
             assert abs(ws.creator(m) - ws.annihilator(m).conj().T).max() == 0.0
-            assert other.creator(m) is not ws.creator(m)
             assert abs(other.creator(m) - other.annihilator(m).conj().T).max() == 0.0
-        assert ws.creator(ZERO).shape != other.creator(ZERO).shape
+        assert ws._ladder(ZERO).n != other._ladder(ZERO).n
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -147,10 +149,10 @@ class TestOccupationWindow:
         ws = FockWorkspace(1.0, [Q, ZERO], {Q: 3, ZERO: self.WINDOW})
         a0 = ws.annihilator(ZERO)
         comm = a0 @ ws.creator(ZERO) - ws.creator(ZERO) @ a0 - ws.identity()
-        assert _projected_norm(comm, ws.below_truncation_projector()) < 1e-13
+        assert projected_norm(comm, ws.below_truncation_projector()) < 1e-13
         # the bottom edge is a truncation edge: there a*_0 a_0 misses n = lo
         bottom = sp.diags((ws.occupations[:, 1] == self.WINDOW[0]).astype(float))
-        assert _projected_norm(comm, bottom) > 1.0
+        assert projected_norm(comm, bottom) > 1.0
 
     def test_projector_drops_both_edges(self):
         ws = FockWorkspace(1.0, [ZERO, Q], {ZERO: self.WINDOW, Q: 4})
@@ -268,7 +270,7 @@ class TestHamiltonians:
     def test_imperfect_diagonal(self):
         params = imperfect_params()
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 3)
-        h = build_hamiltonian("imperfect", ws, params)
+        h = build_hamiltonian("imperfect", ws, params).tocsr()
         off_diag = h - sp.diags(h.diagonal())
         assert abs(off_diag).max() == 0.0
         kin = kinetic(ws, params).diagonal()
@@ -284,17 +286,17 @@ class TestHamiltonians:
         n_tot = ws.total_number()
         expected = (kinetic(ws, params) - gas_table("imperfect", params).mu * n_tot
                     + params.coupling / (2.0 * ws.volume) * (n_tot @ n_tot))
-        h = build_hamiltonian("imperfect", ws, params)
+        h = build_hamiltonian("imperfect", ws, params).tocsr()
         assert abs(h - expected).max() < 1e-12
 
     def test_wibg_self_adjoint(self):
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 4)
-        h = build_hamiltonian("wibg", ws, wibg_params())
+        h = build_hamiltonian("wibg", ws, wibg_params()).tocsr()
         assert abs(h - h.conjugate().T).max() < 1e-14
 
     def test_wibg_conserves_zero_mode(self):
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 4)
-        h = build_hamiltonian("wibg", ws, wibg_params())
+        h = build_hamiltonian("wibg", ws, wibg_params()).tocsr()
         n0 = ws.number(ZERO)
         assert abs(h @ n0 - n0 @ h).max() < 1e-13
 
@@ -302,7 +304,7 @@ class TestHamiltonians:
         # c = 0 removes pairing and dressing: kinetic plus (v(0)/2V) N^2
         params = wibg_params(c=0.0)
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 3)
-        h = build_hamiltonian("wibg", ws, params)
+        h = build_hamiltonian("wibg", ws, params).tocsr()
         n = ws.total_number().diagonal()
         expected = kinetic(ws, params).diagonal() + params.v(0.0) / (2.0 * ws.volume) * n**2
         assert abs(h - sp.diags(expected)).max() < 1e-14
@@ -311,7 +313,7 @@ class TestHamiltonians:
         params = wibg_params()
         q2, mq2 = (0, 1, 1), (0, -1, -1)
         ws = FockWorkspace(2.0, [ZERO, Q, MQ, q2, mq2], 2)
-        h = build_hamiltonian("wibg", ws, params)
+        h = build_hamiltonian("wibg", ws, params).tocsr()
         # reference: kinetic term plus the c^2 v dressing and pairing written out per pair
         n_tot = ws.total_number()
         expected = kinetic(ws, params) + params.v(0.0) / (2.0 * ws.volume) * (n_tot @ n_tot)
@@ -335,7 +337,7 @@ class TestHamiltonians:
         params = wibg_params()
         ws = FockWorkspace(2.0, [Q, MQ], 24)
         k = np.linalg.norm(ws.k_phys(Q))
-        block = pair_block(ws, Q, k * k / 2.0, params.c2v(k)).toarray()
+        block = pair_block(ws, Q, k * k / 2.0, params.c2v(k)).tocsr().toarray()
         vals = np.linalg.eigvalsh(block)
         expected = bogoliubov_spectrum(k * k / 2.0, params.c2v(k))
         assert vals[1] - vals[0] == pytest.approx(expected, abs=1e-8)
@@ -343,8 +345,9 @@ class TestHamiltonians:
     def test_pair_block_is_linear(self):
         ws = FockWorkspace(2.0 * math.pi, [Q, MQ], 20)
         eps, g = 1.37, 0.58
-        block = pair_block(ws, Q, eps, g)
-        combined = eps * pair_block(ws, Q, 1.0, 0.0) + g * pair_block(ws, Q, 0.0, 1.0)
+        block = pair_block(ws, Q, eps, g).tocsr()
+        combined = (eps * pair_block(ws, Q, 1.0, 0.0).tocsr()
+                    + g * pair_block(ws, Q, 0.0, 1.0).tocsr())
         assert abs(block - combined).max() <= 1e-14 * abs(block).max()
 
     def test_unknown_model(self):
@@ -356,10 +359,8 @@ class TestHamiltonians:
 class TestFluctuationMatrices:
     def test_self_adjointness(self):
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 3)
-        for op in (condensate_fluct_matrix(ws, Q, 1.3, g_q0=1.0),
-                   condensate_fluct_matrix(ws, Q, 1.3, f_q0=1.0),
-                   condensate_fluct_matrix(ws, Q, 1.3, f_q0=0.4 - 0.9j),
-                   condensate_fluct_matrix(ws, Q, 1.3, f_q0=0.4 - 0.9j, g_q0=-0.7 + 0.2j)):
+        for f, g in ((0.0, 1.0), (1.0, 0.0), (0.4 - 0.9j, 0.0), (0.4 - 0.9j, -0.7 + 0.2j)):
+            op = condensate_fluct_matrix(ws, Q, 1.3, f_q0=f, g_q0=g).tocsr()
             assert abs(op - op.conjugate().T).max() < 1e-14
 
     @pytest.mark.parametrize("box", [2.0, 3.0, 5.0])
@@ -372,8 +373,8 @@ class TestFluctuationMatrices:
         for f, smear in ((1.0, lambda k_to, k: 1.0),
                          (0.3 - 0.8j, lambda k_to, k: 0.3 - 0.8j if k == ZERO else 0.3 + 0.8j),
                          (1j * eps[Q], lambda k_to, k: 1j * (eps[k_to] - eps[k]))):
-            expected = density_k_sum(ws, amp, smear)
-            builder = condensate_fluct_matrix(ws, Q, amp, f_q0=f)
+            expected = density_k_sum(ws, amp, smear).tocsr()
+            builder = condensate_fluct_matrix(ws, Q, amp, f_q0=f).tocsr()
             assert abs(builder - expected).max() <= 1e-15 * abs(expected).max()
 
     def test_builder_needs_amplitude(self):
@@ -393,14 +394,14 @@ class TestFluctuationMatrices:
         expected = 0.5j * (g * (ws.creator(Q) + ws.creator(MQ))
                            - np.conj(g) * (ws.annihilator(Q) + ws.annihilator(MQ)))
         for amp in (1.3, 7.0):
-            assert abs(condensate_fluct_matrix(ws, Q, amp, g_q0=g) - expected).max() < 1e-15
+            assert abs(condensate_fluct_matrix(ws, Q, amp, g_q0=g).tocsr() - expected).max() < 1e-15
 
     def test_both_smearings_add_the_two_halves(self):
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], 3)
         f, g = 0.4 - 0.9j, -0.7 + 0.2j
-        both = condensate_fluct_matrix(ws, Q, 1.3, f_q0=f, g_q0=g)
-        halves = (condensate_fluct_matrix(ws, Q, 1.3, f_q0=f)
-                  + condensate_fluct_matrix(ws, Q, 1.3, g_q0=g))
+        both = condensate_fluct_matrix(ws, Q, 1.3, f_q0=f, g_q0=g).tocsr()
+        halves = (condensate_fluct_matrix(ws, Q, 1.3, f_q0=f).tocsr()
+                  + condensate_fluct_matrix(ws, Q, 1.3, g_q0=g).tocsr())
         assert abs(both - halves).max() == 0.0
 
     # at q = 0 both density parts are 2 a*_0 a_0, so two parts share every entry
@@ -413,7 +414,7 @@ class TestFluctuationMatrices:
         draws = [complex(*rng.uniform(-1, 1, 2)) for _ in range(8)]
         smearings = list(zip(draws[::2], draws[1::2])) + [(draws[0], 0.0), (0.0, draws[1])]
         for f, g in smearings:
-            built = condensate_fluct_matrix(ws, q, amp, f_q0=f, g_q0=g)
+            built = condensate_fluct_matrix(ws, q, amp, f_q0=f, g_q0=g).tocsr()
             assert abs(workspace_matrix(family(f, g)) - built).max() <= 1e-15
         with pytest.raises(ValueError, match="smearing"):
             family(0.0, 0.0)
@@ -432,7 +433,7 @@ class TestFluctuationMatrices:
         expected = -eps * (ws.creator(Q) + ws.annihilator(Q))
         defect = 1j * (h @ a_op - a_op @ h) - expected
         proj = ws.below_truncation_projector()
-        assert _projected_norm(defect, proj) == pytest.approx(0.0, abs=1e-12)
+        assert projected_norm(defect, proj) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBchAndClt:
@@ -459,7 +460,7 @@ class TestBchAndClt:
     def test_bound_matches_operator_products(self, box):
         _, state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, box)
         assert appendix_bound(rho, a_op, state) == pytest.approx(
-            operator_product_bound(rho, a_op, state), rel=1e-12, abs=0.0)
+            operator_product_bound(rho.tocsr(), a_op.tocsr(), state), rel=1e-12, abs=0.0)
 
     def test_bound_needs_pure_state(self):
         ws = FockWorkspace(1.0, [Q], 3)
@@ -508,7 +509,7 @@ def operator_product_bound(f1, f2, state):
 
 def reference_char_function(f_op, t_grid, state):
     """One ``expm_multiply`` per t: the route the Lanczos quadrature replaces."""
-    gen = (1j * f_op).tocsc()
+    gen = (1j * f_op).tocsr()
     return np.array([np.vdot(state.vector, expm_multiply(t * gen, state.vector))
                      for t in t_grid])
 
@@ -630,7 +631,7 @@ class TestPairGrades:
         assert np.array_equal(np.sort(np.concatenate(list(sectors.values()))),
                               np.arange(ws.dimension))
         for eps, g, *_ in run_check("spectrum").rows[:5]:
-            block = pair_block(ws, Q, eps, g)
+            block = pair_block(ws, Q, eps, g).tocsr()
             dense = np.linalg.eigvalsh(block.toarray())
             pieces = np.sort(np.concatenate([np.linalg.eigvalsh(block[idx][:, idx].toarray())
                                              for idx in sectors.values()]))
@@ -720,7 +721,7 @@ class TestLayeredLanczos:
     @pytest.mark.parametrize("layered", [True, False])
     def test_leak_is_the_edge_weight_of_the_evolved_state(self, layered, monkeypatch):
         f_op, t_grid, state = reduced_clt_case(0, layered=layered)
-        gen = (1j * (workspace_matrix(f_op) if layered else f_op)).tocsc()
+        gen = (1j * (workspace_matrix(f_op) if layered else f_op)).tocsr()
         edge = ~state.workspace.interior()
         worst = max(np.sum(np.abs(expm_multiply(t * gen, state.vector)[edge]) ** 2)
                     for t in t_grid)
@@ -745,33 +746,6 @@ class TestLayeredLanczos:
         shifted = FiniteState(ws, vector=(ws.creator(Q) @ state.vector))
         with pytest.raises(ValueError, match="lowest layer"):
             clt_char_function(f_op, t_grid, shifted)
-
-
-class TestDiagonalShortcuts:
-    """The diagonal projector and ``N`` act by selecting and scaling entries, not by products."""
-
-    @staticmethod
-    def random_op(ws, seed):
-        rng = np.random.default_rng(seed)
-        op = sp.random(ws.dimension, ws.dimension, density=0.1, random_state=rng, format="csr")
-        return (op + 1j * sp.random(ws.dimension, ws.dimension, density=0.1,
-                                    random_state=rng, format="csr")).tocsr()
-
-    @pytest.mark.parametrize("margin", [0, 1, 2])
-    def test_projected_norm_matches_products(self, margin):
-        ws = FockWorkspace(1.0, [ZERO, Q], {ZERO: (2, 9), Q: 4})
-        op, proj = self.random_op(ws, margin), ws.below_truncation_projector(margin)
-        clipped = proj @ op @ proj
-        expected = math.sqrt(np.sum(np.abs(clipped.data) ** 2))
-        assert _projected_norm(op, proj) == pytest.approx(expected, rel=1e-14)
-        assert _projected_norm(op, ws.identity()) == pytest.approx(sparse_norm(op), rel=1e-14)
-
-    def test_projected_norm_refuses_a_non_projector(self):
-        ws = FockWorkspace(1.0, [Q], 3)
-        op = ws.number(Q)
-        for proj in (ws.creator(Q) + ws.identity(), 2.0 * ws.identity()):
-            with pytest.raises(ValueError, match="diagonal projector"):
-                _projected_norm(op, proj)
 
 
 def goldstone_box_2(model):
@@ -800,7 +774,7 @@ class TestStrideDiagonals:
         ``N`` and a complex combination of words of length one to three."""
         b_dag, b = _ladder_sums(ws, Q)
         diff = ws._ladder(ZERO) - ws._ladder(ZERO).adjoint()
-        n_tot = _Diagonals(ws.dimension, {0: ws.totals()})
+        n_tot = Diagonals.diag(ws.totals())
         mixed = (0.3 - 1.1j) * b_dag @ ws._ladder(ZERO) + 0.7 * diff @ b @ b - 2.0j * n_tot
         csr_b_dag = ws.creator(Q) + ws.creator(MQ)
         csr_b = ws.annihilator(Q) + ws.annihilator(MQ)
@@ -831,7 +805,7 @@ class TestStrideDiagonals:
     def test_the_number_anticommutator(self, case):
         ws, *_ = STRIDE_WORKSPACES[case]()
         b_dag, b = _ladder_sums(ws, Q)
-        x_op, n_tot = b_dag + b, _Diagonals(ws.dimension, {0: ws.totals()})
+        x_op, n_tot = b_dag + b, Diagonals.diag(ws.totals())
         csr_x = ws.creator(Q) + ws.creator(MQ) + ws.annihilator(Q) + ws.annihilator(MQ)
         csr_n = ws.total_number()
         expected = csr_n @ csr_x + csr_x @ csr_n
@@ -846,7 +820,7 @@ class TestStrideDiagonals:
             # unsorted: equal up to the rounding of the largest row of |x| |vec|
             assert np.max(np.abs(x @ vec - cx @ vec)) <= 1e-15 * np.max(abs(cx) @ abs(vec))
             for margin in (0, 1, 2):
-                expected = _projected_norm(cx, ws.below_truncation_projector(margin))
+                expected = projected_norm(cx, ws.below_truncation_projector(margin))
                 assert x.projected_norm(ws.interior(margin)) == pytest.approx(expected, rel=1e-14)
 
     def test_builders_give_the_csr_of_the_ladder_products(self, case):
@@ -860,16 +834,15 @@ class TestStrideDiagonals:
             n_sq = sp.diags(ws.totals() ** 2, format="csr")
             expected = ((dispersion(k, params_m) + g) * n_q + g * (pair + pair.conjugate().T)
                         + (table.u / (2.0 * ws.volume)) * n_sq - table.mu * ws.total_number())
-            assert abs(build_hamiltonian(model, ws, params_m) - expected).max() == 0.0
-            assert abs(_hamiltonian(model, ws, params_m).tocsr() - expected).max() == 0.0
+            assert abs(build_hamiltonian(model, ws, params_m).tocsr() - expected).max() == 0.0
         b_dag, b = ws.creator(Q) + ws.creator(MQ), ws.annihilator(Q) + ws.annihilator(MQ)
         f, g = 0.4 - 0.9j, -0.7 + 0.2j
         norm = 1.0 / (2.0 * amp)
         expected = ((norm * f) * (b_dag @ ws.annihilator(ZERO))
                     + (norm * f.conjugate()) * (ws.creator(ZERO) @ b)
                     + (0.5j * g) * b_dag + (-0.5j * g.conjugate()) * b)
-        assert abs(condensate_fluct_matrix(ws, Q, amp, f_q0=f, g_q0=g) - expected).max() == 0.0
-        assert abs(_fluct(ws, Q, amp, f_q0=f, g_q0=g).tocsr() - expected).max() == 0.0
+        assert abs(condensate_fluct_matrix(ws, Q, amp, f_q0=f, g_q0=g).tocsr()
+                   - expected).max() == 0.0
 
 
 class TestInteractionStructure:
@@ -911,20 +884,6 @@ class TestGoldstoneClosure:
         assert report.remainder_norms[0] > report.remainder_norms[-1]
         rate = fit_power_law(list(zip(report.volumes, report.remainder_norms)))
         assert rate == pytest.approx(-0.5, abs=0.1)
-
-    @pytest.mark.parametrize("model,params", [
-        ("imperfect", imperfect_params()),
-        ("wibg", wibg_params()),
-    ])
-    def test_closure_makes_no_sparse_product(self, model, params, monkeypatch):
-        # every operator of the check is a sum of stride diagonals: no CSR x CSR product
-        def refuse(*args, **kwargs):
-            raise AssertionError("sparse x sparse product")
-        monkeypatch.setattr(sp._compressed._cs_matrix, "_matmul_sparse", refuse)
-        ws = FockWorkspace(1.0, [Q], 2)
-        with pytest.raises(AssertionError, match="sparse x sparse"):  # the patch holds
-            ws.creator(Q) @ ws.creator(Q)
-        self.assert_closes(goldstone_closure_check(model, params))
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
