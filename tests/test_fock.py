@@ -885,6 +885,20 @@ class TestGoldstoneClosure:
         rate = fit_power_law(list(zip(report.volumes, report.remainder_norms)))
         assert rate == pytest.approx(-0.5, abs=0.1)
 
+    @pytest.mark.parametrize("model,params", [
+        ("imperfect", imperfect_params()),
+        ("wibg", wibg_params()),
+    ])
+    def test_closure_makes_no_sparse_product(self, model, params, monkeypatch):
+        # every operator of the check is a sum of stride diagonals: no CSR x CSR product
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse x sparse product")
+        monkeypatch.setattr(sp._compressed._cs_matrix, "_matmul_sparse", refuse)
+        ws = FockWorkspace(1.0, [Q], 2)
+        with pytest.raises(AssertionError, match="sparse x sparse"):  # the patch holds
+            ws.creator(Q) @ ws.creator(Q)
+        self.assert_closes(goldstone_closure_check(model, params))
+
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             goldstone_closure_check("ideal", imperfect_params())
