@@ -202,8 +202,9 @@ def equivalence_distance(spec1: FluctuationSpec, spec2: FluctuationSpec,
     Zero exactly when the limiting fluctuation fields coincide, e.g.
     for the pair ``(f, 0)`` versus ``(0, Jf)``. The q -> 0 limit is a
     Richardson extrapolation over the four wavevector norms
-    ``|q| 2^-j``, j = 0..3, seeded from the specs' own q. Both specs
-    must carry the same ``renorm_exponent``: the difference spec has one.
+    ``|q| 2^-j``, j = 0..3, seeded from the specs' own q; a limit that rounds
+    negative shows as ``sqrt(|limit|)``. Both specs must carry the same
+    ``renorm_exponent``: the difference spec has one.
     """
     if spec1.model != spec2.model:
         raise ValueError("specs use different models")
@@ -213,7 +214,7 @@ def equivalence_distance(spec1: FluctuationSpec, spec2: FluctuationSpec,
     q_tail = [spec1.q_norm * 0.5**j for j in range(4)]
     values = [variance_general(replace(diff, q=qn), params) for qn in q_tail]
     limit = richardson(q_tail, values, (1, 2, 3))
-    return math.sqrt(max(limit, 0.0))
+    return math.sqrt(abs(limit))
 
 
 def structure_factor(q, params: ModelParams, density_kind: str = "condensate",

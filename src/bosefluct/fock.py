@@ -9,8 +9,9 @@ vectors and a product is a shifted elementwise product of vectors. The
 builders (:func:`pair_block`, :func:`build_hamiltonian`,
 :func:`condensate_fluct_matrix`, ``transfer_operator``) return
 :class:`Diagonals`, and no check multiplies two sparse matrices. CSR is made
-only for scipy: ``expm_multiply``, ``eigsh``, the Lanczos layout, sector
-slices, and the ``annihilator``/``creator`` views. Both Hamiltonians are sums
+only for :func:`expm_multiply` (a Chebyshev propagator), scipy's ``eigsh``,
+sector slices and the ``annihilator``/``creator`` views; the Lanczos takes
+fixed-width rows (:class:`LayeredOperator`). Both Hamiltonians are sums
 of ``+-k`` pair blocks with the couplings ``(g, mu, u)`` of the gas. The
 matrix-level checks: exact commutator identities of the Goldstone pair; BCH
 defects in the state seminorm; characteristic functions for the
@@ -33,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh, expm_multiply
+from scipy.sparse.linalg import eigsh
 
 from .model import ModelParams, dispersion, gas_table
 
@@ -64,6 +65,7 @@ LANCZOS_BREAKDOWN = 1e-14  # residual norm of an exact invariant subspace
 LANCZOS_MAX_STEPS = 100
 LANCZOS_START_ROWS = 16  # rows of the Krylov basis before its first doubling
 LANCZOS_DGKS_RATIO = 2.0**-0.5  # a Gram-Schmidt pass that shrinks ||w|| below this is repeated
+UNIT_ROUNDOFF = 2.0**-53  # the Chebyshev tail left out of expm_multiply, relative to ||v||
 INTERACTION_BOX_SIDE = 2.0  # box side of the truncation rederivation: momenta are multiples of pi
 
 
@@ -466,37 +468,42 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> Dia
 class LayeredOperator:
     """A Hermitian operator on the workspace indices ``order``, in blocks sorted by a grade.
 
-    Block ``b`` holds the positions ``starts[b] .. starts[b + 1]`` in ascending ``grades``,
-    and ``blocks[b]`` their rows as one CSR matrix of its own.
-    With two blocks, the parities of a grade ``G`` that every entry moves by one, the
-    Krylov row ``k`` grown from a vector on ``G = 0`` is zero off :meth:`span` ``(k)``.
+    Block ``b`` holds the positions ``starts[b] .. starts[b + 1]`` in ascending ``grades``, and
+    position ``p`` the entries ``values[j, p]`` in the columns ``columns[j, p]``, one per
+    diagonal of :meth:`lay_out`: fixed-width rows. With two blocks, the parities of a grade
+    ``G`` that every entry moves by one, the Krylov row ``k`` grown from a vector on ``G = 0``
+    is zero off :meth:`span` ``(k)``.
     """
 
-    def __init__(self, order: np.ndarray, blocks: Sequence[sp.csr_matrix], grades: np.ndarray,
-                 starts: np.ndarray):
-        self.order, self.blocks, self.grades, self.starts = order, blocks, grades, starts
+    def __init__(self, order: np.ndarray, grades: np.ndarray, starts: np.ndarray,
+                 columns: np.ndarray, values: np.ndarray):
+        self.order, self.grades, self.starts = order, grades, starts
+        self.columns, self.values = columns, values
 
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        """The whole operator on the positions, its blocks stacked."""
-        return sp.vstack(self.blocks, format="csr")
+    @classmethod
+    def lay_out(cls, diagonals: Sequence[Tuple[int, np.ndarray]], grade: np.ndarray
+                ) -> "LayeredOperator":
+        """The diagonals ``(o, d)``, ``M[r, r + o] = d[r]``, on the basis ordered by the parity of
+        ``grade``, then ``grade``. A column ``r + o`` outside the matrix wraps, which is exact:
+        its entry is zero (:class:`Diagonals`)."""
+        order = np.lexsort((grade, grade % 2))
+        position, n = np.argsort(order), len(order)
+        return cls(order, grade[order], np.r_[0, np.cumsum(np.bincount(grade % 2))],
+                   np.array([position[(order + o) % n] for o, _ in diagonals]),
+                   np.array([d[order] for _, d in diagonals]))
 
     def span(self, k: int) -> Tuple[int, int]:
         """Positions ``lo .. hi`` with ``G <= k`` of block ``k`` modulo the number of blocks."""
         lo, end = self.starts[k % (len(self.starts) - 1):][:2]
         return int(lo), int(lo + np.searchsorted(self.grades[lo:end], k, side="right"))
 
-    def rows(self, lo: int, hi: int) -> sp.csr_matrix:
-        """The rows ``lo .. hi``, which lie in one block, as a CSR matrix.
-
-        They share the block's arrays when they hold at least half its
-        entries; scipy's CSR constructor copies a shorter slice.
-        """
-        b = int(np.searchsorted(self.starts, lo, side="right")) - 1
-        m, lo, hi = self.blocks[b], lo - self.starts[b], hi - self.starts[b]
-        cut = slice(m.indptr[lo], m.indptr[hi])
-        return sp.csr_matrix((m.data[cut], m.indices[cut], m.indptr[lo:hi + 1] - m.indptr[lo]),
-                             shape=(hi - lo, m.shape[1]))
+    def image(self, vector: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The rows ``lo .. hi`` times ``vector``: a gather and an axpy per stored diagonal."""
+        out, gathered = np.zeros(hi - lo, dtype=complex), np.empty(hi - lo, dtype=complex)
+        for columns, values in zip(self.columns[:, lo:hi], self.values[:, lo:hi]):
+            np.take(vector, columns, out=gathered, mode="clip")  # "clip" does not buffer ``out``
+            out += np.multiply(gathered, values, out=gathered)
+        return out
 
 
 def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[Diagonals, Diagonals]:
@@ -549,10 +556,10 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
     """``(f_q0, g_q0) -> F(f, g)`` for many smearings on one workspace.
 
     ``F`` is linear in ``(f, conj f, g, conj g)``. The four parts of
-    :func:`condensate_fluct_matrix` are built once and their entries laid
-    out together, row by row, as one sparse pattern per block below that
-    records the part each entry comes from. A call only scales every entry
-    by its part's weight, so it equals :func:`condensate_fluct_matrix` entry for entry;
+    :func:`condensate_fluct_matrix` are built once and their diagonals laid
+    out as the fixed-width rows of a :class:`LayeredOperator`, each row
+    belonging to one part. A call only scales each value row by its part's
+    weight, so it equals :func:`condensate_fluct_matrix` entry for entry;
     where a smearing vanishes its parts stay as explicit zeros, and an
     entry that two parts share is stored once for each. ``F(0, 0)`` is
     refused.
@@ -562,32 +569,18 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
     parity of ``G``, then ``G``; where an entry does not, as at ``q = 0``,
     on one block of one layer in workspace order.
     """
-    n = ws.dimension
-    parts = [part.tocsr().tocoo() for _, part in _fluct_parts(ws, q_lat, (1.0,) * 4)]
-    rows = np.concatenate([part.row for part in parts])
-    cols = np.concatenate([part.col for part in parts])
+    parts = [sorted(part.diagonals.items()) for _, part in _fluct_parts(ws, q_lat, (1.0,) * 4)]
+    owner = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    diagonals = [diagonal for part in parts for diagonal in part]
     grade = np.add(*_pair_occupations(ws, q_lat))
-    grade *= np.all(np.abs(grade[rows] - grade[cols]) == 1)  # else one layer: G = 0
-    order = np.lexsort((grade, grade % 2))
-    position = np.argsort(order)
-    rows, cols = position[rows], position[cols]
-    entries = np.argsort(rows * n + cols, kind="stable")
-    values = np.concatenate([part.data for part in parts])[entries]
-    owner = np.repeat(np.arange(len(parts)), [part.nnz for part in parts])[entries]
-    indices = cols[entries].astype(np.int32)
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(np.int32)
-    grades, starts = grade[order], np.r_[0, np.cumsum(np.bincount(grade % 2))]
-    firsts = indptr[starts]  # the first entry of each block
-    # per block: its entries' parts and values, its row pointers, and column indices in an
-    # array of their own, which scipy's CSR constructor would copy as a slice of half the base
-    pieces = [(owner[e0:e1], values[e0:e1], indices[e0:e1].copy(), indptr[r0:r1 + 1] - e0)
-              for r0, r1, e0, e1 in zip(starts[:-1], starts[1:], firsts[:-1], firsts[1:])]
+    grade *= all(np.all((np.abs(grade - np.roll(grade, -o)) == 1)[d != 0])  # else one layer: G = 0
+                 for o, d in diagonals)
+    unit = LayeredOperator.lay_out(diagonals, grade)
 
     def matrix(f_q0: complex = 0.0, g_q0: complex = 0.0) -> LayeredOperator:
         weights = np.array(_fluct_weights(amplitude, f_q0, g_q0))
-        blocks = [sp.csr_matrix((weights[part] * vals, idx, ptr), shape=(len(ptr) - 1, n))
-                  for part, vals, idx, ptr in pieces]
-        return LayeredOperator(order, blocks, grades, starts)
+        return LayeredOperator(unit.order, unit.grades, unit.starts, unit.columns,
+                               weights[owner][:, None] * unit.values)
 
     return matrix
 
@@ -595,10 +588,57 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
 # -- BCH and CLT -----------------------------------------------------------
 
 
+def _bessel_series(x: float) -> np.ndarray:
+    """``J_k(x)``, ``x > 0``, below the first ``K`` with ``2 sum_{k>=K} |J_k(x)| < UNIT_ROUNDOFF``:
+    Miller's recurrence ``J_{k-1} = (2k/x) J_k - J_{k+1}`` run down from 20 orders past
+    ``max(e x, 60)``, where ``|J_k(x)| <= (x/2)^k / k! < (e x / 2k)^k`` is below ``2^-60``, and
+    normalized by ``J_0 + 2 sum J_{2k} = 1``."""
+    values = [0.0, 1.0]  # J_{N+1} and J_N, N even, up to a common factor
+    for k in range(2 * math.ceil(max(math.e * x, 60.0) / 2.0) + 20, 0, -1):
+        values.append((2.0 * k / x) * values[-1] - values[-2])
+        if abs(values[-1]) > 1e200:  # rescaled before it can overflow
+            values = [value * 1e-200 for value in values]
+    values = np.array(values[:0:-1])
+    bessel = values / (values[0] + 2.0 * values[2::2].sum())
+    tails = np.cumsum(np.abs(bessel[::-1]))[::-1]  # sum_{j >= k} |J_j(x)|
+    return bessel[:np.count_nonzero(2.0 * tails >= UNIT_ROUNDOFF)]
+
+
+def expm_multiply(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """``e^A v`` for a skew-Hermitian CSR ``A`` (scipy's name and argument order, one vector).
+
+    On the Gershgorin interval ``[c - r, c + r]`` of ``H = -iA``, ``e^A = e^{ic} sum_k
+    (2 - delta_k0) i^k J_k(r) T_k(X)``, ``X = (H - c) / r``, where ``||T_k(X)|| <= 1`` bounds the
+    terms left out by :func:`_bessel_series` (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
+    (1984)). ``2X`` is made once per call, and ``T_{k+1} = 2X T_k - T_{k-1}`` needs no
+    eigensolve and no BLAS call.
+    """
+    diagonal = A.diagonal()
+    radii = abs(A) @ np.ones(A.shape[0]) - np.abs(diagonal)
+    lo, hi = np.min(diagonal.imag - radii), np.max(diagonal.imag + radii)  # H_rr = Im A_rr
+    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    phase = complex(math.cos(c), math.sin(c))
+    if r == 0.0:  # H = c
+        return phase * v
+    double = A * (-2j / r)
+    if c:
+        double = double - sp.identity(A.shape[0], format="csr") * (2.0 * c / r)
+    bessel = _bessel_series(r)
+    k = np.arange(len(bessel))
+    coefs = np.where(k, 2.0, 1.0) * np.array([1, 1j, -1, -1j])[k % 4] * bessel
+    out, older, prior = coefs[0] * v, None, v
+    for coef in coefs[1:]:
+        image = double @ prior
+        older, prior = prior, (0.5 * image if older is None  # T_1 = X T_0
+                               else np.subtract(image, older, out=image))
+        out += coef * prior
+    return phase * out
+
+
 def bch_defect(f1: Diagonals, f2: Diagonals, state: FiniteState) -> float:
     """Seminorm of ``e^{iF1} e^{iF2} - e^{i(F1+F2)} e^{-[F1,F2]/2}`` on the state.
 
-    Each exponent goes to ``expm_multiply`` as CSR.
+    Each exponent goes to :func:`expm_multiply`, the Chebyshev propagator, as CSR.
     """
     if state.vector is None:
         raise ValueError("bch_defect needs a pure state")
@@ -669,8 +709,8 @@ def clt_char_function(f_op: Diagonals | LayeredOperator, t_grid: Sequence[float]
     from the allocator already mapped on the next call, where a buffer for
     every possible step would be mapped, and page-faulted, afresh each time.
 
-    ``F`` is a :class:`LayeredOperator`, or :class:`Diagonals` as one block
-    of one layer. From a state on ``G = 0``, the Krylov row ``k`` is zero off
+    ``F`` is a :class:`LayeredOperator`, or :class:`Diagonals` laid out as one block
+    of one layer in workspace order. From a state on ``G = 0``, the Krylov row ``k`` is zero off
     ``F.span(k)``, so step ``k`` multiplies by the rows ``F.span(k + 1)`` and
     orthogonalizes there against the prior rows of their block alone, each
     on its own span. Every sum runs in numpy's own loops, none in BLAS, so
@@ -685,8 +725,8 @@ def clt_char_function(f_op: Diagonals | LayeredOperator, t_grid: Sequence[float]
         raise ValueError("clt_char_function needs a pure state")
     ws = state.workspace
     n = len(state.vector)
-    op = f_op if isinstance(f_op, LayeredOperator) else LayeredOperator(  # one block, one layer
-        np.arange(n), [f_op.tocsr()], np.zeros(n, dtype=int), np.array([0, n]))
+    op = f_op if isinstance(f_op, LayeredOperator) else LayeredOperator.lay_out(  # one layer
+        sorted(f_op.diagonals.items()), np.zeros(n, dtype=int))
     n_blocks = len(op.starts) - 1
     edges = np.flatnonzero(~ws.interior()[op.order])  # positions on an edge level
     edges = np.split(edges, np.searchsorted(edges, op.starts[1:-1]))  # by block
@@ -705,7 +745,7 @@ def clt_char_function(f_op: Diagonals | LayeredOperator, t_grid: Sequence[float]
     while True:
         q = basis[steps - 1]
         lo, hi = op.span(steps)  # where F q lies
-        w = op.rows(lo, hi) @ q
+        w = op.image(q, lo, hi)
         alphas.append(0.0 if n_blocks == 2 else _inner(q[lo:hi], w))  # with two blocks
         if alphas[-1]:  # q lies in the other block, and q[lo:hi] is zero
             w -= alphas[-1] * q[lo:hi]

@@ -89,6 +89,24 @@ class TestRun:
                   for threads in runs]
         assert len(tables[0]) == 4 and tables[0] == tables[1]
 
+    def test_fock_checks_keep_one_core_busy(self):
+        # at the default OpenBLAS thread count: a BLAS call on a few dozen rows or more wakes
+        # a second thread, which spins between calls and doubles CPU time against wall time
+        script = ("import time\n"
+                  "from bosefluct.checks import run_check\n"
+                  "wall, cpu = time.perf_counter(), time.process_time()\n"
+                  "for name in ('bch', 'clt', 'goldstone-imperfect', 'goldstone-wibg'):\n"
+                  "    run_check(name)\n"
+                  "print(time.process_time() - cpu, time.perf_counter() - wall)\n")
+        src = str(Path(bosefluct.__file__).parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        cpu, wall = map(float, done.stdout.split())
+        assert cpu <= 1.25 * wall
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "sweep.ini", checks="lifetime-exponents")
         out_dir = tmp_path / "envout"

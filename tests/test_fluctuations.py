@@ -276,6 +276,11 @@ class TestEquivalenceDistance:
         with pytest.raises(ValueError, match="renormalization exponents"):
             equivalence_distance(rho_down, rho_up, wibg_params())
 
+    def test_negative_limit_shows_its_magnitude(self, monkeypatch):
+        monkeypatch.setattr(fluctuations, "richardson", lambda *args: -1e-12)
+        spec = FluctuationSpec("wibg", (0, 0, 0.3), f_q0=1.0)
+        assert equivalence_distance(spec, spec, wibg_params()) == math.sqrt(1e-12)
+
     def test_self_distance_zero(self):
         spec = FluctuationSpec("wibg", (0, 0, 0.3), f_q0=1.0 + 2.0j, g_q0=-0.5)
         assert equivalence_distance(spec, spec, wibg_params()) == 0.0

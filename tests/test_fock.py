@@ -7,7 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.special
 from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 
 from bogoliubov_reference import half_angles
@@ -191,7 +193,7 @@ class TestOccupationWindow:
         # mean 9: on the levels 7 .. 40 the bottom level holds 12% of the state
         def char_function(levels):
             ws = FockWorkspace(1.0, [ZERO], levels)
-            f_op = ws.creator(ZERO) + ws.annihilator(ZERO)
+            f_op = quadrature(ws, ZERO)
             return clt_char_function(f_op, [0.5], FiniteState.coherent_vacuum(ws, 3.0))
 
         with warnings.catch_warnings():
@@ -470,7 +472,7 @@ class TestBchAndClt:
 
     def test_single_quadrature_gaussian(self):
         ws = FockWorkspace(1.0, [Q], 50)
-        f_op = (ws.creator(Q) + ws.annihilator(Q)) / math.sqrt(2.0)
+        f_op = quadrature(ws, Q) * 2.0**-0.5
         state = FiniteState.coherent_vacuum(ws, 0.0)
         t_grid = np.linspace(0.0, 2.0, 9)
         values = clt_char_function(f_op, t_grid, state)
@@ -478,10 +480,52 @@ class TestBchAndClt:
 
     def test_leakage_warning(self):
         ws = FockWorkspace(1.0, [Q], 3)
-        f_op = ws.creator(Q) + ws.annihilator(Q)
+        f_op = quadrature(ws, Q)
         state = FiniteState.coherent_vacuum(ws, 0.0)
         with pytest.warns(RuntimeWarning):
             clt_char_function(f_op, [3.0], state)
+
+
+class TestChebyshevPropagator:
+    """``fock.expm_multiply``: the Chebyshev series of ``e^{iH}`` that ``bch_defect`` uses."""
+
+    @pytest.mark.parametrize("box", [2.0, 3.0, 4.0])
+    def test_matches_scipy_on_the_bch_operands(self, box):
+        _, state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, box)
+        comm = rho @ a_op - a_op @ rho
+        for exponent in (1j * rho, 1j * a_op, 1j * (rho + a_op), -0.5 * comm):
+            generator = exponent.tocsr()
+            expected = expm_multiply(generator, state.vector)
+            got = fock.expm_multiply(generator, state.vector)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_expm_on_random_skew_hermitian(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (h + h.conj().T) * (3.0 * seed + 0.5) / n + np.diag(rng.uniform(-5.0, 5.0, n))
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expected = scipy.linalg.expm(1j * h) @ v
+        got = fock.expm_multiply(sp.csr_matrix(1j * h), v)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 3.0, 13.9, 20.0])
+    def test_miller_bessel_values_and_truncation(self, x):
+        bessel = fock._bessel_series(x)
+        reference = scipy.special.jv(np.arange(len(bessel) + 60), x)
+        assert np.max(np.abs(bessel - reference[:len(bessel)])) < 1e-15
+        assert 2.0 * np.sum(np.abs(reference[len(bessel):])) < 2.0**-53
+        assert 2.0 * np.sum(np.abs(reference[len(bessel) - 1:])) >= 2.0**-53  # the first such order
+
+    def test_zero_generator_returns_the_vector(self):
+        v = np.random.default_rng(1).standard_normal(6) + 1j
+        assert np.array_equal(fock.expm_multiply(sp.csr_matrix((6, 6), dtype=complex), v), v)
+
+    def test_diagonal_shift_is_a_phase(self):
+        v = np.random.default_rng(2).standard_normal(6) + 1j
+        got = fock.expm_multiply(sp.identity(6, format="csr") * 0.7j, v)
+        assert np.array_equal(got, complex(math.cos(0.7), math.sin(0.7)) * v)
 
 
 def density_k_sum(ws, amp, smear):
@@ -514,10 +558,35 @@ def reference_char_function(f_op, t_grid, state):
                      for t in t_grid])
 
 
+def quadrature(ws, mode):
+    """``a_k + a*_k`` as :class:`Diagonals`."""
+    a = ws._ladder(mode)
+    return a + a.adjoint()
+
+
+def as_diagonals(m):
+    """A sparse matrix as :class:`Diagonals`, one vector per offset of its entries."""
+    m = m.tocoo()
+    offsets = m.col - m.row
+    diagonals = {}
+    for o in np.unique(offsets):
+        d = np.zeros(m.shape[0], dtype=m.dtype)
+        np.add.at(d, m.row[offsets == o], m.data[offsets == o])
+        diagonals[int(o)] = d
+    return Diagonals(m.shape[0], diagonals)
+
+
+def layered_matrix(op):
+    """A :class:`LayeredOperator` as a CSR matrix on its positions."""
+    n = len(op.order)
+    rows = np.broadcast_to(np.arange(n), op.columns.shape)
+    return sp.csr_matrix((op.values.ravel(), (rows.ravel(), op.columns.ravel())), shape=(n, n))
+
+
 def workspace_matrix(op):
     """A :class:`LayeredOperator` as a sparse matrix in the workspace basis."""
     position = np.argsort(op.order)
-    return op.matrix[position][:, position]
+    return layered_matrix(op)[position][:, position]
 
 
 def reduced_clt_case(seed, q=Q, layered=False):
@@ -579,7 +648,7 @@ class TestLanczosCharFunction:
                       format="csr", dtype=float)
         a = a + 1j * sp.random(ws.dimension, ws.dimension, density=0.02,
                                random_state=rng, format="csr")
-        f_op = (a + a.conjugate().T).tocsr()
+        f_op = as_diagonals(a + a.conjugate().T)
         vec = rng.normal(size=ws.dimension) + 1j * rng.normal(size=ws.dimension)
         state = FiniteState(ws, vector=vec)
         t_grid = np.linspace(0.0, 1.0, 6)
@@ -592,7 +661,7 @@ class TestLanczosCharFunction:
         # F = a + a* on levels {0, 1}: the Krylov space closes at step 2
         monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 2)
         ws = FockWorkspace(1.0, [Q], 1)
-        f_op = ws.creator(Q) + ws.annihilator(Q)
+        f_op = quadrature(ws, Q)
         state = FiniteState.coherent_vacuum(ws, 0.0)
         t_grid = np.linspace(0.0, 3.0, 7)
         with pytest.warns(RuntimeWarning):  # the top level is level 1
@@ -602,15 +671,14 @@ class TestLanczosCharFunction:
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 3)
         ws = FockWorkspace(1.0, [Q], 50)
-        f_op = (ws.creator(Q) + ws.annihilator(Q)) / math.sqrt(2.0)
+        f_op = quadrature(ws, Q) * 2.0**-0.5
         state = FiniteState.coherent_vacuum(ws, 0.0)
         with pytest.raises(RuntimeError):
             clt_char_function(f_op, [2.0], state)
 
     def test_leak_only_at_largest_time_warns(self):
         ws = FockWorkspace(2.0, [ZERO, Q], 8)
-        f_op = (ws.creator(Q) + ws.annihilator(Q)
-                + 0.3 * (ws.creator(ZERO) + ws.annihilator(ZERO)))
+        f_op = quadrature(ws, Q) + 0.3 * quadrature(ws, ZERO)
         state = FiniteState.coherent_vacuum(ws, 0.0)
         t_grid = [0.25, 0.5, 1.0]
         with warnings.catch_warnings():
@@ -650,15 +718,18 @@ class TestPairGrades:
         assert f_op.span(0) == (0, np.count_nonzero(grade == 0))
         assert f_op.span(3) == (n_even, n_even + np.count_nonzero((grade % 2 == 1) & (grade <= 3)))
         # every entry joins the two parities
-        rows, cols = f_op.matrix.nonzero()
+        rows, cols = layered_matrix(f_op).nonzero()
         assert np.all((rows < n_even) != (cols < n_even))
 
     def test_rows_of_a_span_are_rows_of_the_matrix(self):
         f_op, _, _ = reduced_clt_case(0, layered=True)
-        whole = f_op.matrix
+        whole = layered_matrix(f_op)
+        rng = np.random.default_rng(4)
+        vector = rng.standard_normal(whole.shape[0]) + 1j * rng.standard_normal(whole.shape[0])
         for k in range(8):
             lo, hi = f_op.span(k)
-            assert np.array_equal(f_op.rows(lo, hi).toarray(), whole[lo:hi].toarray())
+            assert np.max(np.abs(f_op.image(vector, lo, hi) - whole[lo:hi] @ vector),
+                          initial=0.0) < 1e-14
 
 
 class TestLayeredLanczos:
@@ -693,7 +764,7 @@ class TestLayeredLanczos:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_the_one_layer_route(self, seed):
         f_op, t_grid, state = reduced_clt_case(seed, layered=True)
-        one_layer = self.char_function(workspace_matrix(f_op), t_grid, state)
+        one_layer = self.char_function(as_diagonals(workspace_matrix(f_op)), t_grid, state)
         assert np.max(np.abs(self.char_function(f_op, t_grid, state) - one_layer)) < 1e-14
 
     def test_step_cap_raises(self, monkeypatch):
