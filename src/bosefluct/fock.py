@@ -1,25 +1,21 @@
 """Truncated Fock-space simulator: matrix-level ground truth.
 
-Builds small multi-mode bosonic workspaces (each mode keeps an occupation
-window ``lo .. hi``, and a coherent zero mode the window
-:func:`coherent_window` of its amplitude). A ladder operator is one diagonal
-at its mode's stride in the basis index, so every operator here, a sum of
-ladder words, is held as stride diagonals (:class:`Diagonals`): a sum adds
-vectors and a product is a shifted elementwise product of vectors. The
-builders (:func:`pair_block`, :func:`build_hamiltonian`,
-:func:`condensate_fluct_matrix`, ``transfer_operator``) return
-:class:`Diagonals`, and no check multiplies two sparse matrices. CSR is made
+Builds small multi-mode bosonic workspaces, each mode on an occupation window
+``lo .. hi`` (a coherent zero mode on :func:`coherent_window` of its amplitude).
+A ladder operator is one diagonal at its mode's stride in the basis index, so
+every operator here, a sum of ladder words, is held as stride diagonals
+(:class:`Diagonals`), and no check multiplies two sparse matrices. CSR is made
 only for :func:`expm_multiply` (a Chebyshev propagator), scipy's ``eigsh``,
-sector slices and the ``annihilator``/``creator`` views; the Lanczos takes
-fixed-width rows (:class:`LayeredOperator`). Both Hamiltonians are sums
-of ``+-k`` pair blocks with the couplings ``(g, mu, u)`` of the gas. The
-matrix-level checks: exact commutator identities of the Goldstone pair; BCH
-defects in the state seminorm; characteristic functions for the
-central-limit check; the vanishing commutator of the two-body interaction
-with the density fluctuation; the truncation rederivation of the superfluid
-Hamiltonian. On the workspace ``[0, q, -q]`` one builder writes the smeared
-fluctuation ``F(f, g)`` of both gases (density half ``f``, order-parameter
-half ``g``); :func:`condensate_fluct_family` gives it for many smearings.
+sector slices and the ``annihilator``/``creator`` views. The Lanczos of
+:func:`clt_char_function` is the plain three-term recurrence on fixed-width
+rows (:class:`LayeredOperator`), with no reorthogonalization (Druskin,
+Greenbaum and Knizhnerman 1998). Both Hamiltonians are sums of ``+-k`` pair
+blocks with the couplings ``(g, mu, u)`` of the gas. The checks: Goldstone
+commutator identities, BCH defects, central-limit characteristic functions,
+the commutation of the two-body interaction with the density fluctuation and
+the truncation rederivation. On the workspace ``[0, q, -q]`` one builder
+writes the smeared fluctuation ``F(f, g)`` of both gases;
+:func:`condensate_fluct_family` gives it for many smearings.
 
 Modes are integer lattice triples; for the interaction checks their labels
 add modulo a small torus, so momentum is conserved exactly on the mode set.
@@ -63,8 +59,6 @@ LEAK_TOL = 1e-6  # edge-level population that counts as truncation leakage
 LANCZOS_TOL = 1e-12  # change of the characteristic function that stops the Krylov growth
 LANCZOS_BREAKDOWN = 1e-14  # residual norm of an exact invariant subspace
 LANCZOS_MAX_STEPS = 100
-LANCZOS_START_ROWS = 16  # rows of the Krylov basis before its first doubling
-LANCZOS_DGKS_RATIO = 2.0**-0.5  # a Gram-Schmidt pass that shrinks ||w|| below this is repeated
 UNIT_ROUNDOFF = 2.0**-53  # the Chebyshev tail left out of expm_multiply, relative to ||v||
 INTERACTION_BOX_SIDE = 2.0  # box side of the truncation rederivation: momenta are multiples of pi
 
@@ -151,15 +145,23 @@ class Diagonals:
 
     __rmul__ = __mul__
 
+    def _meeting(self, o: int) -> Tuple[slice, slice]:
+        """The rows ``r`` whose column ``r + o`` lies in the matrix, and those columns."""
+        rows = slice(max(0, -o), self.n - max(0, o))
+        return rows, slice(rows.start + o, rows.stop + o)
+
     def __matmul__(self, other):
         """The product with another operator, or the image of a vector."""
         if not isinstance(other, Diagonals):  # summed in column order, as a CSR row
-            return sum(d * np.roll(other, -o) for o, d in sorted(self.diagonals.items()))
+            image = np.zeros(self.n, dtype=np.result_type(other, *self.diagonals.values()))
+            for o, d in sorted(self.diagonals.items()):
+                rows, cols = self._meeting(o)
+                image[rows] += d[rows] * other[cols]
+            return image
         kind = np.result_type(*self.diagonals.values(), *other.diagonals.values())
         out: Dict[int, np.ndarray] = {}
         for o1, d1 in self.diagonals.items():
-            rows = slice(max(0, -o1), self.n - max(0, o1))  # the rows that meet the diagonal
-            cols = slice(rows.start + o1, rows.stop + o1)
+            rows, cols = self._meeting(o1)
             for o2, d2 in other.diagonals.items():
                 if o1 + o2 in out:
                     out[o1 + o2][rows] += d1[rows] * d2[cols]
@@ -466,12 +468,12 @@ def build_hamiltonian(model: str, ws: FockWorkspace, params: ModelParams) -> Dia
 
 
 class LayeredOperator:
-    """A Hermitian operator on the workspace indices ``order``, in blocks sorted by a grade.
+    """A Hermitian operator on the workspace indices ``order``, in two blocks sorted by a grade.
 
-    Block ``b`` holds the positions ``starts[b] .. starts[b + 1]`` in ascending ``grades``, and
-    position ``p`` the entries ``values[j, p]`` in the columns ``columns[j, p]``, one per
-    diagonal of :meth:`lay_out`: fixed-width rows. With two blocks, the parities of a grade
-    ``G`` that every entry moves by one, the Krylov row ``k`` grown from a vector on ``G = 0``
+    Block ``b``, the parity ``b`` of a grade ``G`` that every entry moves by one, holds the
+    positions ``starts[b] .. starts[b + 1]`` in ascending ``grades``, and position ``p`` the
+    entries ``values[j, p]`` in the columns ``columns[j, p]``, one per diagonal of
+    :meth:`lay_out`: fixed-width rows. So the Krylov row ``k`` grown from a vector on ``G = 0``
     is zero off :meth:`span` ``(k)``.
     """
 
@@ -485,16 +487,19 @@ class LayeredOperator:
                 ) -> "LayeredOperator":
         """The diagonals ``(o, d)``, ``M[r, r + o] = d[r]``, on the basis ordered by the parity of
         ``grade``, then ``grade``. A column ``r + o`` outside the matrix wraps, which is exact:
-        its entry is zero (:class:`Diagonals`)."""
+        its entry is zero (:class:`Diagonals`). Refuses an entry that does not move ``grade``
+        by exactly one."""
+        if not all(np.all(np.abs(grade - np.roll(grade, -o))[d != 0] == 1) for o, d in diagonals):
+            raise ValueError("every entry of the operator must move the grade by exactly one")
         order = np.lexsort((grade, grade % 2))
         position, n = np.argsort(order), len(order)
-        return cls(order, grade[order], np.r_[0, np.cumsum(np.bincount(grade % 2))],
+        return cls(order, grade[order], np.r_[0, np.cumsum(np.bincount(grade % 2, minlength=2))],
                    np.array([position[(order + o) % n] for o, _ in diagonals]),
                    np.array([d[order] for _, d in diagonals]))
 
     def span(self, k: int) -> Tuple[int, int]:
-        """Positions ``lo .. hi`` with ``G <= k`` of block ``k`` modulo the number of blocks."""
-        lo, end = self.starts[k % (len(self.starts) - 1):][:2]
+        """Positions ``lo .. hi`` with ``G <= k`` of block ``k % 2``."""
+        lo, end = self.starts[k % 2:][:2]
         return int(lo), int(lo + np.searchsorted(self.grades[lo:end], k, side="right"))
 
     def image(self, vector: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -566,16 +571,14 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
 
     Each part moves the pair grade ``G = n_q + n_{-q}`` by one, so a call
     returns a :class:`LayeredOperator` on the basis laid out once by the
-    parity of ``G``, then ``G``; where an entry does not, as at ``q = 0``,
-    on one block of one layer in workspace order.
+    parity of ``G``, then ``G``. At ``q = 0``, where the parts keep ``n_0`` or
+    move it by one and so ``G = 2 n_0`` by 0 or 2, :meth:`LayeredOperator.lay_out`
+    refuses the family with ``ValueError``.
     """
     parts = [sorted(part.diagonals.items()) for _, part in _fluct_parts(ws, q_lat, (1.0,) * 4)]
     owner = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
     diagonals = [diagonal for part in parts for diagonal in part]
-    grade = np.add(*_pair_occupations(ws, q_lat))
-    grade *= all(np.all((np.abs(grade - np.roll(grade, -o)) == 1)[d != 0])  # else one layer: G = 0
-                 for o, d in diagonals)
-    unit = LayeredOperator.lay_out(diagonals, grade)
+    unit = LayeredOperator.lay_out(diagonals, np.add(*_pair_occupations(ws, q_lat)))
 
     def matrix(f_q0: complex = 0.0, g_q0: complex = 0.0) -> LayeredOperator:
         weights = np.array(_fluct_weights(amplitude, f_q0, g_q0))
@@ -658,6 +661,8 @@ def appendix_bound(f1: Diagonals, f2: Diagonals, state: FiniteState) -> float:
     The double commutator applied to the state vector is affine in t,
     ``t S + O`` with ``S = C F1 v - F1 C v``, ``O = C F2 v - F2 C v`` and
     ``C = [F2, F1]``, so it needs images of vectors alone, no operator product.
+    Its norm is convex in t, so the maximum over ``[0, 1]`` lies at an end:
+    ``t = 0`` or ``t = 1`` are the two points evaluated.
     """
     if state.vector is None:
         raise ValueError("appendix_bound needs a pure state")
@@ -669,96 +674,58 @@ def appendix_bound(f1: Diagonals, f2: Diagonals, state: FiniteState) -> float:
     comm_v = comm(v)
     slope = comm(f1 @ v) - f1 @ comm_v
     offset = comm(f2 @ v) - f2 @ comm_v
-    worst = max(_norm(t * slope + offset) for t in np.linspace(0.0, 1.0, 5))
+    worst = max(_norm(t * slope + offset) for t in (0.0, 1.0))
     return math.sqrt(4.0 * worst / 3.0)
 
 
-def _project_out(w: np.ndarray, prior: Sequence[np.ndarray]) -> None:
-    """One classical Gram-Schmidt pass, ``w -= sum_j <p_j, w> p_j`` in place.
-
-    Each row ``p_j`` covers a prefix of ``w``; it stands for a row that is
-    zero beyond it. Every coefficient comes from the ``w`` given, summed
-    like :func:`_inner`: ``Re <p, w>`` against ``w`` and ``Im <p, w>``
-    against ``-i w``, in one call.
-    """
-    pair = np.empty((2, len(w)), dtype=complex)
-    pair[0] = w
-    np.multiply(w, -1j, out=pair[1])
-    flat = pair.view(np.float64)
-    coefs = [np.einsum("i,ki->k", p.view(np.float64), flat[:, :2 * len(p)]) for p in prior]
-    for (re, im), p in zip(coefs, prior):
-        w[:len(p)] -= complex(re, im) * p
-
-
-def clt_char_function(f_op: Diagonals | LayeredOperator, t_grid: Sequence[float],
+def clt_char_function(f_op: LayeredOperator, t_grid: Sequence[float],
                       state: FiniteState) -> np.ndarray:
     """``omega(e^{i t F})`` on a grid of t values.
 
-    One Lanczos run on the Hermitian ``F`` from the state vector, with
-    full reorthogonalization, gives ``<v|e^{itF}|v> = sum_j |U_0j|^2
-    e^{i t lambda_j}`` from the eigenpairs of the tridiagonal matrix for
-    every t at once (Gauss quadrature of the spectral measure). Each step
-    removes the three-term part and then runs one classical Gram-Schmidt
-    pass against the prior rows of its block (:func:`_project_out`), repeated
-    once when it shrinks the residual below ``LANCZOS_DGKS_RATIO`` of its
-    norm (the DGKS criterion). The Krylov space grows until the values on the
-    whole grid change by less than ``LANCZOS_TOL`` between two steps, or
-    until an invariant subspace is reached; past ``LANCZOS_MAX_STEPS``
-    steps it raises ``RuntimeError``. The basis holds ``LANCZOS_START_ROWS``
-    rows at first and doubles when it fills: a buffer that small comes back
-    from the allocator already mapped on the next call, where a buffer for
-    every possible step would be mapped, and page-faulted, afresh each time.
+    One Lanczos run on the Hermitian ``F`` from the state vector gives
+    ``<v|e^{itF}|v> = sum_j |U_0j|^2 e^{i t lambda_j}`` from the eigenpairs of
+    the tridiagonal matrix for every t at once (Gauss quadrature of the
+    spectral measure). The run is the plain three-term recurrence: the Krylov
+    approximation of ``e^{itF} v`` stays accurate without reorthogonalization
+    (Druskin, Greenbaum and Knizhnerman, SIAM J. Sci. Comput. 19, 38 (1998)).
+    It grows until the values on the whole grid change by less than
+    ``LANCZOS_TOL`` between two steps, or until an invariant subspace is
+    reached; past ``LANCZOS_MAX_STEPS`` steps it raises ``RuntimeError``.
 
-    ``F`` is a :class:`LayeredOperator`, or :class:`Diagonals` laid out as one block
-    of one layer in workspace order. From a state on ``G = 0``, the Krylov row ``k`` is zero off
-    ``F.span(k)``, so step ``k`` multiplies by the rows ``F.span(k + 1)`` and
-    orthogonalizes there against the prior rows of their block alone, each
-    on its own span. Every sum runs in numpy's own loops, none in BLAS, so
-    the values do not depend on the BLAS thread count.
+    From a state on ``G = 0`` the Krylov row ``k`` is zero off ``F.span(k)``,
+    in block ``k % 2``, so step ``k`` multiplies by the rows ``F.span(k + 1)``
+    alone. Every entry of ``F`` joins the two blocks, so the tridiagonal has a
+    zero diagonal, and two rows hold the recurrence: row ``k + 1`` overwrites
+    row ``k - 1``, whose span lies in its own. Every sum runs in numpy's own
+    loops, none in BLAS, so the values do not depend on the BLAS thread count.
 
-    Emits a warning when the evolved vector, rebuilt from the Krylov
-    basis, populates the edge levels of the windows beyond ``LEAK_TOL``
-    (truncation leakage): every top level, and the bottom level of a
-    window with ``lo > 0``.
+    Warns when the evolved vector, rebuilt from each row's entries on the edge
+    levels of its span, populates them beyond ``LEAK_TOL`` (truncation
+    leakage): every top level, and the bottom level of a window with ``lo > 0``.
     """
     if state.vector is None:
         raise ValueError("clt_char_function needs a pure state")
-    ws = state.workspace
-    n = len(state.vector)
-    op = f_op if isinstance(f_op, LayeredOperator) else LayeredOperator.lay_out(  # one layer
-        sorted(f_op.diagonals.items()), np.zeros(n, dtype=int))
-    n_blocks = len(op.starts) - 1
-    edges = np.flatnonzero(~ws.interior()[op.order])  # positions on an edge level
-    edges = np.split(edges, np.searchsorted(edges, op.starts[1:-1]))  # by block
+    edges = np.flatnonzero(~state.workspace.interior()[f_op.order])  # positions on an edge level
+    edges = np.split(edges, np.searchsorted(edges, f_op.starts[1:2]))  # by block
     times = np.asarray(t_grid, dtype=float)
     norm = _norm(state.vector)  # FiniteState keeps it within 1e-9 of 1
-    # a basis small enough for the allocator to reuse between calls, doubled when full
-    basis = np.empty((min(LANCZOS_START_ROWS, LANCZOS_MAX_STEPS), n), dtype=complex)
-    basis[0] = state.vector[op.order] / norm
-    if np.any(basis[0, op.span(0)[1]:]):
+    rows = np.zeros((2, len(state.vector)), dtype=complex)  # Krylov row k is rows[k % 2]
+    rows[0] = state.vector[f_op.order] / norm
+    if np.any(rows[0, f_op.span(0)[1]:]):
         raise ValueError("the state must lie on the lowest layer of the operator")
-    alphas: List[float] = []
     betas: List[float] = []
+    on_edges = []  # each Krylov row's entries on the edge levels of its span
     previous = None
-    steps = 1
-    ends = [op.span(0)[1]]  # basis row k is zero from position ends[k] on
     while True:
-        q = basis[steps - 1]
-        lo, hi = op.span(steps)  # where F q lies
-        w = op.image(q, lo, hi)
-        alphas.append(0.0 if n_blocks == 2 else _inner(q[lo:hi], w))  # with two blocks
-        if alphas[-1]:  # q lies in the other block, and q[lo:hi] is zero
-            w -= alphas[-1] * q[lo:hi]
+        k = len(betas)  # the newest Krylov row
+        block = edges[k % 2]
+        on_edges.append(rows[k % 2, block[:np.searchsorted(block, f_op.span(k)[1])]])
+        lo, hi = f_op.span(k + 1)  # where F row_k lies
+        w = f_op.image(rows[k % 2], lo, hi)
         if betas:
-            w -= betas[-1] * basis[steps - 2, lo:hi]
+            w -= betas[-1] * rows[(k + 1) % 2, lo:hi]
         beta = _norm(w)
-        for _ in range(2):  # classical Gram-Schmidt; twice is enough
-            # the prior rows of its block, each on its own span: a prefix of lo .. hi
-            _project_out(w, [basis[j, lo:ends[j]] for j in range(steps % n_blocks, steps, n_blocks)])
-            before, beta = beta, _norm(w)
-            if beta >= LANCZOS_DGKS_RATIO * before:
-                break
-        lam, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+        lam, vecs = np.linalg.eigh(np.diag(betas, -1))
         # Krylov coefficients of e^{itF} v: c_j(t) = sum_k U_jk U_0k e^{i t lam_k}
         coeffs = vecs @ (vecs[0][:, None] * np.exp(1j * np.outer(lam, times)))
         values = coeffs[0]
@@ -766,26 +733,16 @@ def clt_char_function(f_op: Diagonals | LayeredOperator, t_grid: Sequence[float]
                 previous is not None
                 and np.max(np.abs(values - previous), initial=0.0) < LANCZOS_TOL):
             break
-        if steps == LANCZOS_MAX_STEPS:
+        if k + 1 == LANCZOS_MAX_STEPS:
             raise RuntimeError(f"Lanczos characteristic function not converged "
                                f"after {LANCZOS_MAX_STEPS} steps")
         previous = values
         betas.append(beta)
-        if steps == len(basis):
-            grown = np.empty((min(2 * steps, LANCZOS_MAX_STEPS), basis.shape[1]), dtype=complex)
-            grown[:steps] = basis
-            basis = grown
-        basis[steps, :lo] = basis[steps, hi:] = 0.0
-        basis[steps, lo:hi] = w / beta
-        ends.append(hi)
-        steps += 1
-    # the evolved state on the edges of each block: row k adds its coefficients
-    # times its entries on the edges of its span
+        rows[(k + 1) % 2, lo:hi] = w / beta
+    # the evolved state on the edges of each block: row k adds its coefficients times its entries
     evolved = [np.zeros((len(times), len(block)), dtype=complex) for block in edges]
-    for k in range(steps):
-        block = edges[k % n_blocks]
-        kept = block[:np.searchsorted(block, ends[k])]
-        evolved[k % n_blocks][:, :len(kept)] += np.multiply.outer(coeffs[k], basis[k, kept])
+    for k, entries in enumerate(on_edges):
+        evolved[k % 2][:, :len(entries)] += np.multiply.outer(coeffs[k], entries)
     edge_weights = norm**2 * sum(np.einsum("ti,ti->t", x.view(np.float64), x.view(np.float64))
                                  for x in evolved)
     worst_leak = float(np.max(edge_weights, initial=0.0))
@@ -939,7 +896,6 @@ class ClosureReport:
     remainder at each of ``volumes``.
     """
 
-    model: str
     identity_defect: float
     secondary_defect: float
     identity_relative: float
@@ -1014,7 +970,6 @@ def goldstone_closure_check(model: str, params: ModelParams) -> ClosureReport:
     identities, identity_rels, secondaries, secondary_rels, norms = zip(
         *(at_box(box) for box in boxes))
     return ClosureReport(
-        model=model,
         identity_defect=max(identities),
         secondary_defect=max(secondaries),
         identity_relative=max(identity_rels),

@@ -21,6 +21,7 @@ from bosefluct.fock import (
     FockWorkspace,
     ZERO,
     Diagonals,
+    LayeredOperator,
     _ladder_sums,
     appendix_bound,
     bch_defect,
@@ -190,10 +191,12 @@ class TestOccupationWindow:
             FockWorkspace(1.0, [ZERO], levels)
 
     def test_leak_at_the_lower_edge_warns(self):
-        # mean 9: on the levels 7 .. 40 the bottom level holds 12% of the state
+        # mean 9: on the levels 7 .. 40 the bottom level holds 12% of the state, and the
+        # beam splitter a*_q a_0 + h.c. moves zero-mode bosons to q, which keeps 20 levels
         def char_function(levels):
-            ws = FockWorkspace(1.0, [ZERO], levels)
-            f_op = quadrature(ws, ZERO)
+            ws = FockWorkspace(1.0, [ZERO, Q], {ZERO: levels, Q: 20})
+            hop = ws._ladder(Q).adjoint() @ ws._ladder(ZERO)
+            f_op = laid_out(hop + hop.adjoint(), ws.occupations[:, 1])
             return clt_char_function(f_op, [0.5], FiniteState.coherent_vacuum(ws, 3.0))
 
         with warnings.catch_warnings():
@@ -406,20 +409,24 @@ class TestFluctuationMatrices:
                   + condensate_fluct_matrix(ws, Q, 1.3, g_q0=g).tocsr())
         assert abs(both - halves).max() == 0.0
 
-    # at q = 0 both density parts are 2 a*_0 a_0, so two parts share every entry
-    @pytest.mark.parametrize("q", [Q, ZERO])
-    def test_family_matches_builder(self, q):
+    def test_family_matches_builder(self):
         ws = FockWorkspace(2.0, [ZERO, Q, MQ], {ZERO: (3, 14), Q: 4, MQ: 4})
         amp = 3.0
-        family = condensate_fluct_family(ws, q, amp)
+        family = condensate_fluct_family(ws, Q, amp)
         rng = np.random.default_rng(3)
         draws = [complex(*rng.uniform(-1, 1, 2)) for _ in range(8)]
         smearings = list(zip(draws[::2], draws[1::2])) + [(draws[0], 0.0), (0.0, draws[1])]
         for f, g in smearings:
-            built = condensate_fluct_matrix(ws, q, amp, f_q0=f, g_q0=g).tocsr()
+            built = condensate_fluct_matrix(ws, Q, amp, f_q0=f, g_q0=g).tocsr()
             assert abs(workspace_matrix(family(f, g)) - built).max() <= 1e-15
         with pytest.raises(ValueError, match="smearing"):
             family(0.0, 0.0)
+
+    def test_family_refuses_the_zero_mode(self):
+        # at q = 0 the parts keep n_0 or move it by one: G = 2 n_0 moves by 0 or 2
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ], {ZERO: (3, 14), Q: 4, MQ: 4})
+        with pytest.raises(ValueError, match="grade by exactly one"):
+            condensate_fluct_family(ws, ZERO, 3.0)
 
     def test_family_needs_amplitude(self):
         family = condensate_fluct_family(FockWorkspace(2.0, [ZERO, Q, MQ], 2), Q, 0.0)
@@ -464,6 +471,12 @@ class TestBchAndClt:
         assert appendix_bound(rho, a_op, state) == pytest.approx(
             operator_product_bound(rho.tocsr(), a_op.tocsr(), state), rel=1e-12, abs=0.0)
 
+    def test_bound_is_the_maximum_over_a_fine_grid(self):
+        # || t S + O || is convex in t: its ends hold the maximum of 101 points on [0, 1]
+        _, state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, 2.0)
+        fine = operator_product_bound(rho.tocsr(), a_op.tocsr(), state, np.linspace(0.0, 1.0, 101))
+        assert appendix_bound(rho, a_op, state) == pytest.approx(fine, rel=1e-12, abs=0.0)
+
     def test_bound_needs_pure_state(self):
         ws = FockWorkspace(1.0, [Q], 3)
         state = FiniteState(ws, probabilities=np.ones(4))
@@ -472,7 +485,7 @@ class TestBchAndClt:
 
     def test_single_quadrature_gaussian(self):
         ws = FockWorkspace(1.0, [Q], 50)
-        f_op = quadrature(ws, Q) * 2.0**-0.5
+        f_op = laid_out(quadrature(ws, Q) * 2.0**-0.5, ws.occupations[:, 0])
         state = FiniteState.coherent_vacuum(ws, 0.0)
         t_grid = np.linspace(0.0, 2.0, 9)
         values = clt_char_function(f_op, t_grid, state)
@@ -480,7 +493,7 @@ class TestBchAndClt:
 
     def test_leakage_warning(self):
         ws = FockWorkspace(1.0, [Q], 3)
-        f_op = quadrature(ws, Q)
+        f_op = laid_out(quadrature(ws, Q), ws.occupations[:, 0])
         state = FiniteState.coherent_vacuum(ws, 0.0)
         with pytest.warns(RuntimeWarning):
             clt_char_function(f_op, [3.0], state)
@@ -540,11 +553,12 @@ def density_k_sum(ws, amp, smear):
     return ws.transfer_operator(terms)
 
 
-def operator_product_bound(f1, f2, state):
-    """The double commutators as sparse operator products: the route appendix_bound replaces."""
+def operator_product_bound(f1, f2, state, times=np.linspace(0.0, 1.0, 5)):
+    """The double commutators as sparse operator products, the route appendix_bound
+    replaces, at the given t values."""
     comm = (f2 @ f1 - f1 @ f2).tocsr()
     worst = 0.0
-    for t in np.linspace(0.0, 1.0, 5):
+    for t in times:
         inner = (t * f1 + f2).tocsr()
         double = comm @ inner - inner @ comm
         worst = max(worst, state.seminorm(double))
@@ -564,16 +578,9 @@ def quadrature(ws, mode):
     return a + a.adjoint()
 
 
-def as_diagonals(m):
-    """A sparse matrix as :class:`Diagonals`, one vector per offset of its entries."""
-    m = m.tocoo()
-    offsets = m.col - m.row
-    diagonals = {}
-    for o in np.unique(offsets):
-        d = np.zeros(m.shape[0], dtype=m.dtype)
-        np.add.at(d, m.row[offsets == o], m.data[offsets == o])
-        diagonals[int(o)] = d
-    return Diagonals(m.shape[0], diagonals)
+def laid_out(op, grade):
+    """:class:`Diagonals` that move ``grade`` by one as a :class:`LayeredOperator`."""
+    return LayeredOperator.lay_out(sorted(op.diagonals.items()), grade)
 
 
 def layered_matrix(op):
@@ -589,9 +596,9 @@ def workspace_matrix(op):
     return layered_matrix(op)[position][:, position]
 
 
-def reduced_clt_case(seed, q=Q, layered=False):
-    """The clt check's operator, state and t-grid on a smaller workspace; with ``layered``
-    the operator comes from :func:`condensate_fluct_family`, as in the check."""
+def reduced_clt_case(seed):
+    """The clt check's operator, from :func:`condensate_fluct_family` as in the check, its
+    state and its t-grid on a smaller workspace."""
     rho0, box = 4.0, 3.0
     amp = math.sqrt(rho0 * box**3)
     ws = FockWorkspace(box, [ZERO, Q, MQ],
@@ -599,93 +606,9 @@ def reduced_clt_case(seed, q=Q, layered=False):
     state = FiniteState.coherent_vacuum(ws, amp)
     rng = np.random.default_rng(seed)
     f, g = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
-    f_op = (condensate_fluct_family(ws, q, amp)(f, g) if layered
-            else condensate_fluct_matrix(ws, q, amp, f_q0=f, g_q0=g))
+    f_op = condensate_fluct_family(ws, Q, amp)(f, g)
     t_grid = np.linspace(0.0, 1.5 / math.sqrt(0.5 * abs(f + 1j * g) ** 2), 7)[1:]
     return f_op, t_grid, state
-
-
-class TestLanczosCharFunction:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_expm_on_reduced_clt_workspace(self, seed):
-        f_op, t_grid, state = reduced_clt_case(seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
-            values = clt_char_function(f_op, t_grid, state)
-        assert np.max(np.abs(values - reference_char_function(f_op, t_grid, state))) < 1e-12
-
-    def test_second_gram_schmidt_pass_matches_expm(self, monkeypatch):
-        # a pass never lengthens the residual, so a ratio above 1 repeats it on every step
-        monkeypatch.setattr(fock, "LANCZOS_DGKS_RATIO", 2.0)
-        f_op, t_grid, state = reduced_clt_case(0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
-            values = clt_char_function(f_op, t_grid, state)
-        assert np.max(np.abs(values - reference_char_function(f_op, t_grid, state))) < 1e-12
-
-    def test_repeated_calls_are_bit_identical(self):
-        f_op, t_grid, state = reduced_clt_case(1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
-            first = clt_char_function(f_op, t_grid, state)
-            second = clt_char_function(f_op, t_grid, state)
-        assert np.array_equal(first, second)
-
-    @pytest.mark.parametrize("rows", [1, 2, 3])
-    def test_basis_growth_matches_expm(self, rows, monkeypatch):
-        # a basis of 1-3 rows fills on the first steps and is doubled several times
-        monkeypatch.setattr(fock, "LANCZOS_START_ROWS", rows)
-        f_op, t_grid, state = reduced_clt_case(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
-            values = clt_char_function(f_op, t_grid, state)
-        assert np.max(np.abs(values - reference_char_function(f_op, t_grid, state))) < 1e-12
-
-    def test_matches_expm_on_random_hermitian(self):
-        ws = FockWorkspace(2.0, [ZERO, Q], 20)
-        rng = np.random.default_rng(5)
-        a = sp.random(ws.dimension, ws.dimension, density=0.02, random_state=rng,
-                      format="csr", dtype=float)
-        a = a + 1j * sp.random(ws.dimension, ws.dimension, density=0.02,
-                               random_state=rng, format="csr")
-        f_op = as_diagonals(a + a.conjugate().T)
-        vec = rng.normal(size=ws.dimension) + 1j * rng.normal(size=ws.dimension)
-        state = FiniteState(ws, vector=vec)
-        t_grid = np.linspace(0.0, 1.0, 6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the random F leaks
-            values = clt_char_function(f_op, t_grid, state)
-        assert np.max(np.abs(values - reference_char_function(f_op, t_grid, state))) < 1e-12
-
-    def test_two_level_breakdown_is_exact(self, monkeypatch):
-        # F = a + a* on levels {0, 1}: the Krylov space closes at step 2
-        monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 2)
-        ws = FockWorkspace(1.0, [Q], 1)
-        f_op = quadrature(ws, Q)
-        state = FiniteState.coherent_vacuum(ws, 0.0)
-        t_grid = np.linspace(0.0, 3.0, 7)
-        with pytest.warns(RuntimeWarning):  # the top level is level 1
-            values = clt_char_function(f_op, t_grid, state)
-        assert np.max(np.abs(values - np.cos(t_grid))) < 1e-15
-
-    def test_step_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 3)
-        ws = FockWorkspace(1.0, [Q], 50)
-        f_op = quadrature(ws, Q) * 2.0**-0.5
-        state = FiniteState.coherent_vacuum(ws, 0.0)
-        with pytest.raises(RuntimeError):
-            clt_char_function(f_op, [2.0], state)
-
-    def test_leak_only_at_largest_time_warns(self):
-        ws = FockWorkspace(2.0, [ZERO, Q], 8)
-        f_op = quadrature(ws, Q) + 0.3 * quadrature(ws, ZERO)
-        state = FiniteState.coherent_vacuum(ws, 0.0)
-        t_grid = [0.25, 0.5, 1.0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            clt_char_function(f_op, t_grid[:-1], state)
-        with pytest.warns(RuntimeWarning, match="truncation leakage"):
-            clt_char_function(f_op, t_grid, state)
 
 
 class TestPairGrades:
@@ -706,7 +629,7 @@ class TestPairGrades:
             assert np.max(np.abs(pieces - dense)) < 1e-12 * np.max(np.abs(dense))
 
     def test_layout_has_the_two_parities_of_the_pair_grade(self):
-        f_op, _, state = reduced_clt_case(0, layered=True)
+        f_op, _, state = reduced_clt_case(0)
         ws = state.workspace
         grade = ws.occupations[:, 1] + ws.occupations[:, 2]
         n_even = np.count_nonzero(grade % 2 == 0)
@@ -722,7 +645,7 @@ class TestPairGrades:
         assert np.all((rows < n_even) != (cols < n_even))
 
     def test_rows_of_a_span_are_rows_of_the_matrix(self):
-        f_op, _, _ = reduced_clt_case(0, layered=True)
+        f_op, _, _ = reduced_clt_case(0)
         whole = layered_matrix(f_op)
         rng = np.random.default_rng(4)
         vector = rng.standard_normal(whole.shape[0]) + 1j * rng.standard_normal(whole.shape[0])
@@ -744,55 +667,90 @@ class TestLayeredLanczos:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_expm(self, seed):
-        f_op, t_grid, state = reduced_clt_case(seed, layered=True)
+        f_op, t_grid, state = reduced_clt_case(seed)
         reference = reference_char_function(workspace_matrix(f_op), t_grid, state)
         assert np.max(np.abs(self.char_function(f_op, t_grid, state) - reference)) < 1e-12
 
-    @pytest.mark.parametrize("rows", [1, 2, 3])
-    def test_basis_growth_matches_expm(self, rows, monkeypatch):
-        monkeypatch.setattr(fock, "LANCZOS_START_ROWS", rows)
-        f_op, t_grid, state = reduced_clt_case(2, layered=True)
+    def test_matches_expm_at_eight_times_the_t_grid(self):
+        # about 49 steps with no reorthogonalization
+        f_op, t_grid, state = reduced_clt_case(0)
+        reference = reference_char_function(workspace_matrix(f_op), 8.0 * t_grid, state)
+        assert np.max(np.abs(self.char_function(f_op, 8.0 * t_grid, state) - reference)) < 1e-12
+
+    def test_repeated_calls_are_bit_identical(self):
+        f_op, t_grid, state = reduced_clt_case(1)
+        first = self.char_function(f_op, t_grid, state)
+        assert np.array_equal(first, self.char_function(f_op, t_grid, state))
+
+    def test_matches_expm_on_random_grade_moving_weights(self):
+        # random weights on the entries of a_q, a*_0 a_q and a_0 a_q, plus the adjoint
+        ws = FockWorkspace(2.0, [ZERO, Q], 20)
+        rng = np.random.default_rng(5)
+        a_0, a_q = ws._ladder(ZERO), ws._ladder(Q)
+        lowering = sum(Diagonals(ws.dimension, {o: d * (rng.normal(size=ws.dimension)
+                                                        + 1j * rng.normal(size=ws.dimension))
+                                                for o, d in part.diagonals.items()})
+                       for part in (a_q, a_0.adjoint() @ a_q, a_0 @ a_q))
+        f_op = laid_out(lowering + lowering.adjoint(), ws.occupations[:, 1])
+        vec = np.where(ws.occupations[:, 1] == 0, rng.normal(size=ws.dimension)
+                       + 1j * rng.normal(size=ws.dimension), 0.0)
+        state = FiniteState(ws, vector=vec)
+        t_grid = np.linspace(0.0, 1.0, 6)
         reference = reference_char_function(workspace_matrix(f_op), t_grid, state)
         assert np.max(np.abs(self.char_function(f_op, t_grid, state) - reference)) < 1e-12
 
-    def test_second_gram_schmidt_pass_matches_expm(self, monkeypatch):
-        monkeypatch.setattr(fock, "LANCZOS_DGKS_RATIO", 2.0)
-        f_op, t_grid, state = reduced_clt_case(0, layered=True)
-        reference = reference_char_function(workspace_matrix(f_op), t_grid, state)
-        assert np.max(np.abs(self.char_function(f_op, t_grid, state) - reference)) < 1e-12
+    def test_two_level_breakdown_is_exact(self, monkeypatch):
+        # F = a + a* on levels {0, 1}: the Krylov space closes at step 2
+        monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 2)
+        ws = FockWorkspace(1.0, [Q], 1)
+        f_op = laid_out(quadrature(ws, Q), ws.occupations[:, 0])
+        state = FiniteState.coherent_vacuum(ws, 0.0)
+        t_grid = np.linspace(0.0, 3.0, 7)
+        with pytest.warns(RuntimeWarning):  # the top level is level 1
+            values = clt_char_function(f_op, t_grid, state)
+        assert np.max(np.abs(values - np.cos(t_grid))) < 1e-15
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equals_the_one_layer_route(self, seed):
-        f_op, t_grid, state = reduced_clt_case(seed, layered=True)
-        one_layer = self.char_function(as_diagonals(workspace_matrix(f_op)), t_grid, state)
-        assert np.max(np.abs(self.char_function(f_op, t_grid, state) - one_layer)) < 1e-14
+    def test_one_level_has_an_empty_odd_block(self):
+        # a + a* vanishes on the vacuum alone: omega(e^{itF}) = 1
+        ws = FockWorkspace(1.0, [Q], 0)
+        f_op = laid_out(quadrature(ws, Q), ws.occupations[:, 0])
+        assert np.array_equal(f_op.starts, [0, 1, 1])
+        values = self.char_function(f_op, [0.5, 2.0], FiniteState.coherent_vacuum(ws, 0.0))
+        assert np.array_equal(values, [1.0, 1.0])
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 3)
-        f_op, t_grid, state = reduced_clt_case(0, layered=True)
+        f_op, t_grid, state = reduced_clt_case(0)
         with pytest.raises(RuntimeError, match="not converged"):
             self.char_function(f_op, t_grid, state)
 
+    def test_step_cap_raises_on_a_quadrature(self, monkeypatch):
+        monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 3)
+        ws = FockWorkspace(1.0, [Q], 50)
+        f_op = laid_out(quadrature(ws, Q) * 2.0**-0.5, ws.occupations[:, 0])
+        state = FiniteState.coherent_vacuum(ws, 0.0)
+        with pytest.raises(RuntimeError, match="not converged"):
+            clt_char_function(f_op, [2.0], state)
+
     def test_leak_warns(self):
-        f_op, t_grid, state = reduced_clt_case(0, layered=True)
+        f_op, t_grid, state = reduced_clt_case(0)
         with pytest.warns(RuntimeWarning, match="truncation leakage"):
             clt_char_function(f_op, t_grid, state)
 
-    def test_gram_schmidt_pass_on_prefixes(self):
-        rng = np.random.default_rng(5)
-        lengths = (3, 7, 12)
-        rows = np.zeros((len(lengths), 12), dtype=complex)
-        for row, m in zip(rows, lengths):
-            row[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        w = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        expected = w - sum(np.vdot(row, w) * row for row in rows)
-        fock._project_out(w, [row[:m] for row, m in zip(rows, lengths)])
-        assert np.max(np.abs(w - expected)) < 1e-13
+    def test_leak_only_at_largest_time_warns(self):
+        ws = FockWorkspace(2.0, [ZERO, Q], 8)
+        f_op = laid_out(quadrature(ws, Q) + 0.3 * quadrature(ws, ZERO), ws.totals().astype(int))
+        state = FiniteState.coherent_vacuum(ws, 0.0)
+        t_grid = [0.25, 0.5, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clt_char_function(f_op, t_grid[:-1], state)
+        with pytest.warns(RuntimeWarning, match="truncation leakage"):
+            clt_char_function(f_op, t_grid, state)
 
-    @pytest.mark.parametrize("layered", [True, False])
-    def test_leak_is_the_edge_weight_of_the_evolved_state(self, layered, monkeypatch):
-        f_op, t_grid, state = reduced_clt_case(0, layered=layered)
-        gen = (1j * (workspace_matrix(f_op) if layered else f_op)).tocsr()
+    def test_leak_is_the_edge_weight_of_the_evolved_state(self, monkeypatch):
+        f_op, t_grid, state = reduced_clt_case(0)
+        gen = (1j * workspace_matrix(f_op)).tocsr()
         edge = ~state.workspace.interior()
         worst = max(np.sum(np.abs(expm_multiply(t * gen, state.vector)[edge]) ** 2)
                     for t in t_grid)
@@ -803,16 +761,8 @@ class TestLayeredLanczos:
                 clt_char_function(f_op, t_grid, state)
             assert any("truncation leakage" in str(w.message) for w in caught) == warns
 
-    def test_zero_mode_falls_back_to_one_layer(self):
-        # at q = 0 the parts keep n_0 or move it by one: G = 2 n_0 moves by 0 or 2
-        f_op, t_grid, state = reduced_clt_case(1, q=ZERO, layered=True)
-        assert np.array_equal(f_op.starts, [0, state.workspace.dimension])
-        assert np.array_equal(f_op.order, np.arange(state.workspace.dimension))
-        reference = reference_char_function(workspace_matrix(f_op), t_grid, state)
-        assert np.max(np.abs(self.char_function(f_op, t_grid, state) - reference)) < 1e-12
-
     def test_state_off_the_lowest_layer_refused(self):
-        f_op, t_grid, state = reduced_clt_case(0, layered=True)
+        f_op, t_grid, state = reduced_clt_case(0)
         ws = state.workspace
         shifted = FiniteState(ws, vector=(ws.creator(Q) @ state.vector))
         with pytest.raises(ValueError, match="lowest layer"):
@@ -890,6 +840,9 @@ class TestStrideDiagonals:
             # the CSR row sum runs in the order of its stored columns, which a product leaves
             # unsorted: equal up to the rounding of the largest row of |x| |vec|
             assert np.max(np.abs(x @ vec - cx @ vec)) <= 1e-15 * np.max(abs(cx) @ abs(vec))
+            # the same sums as the whole rolled vector times each diagonal, in offset order
+            rolled = sum(d * np.roll(vec, -o) for o, d in sorted(x.diagonals.items()))
+            assert np.array_equal(x @ vec, rolled)
             for margin in (0, 1, 2):
                 expected = projected_norm(cx, ws.below_truncation_projector(margin))
                 assert x.projected_norm(ws.interior(margin)) == pytest.approx(expected, rel=1e-14)
