@@ -677,6 +677,14 @@ class TestLayeredLanczos:
         reference = reference_char_function(workspace_matrix(f_op), 8.0 * t_grid, state)
         assert np.max(np.abs(self.char_function(f_op, 8.0 * t_grid, state) - reference)) < 1e-12
 
+    def test_lay_out_refuses_the_zero_mode(self):
+        # a_0 moves G = 2 n_0 by two and a*_0 a_0 keeps it
+        ws = FockWorkspace(2.0, [ZERO, Q, MQ], {ZERO: (3, 14), Q: 4, MQ: 4})
+        a_0 = ws._ladder(ZERO)
+        for part in (a_0, a_0.adjoint() @ a_0):
+            with pytest.raises(ValueError, match="grade by exactly one"):
+                laid_out(part, 2 * ws.occupations[:, 0])
+
     def test_repeated_calls_are_bit_identical(self):
         f_op, t_grid, state = reduced_clt_case(1)
         first = self.char_function(f_op, t_grid, state)
