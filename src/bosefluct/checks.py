@@ -200,57 +200,45 @@ def _check_spectrum(ctx: CheckContext, tol: float) -> CheckResult:
 
 
 def _check_variance_oracle(ctx: CheckContext, tol: float) -> CheckResult:
-    """Closed-form variances vs the finite-volume Wick oracle."""
-    rows = []
-    q_phys = math.pi
-
-    # ground-state mean-field gas: q = pi sits on the lattice of the side-4 box
-    ground = ctx.imperfect_ground
-    st = quasifree.QuasiFreeState("imperfect", ground, MomentumGrid(4.0, 6.0))
-    for label, kind, closed_fn in (("rho_ground", "rho", fluctuations.variance_rho_imperfect),
-                                   ("A_ground", "A", fluctuations.variance_A_imperfect)):
-        closed = closed_fn(q_phys, ground)
-        val = quasifree.finite_volume_variance(st, kind, (0, 0, 2))
-        rows.append((label, closed, val, abs(val - closed)))
-
-    thermal = ctx.imperfect_thermal
+    """Closed-form variances vs the finite-volume Wick oracle at ``q = pi``, the lattice
+    momentum ``(0, 0, box / 2)`` of each even box side of a case. An extrapolation
+    ``(p, powers)`` takes a case's values to ``1 / box^p = 0``; one without it has one side.
+    The ground rows' closed forms are 1/2 exactly, so their error is absolute, not relative."""
+    ground, thermal, wibg = ctx.imperfect_ground, ctx.imperfect_thermal, ctx.wibg_thermal
     # the Boltzmann tail exp(-beta k^2 / 2m), of width s = sqrt(m / beta), sets
     # the momentum cutoff; the box sides grow with a wide tail (more modes
     # under the cutoff) and, below s = 1/2, with a narrow one (a finer
-    # lattice than s). Even sides put q = pi on the lattice at box / 2
+    # lattice than s)
     s = math.sqrt(thermal.mass / thermal.beta)
-    cutoff = 6.5 * max(1.0, s)
+    tail_cutoff = 6.5 * max(1.0, s)
     width = max(1.0, s, 0.5 / s)
     boxes = [2.0 * round(side * width / 2.0) for side in (4.0, 6.0, 8.0)]
-    vals = []
-    for box in boxes:
-        grid = MomentumGrid(box, cutoff)
-        st = quasifree.QuasiFreeState("imperfect", thermal, grid)
-        vals.append(quasifree.finite_volume_variance(st, "rho", (0, 0, int(box) // 2)))
-    # lattice sums over an integrand with excluded 1/k^2 points carry an
-    # odd-power error expansion in the spacing
-    extrapolated = asymptotics.richardson([1.0 / b for b in boxes], vals, (1, 3))
-    closed = fluctuations.variance_rho_imperfect(q_phys, thermal)
-    rows.append(("rho_thermal", closed, extrapolated, abs(extrapolated - closed) / abs(closed)))
-
-    st = quasifree.QuasiFreeState("imperfect", thermal, MomentumGrid(boxes[0], cutoff))
-    val = quasifree.finite_volume_variance(st, "A", (0, 0, int(boxes[0]) // 2))
-    closed = fluctuations.variance_A_imperfect(q_phys, thermal)
-    rows.append(("A_thermal", closed, val, abs(val - closed) / abs(closed)))
-
-    wibg, wibg_boxes = ctx.wibg_thermal, (4.0, 6.0, 8.0)
-    for kind, closed_fn in (("rho0", fluctuations.variance_rho0_wibg),
-                            ("A", fluctuations.variance_A_wibg)):
-        vals = []
-        for box in wibg_boxes:
-            grid = MomentumGrid(box, 4.0)
-            st = quasifree.QuasiFreeState("wibg", wibg, grid)
-            vals.append(quasifree.finite_volume_variance(st, kind, (0, 0, int(box) // 2)))
-        extrapolated = asymptotics.richardson([b**-3 for b in wibg_boxes], vals, (1, 2))
-        closed = closed_fn(q_phys, wibg)
-        rows.append((f"{kind}_wibg", closed, extrapolated,
-                     abs(extrapolated - closed) / abs(closed)))
-
+    # lattice sums over an integrand with excluded 1/k^2 points carry an odd-power error
+    # expansion in the spacing, the superfluid values one in powers of 1/V
+    cases = (  # label, gas, parameters, kind, closed form, sides, cutoff, extrapolation, relative
+        ("rho_ground", "imperfect", ground, "rho", fluctuations.variance_rho_imperfect,
+         (4.0,), 6.0, None, False),
+        ("A_ground", "imperfect", ground, "A", fluctuations.variance_A_imperfect,
+         (4.0,), 6.0, None, False),
+        ("rho_thermal", "imperfect", thermal, "rho", fluctuations.variance_rho_imperfect,
+         boxes, tail_cutoff, (1, (1, 3)), True),
+        ("A_thermal", "imperfect", thermal, "A", fluctuations.variance_A_imperfect,
+         boxes[:1], tail_cutoff, None, True),
+        ("rho0_wibg", "wibg", wibg, "rho0", fluctuations.variance_rho0_wibg,
+         (4.0, 6.0, 8.0), 4.0, (3, (1, 2)), True),
+        ("A_wibg", "wibg", wibg, "A", fluctuations.variance_A_wibg,
+         (4.0, 6.0, 8.0), 4.0, (3, (1, 2)), True),
+    )
+    rows = []
+    for label, gas, params, kind, closed_form, sides, cutoff, extrapolation, relative in cases:
+        values = [quasifree.finite_volume_variance(
+            quasifree.QuasiFreeState(gas, params, MomentumGrid(box, cutoff)), kind,
+            (0, 0, int(box) // 2)) for box in sides]
+        oracle = values[0] if extrapolation is None else asymptotics.richardson(
+            [1.0 / box**extrapolation[0] for box in sides], values, extrapolation[1])
+        closed = closed_form(math.pi, params)
+        error = abs(oracle - closed)
+        rows.append((label, closed, oracle, error / abs(closed) if relative else error))
     return CheckResult(("case", "closed_form", "oracle", "error"), rows,
                        (Judgement("worst", np.max([row[3] for row in rows]), tol),))
 

@@ -158,11 +158,13 @@ class Diagonals:
                 rows, cols = self._meeting(o)
                 image[rows] += d[rows] * other[cols]
             return image
-        kind = np.result_type(*self.diagonals.values(), *other.diagonals.values())
+        kind = np.result_type(np.float64, *self.diagonals.values(), *other.diagonals.values())
         out: Dict[int, np.ndarray] = {}
         for o1, d1 in self.diagonals.items():
             rows, cols = self._meeting(o1)
             for o2, d2 in other.diagonals.items():
+                if abs(o1 + o2) >= self.n:  # a diagonal past the edge holds no entry
+                    continue
                 if o1 + o2 in out:
                     out[o1 + o2][rows] += d1[rows] * d2[cols]
                 else:
@@ -180,6 +182,8 @@ class Diagonals:
 
     def tocsr(self) -> sp.csr_matrix:
         """The operator as CSR, for the scipy routines that take one."""
+        if not self.diagonals:  # sp.diags needs at least one diagonal
+            return sp.csr_matrix((self.n, self.n))
         return sp.diags([d[max(0, -o):self.n - max(0, o)] for o, d in self.diagonals.items()],
                         list(self.diagonals), shape=(self.n, self.n), format="csr")
 

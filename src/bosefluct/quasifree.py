@@ -237,24 +237,16 @@ def finite_volume_variance(state: QuasiFreeState, kind: str, q: Sequence[int]) -
 
 
 def _density_variance_lattice(state: QuasiFreeState, q: Mode) -> float:
-    params = state.params
-    grid = state.grid
+    params, grid = state.params, state.grid
     rho0 = params.condensate_density
-    modes = grid.modes
-    lat = grid.lattice_points
-    qvec = np.asarray(q, dtype=float) * grid.spacing
 
-    nonzero = np.any(lat != 0, axis=1)
-    occ = np.zeros(len(modes))
-    occ[nonzero] = bose_occupation(dispersion(modes[nonzero], params), params.beta)
-    occ[~nonzero] = rho0 * grid.volume
+    def occupation(momenta: np.ndarray) -> np.ndarray:
+        """The Bose factor of each momentum, ``rho0 V`` on the zero mode."""
+        zero = np.all(np.abs(momenta) < 0.5 * grid.spacing, axis=1)
+        occ = np.full(len(momenta), rho0 * grid.volume)
+        occ[~zero] = bose_occupation(dispersion(momenta[~zero], params), params.beta)
+        return occ
 
-    shifted = modes + qvec
-    shifted_zero = np.all(np.abs(shifted) < 0.5 * grid.spacing, axis=1)
-    occ_shift = np.zeros(len(modes))
-    occ_shift[~shifted_zero] = bose_occupation(dispersion(shifted[~shifted_zero], params),
-                                               params.beta)
-    occ_shift[shifted_zero] = rho0 * grid.volume
-
-    plus_one = occ + 1.0
-    return float(np.sum(occ_shift * plus_one) / (2.0 * rho0 * grid.volume))
+    shifted = grid.modes + np.asarray(q, dtype=float) * grid.spacing
+    return float(np.sum(occupation(shifted) * (occupation(grid.modes) + 1.0))
+                 / (2.0 * rho0 * grid.volume))

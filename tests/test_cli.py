@@ -12,6 +12,12 @@ import bosefluct
 from bosefluct.checks import REGISTRY, run_check
 from bosefluct.cli import OUTPUT_DIR_ENV, main
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402  the benchmark's table gate, read only
+
 FAST_CHECKS = "lifetime-exponents virial-imperfect virial-wibg u-commutation"
 
 
@@ -146,6 +152,9 @@ class TestRun:
                 assert float(meta[f"{j.name}_bound"]) == j.bound
             holds = all(float(meta[f"{j.name}_margin"]) > 0.0 for j in judgements)
             assert meta["passed"] == str(holds) == "True"
+            # the default scenario's tables are the benchmark's reference tables
+            reference = (workloads.REFERENCE_DIR / f"{name}.csv").read_text()
+            assert workloads.compare_tables((out_dir / f"{name}.csv").read_text(), reference) == []
 
     def test_tolerance_override_shows_in_the_meta(self, tmp_path, capsys):
         # equivalence's distance is exactly 0 at the default, so it passes even 1e-30

@@ -855,6 +855,24 @@ class TestStrideDiagonals:
                 expected = projected_norm(cx, ws.below_truncation_projector(margin))
                 assert x.projected_norm(ws.interior(margin)) == pytest.approx(expected, rel=1e-14)
 
+    def test_powers_past_the_edge_hold_no_diagonal(self, case):
+        # ZERO is the slowest mode, so a_0^d, d the size of its window, has offset n: a
+        # product keeps no diagonal there, and an operator without one still maps and converts
+        ws, *_ = STRIDE_WORKSPACES[case]()
+        lo, hi = ws.windows[ZERO]
+        d, a, csr_a = hi - lo + 1, ws._ladder(ZERO), ws.annihilator(ZERO)
+        powers, csr_power = [a], csr_a  # powers[k] is a_0^(k + 1)
+        while len(powers) < 2 * d:
+            powers.append(powers[-1] @ a)
+        for _ in range(d - 2):
+            csr_power = csr_power @ csr_a
+        assert abs(powers[d - 2].tocsr() - csr_power).max() == 0.0 < csr_power.max()
+        assert [p.diagonals for p in powers[d - 1:]] == [{}] * (d + 1)
+        past = powers[-1] @ powers[-1]
+        assert past.diagonals == {} and past.tocsr().nnz == 0
+        vec = np.arange(ws.dimension) + 1.0j
+        assert np.array_equal(powers[-1] @ vec, np.zeros(ws.dimension, dtype=complex))
+
     def test_builders_give_the_csr_of_the_ladder_products(self, case):
         ws, params, amp = STRIDE_WORKSPACES[case]()
         for model in (("imperfect", "wibg") if params is None else (case,)):

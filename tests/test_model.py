@@ -97,8 +97,8 @@ class TestSingleSource:
 
     INLINE = re.compile(r"/\s*\(\s*\d+(\.\d*)?\s*\*\s*(params\.mass|m)\s*\)|math\.tanh\(")
     BOSE_FACTOR = re.compile(r"expm1\(")
-    # the thermal bubble's shifted Bose factor is the per-point hot path of its
-    # scalar integrand, which a vectorized quadrature would replace
+    # the thermal bubble's Bose factor carries the shift mu_shift, which bose_occupation
+    # does not take, and its angular log needs 1 - e^{-x} itself
     BOSE_FACTOR_EXEMPT = ("asymptotics.py", "bose_bubble_integral")
 
     def test_no_inline_copies_outside_model(self):
