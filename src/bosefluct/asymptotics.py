@@ -47,6 +47,14 @@ class IntegralResult:
     tail_bound: float
 
 
+def _wavevector_norm(q) -> float:
+    """``float(q)`` of a positive finite norm ``|q|``: TypeError for a 3-vector, else ValueError."""
+    q_norm = float(q)
+    if not (q_norm > 0.0 and math.isfinite(q_norm)):
+        raise ValueError("q must be a positive finite norm |q|")
+    return q_norm
+
+
 def _radial_cutoff(params: ModelParams, q_norm: float) -> float:
     """Radius beyond which the thermal factor is below ~1e-12."""
     # beta * (K - q)^2 / (2m) >= 30 gives e^{-30} ~ 1e-13 suppression.
@@ -146,7 +154,7 @@ def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
 
     Parameters
     ----------
-    q : 3-vector or scalar norm, nonzero
+    q : float norm ``|q|``, positive and finite
     mu_shift : float
         Nonpositive chemical-potential shift applied to both factors
         (normal/critical phases of the free gas).
@@ -154,9 +162,7 @@ def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
         Density in the ``1/(2 rho)`` prefactor; defaults to the
         condensate density in ``params``.
     """
-    q_norm = float(np.linalg.norm(q))
-    if q_norm == 0.0:
-        raise ValueError("q must be nonzero")
+    q_norm = _wavevector_norm(q)
     if mu_shift > 0.0:
         raise ValueError("mu_shift must be <= 0")
     rho = params.condensate_density if norm_density is None else norm_density
@@ -210,15 +216,13 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
     ``r = |q|`` as a breakpoint; each of its rounds evaluates the inner
     rule once, on an ``(n_r, PAIR_NODES)`` array.
 
-    ``error`` is the outer rule's estimate; the fixed inner rule has no
-    estimate of its own (the tests hold it against a rule of twice its
-    size). ``tail_bound`` bounds the integrand beyond the cutoff. Like the
-    thermal bubble, it raises ``RuntimeError`` when the outer rule does not
-    converge.
+    ``q`` is the norm ``|q|``, positive and finite. ``error`` is the outer
+    rule's estimate; the fixed inner rule has no estimate of its own (the
+    tests hold it against a rule of twice its size). ``tail_bound`` bounds
+    the integrand beyond the cutoff. Like the thermal bubble, it raises
+    ``RuntimeError`` when the outer rule does not converge.
     """
-    q_norm = float(np.linalg.norm(q))
-    if q_norm == 0.0:
-        raise ValueError("q must be nonzero")
+    q_norm = _wavevector_norm(q)
     if not params.is_ground_state:
         raise ValueError("pair bubble implemented for the ground state only")
     nodes, weights = _gauss_legendre(PAIR_NODES)

@@ -297,7 +297,7 @@ def _bch_operators(params: ModelParams, box: float):
     state = fock.FiniteState.coherent_vacuum(ws, amp)
     rho = fock.condensate_fluct_matrix(ws, q, amp, f_q0=1.0)
     a_op = fock.condensate_fluct_matrix(ws, q, amp, g_q0=1.0)
-    return ws, state, rho, a_op
+    return state, rho, a_op
 
 
 def _check_bch(ctx: CheckContext, tol: float) -> CheckResult:
@@ -305,7 +305,7 @@ def _check_bch(ctx: CheckContext, tol: float) -> CheckResult:
     params = ctx.imperfect_ground
     rows = []
     for box in (2.0, 3.0, 4.0):
-        _, state, rho, a_op = _bch_operators(params, box)
+        state, rho, a_op = _bch_operators(params, box)
         rows.append((box**3, fock.bch_defect(rho, a_op, state),
                      fock.appendix_bound(rho, a_op, state)))
     _, defects, bounds = np.array(rows).T
@@ -334,7 +334,7 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
             if abs(f + 1j * g) > 0.5:
                 break
         s_closed = fluctuations.variance_general(
-            fluctuations.FluctuationSpec("imperfect", ws.k_phys(q), f_q0=f, g_q0=g), params)
+            fluctuations.FluctuationSpec("imperfect", ws.k_norm(q), f_q0=f, g_q0=g), params)
         t_max = 1.5 / math.sqrt(s_closed)
         t_grid = np.linspace(0.0, t_max, 7)[1:]
         values = fock.clt_char_function(family(f, g), t_grid, state)

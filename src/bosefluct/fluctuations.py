@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .asymptotics import bose_bubble_integral, richardson, wibg_pair_bubble
+from .asymptotics import _wavevector_norm, bose_bubble_integral, richardson, wibg_pair_bubble
 from .model import ModelParams, bogoliubov_spectrum, dispersion, gas_table, thermal_kernel
 
 __all__ = [
@@ -56,7 +54,7 @@ class FluctuationSpec:
     ----------
     model : {"imperfect", "wibg"}
         Checked by the gas's table when a form is evaluated.
-    q : momentum 3-vector (or scalar norm), nonzero
+    q : float norm ``|q|``, positive and finite: every closed form depends on it alone
     f_q0, g_q0 : complex
         Density and order-parameter smearing values at ``(q, 0)``.
     renorm_exponent : float
@@ -64,26 +62,15 @@ class FluctuationSpec:
     """
 
     model: str
-    q: tuple
+    q: float
     f_q0: complex = 0.0
     g_q0: complex = 0.0
     renorm_exponent: float = 0.0
 
     def __post_init__(self):
-        qa = np.atleast_1d(np.asarray(self.q, dtype=float))
-        if qa.size == 1:
-            qa = np.array([0.0, 0.0, float(qa[0])])
-        if qa.shape != (3,):
-            raise ValueError("q must be a scalar norm or a 3-vector")
-        if not np.any(qa != 0.0):
-            raise ValueError("q must be nonzero")
-        object.__setattr__(self, "q", tuple(qa))
+        object.__setattr__(self, "q", _wavevector_norm(self.q))
         object.__setattr__(self, "f_q0", complex(self.f_q0))
         object.__setattr__(self, "g_q0", complex(self.g_q0))
-
-    @property
-    def q_norm(self) -> float:
-        return float(np.linalg.norm(self.q))
 
     @property
     def field_value(self) -> complex:
@@ -92,7 +79,7 @@ class FluctuationSpec:
 
     @property
     def renorm_factor(self) -> float:
-        return self.q_norm**self.renorm_exponent
+        return self.q**self.renorm_exponent
 
 
 @dataclass(frozen=True)
@@ -148,25 +135,25 @@ def _symmetric_form(spec1: FluctuationSpec, spec2: FluctuationSpec,
     mean-field kernel, to which the mean-field gas adds ``Re(conj f1 f2) I(q)``
     with the thermal bubble ``I`` (zero in the ground state)."""
     w1, w2 = spec1.field_value, spec2.field_value
-    q_norm = spec1.q_norm
     scale = spec1.renorm_factor * spec2.renorm_factor
-    eps = dispersion(q_norm, params)
-    g = gas_table(spec1.model, params).g(q_norm)
+    eps = dispersion(spec1.q, params)
+    g = gas_table(spec1.model, params).g(spec1.q)
     energy = bogoliubov_spectrum(eps, g)
     overlap = (w1.conjugate() * w2).real
     value = thermal_kernel(energy, params.beta) * (
         (eps * overlap + 2.0 * g * w1.imag * w2.imag) / energy)
     f_overlap = (spec1.f_q0.conjugate() * spec2.f_q0).real
     if spec1.model == "imperfect" and f_overlap != 0.0 and not params.is_ground_state:
-        value += f_overlap * bose_bubble_integral(q_norm, params, rtol=rtol).value
+        value += f_overlap * bose_bubble_integral(spec1.q, params, rtol=rtol).value
     return scale * value
 
 
 def _check_compatible(spec1: FluctuationSpec, spec2: FluctuationSpec):
+    """Refuses two specs unless they share the model and exactly the same ``|q|``."""
     if spec1.model != spec2.model:
         raise ValueError("specs use different models")
-    if not np.allclose(spec1.q, spec2.q):
-        raise ValueError("specs use different wavevectors")
+    if spec1.q != spec2.q:
+        raise ValueError("specs use different wavevector norms |q|")
 
 
 def symplectic_sigma(spec1: FluctuationSpec, spec2: FluctuationSpec) -> float:
@@ -202,16 +189,15 @@ def equivalence_distance(spec1: FluctuationSpec, spec2: FluctuationSpec,
     Zero exactly when the limiting fluctuation fields coincide, e.g.
     for the pair ``(f, 0)`` versus ``(0, Jf)``. The q -> 0 limit is a
     Richardson extrapolation over the four wavevector norms
-    ``|q| 2^-j``, j = 0..3, seeded from the specs' own q; a limit that rounds
-    negative shows as ``sqrt(|limit|)``. Both specs must carry the same
-    ``renorm_exponent``: the difference spec has one.
+    ``|q| 2^-j``, j = 0..3, seeded from the specs' common q; a limit that rounds
+    negative shows as ``sqrt(|limit|)``. Both specs must share the model, ``|q|``
+    and ``renorm_exponent``: the difference spec has one exponent.
     """
-    if spec1.model != spec2.model:
-        raise ValueError("specs use different models")
+    _check_compatible(spec1, spec2)
     if spec1.renorm_exponent != spec2.renorm_exponent:
         raise ValueError("specs use different renormalization exponents")
     diff = replace(spec1, f_q0=spec1.f_q0 - spec2.f_q0, g_q0=spec1.g_q0 - spec2.g_q0)
-    q_tail = [spec1.q_norm * 0.5**j for j in range(4)]
+    q_tail = [spec1.q * 0.5**j for j in range(4)]
     values = [variance_general(replace(diff, q=qn), params) for qn in q_tail]
     limit = richardson(q_tail, values, (1, 2, 3))
     return math.sqrt(abs(limit))
@@ -219,7 +205,7 @@ def equivalence_distance(spec1: FluctuationSpec, spec2: FluctuationSpec,
 
 def structure_factor(q, params: ModelParams, density_kind: str = "condensate",
                      rtol: float = 1e-7) -> float:
-    """Static structure factor of the superfluid gas at wavevector q.
+    """Static structure factor of the superfluid gas at wavevector norm ``q = |q|``.
 
     ``condensate`` kind: ``2 c^2`` times the bare condensate-density
     variance, i.e. ``c^2 (eps_q / E_q) coth(beta E_q / 2)``; linear in
@@ -227,16 +213,13 @@ def structure_factor(q, params: ModelParams, density_kind: str = "condensate",
     kind (ground state only) adds the excited-mode pair bubble and
     tends to a nonzero constant as q -> 0.
     """
-    q_norm = float(np.linalg.norm(q))
-    if q_norm == 0.0:
-        raise ValueError("q must be nonzero")
     c_sq = params.condensate_amplitude**2
-    condensate_part = 2.0 * c_sq * variance_rho0_wibg(q_norm, params)
+    condensate_part = 2.0 * c_sq * variance_rho0_wibg(q, params)  # its spec refuses q
     if density_kind == "condensate":
         return condensate_part
     if density_kind == "full":
         if not params.is_ground_state:
             raise ValueError("full-density structure factor implemented at beta = inf")
-        return condensate_part + wibg_pair_bubble(q_norm, params, rtol=rtol).value
+        return condensate_part + wibg_pair_bubble(q, params, rtol=rtol).value
     raise ValueError(f"unknown density_kind {density_kind!r}")
 

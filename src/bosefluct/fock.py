@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from .model import ModelParams, dispersion, gas_table
+from .model import ModelParams, dispersion, fluct_weights, gas_table
 
 __all__ = [
     "Diagonals",
@@ -522,18 +522,6 @@ def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[Diagonals, Diagonals]:
     return b.adjoint(), b
 
 
-def _fluct_weights(amplitude: float, f_q0: complex, g_q0: complex
-                   ) -> Tuple[complex, complex, complex, complex]:
-    """Weights of the parts ``B* a_0``, ``a*_0 B``, ``B*`` and ``B`` in ``F(f, g)``."""
-    f, g = complex(f_q0), complex(g_q0)
-    if f == 0.0 and g == 0.0:
-        raise ValueError("needs a nonzero smearing f or g")
-    if amplitude == 0.0:
-        raise ValueError("needs a nonzero zero-mode amplitude")
-    norm = 1.0 / (2.0 * amplitude)
-    return norm * f, norm * f.conjugate(), 0.5j * g, -0.5j * g.conjugate()
-
-
 def _fluct_parts(ws: FockWorkspace, q_lat, weights: Sequence[complex]
                  ) -> List[Tuple[complex, Diagonals]]:
     """``(w, P)`` for each part ``P`` of ``F(f, g)`` (``B* a_0``, ``a*_0 B``, ``B*``,
@@ -546,18 +534,17 @@ def _fluct_parts(ws: FockWorkspace, q_lat, weights: Sequence[complex]
 
 def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
                             f_q0: complex = 0.0, g_q0: complex = 0.0) -> Diagonals:
-    """Smeared fluctuation ``F(f, g) = (1/2z)[f B* a_0 + conj(f) a*_0 B]
-    + (i/2)[g B* - conj(g) B]``.
+    """Smeared fluctuation ``F(f, g)`` with the weights of ``model.fluct_weights``.
 
-    ``B* = a*_q + a*_{-q}`` and ``z`` is the zero-mode amplitude the state
-    is built with (``sqrt(rho0 V)`` or ``c sqrt(V)``). On the ``[0, q, -q]``
+    ``amplitude`` is the zero-mode amplitude ``z`` the state is built with
+    (``sqrt(rho0 V)`` or ``c sqrt(V)``). On the ``[0, q, -q]``
     workspace the ``f`` part is the whole mean-field density fluctuation,
     so this one builder serves both gases; ``f = i eps_q`` gives the
     density weighted by ``i (eps_k - eps_k')``. Each part is built only
     when its smearing is nonzero; ``F(0, 0)`` is refused.
     """
     return sum(w * part for w, part in
-               _fluct_parts(ws, q_lat, _fluct_weights(amplitude, f_q0, g_q0)))
+               _fluct_parts(ws, q_lat, fluct_weights(amplitude, f_q0, g_q0)))
 
 
 def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
@@ -585,7 +572,7 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
     unit = LayeredOperator.lay_out(diagonals, np.add(*_pair_occupations(ws, q_lat)))
 
     def matrix(f_q0: complex = 0.0, g_q0: complex = 0.0) -> LayeredOperator:
-        weights = np.array(_fluct_weights(amplitude, f_q0, g_q0))
+        weights = np.array(fluct_weights(amplitude, f_q0, g_q0))
         return LayeredOperator(unit.order, unit.grades, unit.starts, unit.columns,
                                weights[owner][:, None] * unit.values)
 

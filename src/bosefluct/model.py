@@ -4,9 +4,10 @@ Closed-form scalar layer shared by every other module: the free-particle
 dispersion, the Bose factor, the thermal two-point kernel
 ``(1/2) coth(beta e / 2)``, the Bogoliubov excitation spectrum, the
 normal and anomalous averages of one Bogoliubov mode, the collective
-gap constant ``Omega = sqrt(4 m c^2 v(0))`` of the superfluid model, and
-:func:`gas_table`, the numbers in which the two gases differ. The other
-modules take these from here rather than writing them out.
+gap constant ``Omega = sqrt(4 m c^2 v(0))`` of the superfluid model, the
+weights of the smeared fluctuation ``F(f, g)``, and :func:`gas_table`, the
+numbers in which the two gases differ. The other modules take these from
+here rather than writing them out.
 
 Units: hbar = 1 throughout. ``beta = math.inf`` is a first-class value
 and selects the ground state.
@@ -29,6 +30,7 @@ __all__ = [
     "bogoliubov_spectrum",
     "pair_averages",
     "omega_gap",
+    "fluct_weights",
     "GasTable",
     "gas_table",
 ]
@@ -117,7 +119,7 @@ def dispersion(k, params: ModelParams) -> float:
     array of 3-vectors along the last axis (returns an array). Even in
     ``k``; vanishes exactly at ``k = 0``.
     """
-    # real scalars skip numpy: quadrature integrands call this per point
+    # real scalars skip numpy: closed forms pass one |k|, and quad's tail integrand one per point
     if isinstance(k, (float, int)):
         k = float(k)
         if not math.isfinite(k):
@@ -220,6 +222,20 @@ def omega_gap(params: ModelParams) -> float:
     return math.sqrt(4.0 * params.mass * c**2 * params.v(0.0))
 
 
+def fluct_weights(amplitude: float, f_q0: complex, g_q0: complex
+                  ) -> tuple[complex, complex, complex, complex]:
+    """Weights of the parts ``B* a_0``, ``a*_0 B``, ``B*``, ``B`` of the smeared fluctuation
+    ``F(f, g) = (1/2z)[f B* a_0 + conj(f) a*_0 B] + (i/2)[g B* - conj(g) B]``, ``B* = a*_q +
+    a*_{-q}``, at zero-mode ``amplitude`` z. Refuses ``F(0, 0)`` and ``z = 0``."""
+    f, g = complex(f_q0), complex(g_q0)
+    if f == 0.0 and g == 0.0:
+        raise ValueError("needs a nonzero smearing f or g")
+    if amplitude == 0.0:
+        raise ValueError("needs a nonzero zero-mode amplitude")
+    norm = 1.0 / (2.0 * amplitude)
+    return norm * f, norm * f.conjugate(), 0.5j * g, -0.5j * g.conjugate()
+
+
 @dataclass(frozen=True)
 class GasTable:
     """The numbers in which the two gases differ; built by :func:`gas_table`."""
@@ -294,12 +310,3 @@ class MomentumGrid:
     @property
     def volume(self) -> float:
         return self.box_side**3
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def __repr__(self) -> str:
-        return (
-            f"MomentumGrid(L={self.box_side:g}, K_max={self.cutoff:g}, "
-            f"modes={len(self)})"
-        )

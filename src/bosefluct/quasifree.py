@@ -19,8 +19,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .model import (ModelParams, MomentumGrid, bose_occupation, dispersion, gas_table,
-                    pair_averages)
+from .model import (ModelParams, MomentumGrid, bose_occupation, dispersion, fluct_weights,
+                    gas_table, pair_averages)
 
 __all__ = [
     "QuasiFreeState",
@@ -175,27 +175,16 @@ def _product_terms(op1, op2):
 
 
 def _fluct_terms(state: QuasiFreeState, q: Mode, f: complex, g: complex):
-    """Terms of ``F(f, g) = (1/2z)[f B* a_0 + conj(f) a*_0 B] + (i/2)[g B* - conj(g) B]``.
+    """Terms of ``F(f, g)`` at lattice mode ``q`` with the state's one-point amplitude ``z``.
 
-    ``B* = a*_q + a*_{-q}`` and ``z`` is the state's one-point amplitude:
-    the density smearing ``f`` gives the four zero-mode transfers, the
-    order-parameter smearing ``g`` the four single tokens. A part whose
-    smearing is zero is left out.
+    Each part ``B* a_0``, ``a*_0 B``, ``B*``, ``B`` of ``F`` (``B* = a*_q + a*_{-q}``) gives
+    its term at ``q`` and then at ``-q``, weighted by ``model.fluct_weights``; a part of
+    weight zero is left out, and ``F(0, 0)`` is refused.
     """
-    f, g = complex(f), complex(g)
-    minus_q = tuple(-x for x in q)
-    terms = []
-    if f != 0.0:
-        norm = 1.0 / (2.0 * state.one_point_amplitude)
-        terms += [(norm * f, ((q, True), (ZERO, False))),
-                  (norm * f, ((minus_q, True), (ZERO, False))),
-                  (norm * f.conjugate(), ((ZERO, True), (q, False))),
-                  (norm * f.conjugate(), ((ZERO, True), (minus_q, False)))]
-    if g != 0.0:
-        terms += [(0.5j * g, ((q, True),)), (0.5j * g, ((minus_q, True),)),
-                  (-0.5j * g.conjugate(), ((q, False),)),
-                  (-0.5j * g.conjugate(), ((minus_q, False),))]
-    return terms
+    words = [(((k, True), (ZERO, False)), ((ZERO, True), (k, False)), ((k, True),), ((k, False),))
+             for k in (q, tuple(-x for x in q))]  # the four parts at q, then at -q
+    weights = fluct_weights(state.one_point_amplitude, f, g)
+    return [(w, at_k[i]) for i, w in enumerate(weights) if w != 0.0 for at_k in words]
 
 
 def finite_volume_variance(state: QuasiFreeState, kind: str, q: Sequence[int]) -> float:

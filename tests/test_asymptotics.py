@@ -102,12 +102,6 @@ class TestBoseBubble:
         slow = brute_force_bubble(0.7, params, mu_shift=-0.4, rho=1.0)
         assert fast.value == pytest.approx(slow, rel=1e-6)
 
-    def test_even_in_q(self):
-        params = thermal_params()
-        plus = bose_bubble_integral((0.0, 0.0, 0.8), params).value
-        minus = bose_bubble_integral((0.0, 0.0, -0.8), params).value
-        assert plus == pytest.approx(minus, rel=1e-9)
-
     def test_monotone_decreasing_in_q(self):
         params = thermal_params()
         values = [bose_bubble_integral(q, params).value for q in (0.2, 0.5, 1.0, 2.0)]

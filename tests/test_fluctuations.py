@@ -21,7 +21,7 @@ from bosefluct.fluctuations import (
     variance_rho0_wibg,
     variance_rho_imperfect,
 )
-from bosefluct.asymptotics import bose_bubble_integral
+from bosefluct.asymptotics import bose_bubble_integral, wibg_pair_bubble
 from bosefluct.checks import CheckContext
 from bosefluct.model import ModelParams, dispersion, omega_gap
 
@@ -47,18 +47,18 @@ Q_UNIT_EPS = math.sqrt(2.0)  # |q| with eps_q = 1 at mass 1
 
 class TestNamedVariances:
     def test_rho_imperfect_ground(self):
-        assert variance_rho_imperfect((0, 0, 1.0), imperfect_params()) == 0.5
+        assert variance_rho_imperfect(1.0, imperfect_params()) == 0.5
 
     def test_A_imperfect_ground(self):
-        assert variance_A_imperfect((0, 0, 1.0), imperfect_params()) == 0.5
+        assert variance_A_imperfect(1.0, imperfect_params()) == 0.5
 
     def test_A_imperfect_thermal(self):
-        value = variance_A_imperfect((0, 0, Q_UNIT_EPS), imperfect_params(beta=2.0))
+        value = variance_A_imperfect(Q_UNIT_EPS, imperfect_params(beta=2.0))
         assert value == pytest.approx(0.5 / math.tanh(1.0))
 
     def test_rho_imperfect_thermal_exceeds_coth(self):
         params = imperfect_params(beta=2.0)
-        value = variance_rho_imperfect((0, 0, Q_UNIT_EPS), params)
+        value = variance_rho_imperfect(Q_UNIT_EPS, params)
         assert value > 0.5 / math.tanh(1.0)
 
     def test_rho0_wibg_ground(self):
@@ -80,16 +80,16 @@ class TestNamedVariances:
 
     def test_zero_q_rejected(self):
         with pytest.raises(ValueError):
-            variance_rho_imperfect((0, 0, 0), imperfect_params())
+            variance_rho_imperfect(0.0, imperfect_params())
         with pytest.raises(ValueError):
-            variance_A_imperfect((0, 0, 0), imperfect_params())
+            variance_A_imperfect(0.0, imperfect_params())
 
 
 class TestVarianceGeneral:
     def test_reduces_to_named(self):
         params_i = imperfect_params(beta=2.0)
         params_w = wibg_params(beta=2.0)
-        q = (0, 0, 0.9)
+        q = 0.9
         cases = [
             (FluctuationSpec("imperfect", q, f_q0=1.0), variance_rho_imperfect(q, params_i), params_i),
             (FluctuationSpec("imperfect", q, g_q0=1.0), variance_A_imperfect(q, params_i), params_i),
@@ -113,15 +113,15 @@ class TestVarianceGeneral:
     def test_gauge_direction_vanishes_imperfect(self):
         # (f, g) = (w, Jw) has field value w + i(-i w) ... = 2w only for g = -Jf;
         # the null direction is f + i g = 0, i.e. g = i f.
-        spec = FluctuationSpec("imperfect", (0, 0, 1.0), f_q0=1.0, g_q0=1.0j)
+        spec = FluctuationSpec("imperfect", 1.0, f_q0=1.0, g_q0=1.0j)
         assert variance_general(spec, imperfect_params()) == 0.0
 
     def test_renormalized_small_q_limits(self):
         params = wibg_params()
         omega = omega_gap(params)
         q = 1e-3
-        rho_r = FluctuationSpec("wibg", (0, 0, q), f_q0=1.0, renorm_exponent=-0.5)
-        a_r = FluctuationSpec("wibg", (0, 0, q), g_q0=1.0, renorm_exponent=+0.5)
+        rho_r = FluctuationSpec("wibg", q, f_q0=1.0, renorm_exponent=-0.5)
+        a_r = FluctuationSpec("wibg", q, g_q0=1.0, renorm_exponent=+0.5)
         assert variance_general(rho_r, params) == pytest.approx(1.0 / (2.0 * omega), rel=1e-4)
         assert variance_general(a_r, params) == pytest.approx(omega / 2.0, rel=1e-4)
 
@@ -132,8 +132,8 @@ class TestVarianceGeneral:
         for model, params in (("imperfect", imperfect_params()), ("wibg", wibg_params())):
             for _ in range(20):
                 f, g, h = (complex(*rng.normal(size=2)) for _ in range(3))
-                base = FluctuationSpec(model, (0, 0, 0.7), f_q0=f, g_q0=g)
-                shifted = FluctuationSpec(model, (0, 0, 0.7), f_q0=f + h,
+                base = FluctuationSpec(model, 0.7, f_q0=f, g_q0=g)
+                shifted = FluctuationSpec(model, 0.7, f_q0=f + h,
                                           g_q0=g - j_map(h))
                 assert variance_general(base, params) == pytest.approx(
                     variance_general(shifted, params), rel=1e-12, abs=1e-12)
@@ -141,7 +141,7 @@ class TestVarianceGeneral:
 
 class TestSymplecticAndCovariance:
     def test_canonical_pair(self):
-        q = (0, 0, 0.5)
+        q = 0.5
         rho = FluctuationSpec("imperfect", q, f_q0=1.0)
         a_op = FluctuationSpec("imperfect", q, g_q0=1.0)
         assert symplectic_sigma(rho, a_op) == pytest.approx(1.0)
@@ -149,7 +149,7 @@ class TestSymplecticAndCovariance:
     def test_self_and_antisymmetry(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
-            q = (0, 0, rng.uniform(0.1, 2.0))
+            q = rng.uniform(0.1, 2.0)
             s1 = FluctuationSpec("wibg", q, f_q0=complex(*rng.normal(size=2)),
                                  g_q0=complex(*rng.normal(size=2)))
             s2 = FluctuationSpec("wibg", q, f_q0=complex(*rng.normal(size=2)),
@@ -160,7 +160,7 @@ class TestSymplecticAndCovariance:
 
     def test_full_form_composition(self):
         params = imperfect_params()
-        q = (0, 0, 0.8)
+        q = 0.8
         s1 = FluctuationSpec("imperfect", q, f_q0=0.3 + 0.1j, g_q0=-0.2j)
         s2 = FluctuationSpec("imperfect", q, f_q0=-1.0, g_q0=0.5 + 0.5j)
         form = covariance_form(s1, s2, params)
@@ -177,7 +177,7 @@ class TestSymplecticAndCovariance:
     def test_cauchy_schwarz(self, model, params):
         rng = np.random.default_rng(47)
         for _ in range(500):
-            q = (0, 0, rng.uniform(0.05, 2.5))
+            q = rng.uniform(0.05, 2.5)
             draws = rng.normal(size=8)
             s1 = FluctuationSpec(model, q, f_q0=complex(draws[0], draws[1]),
                                  g_q0=complex(draws[2], draws[3]))
@@ -201,7 +201,7 @@ class TestSymplecticAndCovariance:
         # oracle: s = (V(s1 + s2) - V(s1 - s2)) / 4 on a common exponent
         rng = np.random.default_rng(61)
         for _ in range(200):
-            q = (0, 0, math.exp(rng.uniform(math.log(1e-3), math.log(2.0))))
+            q = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
             exponent = rng.uniform(-1.0, 1.0)
             w = rng.normal(size=8)
             s1 = FluctuationSpec(model, q, f_q0=complex(w[0], w[1]),
@@ -245,18 +245,27 @@ class TestSymplecticAndCovariance:
         assert form.sigma == pytest.approx(1.0, rel=1e-12)
 
     def test_mismatched_specs_rejected(self):
-        s1 = FluctuationSpec("imperfect", (0, 0, 1.0), f_q0=1.0)
+        s1 = FluctuationSpec("imperfect", 1.0, f_q0=1.0)
         with pytest.raises(ValueError):
-            symplectic_sigma(s1, FluctuationSpec("wibg", (0, 0, 1.0), f_q0=1.0))
+            symplectic_sigma(s1, FluctuationSpec("wibg", 1.0, f_q0=1.0))
         with pytest.raises(ValueError):
-            symplectic_sigma(s1, FluctuationSpec("imperfect", (0, 0, 2.0), f_q0=1.0))
+            symplectic_sigma(s1, FluctuationSpec("imperfect", 2.0, f_q0=1.0))
+
+    def test_nearby_norms_refused(self):
+        # a form is evaluated at one |q|: norms 1e-7 apart relative are not the same
+        rho = FluctuationSpec("imperfect", 0.5, f_q0=1.0)
+        a_op = FluctuationSpec("imperfect", 0.5 * (1.0 + 1e-7), g_q0=1.0)
+        with pytest.raises(ValueError, match="wavevector"):
+            symplectic_sigma(rho, a_op)
+        with pytest.raises(ValueError, match="wavevector"):
+            covariance_form(rho, a_op, imperfect_params())
 
 
 class TestEquivalenceDistance:
     def test_canonical_distance_one(self):
         params = imperfect_params()
-        rho = FluctuationSpec("imperfect", (0, 0, 0.5), f_q0=1.0)
-        a_op = FluctuationSpec("imperfect", (0, 0, 0.5), g_q0=1.0)
+        rho = FluctuationSpec("imperfect", 0.5, f_q0=1.0)
+        a_op = FluctuationSpec("imperfect", 0.5, g_q0=1.0)
         assert equivalence_distance(rho, a_op, params) == pytest.approx(1.0, abs=1e-9)
 
     def test_j_pair_is_null(self):
@@ -264,9 +273,15 @@ class TestEquivalenceDistance:
         for model, params in (("imperfect", imperfect_params()), ("wibg", wibg_params())):
             for _ in range(10):
                 f = complex(*rng.normal(size=2))
-                s_f = FluctuationSpec(model, (0, 0, 0.4), f_q0=f)
-                s_jf = FluctuationSpec(model, (0, 0, 0.4), g_q0=j_map(f))
+                s_f = FluctuationSpec(model, 0.4, f_q0=f)
+                s_jf = FluctuationSpec(model, 0.4, g_q0=j_map(f))
                 assert equivalence_distance(s_f, s_jf, params) == pytest.approx(0.0, abs=1e-9)
+
+    def test_differing_norms_refused(self):
+        # the q -> 0 limit starts from one |q|: two norms give no common sequence
+        rho = FluctuationSpec("wibg", 0.5, f_q0=1.0)
+        with pytest.raises(ValueError, match="wavevector"):
+            equivalence_distance(rho, FluctuationSpec("wibg", 0.9, g_q0=1.0), wibg_params())
 
     def test_differing_exponents_refused(self):
         # |q|^-1/2 rho0 - |q|^1/2 rho0 has limit variance 1/4, not the 0 of
@@ -278,18 +293,18 @@ class TestEquivalenceDistance:
 
     def test_negative_limit_shows_its_magnitude(self, monkeypatch):
         monkeypatch.setattr(fluctuations, "richardson", lambda *args: -1e-12)
-        spec = FluctuationSpec("wibg", (0, 0, 0.3), f_q0=1.0)
+        spec = FluctuationSpec("wibg", 0.3, f_q0=1.0)
         assert equivalence_distance(spec, spec, wibg_params()) == math.sqrt(1e-12)
 
     def test_self_distance_zero(self):
-        spec = FluctuationSpec("wibg", (0, 0, 0.3), f_q0=1.0 + 2.0j, g_q0=-0.5)
+        spec = FluctuationSpec("wibg", 0.3, f_q0=1.0 + 2.0j, g_q0=-0.5)
         assert equivalence_distance(spec, spec, wibg_params()) == 0.0
 
     def test_triangle_inequality(self):
         params = wibg_params()
         rng = np.random.default_rng(59)
         for _ in range(1000):
-            q = (0, 0, rng.uniform(0.1, 1.0))
+            q = rng.uniform(0.1, 1.0)
             specs = [FluctuationSpec("wibg", q,
                                      f_q0=complex(*rng.normal(size=2)),
                                      g_q0=complex(*rng.normal(size=2)))
@@ -321,3 +336,22 @@ class TestStructureFactor:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             structure_factor(0.1, wibg_params(), "total")
+
+
+BAD_NORMS = {"3-vector": (0.0, 0.0, 0.5), "zero": 0.0, "negative": -0.5,
+             "nan": math.nan, "inf": math.inf}
+Q_ENTRY_POINTS = {
+    "spec": lambda q: FluctuationSpec("wibg", q, f_q0=1.0),
+    "structure-condensate": lambda q: structure_factor(q, wibg_params(), "condensate"),
+    "structure-full": lambda q: structure_factor(q, wibg_params(), "full"),
+    "thermal-bubble": lambda q: bose_bubble_integral(q, imperfect_params(beta=1.0)),
+    "pair-bubble": lambda q: wibg_pair_bubble(q, wibg_params()),
+}
+
+
+@pytest.mark.parametrize("entry", Q_ENTRY_POINTS.values(), ids=Q_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("q", BAD_NORMS.values(), ids=BAD_NORMS.keys())
+def test_only_a_positive_finite_norm_is_taken(entry, q):
+    # every closed form depends on |q| alone, so a 3-vector is refused like the others
+    with pytest.raises(TypeError if isinstance(q, tuple) else ValueError):
+        entry(q)

@@ -467,13 +467,13 @@ class TestBchAndClt:
 
     @pytest.mark.parametrize("box", [2.0, 3.0])
     def test_bound_matches_operator_products(self, box):
-        _, state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, box)
+        state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, box)
         assert appendix_bound(rho, a_op, state) == pytest.approx(
             operator_product_bound(rho.tocsr(), a_op.tocsr(), state), rel=1e-12, abs=0.0)
 
     def test_bound_is_the_maximum_over_a_fine_grid(self):
         # || t S + O || is convex in t: its ends hold the maximum of 101 points on [0, 1]
-        _, state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, 2.0)
+        state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, 2.0)
         fine = operator_product_bound(rho.tocsr(), a_op.tocsr(), state, np.linspace(0.0, 1.0, 101))
         assert appendix_bound(rho, a_op, state) == pytest.approx(fine, rel=1e-12, abs=0.0)
 
@@ -504,7 +504,7 @@ class TestChebyshevPropagator:
 
     @pytest.mark.parametrize("box", [2.0, 3.0, 4.0])
     def test_matches_scipy_on_the_bch_operands(self, box):
-        _, state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, box)
+        state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, box)
         comm = rho @ a_op - a_op @ rho
         for exponent in (1j * rho, 1j * a_op, 1j * (rho + a_op), -0.5 * comm):
             generator = exponent.tocsr()

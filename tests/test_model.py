@@ -92,14 +92,17 @@ def test_every_exported_name_resolves(module):
 
 
 class TestSingleSource:
-    """Only the model module writes out ``|k|^2 / 2m``, ``(1/2) coth(beta e / 2)`` and
-    the Bose factor, and only ``ModelParams.v`` the gaussian ``v0 exp(-k^2 / kappa^2)``."""
+    """Only the model module writes out ``|k|^2 / 2m``, ``(1/2) coth(beta e / 2)``, the
+    Bose factor and the weights of ``F(f, g)``, and only ``ModelParams.v`` the gaussian
+    ``v0 exp(-k^2 / kappa^2)``."""
 
     INLINE = re.compile(r"/\s*\(\s*\d+(\.\d*)?\s*\*\s*(params\.mass|m)\s*\)|math\.tanh\(")
     BOSE_FACTOR = re.compile(r"expm1\(")
     # the thermal bubble's Bose factor carries the shift mu_shift, which bose_occupation
     # does not take, and its angular log needs 1 - e^{-x} itself
     BOSE_FACTOR_EXEMPT = ("asymptotics.py", "bose_bubble_integral")
+    # the zero-mode weight 1/2z and the order-parameter weight i g / 2 of F(f, g)
+    FLUCT_WEIGHTS = re.compile(r"1\.0 / \(2\.0 \* [\w.]*amplitude\)|0\.5j \* g\b")
 
     def test_no_inline_copies_outside_model(self):
         package = Path(bosefluct.__file__).parent
@@ -124,6 +127,14 @@ class TestSingleSource:
             assert self.INLINE.search(line), line
         for line in ("n = 1.0 / math.expm1(beta * eps)", "out = np.exp(-x) / -np.expm1(-x)"):
             assert self.BOSE_FACTOR.search(line), line
+        for line in ("norm = 1.0 / (2.0 * state.one_point_amplitude)",
+                     "terms += [(0.5j * g, ((q, True),))]", "-0.5j * g.conjugate()"):
+            assert self.FLUCT_WEIGHTS.search(line), line
+
+    def test_fluct_weights_only_in_model(self):
+        package = Path(bosefluct.__file__).parent
+        assert {path.name for path in package.glob("*.py")
+                if self.FLUCT_WEIGHTS.search(path.read_text())} == {"model.py"}
 
     @staticmethod
     def gaussians(tree):

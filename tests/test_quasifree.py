@@ -311,9 +311,14 @@ class TestSmearedFluctuationAcrossRoutes:
                                        MomentumGrid(scale * 2.0 * math.pi, 1.5 / scale))
                 q = (0, 0, int(scale))
                 closed = variance_general(
-                    FluctuationSpec("wibg", state.k_phys(q), f_q0=f, g_q0=g), params)
+                    FluctuationSpec("wibg", float(np.linalg.norm(state.k_phys(q))),
+                                    f_q0=f, g_q0=g), params)
                 value = wick_second_moment(state, q, f, g)
                 assert abs(value.imag) < 1e-12
                 errors.append(abs(value.real - closed))
                 assert errors[-1] < 3.0 / state.volume
             assert errors[1] < errors[0]
+
+    def test_zero_smearing_refused(self):
+        with pytest.raises(ValueError, match="nonzero smearing"):
+            _fluct_terms(imperfect_state(), Q, 0.0, 0.0)
