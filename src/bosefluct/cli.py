@@ -4,9 +4,10 @@ Subcommands
 -----------
 ``run <config>``
     Execute the checks selected in an INI-style config and write one CSV
-    table per check, plus a ``.meta`` sidecar with the tolerance and each
-    judgement's value, bound and margin. A check that raises gets only a
-    meta with its error text; the others still run. Exit 0 when every
+    table per check, plus a ``.meta`` sidecar with the status (pass, fail
+    or error), the tolerance, each judgement's value, bound and margin, and
+    the check's wall and worker-thread CPU time. A check that raises gets
+    only a meta with its error text; the others still run. Exit 0 when every
     check passes, 1 on a check failure or error, 2 on usage/config errors.
 ``list-checks``
     Print the registry: name, module, anchor.
@@ -116,10 +117,10 @@ def _run_command(args) -> int:
 
     out_dir = _resolve_out(args.out or cfg_out)
 
-    def task(name: str) -> Tuple[CheckResult, float]:
-        t0 = time.perf_counter()
+    def task(name: str) -> Tuple[CheckResult, float, float]:
+        t0, thread0 = time.perf_counter(), time.thread_time()
         result = run_check(name, ctx, tols[name])
-        return result, time.perf_counter() - t0
+        return result, time.perf_counter() - t0, time.thread_time() - thread0
 
     started = time.perf_counter()
     failed = []
@@ -132,19 +133,22 @@ def _run_command(args) -> int:
                 "module": spec.module,
                 "anchor": spec.anchor,
                 "passed": False,
+                "status": "error",
                 "tolerance": tols[name],
                 "config_hash": digest,
                 "version": __version__,
             }
             try:
-                result, elapsed = future.result()
+                result, elapsed, thread_elapsed = future.result()
             except Exception as exc:  # a raising check must not hide the others
                 meta["error"] = f"{type(exc).__name__}: {exc}"
                 print(f"{name}: ERROR ({meta['error']})", file=sys.stderr)
             else:
                 _write_table(out_dir / f"{name}.csv", result.columns, result.rows)
                 meta["passed"] = result.passed
+                meta["status"] = "pass" if result.passed else "fail"
                 meta["wall_time_s"] = elapsed
+                meta["thread_time_s"] = thread_elapsed
                 for j in result.judgements:
                     meta |= {j.name: j.value, f"{j.name}_bound": j.bound,
                              f"{j.name}_margin": j.margin}

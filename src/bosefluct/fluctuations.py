@@ -11,6 +11,7 @@ exactly 1/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -144,8 +145,20 @@ def _symmetric_form(spec1: FluctuationSpec, spec2: FluctuationSpec,
         (eps * overlap + 2.0 * g * w1.imag * w2.imag) / energy)
     f_overlap = (spec1.f_q0.conjugate() * spec2.f_q0).real
     if spec1.model == "imperfect" and f_overlap != 0.0 and not params.is_ground_state:
-        value += f_overlap * bose_bubble_integral(spec1.q, params, rtol=rtol).value
+        value += f_overlap * _thermal_bubble(spec1.q, params, rtol)
     return scale * value
+
+
+@functools.lru_cache(maxsize=256)
+def _thermal_bubble(q: float, params: ModelParams, rtol: float) -> float:
+    """``bose_bubble_integral(q, params, rtol=rtol).value``, integrated once per key.
+
+    A variance and the covariances of its Gram matrix at one ``|q|`` share the
+    bubble, which is nearly all their cost. The key holds every input the value
+    depends on, so a hit is bit-identical to a new integral; a raise is not kept.
+    The bubble is looked up at call time, so a patched or traced binding sees
+    every miss."""
+    return bose_bubble_integral(q, params, rtol=rtol).value
 
 
 def _check_compatible(spec1: FluctuationSpec, spec2: FluctuationSpec):

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -242,6 +243,29 @@ class TestRun:
         meta = (out_dir / "equivalence.csv.meta").read_text().splitlines()
         assert "passed: False" in meta
         assert "error: ZeroDivisionError: float division by zero" in meta
+
+    def test_meta_records_status_and_thread_time(self, tmp_path, monkeypatch):
+        def raising(ctx, tol):
+            return 1.0 / 0.0
+
+        monkeypatch.setitem(REGISTRY, "equivalence",
+                            dataclasses.replace(REGISTRY["equivalence"], runner=raising))
+        cfg = write_config(tmp_path / "sweep.ini",
+                           checks="virial-imperfect divergence-exponents equivalence")
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out_dir),
+                     "--tol", "divergence-exponents=1e-12"]) == 1
+        for name, status, passed in (("virial-imperfect", "pass", "True"),
+                                     ("divergence-exponents", "fail", "False"),
+                                     ("equivalence", "error", "False")):
+            meta = read_meta(out_dir / f"{name}.csv.meta")
+            assert (meta["status"], meta["passed"]) == (status, passed)
+            if status == "error":
+                assert "thread_time_s" not in meta and "wall_time_s" not in meta
+            else:
+                assert 0.0 <= float(meta["thread_time_s"]) < math.inf
+                keys = list(meta)
+                assert keys.index("thread_time_s") == keys.index("wall_time_s") + 1
 
     @pytest.mark.parametrize("route,value", [("config", "-3"), ("config", "0"),
                                              ("flag", "0"), ("flag", "-2")])

@@ -45,6 +45,25 @@ def flat_wibg_params(v0, beta=math.inf):
 Q_UNIT_EPS = math.sqrt(2.0)  # |q| with eps_q = 1 at mass 1
 
 
+@pytest.fixture
+def bubble_calls(monkeypatch):
+    """Counts the thermal bubbles the closed forms integrate, on an empty memo.
+
+    The memo is cleared before and after, so the count does not depend on test
+    order and no value of a patched bubble outlives the test.
+    """
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bose_bubble_integral(*args, **kwargs)
+
+    fluctuations._thermal_bubble.cache_clear()
+    monkeypatch.setattr(fluctuations, "bose_bubble_integral", counted)
+    yield calls
+    fluctuations._thermal_bubble.cache_clear()
+
+
 class TestNamedVariances:
     def test_rho_imperfect_ground(self):
         assert variance_rho_imperfect(1.0, imperfect_params()) == 0.5
@@ -220,18 +239,11 @@ class TestSymplecticAndCovariance:
         (1.0j, imperfect_params(beta=1.0), 0),  # Re(conj f1 f2) = 0
         (0.3 - 1.0j, imperfect_params(), 0),  # ground state
     ], ids=["thermal", "orthogonal-f", "ground"])
-    def test_one_bubble_per_form(self, monkeypatch, f2, params, calls):
-        count = []
-
-        def counted(*args, **kwargs):
-            count.append(1)
-            return bose_bubble_integral(*args, **kwargs)
-
-        monkeypatch.setattr(fluctuations, "bose_bubble_integral", counted)
+    def test_one_bubble_per_form(self, bubble_calls, f2, params, calls):
         s1 = FluctuationSpec("imperfect", 0.4, f_q0=1.0, g_q0=0.2 + 0.5j)
         s2 = FluctuationSpec("imperfect", 0.4, f_q0=f2, g_q0=-0.7)
         covariance_form(s1, s2, params)
-        assert len(count) == calls
+        assert len(bubble_calls) == calls
 
     @pytest.mark.parametrize("q", [1e-3, 0.1])
     @pytest.mark.parametrize("kind", ["wibg", "wibg_thermal"])
@@ -259,6 +271,61 @@ class TestSymplecticAndCovariance:
             symplectic_sigma(rho, a_op)
         with pytest.raises(ValueError, match="wavevector"):
             covariance_form(rho, a_op, imperfect_params())
+
+
+class TestThermalBubbleMemo:
+    """The closed forms integrate each thermal bubble once per ``(|q|, params, rtol)``."""
+
+    Q = 0.4
+
+    def gram(self, q, params):
+        """A variance, then the three entries of a 2x2 Gram matrix, at one ``|q|``."""
+        variance_rho_imperfect(q, params)
+        s1 = FluctuationSpec("imperfect", q, f_q0=0.6 - 0.2j, g_q0=0.3j, renorm_exponent=1.0)
+        s2 = FluctuationSpec("imperfect", q, f_q0=-1.1 + 0.4j, g_q0=0.5, renorm_exponent=1.0)
+        return [covariance_form(a, b, params).s for a, b in ((s1, s2), (s1, s1), (s2, s2))]
+
+    def test_a_variance_and_its_gram_matrix_share_one_bubble(self, bubble_calls):
+        self.gram(self.Q, imperfect_params(beta=1.0))
+        assert len(bubble_calls) == 1
+
+    def test_each_new_key_integrates_once_more(self, bubble_calls):
+        params = imperfect_params(beta=1.0)
+        self.gram(self.Q, params)
+        variance_rho_imperfect(self.Q, params, rtol=1e-10)
+        assert len(bubble_calls) == 2
+        self.gram(0.7, params)
+        assert len(bubble_calls) == 3
+        self.gram(self.Q, imperfect_params(beta=2.0))
+        assert len(bubble_calls) == 4
+        self.gram(self.Q, params)
+        variance_rho_imperfect(self.Q, params, rtol=1e-10)
+        assert len(bubble_calls) == 4
+
+    def test_memo_equals_a_direct_integral(self, bubble_calls):
+        params = imperfect_params(beta=1.0)
+        for rtol in (1e-7, 1e-10):
+            direct = bose_bubble_integral(self.Q, params, rtol=rtol).value
+            assert fluctuations._thermal_bubble(self.Q, params, rtol) == direct
+            assert fluctuations._thermal_bubble(self.Q, params, rtol) == direct
+        assert len(bubble_calls) == 2
+
+    def test_a_raising_bubble_is_not_memoized(self, bubble_calls):
+        uncondensed = replace(imperfect_params(beta=1.0), condensate_density=0.0)
+        for attempt in (1, 2):
+            with pytest.raises(ValueError, match="density must be positive"):
+                fluctuations._thermal_bubble(self.Q, uncondensed, 1e-7)
+            assert len(bubble_calls) == attempt
+
+    def test_memo_stays_within_its_bound(self, monkeypatch, bubble_calls):
+        monkeypatch.setattr(fluctuations, "bose_bubble_integral",
+                            lambda q, params, rtol: bose_bubble_integral(q, imperfect_params()))
+        bound = fluctuations._thermal_bubble.cache_info().maxsize
+        params = imperfect_params(beta=1.0)
+        for n in range(bound + 8):
+            fluctuations._thermal_bubble(0.1 + n, params, 1e-7)
+            assert fluctuations._thermal_bubble.cache_info().currsize <= bound
+        assert fluctuations._thermal_bubble.cache_info().currsize == bound
 
 
 class TestEquivalenceDistance:
