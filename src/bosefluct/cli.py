@@ -2,22 +2,22 @@
 
 Subcommands
 -----------
-``run <config>``
+``run <config> [--out DIR] [--workers N]``
     Execute the checks selected in an INI-style config and write one CSV
     table per check, plus a ``.meta`` sidecar with the status (pass, fail
-    or error), the tolerance, each judgement's value, bound and margin, and
-    the check's wall and worker-thread CPU time. A check that raises gets
-    only a meta with its error text; the others still run. Exit 0 when every
-    check passes, 1 on a check failure or error, 2 on usage/config errors.
+    or error), the tolerance and its source, the scenario, each judgement,
+    and the check's wall and worker-thread CPU time. A check that raises
+    gets only a meta with its error text; the others still run. Exit 0 when
+    every check passes, 1 on a check failure or error, 2 on usage/config errors.
 ``list-checks``
     Print the registry: name, module, anchor.
-``spectrum --model <tag> --qmin <x> --qmax <x> --points <n>``
+``spectrum --model <tag> --qmin <x> --qmax <x> --points <n> [--out DIR]``
     Tabulate the dispersion and collective spectrum over a q range.
 
-The default output directory comes from ``--out`` or the
-``BOSEFLUCT_OUT`` environment variable (falling back to the current
-directory). Worker count affects wall time only; tables are assembled
-in task order and re-running an identical config byte-reproduces them.
+The config holds all that can change a table or a verdict (``[scenario]``,
+``[run] checks``, ``[tolerances]``; any other section or key is refused), so
+``config_hash`` names it. The flags hold what cannot: ``--out`` (default
+``.``) and ``--workers`` (default 1); tables are assembled in task order.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ import configparser
 import dataclasses
 import hashlib
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +39,9 @@ from . import __version__
 from .checks import REGISTRY, CheckContext, CheckResult, checked_tolerance, run_check
 from .model import bogoliubov_spectrum, dispersion, gas_table
 
-OUTPUT_DIR_ENV = "BOSEFLUCT_OUT"
-
-_CONTEXT_FIELDS = {f.name for f in dataclasses.fields(CheckContext)}
+# the sections and keys a config may hold; a tolerance may name any registered check
+_SCHEMA = {"scenario": {f.name for f in dataclasses.fields(CheckContext)},
+           "run": {"checks"}, "tolerances": REGISTRY.keys()}
 
 
 def _format_cell(value) -> str:
@@ -57,65 +56,51 @@ def _write_table(path: Path, columns: Sequence[str], rows: Sequence[Sequence]) -
     path.write_text("\n".join(lines) + "\n")
 
 
-def _resolve_out(arg_out: str | None) -> Path:
-    out = arg_out or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _parse_tol_overrides(pairs: Sequence[str] | None) -> Dict[str, float]:
-    overrides: Dict[str, float] = {}
-    for pair in pairs or []:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise ValueError(f"--tol expects name=value, got {pair!r}")
-        overrides[name] = checked_tolerance(name, float(value))
-    return overrides
+def _output_dir(out: str) -> Path:
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as a file of that name
+        raise ValueError(f"--out {out}: {exc.strerror}") from None
+    return Path(out)
 
 
 def _load_config(path: Path):
-    """Read the scenario config: context fields, check list, tolerances."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    """Scenario, selected checks, their tolerances and file hash; refuses what _SCHEMA lacks."""
+    # no default section, so a [DEFAULT] header is one more unknown section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
+    if not parser.read(path):
         raise FileNotFoundError(path)
+    config = {name: dict(parser[name]) for name in parser.sections()}
+    for section, entries in config.items():
+        unknown = [f"section [{section}]"] if section not in _SCHEMA else [
+            f"key {key!r} in [{section}]" for key in entries if key not in _SCHEMA[section]]
+        if unknown:
+            raise ValueError(f"unknown {unknown[0]}")
 
-    ctx_kwargs = {}
-    if parser.has_section("scenario"):
-        for key, value in parser.items("scenario"):
-            if key not in _CONTEXT_FIELDS:
-                raise ValueError(f"unknown scenario field {key!r}")
-            ctx_kwargs[key] = float(value)
-    ctx = CheckContext(**ctx_kwargs)  # refuses a scenario any check would refuse
-
-    if not parser.has_section("run") or not parser.get("run", "checks", fallback="").strip():
+    ctx = CheckContext(**{key: float(value) for key, value in config.get("scenario", {}).items()})
+    names = config.get("run", {}).get("checks", "").replace(",", " ").split()
+    if not names:
         raise ValueError("config needs a [run] section with a nonempty checks list")
-    raw = parser.get("run", "checks").replace(",", " ").split()
-    workers = parser.getint("run", "workers", fallback=1)
-    out = parser.get("run", "out", fallback=None)
-
-    tols: Dict[str, float] = {}
-    if parser.has_section("tolerances"):
-        for name, value in parser.items("tolerances"):
-            tols[name] = checked_tolerance(name, float(value))
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-    return ctx, raw, workers, out, tols, digest
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValueError(f"check {repeated[0]!r} is selected twice")
+    given = config.get("tolerances", {})
+    tols = {name: checked_tolerance(name, float(given[name]) if name in given else None)
+            for name in [*given, *names]}  # KeyError: an unregistered check
+    return ctx, names, tols, hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def _run_command(args) -> int:
     try:
-        ctx, names, cfg_workers, cfg_out, tols, digest = _load_config(Path(args.config))
-        tols.update(_parse_tol_overrides(args.tol))
-        tols = {name: checked_tolerance(name, tols.get(name)) for name in names}  # KeyError
-        workers = cfg_workers if args.workers is None else args.workers
-        if min(workers, cfg_workers) < 1:  # a bad config value is refused even when overridden
-            raise ValueError("worker count ([run] workers, --workers) must be at least 1")
+        ctx, names, tols, digest = _load_config(Path(args.config))
+        if args.workers < 1:
+            raise ValueError("--workers must be at least 1")
     except (KeyError, ValueError, FileNotFoundError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = _resolve_out(args.out or cfg_out)
+    out_dir = _output_dir(args.out)
+    scenario = {f"scenario_{key}": value for key, value in dataclasses.asdict(ctx).items()}
 
     def task(name: str) -> Tuple[CheckResult, float, float]:
         t0, thread0 = time.perf_counter(), time.thread_time()
@@ -124,7 +109,7 @@ def _run_command(args) -> int:
 
     started = time.perf_counter()
     failed = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         futures = [pool.submit(task, name) for name in names]
         for name, future in zip(names, futures):  # submission order => deterministic assembly
             spec = REGISTRY[name]
@@ -135,9 +120,10 @@ def _run_command(args) -> int:
                 "passed": False,
                 "status": "error",
                 "tolerance": tols[name],
+                "tolerance_source": "config" if tols[name] != spec.default_tolerance else "default",
                 "config_hash": digest,
                 "version": __version__,
-            }
+            } | scenario
             try:
                 result, elapsed, thread_elapsed = future.result()
             except Exception as exc:  # a raising check must not hide the others
@@ -162,8 +148,7 @@ def _run_command(args) -> int:
 
     total = time.perf_counter() - started
     if failed:
-        print(f"failed checks: {', '.join(failed)} (total {total:.2f}s)",
-              file=sys.stderr)
+        print(f"failed checks: {', '.join(failed)} (total {total:.2f}s)", file=sys.stderr)
         return 1
     print(f"all {len(names)} checks passed (total {total:.2f}s)")
     return 0
@@ -196,7 +181,7 @@ def _spectrum_command(args) -> int:
         eps = dispersion(q, params)
         energy = bogoliubov_spectrum(eps, table.g(q))
         rows.append((q, eps, energy, energy * q / eps, omega))
-    out_dir = _resolve_out(args.out)
+    out_dir = _output_dir(args.out)
     _write_table(out_dir / "spectrum.csv",
                  ("q", "eps_q", "E_q", "E_q_q_over_eps_q", "omega"), rows)
     print(f"wrote {out_dir / 'spectrum.csv'}")
@@ -205,18 +190,14 @@ def _spectrum_command(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="bosefluct",
-        description="Goldstone-pair fluctuation checks for condensed Bose gases",
-    )
+        prog="bosefluct", description="Goldstone-pair fluctuation checks for condensed Bose gases")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
     run_p = sub.add_parser("run", help="execute checks from a config file")
     run_p.add_argument("config")
-    run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--workers", type=int, default=None)
-    run_p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="tolerance override (repeatable)")
+    run_p.add_argument("--out", default=".", help="output directory (default: .)")
+    run_p.add_argument("--workers", type=int, default=1, help="check threads (default: 1)")
     run_p.set_defaults(func=_run_command)
 
     list_p = sub.add_parser("list-checks", help="print the check registry")
@@ -227,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec_p.add_argument("--qmin", type=float, required=True)
     spec_p.add_argument("--qmax", type=float, required=True)
     spec_p.add_argument("--points", type=int, required=True)
-    spec_p.add_argument("--out", help="output directory")
+    spec_p.add_argument("--out", default=".", help="output directory (default: .)")
     spec_p.set_defaults(func=_spectrum_command)
     return parser
 

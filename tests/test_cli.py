@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import bosefluct
-from bosefluct.checks import REGISTRY, run_check
-from bosefluct.cli import OUTPUT_DIR_ENV, main
+from bosefluct import cli
+from bosefluct.checks import REGISTRY, CheckContext, run_check
+from bosefluct.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPO = Path(__file__).resolve().parents[1]
+PERFBENCH = REPO / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
@@ -114,12 +116,14 @@ class TestRun:
         cpu, wall = map(float, done.stdout.split())
         assert cpu <= 1.25 * wall
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
+    def test_output_dir_defaults_to_the_current_directory(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "sweep.ini", checks="lifetime-exponents")
-        out_dir = tmp_path / "envout"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(out_dir))
+        out_dir = tmp_path / "cwd"
+        out_dir.mkdir()
+        monkeypatch.chdir(out_dir)
         assert main(["run", str(cfg)]) == 0
-        assert (out_dir / "lifetime-exponents.csv").exists()
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "lifetime-exponents.csv", "lifetime-exponents.csv.meta"]
 
     def test_unknown_check_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "bad.ini", checks="no-such-check")
@@ -133,13 +137,6 @@ class TestRun:
         cfg.write_text("[scenario]\ntemperature = 3\n[run]\nchecks = spectrum\n")
         assert main(["run", str(cfg)]) == 2
 
-    def test_tolerance_override_can_fail(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "sweep.ini", checks="divergence-exponents")
-        code = main(["run", str(cfg), "--out", str(tmp_path / "o"),
-                     "--tol", "divergence-exponents=1e-12"])
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().out
-
     def test_meta_records_every_judgement(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.ini", checks=" ".join(REGISTRY))
         out_dir = tmp_path / "o"
@@ -147,6 +144,7 @@ class TestRun:
         for name, spec in REGISTRY.items():
             meta = read_meta(out_dir / f"{name}.csv.meta")
             assert float(meta["tolerance"]) == spec.default_tolerance
+            assert meta["tolerance_source"] == "default"
             judgements = run_check(name).judgements
             for j in judgements:
                 assert {j.name, f"{j.name}_bound", f"{j.name}_margin"} <= set(meta)
@@ -159,34 +157,35 @@ class TestRun:
 
     def test_tolerance_override_shows_in_the_meta(self, tmp_path, capsys):
         # equivalence's distance is exactly 0 at the default, so it passes even 1e-30
-        cfg = write_config(tmp_path / "sweep.ini", checks="equivalence variance-oracle")
+        cfg = write_config(tmp_path / "sweep.ini", checks="equivalence variance-oracle",
+                           extra="[tolerances]\nequivalence = 1e-30\nvariance-oracle = 1e-30\n")
         out_dir = tmp_path / "o"
-        assert main(["run", str(cfg), "--out", str(out_dir), "--tol", "equivalence=1e-30",
-                     "--tol", "variance-oracle=1e-30"]) == 1
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 1
         for name, passed in (("equivalence", "True"), ("variance-oracle", "False")):
             meta = read_meta(out_dir / f"{name}.csv.meta")
             assert meta["tolerance"] == meta["worst_bound"] == "1e-30"
+            assert meta["tolerance_source"] == "config"
             assert meta["passed"] == passed == str(float(meta["worst_margin"]) > 0.0)
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("equivalence: pass") for line in lines)
         line = next(line for line in lines if line.startswith("variance-oracle: "))
         assert line.startswith("variance-oracle: FAIL") and line.endswith("; worst fails)")
 
-    def test_tolerance_from_config(self, tmp_path):
+    def test_tolerance_from_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "sweep.ini", checks="divergence-exponents",
                            extra="[tolerances]\ndivergence-exponents = 1e-12\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    @pytest.mark.parametrize("route", ["config", "flag"])
+    @pytest.mark.parametrize("route", ["config", "unselected"])
     def test_bad_tolerance_value_is_config_error(self, tmp_path, capsys, route, value):
-        extra = f"[tolerances]\nequivalence = {value}\n" if route == "config" else ""
-        cfg = write_config(tmp_path / "sweep.ini", checks="equivalence", extra=extra)
+        # every [tolerances] entry is judged, whether or not its check runs
+        checks = "equivalence" if route == "config" else "lifetime-exponents"
+        cfg = write_config(tmp_path / "sweep.ini", checks=checks,
+                           extra=f"[tolerances]\nequivalence = {value}\n")
         out_dir = tmp_path / "o"
-        argv = ["run", str(cfg), "--out", str(out_dir)]
-        if route == "flag":
-            argv += ["--tol", f"equivalence={value}"]
-        assert main(argv) == 2
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith("config error")
         assert not any(out_dir.glob("*.csv"))
 
@@ -251,10 +250,10 @@ class TestRun:
         monkeypatch.setitem(REGISTRY, "equivalence",
                             dataclasses.replace(REGISTRY["equivalence"], runner=raising))
         cfg = write_config(tmp_path / "sweep.ini",
-                           checks="virial-imperfect divergence-exponents equivalence")
+                           checks="virial-imperfect divergence-exponents equivalence",
+                           extra="[tolerances]\ndivergence-exponents = 1e-12\n")
         out_dir = tmp_path / "o"
-        assert main(["run", str(cfg), "--out", str(out_dir),
-                     "--tol", "divergence-exponents=1e-12"]) == 1
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 1
         for name, status, passed in (("virial-imperfect", "pass", "True"),
                                      ("divergence-exponents", "fail", "False"),
                                      ("equivalence", "error", "False")):
@@ -270,7 +269,7 @@ class TestRun:
     @pytest.mark.parametrize("route,value", [("config", "-3"), ("config", "0"),
                                              ("flag", "0"), ("flag", "-2")])
     def test_worker_count_below_one_is_config_error(self, tmp_path, capsys, route, value):
-        extra = f"workers = {value}\n" if route == "config" else ""
+        extra = f"workers = {value}\n" if route == "config" else ""  # an unknown [run] key
         cfg = write_config(tmp_path / "sweep.ini", checks="equivalence", extra=extra)
         out_dir = tmp_path / "o"
         argv = ["run", str(cfg), "--out", str(out_dir)]
@@ -280,10 +279,43 @@ class TestRun:
         assert capsys.readouterr().err.startswith("config error")
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
-    def test_bad_tol_syntax(self, tmp_path):
-        cfg = write_config(tmp_path / "sweep.ini")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o"),
-                     "--tol", "nonsense"]) == 2
+    @pytest.mark.parametrize("extra", [
+        "[tolerance]\ndivergence-exponents = 1e-12\n",  # a typo must not judge at the default
+        "out = x\n",
+        "[tolerances]\nno-such-check = 1e-3\n"], ids=["section", "run-key", "tolerance-key"])
+    def test_unknown_section_or_key_is_config_error(self, tmp_path, capsys, extra):
+        cfg = write_config(tmp_path / "sweep.ini", checks="divergence-exponents", extra=extra)
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("config error: unknown ")
+        assert not out_dir.exists()
+
+    def test_repeated_check_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sweep.ini", checks="lifetime-exponents lifetime-exponents")
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: check 'lifetime-exponents' is selected twice\n")
+        assert not out_dir.exists()
+
+    def test_meta_records_the_scenario(self, tmp_path):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[scenario]\ncondensate_amplitude = -1\n[run]\nchecks = virial-wibg\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        meta = read_meta(tmp_path / "virial-wibg.csv.meta")
+        scenario = dataclasses.asdict(CheckContext(condensate_amplitude=-1.0))
+        assert {key: meta[f"scenario_{key}"] for key in scenario} == {
+            key: str(value) for key, value in scenario.items()}
+        assert meta["scenario_condensate_amplitude"] == "-1.0"
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (REPO / "README.md").read_text()
+        example = readme.split("## CLI", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "example.ini"
+        cfg.write_text(example)
+        ctx, names, tols, _ = cli._load_config(cfg)
+        assert names and set(names) <= set(tols) <= set(REGISTRY)
+        assert any(tols[name] != REGISTRY[name].default_tolerance for name in names)
 
 
 class TestSpectrum:
@@ -322,3 +354,16 @@ class TestTopLevel:
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "CONFIG"],
+        ["spectrum", "--model", "wibg", "--qmin", "0.1", "--qmax", "1.0", "--points", "3"]],
+        ids=["run", "spectrum"])
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "sweep.ini", checks="lifetime-exponents")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = [str(cfg) if arg == "CONFIG" else arg for arg in command]
+        assert main(argv + ["--out", str(taken)]) == 2
+        assert capsys.readouterr().err == f"error: --out {taken}: File exists\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini", "taken"]
