@@ -171,11 +171,24 @@ class TestRun:
         line = next(line for line in lines if line.startswith("variance-oracle: "))
         assert line.startswith("variance-oracle: FAIL") and line.endswith("; worst fails)")
 
-    def test_tolerance_from_config(self, tmp_path, capsys):
+    def test_tolerance_override_can_fail(self, tmp_path, capsys):
+        # the check passes at its default tolerance and fails under a tight [tolerances] entry
+        plain = write_config(tmp_path / "plain.ini", checks="divergence-exponents")
+        assert main(["run", str(plain), "--out", str(tmp_path / "plain")]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        tight = write_config(tmp_path / "tight.ini", checks="divergence-exponents",
+                             extra="[tolerances]\ndivergence-exponents = 1e-12\n")
+        assert main(["run", str(tight), "--out", str(tmp_path / "tight")]) == 1
+        assert "divergence-exponents: FAIL" in capsys.readouterr().out
+
+    def test_tolerance_from_config(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.ini", checks="divergence-exponents",
                            extra="[tolerances]\ndivergence-exponents = 1e-12\n")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 1
+        meta = read_meta(out_dir / "divergence-exponents.csv.meta")
+        assert meta["tolerance"] == "1e-12"
+        assert meta["tolerance_source"] == "config"
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("route", ["config", "unselected"])
