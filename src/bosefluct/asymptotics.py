@@ -93,9 +93,9 @@ _G10_WEIGHTS[1::2] = np.concatenate((_G10_HALF, _G10_HALF[::-1]))
 _GK_MAX_ROUNDS = 30
 _GK_MAX_INTERVALS = 400
 # Breakpoints of the thermal bubble at |q| (1 - g) and |q| + (k_max - |q|) g:
-# graded toward its log singularity at |k| = |q|, so that no bisection has to
-# chase it there
-_LOG_GRADING = 2.0 ** (-4.0 * np.arange(1, 10))
+# graded toward its log singularity at |k| = |q| with ratio 4, fine enough
+# that the rule converges in its first round, with no bisection chasing it
+_LOG_GRADING = 2.0 ** (-2.0 * np.arange(1, 19))
 
 
 def _gauss_kronrod(f, breakpoints, rtol: float) -> Tuple[float, float]:
@@ -145,8 +145,9 @@ def bose_bubble_integral(q, params: ModelParams, mu_shift: float = 0.0,
     The angular integral is done in closed form (the occupation is a
     function of a variable linear in ``cos theta``), leaving one radial
     integral. The adaptive G10/K21 rule does it to ``rtol`` on an array
-    integrand, with breakpoints graded geometrically toward the integrable
-    log singularity at ``|k| = |q|`` from both sides. ``error`` is the
+    integrand, with breakpoints graded geometrically (ratio 4) toward the
+    integrable log singularity at ``|k| = |q|`` from both sides, so that
+    at the default ``rtol`` its first round converges. ``error`` is the
     rule's estimate, and ``tail_bound`` (one scalar QUADPACK integral of
     the exponential envelope) bounds the integrand beyond the cutoff. Raises
     ``RuntimeError`` when the rule does not converge. Exactly zero at
@@ -212,9 +213,10 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
     integrand is analytic in ``p`` (the ``1/p`` of ``n_p`` and ``m_p``
     cancels against the Jacobian), so a fixed Gauss-Legendre rule of
     ``PAIR_NODES`` nodes converges exponentially. The adaptive G10/K21
-    rule does the outer integral over ``r`` to ``rtol``, with the kink at
-    ``r = |q|`` as a breakpoint; each of its rounds evaluates the inner
-    rule once, on an ``(n_r, PAIR_NODES)`` array.
+    rule does the outer integral over ``r`` to ``rtol``, with breakpoints at
+    the kink ``r = |q|`` and at ``|q| + (k_max - |q|) / 8, / 4, / 2``, where
+    it would otherwise bisect; each of its rounds evaluates the inner rule
+    once, on an ``(n_r, PAIR_NODES)`` array.
 
     ``q`` is the norm ``|q|``, positive and finite. ``error`` is the outer
     rule's estimate; the fixed inner rule has no estimate of its own (the
@@ -241,7 +243,9 @@ def wibg_pair_bubble(q, params: ModelParams, rtol: float = 1e-7) -> IntegralResu
     # v / v0 = 1e-14 the gaussian tail of v leaves nothing
     k_max = q_norm + 2.0 * params.kappa * math.sqrt(14.0 * math.log(10.0))
     prefactor = 1.0 / (4.0 * math.pi**2)
-    value, abserr = _gauss_kronrod(radial, [0.0, q_norm, k_max], rtol)
+    # the three halvings toward the kink that the rule would otherwise bisect into
+    breakpoints = [0.0, q_norm, *(q_norm + (k_max - q_norm) * np.array([0.125, 0.25, 0.5])), k_max]
+    value, abserr = _gauss_kronrod(radial, breakpoints, rtol)
     n_t, m_t = pair_averages(dispersion(k_max, params), params.c2v(k_max), params.beta)
     tail_bound = prefactor * 8.0 * k_max**2 * (abs(n_t) + abs(m_t))
     return IntegralResult(prefactor * value, prefactor * abserr, tail_bound)

@@ -128,6 +128,7 @@ def _run_command(args) -> int:
                 result, elapsed, thread_elapsed = future.result()
             except Exception as exc:  # a raising check must not hide the others
                 meta["error"] = f"{type(exc).__name__}: {exc}"
+                (out_dir / f"{name}.csv").unlink(missing_ok=True)  # no earlier run's table
                 print(f"{name}: ERROR ({meta['error']})", file=sys.stderr)
             else:
                 _write_table(out_dir / f"{name}.csv", result.columns, result.rows)

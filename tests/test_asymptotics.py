@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from bosefluct import asymptotics
@@ -317,10 +319,54 @@ def test_bubbles_evaluate_the_model_on_arrays(monkeypatch):
     (wibg_pair_bubble, wibg_params()),
 ])
 def test_unconverged_radial_quadrature_raises(bubble, params, monkeypatch):
-    # one round of the rule does not reach rtol = 1e-7 on either bubble: both refuse it
+    # one round of the rule reaches the default rtol on both bubbles, but not
+    # rtol = 1e-10: both refuse it
     monkeypatch.setattr(asymptotics, "_GK_MAX_ROUNDS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        bubble(0.3, params)
+        bubble(0.3, params, rtol=1e-10)
+
+
+@pytest.mark.parametrize("bubble,params", [
+    (bose_bubble_integral, CheckContext().imperfect_thermal),
+    (wibg_pair_bubble, CheckContext().wibg),
+], ids=["thermal", "pair"])
+def test_default_scenario_converges_in_one_round(bubble, params, monkeypatch):
+    # the starting breakpoints already resolve the singularity and the kink at
+    # |k| = |q|: one call of the array integrand, no bisection
+    calls = []
+    rule = asymptotics._gauss_kronrod
+
+    def counted_rule(f, breakpoints, rtol):
+        def counted(x):
+            calls.append(x.shape)
+            return f(x)
+        return rule(counted, breakpoints, rtol)
+
+    monkeypatch.setattr(asymptotics, "_gauss_kronrod", counted_rule)
+    for q in np.geomspace(1e-4, 2.0, 12):
+        calls.clear()
+        bubble(q, params)
+        assert len(calls) == 1, q
+
+
+BUBBLE_CORNERS = {"default": CheckContext(), "mass-1/256": CheckContext(mass=1.0 / 256.0),
+                  "mass-4": CheckContext(mass=4.0), "beta-0.15": CheckContext(beta_thermal=0.15),
+                  "beta-10": CheckContext(beta_thermal=10.0), "kappa-0.1": CheckContext(kappa=0.1),
+                  "amplitude-2": CheckContext(condensate_amplitude=2.0)}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(log_q=st.floats(math.log(1e-4), math.log(2.0)),
+       corner=st.sampled_from(sorted(BUBBLE_CORNERS)))
+def test_default_rtol_holds_against_a_tight_rule(log_q, corner):
+    # fewer rounds must not cost accuracy: each bubble at its default
+    # rtol agrees with its rtol = 1e-11 value, and its estimate meets the rtol
+    q, ctx = math.exp(log_q), BUBBLE_CORNERS[corner]
+    for bubble, params in ((bose_bubble_integral, ctx.imperfect_thermal),
+                           (wibg_pair_bubble, ctx.wibg)):
+        res = bubble(q, params)
+        assert res.value == pytest.approx(bubble(q, params, rtol=1e-11).value, rel=1e-7, abs=0.0)
+        assert res.error <= 1e-7 * abs(res.value)
 
 
 class TestGaussKronrod:

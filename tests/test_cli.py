@@ -256,6 +256,24 @@ class TestRun:
         assert "passed: False" in meta
         assert "error: ZeroDivisionError: float division by zero" in meta
 
+    def test_raising_check_removes_an_earlier_table(self, tmp_path, monkeypatch):
+        # an error meta must not sit next to a table that an earlier run wrote
+        out_dir = tmp_path / "o"
+        first = write_config(tmp_path / "first.ini", checks="equivalence")
+        assert main(["run", str(first), "--out", str(out_dir)]) == 0
+        assert (out_dir / "equivalence.csv").exists()
+
+        def raising(ctx, tol):
+            return 1.0 / 0.0
+
+        monkeypatch.setitem(REGISTRY, "equivalence",
+                            dataclasses.replace(REGISTRY["equivalence"], runner=raising))
+        second = write_config(tmp_path / "second.ini", checks="equivalence virial-imperfect")
+        assert main(["run", str(second), "--out", str(out_dir)]) == 1
+        assert not (out_dir / "equivalence.csv").exists()
+        assert read_meta(out_dir / "equivalence.csv.meta")["status"] == "error"
+        assert (out_dir / "virial-imperfect.csv").exists()
+
     def test_meta_records_status_and_thread_time(self, tmp_path, monkeypatch):
         def raising(ctx, tol):
             return 1.0 / 0.0
