@@ -40,6 +40,8 @@ CLT_IMAG_BOUND = 1e-6  # clt: worst phase of the characteristic function
 BCH_BOUND_SLACK = 1e-9  # bch: relative slack on the appendix bound
 LIFETIME_ROUNDING_BOUND = 0.5  # lifetime-exponents: each fitted power rounds to its target
 CLT_DENSITY = 4.0  # clt: condensate density of the coherent state
+PAIR_MODE_LEVELS = 20  # bch, clt: top level of the symmetric pair mode b_s = B / sqrt(2)
+CLT_LEAK_BOUND = fock.LEAK_TOL  # clt: worst edge population, where fock warns of leakage
 DELTA_BOX_SIDES = (60.0, 85.0, 120.0, 170.0, 240.0, 340.0)  # delta-exponents: box sides L
 # delta-exponents: (phase, chemical-potential shift, target delta). Without a
 # condensate the variance is the bubble alone: massless at the critical point,
@@ -288,16 +290,19 @@ def _check_delta(ctx: CheckContext, tol: float) -> CheckResult:
                        (Judgement("worst_error", np.max([row[3] for row in rows]), tol),), details)
 
 
-def _bch_operators(params: ModelParams, box: float):
-    q, mq = (0, 0, 1), (0, 0, -1)
+def _pair_mode_state(params: ModelParams, box: float):
+    """Mean-field coherent vacuum, ``q`` and ``z`` on ``[0, q]``: ``F`` leaves ``b_a`` empty."""
+    q = (0, 0, 1)
     amp = gas_table("imperfect", params).amplitude(box**3)
-    ws = fock.FockWorkspace(box, [(0, 0, 0), q, mq],
-                            {(0, 0, 0): fock.coherent_window(amp),
-                             q: 10, mq: 10})
-    state = fock.FiniteState.coherent_vacuum(ws, amp)
-    rho = fock.condensate_fluct_matrix(ws, q, amp, f_q0=1.0)
-    a_op = fock.condensate_fluct_matrix(ws, q, amp, g_q0=1.0)
-    return state, rho, a_op
+    ws = fock.FockWorkspace(box, [fock.ZERO, q],
+                            {fock.ZERO: fock.coherent_window(amp), q: PAIR_MODE_LEVELS})
+    return fock.FiniteState.coherent_vacuum(ws, amp), q, amp
+
+
+def _bch_operators(params: ModelParams, box: float):
+    state, q, amp = _pair_mode_state(params, box)
+    return (state, fock.condensate_fluct_matrix(state.workspace, q, amp, f_q0=1.0),  # rho
+            fock.condensate_fluct_matrix(state.workspace, q, amp, g_q0=1.0))  # A
 
 
 def _check_bch(ctx: CheckContext, tol: float) -> CheckResult:
@@ -318,15 +323,11 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
     """Gaussian character of the smeared fluctuation at the largest volume."""
     params = replace(ctx.imperfect_ground, total_density=CLT_DENSITY,
                      condensate_density=CLT_DENSITY)
-    box = 5.0
-    amp = gas_table("imperfect", params).amplitude(box**3)
-    q, mq = (0, 0, 1), (0, 0, -1)
-    ws = fock.FockWorkspace(box, [(0, 0, 0), q, mq],
-                            {(0, 0, 0): fock.coherent_window(amp), q: 10, mq: 10})
-    state = fock.FiniteState.coherent_vacuum(ws, amp)
+    state, q, amp = _pair_mode_state(params, 5.0)
+    ws = state.workspace
     family = fock.condensate_fluct_family(ws, q, amp)
     rng = np.random.default_rng(11)
-    rows, phases = [], []
+    rows, phases, leaks = [], [], []
     for draw in range(10):
         while True:
             f = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -335,18 +336,17 @@ def _check_clt(ctx: CheckContext, tol: float) -> CheckResult:
                 break
         s_closed = fluctuations.variance_general(
             fluctuations.FluctuationSpec("imperfect", ws.k_norm(q), f_q0=f, g_q0=g), params)
-        t_max = 1.5 / math.sqrt(s_closed)
-        t_grid = np.linspace(0.0, t_max, 7)[1:]
-        values = fock.clt_char_function(family(f, g), t_grid, state)
+        t_grid = np.linspace(0.0, 1.5 / math.sqrt(s_closed), 7)[1:]
+        values, leak = fock.clt_char_function(family(f, g), t_grid, state)
         phases.append(np.max(np.abs(np.angle(values))))
-        y = -2.0 * np.log(np.abs(values))
-        coeffs = np.polyfit(t_grid**2, y, 2)
-        s_fit = float(coeffs[1])
+        leaks.append(leak)
+        s_fit = float(np.polyfit(t_grid**2, -2.0 * np.log(np.abs(values)), 2)[1])
         rows.append((draw, f.real, f.imag, g.real, g.imag, s_closed, s_fit,
                      abs(s_fit - s_closed) / s_closed))
     return CheckResult(("draw", "f_re", "f_im", "g_re", "g_im", "s_closed", "s_fit", "rel_err"),
                        rows, (Judgement("worst_rel", np.max([row[7] for row in rows]), tol),
-                              Judgement("worst_imag", np.max(phases), CLT_IMAG_BOUND)))
+                              Judgement("worst_imag", np.max(phases), CLT_IMAG_BOUND),
+                              Judgement("worst_leak", max(leaks), CLT_LEAK_BOUND, "<=")))
 
 
 def _virial_ratio(model: str, params: ModelParams) -> Tuple[float, float]:

@@ -13,9 +13,9 @@ Greenbaum and Knizhnerman 1998). Both Hamiltonians are sums of ``+-k`` pair
 blocks with the couplings ``(g, mu, u)`` of the gas. The checks: Goldstone
 commutator identities, BCH defects, central-limit characteristic functions,
 the commutation of the two-body interaction with the density fluctuation and
-the truncation rederivation. On the workspace ``[0, q, -q]`` one builder
-writes the smeared fluctuation ``F(f, g)`` of both gases;
-:func:`condensate_fluct_family` gives it for many smearings.
+the truncation rederivation. One builder writes the smeared fluctuation ``F(f, g)`` of
+both gases on ``[0, q, -q]``, or on ``[0, q]`` with ``q`` the symmetric mode ``b_s = (a_q
++ a_{-q}) / sqrt(2)``; :func:`condensate_fluct_family` gives it for many smearings.
 
 Modes are integer lattice triples; for the interaction checks their labels
 add modulo a small torus, so momentum is conserved exactly on the mode set.
@@ -221,11 +221,10 @@ class FockWorkspace:
         else:
             self.windows = dict.fromkeys(self.modes, _window(levels))
         lows = np.array([self.windows[m][0] for m in self.modes])
-        dims = [hi - lo + 1 for lo, hi in self.windows.values()]
+        self._dims = dims = [hi - lo + 1 for lo, hi in self.windows.values()]
         self.dimension = int(np.prod(dims))
         if self.dimension > DIMENSION_CAP:
             raise ValueError(f"dimension {self.dimension} exceeds cap {DIMENSION_CAP}")
-        self._dims = dims
         self._ladders: Dict[Mode, Diagonals] = {}
         # occupation table: occupations[i, j] = occupation of mode j in basis state i
         grids = np.indices(dims).reshape(len(dims), -1)
@@ -516,9 +515,10 @@ class LayeredOperator:
 
 
 def _ladder_sums(ws: FockWorkspace, q_lat) -> Tuple[Diagonals, Diagonals]:
-    """``B* = a*_q + a*_{-q}`` and ``B = a_q + a_{-q}``."""
+    """``B*`` and ``B = a_q + a_{-q}``, or ``sqrt(2) a_q`` where ``q`` is ``b_s`` (no ``-q``)."""
     q, minus_q = _plus_minus(q_lat)
-    b = ws._ladder(q) + ws._ladder(minus_q)
+    a_q = ws._ladder(q)
+    b = a_q + ws._ladder(minus_q) if minus_q in ws.modes else math.sqrt(2.0) * a_q
     return b.adjoint(), b
 
 
@@ -537,9 +537,9 @@ def condensate_fluct_matrix(ws: FockWorkspace, q_lat, amplitude: float,
     """Smeared fluctuation ``F(f, g)`` with the weights of ``model.fluct_weights``.
 
     ``amplitude`` is the zero-mode amplitude ``z`` the state is built with
-    (``sqrt(rho0 V)`` or ``c sqrt(V)``). On the ``[0, q, -q]``
-    workspace the ``f`` part is the whole mean-field density fluctuation,
-    so this one builder serves both gases; ``f = i eps_q`` gives the
+    (``sqrt(rho0 V)`` or ``c sqrt(V)``). On the ``[0, q, -q]`` or ``[0, q]``
+    workspace (:func:`_ladder_sums`) the ``f`` part is the whole mean-field density
+    fluctuation, so this one builder serves both gases; ``f = i eps_q`` gives the
     density weighted by ``i (eps_k - eps_k')``. Each part is built only
     when its smearing is nonzero; ``F(0, 0)`` is refused.
     """
@@ -560,16 +560,16 @@ def condensate_fluct_family(ws: FockWorkspace, q_lat, amplitude: float
     entry that two parts share is stored once for each. ``F(0, 0)`` is
     refused.
 
-    Each part moves the pair grade ``G = n_q + n_{-q}`` by one, so a call
-    returns a :class:`LayeredOperator` on the basis laid out once by the
-    parity of ``G``, then ``G``. At ``q = 0``, where the parts keep ``n_0`` or
-    move it by one and so ``G = 2 n_0`` by 0 or 2, :meth:`LayeredOperator.lay_out`
-    refuses the family with ``ValueError``.
+    Each part moves the pair grade ``G`` (``n_q + n_{-q}``, or ``n_s`` on ``[0, q]``) by one,
+    so a call returns a :class:`LayeredOperator` on the basis laid out once by the parity of
+    ``G``, then ``G``. At ``q = 0``, where the parts keep ``n_0`` or move it by one and so
+    ``G = 2 n_0`` by 0 or 2, :meth:`LayeredOperator.lay_out` refuses the family.
     """
     parts = [sorted(part.diagonals.items()) for _, part in _fluct_parts(ws, q_lat, (1.0,) * 4)]
     owner = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
     diagonals = [diagonal for part in parts for diagonal in part]
-    unit = LayeredOperator.lay_out(diagonals, np.add(*_pair_occupations(ws, q_lat)))
+    grade = sum(ws.occupations[:, ws.index(m)] for m in _plus_minus(q_lat) if m in ws.modes)
+    unit = LayeredOperator.lay_out(diagonals, grade)
 
     def matrix(f_q0: complex = 0.0, g_q0: complex = 0.0) -> LayeredOperator:
         weights = np.array(fluct_weights(amplitude, f_q0, g_q0))
@@ -670,8 +670,8 @@ def appendix_bound(f1: Diagonals, f2: Diagonals, state: FiniteState) -> float:
 
 
 def clt_char_function(f_op: LayeredOperator, t_grid: Sequence[float],
-                      state: FiniteState) -> np.ndarray:
-    """``omega(e^{i t F})`` on a grid of t values.
+                      state: FiniteState) -> Tuple[np.ndarray, float]:
+    """``omega(e^{i t F})`` on a grid of t values, and the worst edge population.
 
     One Lanczos run on the Hermitian ``F`` from the state vector gives
     ``<v|e^{itF}|v> = sum_j |U_0j|^2 e^{i t lambda_j}`` from the eigenpairs of
@@ -690,9 +690,9 @@ def clt_char_function(f_op: LayeredOperator, t_grid: Sequence[float],
     row ``k - 1``, whose span lies in its own. Every sum runs in numpy's own
     loops, none in BLAS, so the values do not depend on the BLAS thread count.
 
-    Warns when the evolved vector, rebuilt from each row's entries on the edge
-    levels of its span, populates them beyond ``LEAK_TOL`` (truncation
-    leakage): every top level, and the bottom level of a window with ``lo > 0``.
+    Also returns the worst weight over the grid that the evolved vector, rebuilt from each
+    row's entries on the edge levels of its span, puts there (every top level, and the bottom
+    level of a window with ``lo > 0``); it warns beyond ``LEAK_TOL`` (truncation leakage).
     """
     if state.vector is None:
         raise ValueError("clt_char_function needs a pure state")
@@ -740,7 +740,7 @@ def clt_char_function(f_op: LayeredOperator, t_grid: Sequence[float],
     if worst_leak > LEAK_TOL:
         warnings.warn(f"truncation leakage {worst_leak:.2e} exceeds {LEAK_TOL:.0e}",
                       RuntimeWarning)
-    return norm**2 * values
+    return norm**2 * values, worst_leak
 
 
 # -- interaction commutation on a momentum torus ---------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bosefluct import cli
+from bosefluct import cli, fock
 from bosefluct.checks import REGISTRY, CheckContext, run_check
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -123,6 +123,12 @@ class TestCriterion06Clt:
 
     def test_real_character(self):
         assert judged("clt")["worst_imag"] < 1e-6
+
+    def test_truncation_leak_judged(self):
+        # the 20 levels of the symmetric pair mode keep the edges far below the warning
+        leak = next(j for j in check("clt").judgements if j.name == "worst_leak")
+        assert (leak.bound, leak.relation) == (fock.LEAK_TOL, "<=")  # where fock warns
+        assert 0.0 < leak.value < 1e-3 * fock.LEAK_TOL
 
     def test_passes(self):
         assert check("clt").passed

@@ -13,7 +13,7 @@ import scipy.special
 from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 
 from bogoliubov_reference import half_angles
-from bosefluct import fock
+from bosefluct import checks, fock
 from bosefluct.asymptotics import fit_power_law
 from bosefluct.checks import CheckContext, _bch_operators, run_check
 from bosefluct.fock import (
@@ -410,17 +410,19 @@ class TestFluctuationMatrices:
         assert abs(both - halves).max() == 0.0
 
     def test_family_matches_builder(self):
-        ws = FockWorkspace(2.0, [ZERO, Q, MQ], {ZERO: (3, 14), Q: 4, MQ: 4})
-        amp = 3.0
-        family = condensate_fluct_family(ws, Q, amp)
-        rng = np.random.default_rng(3)
-        draws = [complex(*rng.uniform(-1, 1, 2)) for _ in range(8)]
-        smearings = list(zip(draws[::2], draws[1::2])) + [(draws[0], 0.0), (0.0, draws[1])]
-        for f, g in smearings:
-            built = condensate_fluct_matrix(ws, Q, amp, f_q0=f, g_q0=g).tocsr()
-            assert abs(workspace_matrix(family(f, g)) - built).max() <= 1e-15
-        with pytest.raises(ValueError, match="smearing"):
-            family(0.0, 0.0)
+        # on [0, q, -q], and on [0, q] with q the symmetric pair mode
+        for pair in ({Q: 4, MQ: 4}, {Q: 8}):
+            ws = FockWorkspace(2.0, [ZERO, *pair], {ZERO: (3, 14), **pair})
+            amp = 3.0
+            family = condensate_fluct_family(ws, Q, amp)
+            rng = np.random.default_rng(3)
+            draws = [complex(*rng.uniform(-1, 1, 2)) for _ in range(8)]
+            smearings = list(zip(draws[::2], draws[1::2])) + [(draws[0], 0.0), (0.0, draws[1])]
+            for f, g in smearings:
+                built = condensate_fluct_matrix(ws, Q, amp, f_q0=f, g_q0=g).tocsr()
+                assert abs(workspace_matrix(family(f, g)) - built).max() <= 1e-15
+            with pytest.raises(ValueError, match="smearing"):
+                family(0.0, 0.0)
 
     def test_family_refuses_the_zero_mode(self):
         # at q = 0 the parts keep n_0 or move it by one: G = 2 n_0 moves by 0 or 2
@@ -488,7 +490,7 @@ class TestBchAndClt:
         f_op = laid_out(quadrature(ws, Q) * 2.0**-0.5, ws.occupations[:, 0])
         state = FiniteState.coherent_vacuum(ws, 0.0)
         t_grid = np.linspace(0.0, 2.0, 9)
-        values = clt_char_function(f_op, t_grid, state)
+        values, _ = clt_char_function(f_op, t_grid, state)
         assert np.allclose(values, np.exp(-t_grid**2 / 4.0), atol=1e-12)
 
     def test_leakage_warning(self):
@@ -663,7 +665,7 @@ class TestLayeredLanczos:
     def char_function(f_op, t_grid, state):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # pair cutoff 6 leaks
-            return clt_char_function(f_op, t_grid, state)
+            return clt_char_function(f_op, t_grid, state)[0]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_expm(self, seed):
@@ -715,7 +717,7 @@ class TestLayeredLanczos:
         state = FiniteState.coherent_vacuum(ws, 0.0)
         t_grid = np.linspace(0.0, 3.0, 7)
         with pytest.warns(RuntimeWarning):  # the top level is level 1
-            values = clt_char_function(f_op, t_grid, state)
+            values, _ = clt_char_function(f_op, t_grid, state)
         assert np.max(np.abs(values - np.cos(t_grid))) < 1e-15
 
     def test_one_level_has_an_empty_odd_block(self):
@@ -766,8 +768,9 @@ class TestLayeredLanczos:
             monkeypatch.setattr(fock, "LEAK_TOL", factor * worst)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                clt_char_function(f_op, t_grid, state)
+                _, leak = clt_char_function(f_op, t_grid, state)
             assert any("truncation leakage" in str(w.message) for w in caught) == warns
+            assert leak == pytest.approx(worst, rel=1e-3)  # as close as the warning's edge
 
     def test_state_off_the_lowest_layer_refused(self):
         f_op, t_grid, state = reduced_clt_case(0)
@@ -775,6 +778,59 @@ class TestLayeredLanczos:
         shifted = FiniteState(ws, vector=(ws.creator(Q) @ state.vector))
         with pytest.raises(ValueError, match="lowest layer"):
             clt_char_function(f_op, t_grid, shifted)
+
+
+def full_bch_operators(box, levels):
+    """The bch check's state and pair on ``[0, q, -q]``, with ``levels`` per ``+-q`` mode."""
+    params = CheckContext().imperfect_ground
+    amp = gas_table("imperfect", params).amplitude(box**3)
+    ws = FockWorkspace(box, [ZERO, Q, MQ], {ZERO: coherent_window(amp), Q: levels, MQ: levels})
+    return (FiniteState.coherent_vacuum(ws, amp), condensate_fluct_matrix(ws, Q, amp, f_q0=1.0),
+            condensate_fluct_matrix(ws, Q, amp, g_q0=1.0))
+
+
+class TestSymmetricPairMode:
+    """``bch`` and ``clt`` run on ``[0, q]``, mode ``q`` carrying ``b_s = B / sqrt(2)``: the
+    same values as on ``[0, q, -q]``, where ``F(f, g)`` leaves ``b_a`` in its vacuum."""
+
+    def test_ladder_sum_is_root_two_a_q(self):
+        ws = FockWorkspace(2.0, [ZERO, Q], 5)
+        b_dag, b = _ladder_sums(ws, Q)
+        assert abs(b.tocsr() - math.sqrt(2.0) * ws.annihilator(Q)).max() == 0.0
+        assert abs(b_dag.tocsr() - math.sqrt(2.0) * ws.creator(Q)).max() == 0.0
+
+    def test_zero_mode_twice_is_refused(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            FockWorkspace(2.0, [ZERO, ZERO], 4)
+
+    def test_bch_defect_matches_the_full_workspace(self):
+        state, rho, a_op = _bch_operators(CheckContext().imperfect_ground, 2.0)
+        full_state, full_rho, full_a = full_bch_operators(2.0, 14)
+        assert bch_defect(rho, a_op, state) == pytest.approx(
+            bch_defect(full_rho, full_a, full_state), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("name, absolute", [("bch", 0.0), ("clt", 1e-12)])
+    def test_rows_hold_at_more_pair_mode_levels(self, monkeypatch, name, absolute):
+        # clt's rel_err is a difference of near-equal numbers: its move is bounded absolutely
+        rows = run_check(name).rows
+        monkeypatch.setattr(checks, "PAIR_MODE_LEVELS", 30)
+        for row, raised in zip(rows, run_check(name).rows, strict=True):
+            assert raised == pytest.approx(row, rel=1e-10, abs=absolute)
+
+    def test_clt_draw_matches_the_three_mode_workspace(self):
+        _, f_re, f_im, g_re, g_im, s_closed, *_ = run_check("clt").rows[0]
+        f, g = complex(f_re, f_im), complex(g_re, g_im)
+        t_grid = np.linspace(0.0, 1.5 / math.sqrt(s_closed), 7)[1:]
+        params = replace(CheckContext().imperfect_ground, total_density=checks.CLT_DENSITY,
+                         condensate_density=checks.CLT_DENSITY)
+        state, q, amp = checks._pair_mode_state(params, 5.0)
+        values, _ = clt_char_function(condensate_fluct_family(state.workspace, q, amp)(f, g),
+                                      t_grid, state)
+        ws = FockWorkspace(5.0, [ZERO, Q, MQ], {ZERO: coherent_window(amp), Q: 10, MQ: 10})
+        full, _ = clt_char_function(condensate_fluct_family(ws, Q, amp)(f, g), t_grid,
+                                    FiniteState.coherent_vacuum(ws, amp))
+        assert state.workspace.dimension < ws.dimension / 5
+        assert np.max(np.abs(values - full)) < 1e-12
 
 
 def goldstone_box_2(model):
